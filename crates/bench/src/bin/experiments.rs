@@ -5,7 +5,6 @@
 //!             [--leaves a,b,c,d] [--products-per-category N]
 //!             [--match-error-rate R] [--smoke] [--out DIR]
 //!             [--quiet] [--obs] [--batches N] [--verify-blocking]
-//!             [--read-heavy]
 //!
 //! Subcommands:
 //!   table2    end-to-end quality (Table 2)
@@ -31,42 +30,6 @@
 //!                categories.txt, and per-category cat_<id>.json under
 //!                --out/drill_expected for the crash drill to compare
 //!                against the restarted server's responses
-//!   snapshot-bench  durability bench: churn the Table-2 corpus through
-//!                   the WAL + incremental segmented snapshots, then race
-//!                   restoring the final state from the JSON oracle vs
-//!                   from segments; merged into BENCH_par.json under
-//!                   "durability"
-//!   ingest-bench  paper-scale ingest: stream --offers N (millions are
-//!                 fine — the generator is constant-memory) through the
-//!                 durable write path, group commit (--group-size,
-//!                 --group-wait-us, --workers writer threads, --batch-size
-//!                 offers per commit) vs the per-batch-fsync baseline
-//!                 (--baseline-offers cap); optional --scenario
-//!                 flash-sale|merchant-churn|retraction-waves|mixed
-//!                 reshapes the load; ends with a recovery drill over the
-//!                 unfolded WAL tail; sustained offers/sec, p99 commit
-//!                 latency, and peak RSS merge into BENCH_par.json under
-//!                 "ingest_scale"
-//!   serve-bench  closed-loop load generator: --workers K client threads
-//!                (default 4) issue --requests N point lookups (default
-//!                2000) against servers at 1/2/4/8 shards (--shards
-//!                a,b,c); p50/p99 latency and throughput are merged into
-//!                BENCH_par.json under "serve". With --read-heavy the mix
-//!                becomes 99% GET /products/{category} (served from the
-//!                snapshot response cache) and 1% churn writes; results
-//!                are merged under "serve_readheavy". With --obs-overhead
-//!                the point-lookup mix runs twice — observability off,
-//!                then on (tracing + RED metrics + flight recorder) — at
-//!                the first --shards count, and the comparison is merged
-//!                under "serve_obs_overhead" with a documented ≤10% p50
-//!                budget
-//!   search-bench  search quality + latency: replay ground-truth
-//!                 free-text queries against GET /search at 1/2/4/8
-//!                 shards (--shards a,b,c; --workers, --requests as
-//!                 serve-bench), byte-compare every body across shard
-//!                 counts, score precision@1 / recall@10 against the
-//!                 oracle (floors 0.80 / 0.70 — the run FAILS below
-//!                 them), and merge into BENCH_par.json under "search"
 //!   fig6      classifier vs single-feature baselines (Figure 6)
 //!   fig7      with vs without historical matches (Figure 7)
 //!   fig8      vs DUMAS / Naive Bayes / COMA++ (Figure 8)
@@ -81,10 +44,14 @@
 //!   all-ablations      every ablation + the extension
 //! ```
 //!
+//! Serving latency and throughput, search quality, and WAL / ingest-scale
+//! costs are not measured here: `benchmark/run.sh` is the repo's one
+//! performance command (see `benchmark/README.md`).
+//!
 //! Text renderings go to stdout; CSV series are written under `--out`
 //! (default `results/`). `--quiet` silences stderr progress chatter and the
 //! stage summary; `--obs` (or `PSE_OBS=1`) turns on observability and
-//! writes `OBS_REPORT.json` at the workspace root on exit.
+//! writes `target/OBS_REPORT.json` under the workspace root on exit.
 //! `--verify-blocking` (with `fig8`) additionally audits the title
 //! matcher's inverted-index candidate blocking against the exhaustive scan
 //! over every world offer and fails the run on any disagreement.
@@ -95,11 +62,8 @@ use std::process::ExitCode;
 use pse_bench::{
     ablation_extraction, ablation_features, ablation_fusion, ablation_history_noise, ablation_keys,
     ablation_measures, build_world, curves_csv, embedded_spec_provider, extension_name_features,
-    fig6, fig7, fig8, fig9, query_paths, render_curves, render_incremental, render_obs_overhead,
-    render_search_bench, render_serve_bench, render_snapshot_bench, run_end_to_end,
-    run_incremental, run_search_bench, run_serve_bench, run_serve_bench_obs_overhead,
-    run_serve_bench_read_heavy, run_snapshot_bench, serve_corpus, table2, table3, table4,
-    verify_blocking, EndToEnd, Scale,
+    fig6, fig7, fig8, fig9, query_paths, render_curves, render_incremental, run_end_to_end,
+    run_incremental, serve_corpus, table2, table3, table4, verify_blocking, EndToEnd, Scale,
 };
 use pse_datagen::World;
 use pse_eval::correspondence::LabeledCurve;
@@ -107,7 +71,7 @@ use pse_eval::correspondence::LabeledCurve;
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first().cloned() else {
-        eprintln!("usage: experiments <table2|table3|table4|fig6|fig7|fig8|fig9|incremental|serve|serve-bench|search-bench|wal-replay|snapshot-bench|ingest-bench|ablation|ablation-features|ablation-fusion|ablation-keys|ablation-history|all|all-ablations> [flags]");
+        eprintln!("usage: experiments <table2|table3|table4|fig6|fig7|fig8|fig9|incremental|serve|wal-replay|ablation|ablation-features|ablation-fusion|ablation-keys|ablation-history|all|all-ablations> [flags]");
         return ExitCode::FAILURE;
     };
     let rest = &args[1..];
@@ -125,15 +89,6 @@ fn main() -> ExitCode {
     };
     let out_dir = out_dir(rest);
     let batches = batches(rest);
-
-    // ingest-bench streams its offers from a WorldBase and only needs a
-    // small materialized world internally — branch before the eager
-    // full-scale build above would materialize a million offers.
-    if cmd == "ingest-bench" {
-        let ok = run_ingest_bench_cmd(&scale, &out_dir, quiet, rest);
-        write_obs_report(quiet);
-        return if ok { ExitCode::SUCCESS } else { ExitCode::FAILURE };
-    }
 
     if !quiet {
         eprintln!(
@@ -206,56 +161,6 @@ fn main() -> ExitCode {
     }
 }
 
-/// `experiments ingest-bench`: the paper-scale durable-ingest bench —
-/// an OfferStream (constant-memory datagen) through the group-commit
-/// write path vs the per-batch-fsync baseline, plus a recovery drill.
-/// Results merge into BENCH_par.json under "ingest_scale".
-fn run_ingest_bench_cmd(
-    scale: &pse_bench::Scale,
-    out_dir: &Path,
-    quiet: bool,
-    args: &[String],
-) -> bool {
-    let defaults = pse_bench::IngestBenchOpts::default();
-    let opts = pse_bench::IngestBenchOpts {
-        batch_size: flag_value(args, "--batch-size").unwrap_or(defaults.batch_size),
-        writers: flag_value(args, "--workers").unwrap_or(defaults.writers),
-        baseline_offers: flag_value(args, "--baseline-offers").unwrap_or(defaults.baseline_offers),
-        group_size: flag_value(args, "--group-size").unwrap_or(defaults.group_size),
-        group_wait_us: flag_value(args, "--group-wait-us").unwrap_or(defaults.group_wait_us),
-        scenario: string_flag(args, "--scenario").unwrap_or(defaults.scenario),
-        shards: flag_value(args, "--shards").unwrap_or(defaults.shards),
-        compact_bytes: flag_value(args, "--compact-bytes").unwrap_or(defaults.compact_bytes),
-    };
-    if pse_datagen::Scenario::parse(&opts.scenario).is_none() {
-        eprintln!(
-            "error: unknown scenario {:?} (want steady, flash-sale, merchant-churn, \
-             retraction-waves, or mixed)",
-            opts.scenario
-        );
-        return false;
-    }
-    let t = std::time::Instant::now();
-    let run = pse_bench::run_ingest_bench(scale, &opts, &out_dir.join("ingest_bench"));
-    println!("{}", pse_bench::render_ingest_bench(&run));
-    merge_into_bench_json("ingest_scale", &run, quiet);
-    if !quiet {
-        eprintln!("# ingest-bench finished in {:.1?}", t.elapsed());
-    }
-    if !run.recovery_equal {
-        eprintln!("error: recovered state diverged from the live store");
-    }
-    if !run.group_commit_faster {
-        // Timing on a noisy 1-CPU smoke host; flag loudly, fail soft.
-        eprintln!(
-            "warning: group commit ({:.0} offers/s) did not beat the per-batch-fsync \
-             baseline ({:.0} offers/s)",
-            run.grouped.offers_per_sec, run.baseline.offers_per_sec
-        );
-    }
-    run.recovery_equal
-}
-
 /// `--verify-blocking`: compare the title matcher's blocked and naive
 /// paths over every world offer; any disagreement fails the run.
 fn run_blocking_audit(world: &World) -> bool {
@@ -275,7 +180,8 @@ fn run_blocking_audit(world: &World) -> bool {
 }
 
 /// When observability is on, stamp provenance into the report, write
-/// `OBS_REPORT.json` at the workspace root, and print the stage summary.
+/// `target/OBS_REPORT.json` under the workspace root (a generated
+/// artefact — never tracked), and print the stage summary.
 fn write_obs_report(quiet: bool) {
     if !pse_obs::enabled() {
         return;
@@ -283,8 +189,9 @@ fn write_obs_report(quiet: bool) {
     let mut report = pse_obs::report();
     report.git_commit = pse_bench::git_commit();
     report.threads = pse_par::current_threads() as u64;
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../OBS_REPORT.json");
-    match std::fs::write(path, report.to_json()) {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../target");
+    let path = format!("{dir}/OBS_REPORT.json");
+    match std::fs::create_dir_all(dir).and_then(|_| std::fs::write(&path, report.to_json())) {
         Ok(()) => {
             if !quiet {
                 eprintln!("# observability report written to {path}");
@@ -324,74 +231,6 @@ fn dispatch(
         }
         "serve" => run_serve(world, out_dir, quiet, args),
         "wal-replay" => run_wal_replay(world, out_dir, quiet, args),
-        "snapshot-bench" => {
-            let shards = flag_value(args, "--shards").unwrap_or(4);
-            let dir = out_dir.join("snapshot_bench");
-            let run = run_snapshot_bench(world, shards, batches, &dir);
-            println!("{}", render_snapshot_bench(&run));
-            merge_into_bench_json("durability", &run, quiet);
-            if !run.equal {
-                eprintln!("error: restore paths diverged from the live store");
-            }
-            if !run.segmented_restore_faster {
-                // Timing on a noisy 1-CPU smoke host; flag loudly, fail soft.
-                eprintln!(
-                    "warning: segmented restore ({} ns) did not beat JSON restore ({} ns)",
-                    run.segmented_restore_ns, run.json_restore_ns
-                );
-            }
-            run.equal
-        }
-        "search-bench" => {
-            let workers = flag_value(args, "--workers").unwrap_or(4);
-            let requests = flag_value(args, "--requests").unwrap_or(2000);
-            let shard_counts = shard_list(args).unwrap_or_else(|| vec![1, 2, 4, 8]);
-            let run = run_search_bench(world, workers, requests, &shard_counts);
-            println!("{}", render_search_bench(&run));
-            merge_into_bench_json("search", &run, quiet);
-            if !run.shard_counts_agree {
-                eprintln!("error: /search bodies diverged across shard counts");
-            }
-            if !run.thresholds_met {
-                eprintln!(
-                    "error: search quality below floor: precision@1 {:.3} (floor {:.2}), recall@10 {:.3} (floor {:.2})",
-                    run.precision_at_1,
-                    run.precision_at_1_min,
-                    run.recall_at_10,
-                    run.recall_at_10_min
-                );
-            }
-            run.shard_counts_agree && run.thresholds_met
-        }
-        "serve-bench" => {
-            let workers = flag_value(args, "--workers").unwrap_or(4);
-            let requests = flag_value(args, "--requests").unwrap_or(2000);
-            let shard_counts = shard_list(args).unwrap_or_else(|| vec![1, 2, 4, 8]);
-            let read_heavy = args.iter().any(|a| a == "--read-heavy");
-            if args.iter().any(|a| a == "--obs-overhead") {
-                let shards = shard_counts[0];
-                let run = run_serve_bench_obs_overhead(world, workers, requests, shards);
-                println!("{}", render_obs_overhead(&run));
-                merge_into_bench_json("serve_obs_overhead", &run, quiet);
-                if !run.within_budget {
-                    // The 1-CPU smoke host is noisy; flag loudly, fail soft.
-                    eprintln!(
-                        "warning: obs p50 overhead {:+.1}% exceeds the {:.0}% budget",
-                        run.p50_overhead_pct, run.budget_pct
-                    );
-                }
-                return true;
-            }
-            let (run, key) = if read_heavy {
-                let run = run_serve_bench_read_heavy(world, workers, requests, &shard_counts);
-                (run, "serve_readheavy")
-            } else {
-                (run_serve_bench(world, workers, requests, &shard_counts), "serve")
-            };
-            println!("{}", render_serve_bench(&run));
-            merge_into_bench_json(key, &run, quiet);
-            true
-        }
         "table2" => {
             println!("{}", table2(world, e2e_cached(world)));
             true
@@ -517,7 +356,6 @@ fn run_serve(world: &World, out_dir: &PathBuf, quiet: bool, args: &[String]) -> 
     }
     let config = pse_serve::ServerConfig {
         addr,
-        snapshot_path: Some(out_dir.join("serve.snapshot.json")),
         wal_path: wal_dir.as_ref().map(|d| d.join("wal.log")),
         snapshot_dir: wal_dir.as_ref().map(|d| d.join("segments")),
         compaction_threshold_bytes: flag_value(args, "--compact-bytes").unwrap_or(8 << 20),
@@ -677,13 +515,6 @@ fn string_flag(args: &[String], flag: &str) -> Option<String> {
         }
     }
     None
-}
-
-/// `--shards a,b,c` as a list (serve-bench); `None` when absent.
-fn shard_list(args: &[String]) -> Option<Vec<usize>> {
-    let raw = string_flag(args, "--shards")?;
-    let parsed: Vec<usize> = raw.split(',').filter_map(|p| p.trim().parse().ok()).collect();
-    (!parsed.is_empty()).then_some(parsed)
 }
 
 fn batches(args: &[String]) -> usize {

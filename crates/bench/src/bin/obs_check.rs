@@ -13,7 +13,8 @@
 //! - histogram bucket counts sum to the histogram count;
 //! - at least one per-worker timeline with consistent chunk fields.
 //!
-//! Usage: `obs_check [path]` (default: workspace-root `OBS_REPORT.json`).
+//! Usage: `obs_check [path]` (default: `target/OBS_REPORT.json` under the
+//! workspace root, where `experiments --obs` writes it).
 
 use std::process::ExitCode;
 
@@ -27,13 +28,6 @@ use serde::Value;
 /// present) and then received no live ingests legitimately never runs
 /// the runtime pipeline — recovery replays already-reconciled batches —
 /// so the `runtime.` stage (span and counters) is waived for it.
-///
-/// Second exception: the ingest-scale bench (`ingest_bench.*` spans)
-/// streams offers straight into the runtime write path; the offline
-/// phases (page rendering, extraction, candidate mining) never run, so
-/// the `datagen.` / `extract.` / `offline.` stages and their counters
-/// are waived for it — `runtime.` and `experiments.` coverage is still
-/// required in full.
 const STAGE_PREFIXES: [&str; 5] = ["datagen.", "extract.", "offline.", "runtime.", "experiments."];
 
 /// Counters every experiments run is expected to emit.
@@ -106,7 +100,7 @@ const QUERY_COUNTERS: [&str; 4] =
 const QUERY_HISTOGRAM: &str = "query.candidates";
 
 /// Counters a run that exercised the durability layer (any `wal.*` span
-/// present — open, recover, append, or snapshot) must additionally emit;
+/// present — open, recover, stage, or snapshot) must additionally emit;
 /// both `recover` and `open` seed the full set.
 const WAL_COUNTERS: [&str; 4] =
     ["wal.append", "wal.bytes", "snapshot.segments_written", "snapshot.segments_skipped"];
@@ -124,9 +118,9 @@ const WAL_FSYNC_HISTOGRAM: &str = "wal.fsync_us";
 const WAL_GROUP_HISTOGRAMS: [&str; 2] = ["wal.group_size", "wal.group_wait_us"];
 
 fn main() -> ExitCode {
-    let path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| concat!(env!("CARGO_MANIFEST_DIR"), "/../../OBS_REPORT.json").into());
+    let path = std::env::args().nth(1).unwrap_or_else(|| {
+        concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/OBS_REPORT.json").into()
+    });
     let text = match std::fs::read_to_string(&path) {
         Ok(t) => t,
         Err(e) => {
@@ -180,14 +174,8 @@ fn check(v: &Value) -> Vec<String> {
     // report (see STAGE_PREFIXES).
     let runtime_waived = span_paths.iter().any(|p| p.contains("wal.recover"))
         && !span_paths.iter().any(|p| p.contains("runtime."));
-    // The ingest-scale bench never runs the offline phases (see
-    // STAGE_PREFIXES): waive their stages and counters for its reports.
-    let offline_waived = span_paths.iter().any(|p| p.contains("ingest_bench."));
     for prefix in STAGE_PREFIXES {
         if runtime_waived && prefix == "runtime." {
-            continue;
-        }
-        if offline_waived && matches!(prefix, "datagen." | "extract." | "offline.") {
             continue;
         }
         if !span_paths.iter().any(|p| p.contains(prefix)) {
@@ -210,7 +198,6 @@ fn check(v: &Value) -> Vec<String> {
         query_ran,
         wal_ran,
         runtime_waived,
-        offline_waived,
         &mut errs,
     );
     check_histograms(v, &mut errs);
@@ -320,7 +307,6 @@ fn check_counters(
     query_ran: bool,
     wal_ran: bool,
     runtime_waived: bool,
-    offline_waived: bool,
     errs: &mut Vec<String>,
 ) {
     let counters = array(v, "counters", errs).to_vec();
@@ -332,9 +318,6 @@ fn check_counters(
     }
     for required in REQUIRED_COUNTERS {
         if runtime_waived && required.starts_with("runtime.") {
-            continue;
-        }
-        if offline_waived && !required.starts_with("runtime.") {
             continue;
         }
         if !names.iter().any(|n| n == required) {
@@ -547,62 +530,6 @@ mod tests {
     }
 
     #[test]
-    fn offline_stages_waived_for_ingest_bench_reports() {
-        // An ingest-bench report streams offers straight into the runtime
-        // write path: no datagen/extract/offline spans or counters, and
-        // obs_check must not demand them — runtime coverage still is.
-        let mut r = pse_obs::ObsReport {
-            schema_version: pse_obs::SCHEMA_VERSION,
-            enabled: true,
-            git_commit: "deadbeef".into(),
-            threads: 2,
-            ..Default::default()
-        };
-        r.spans = ["experiments.ingest_bench", "ingest_bench.grouped", "runtime.reconcile"]
-            .iter()
-            .map(|p| pse_obs::SpanSummary {
-                path: p.to_string(),
-                count: 1,
-                total_ns: 10,
-                min_ns: 10,
-                max_ns: 10,
-            })
-            .collect();
-        r.counters = REQUIRED_COUNTERS
-            .iter()
-            .filter(|n| n.starts_with("runtime."))
-            .map(|n| pse_obs::CounterEntry { name: n.to_string(), value: 7 })
-            .collect();
-        r.timelines = vec![pse_obs::TimelineGroup {
-            label: "runtime.reconcile".into(),
-            calls: 1,
-            chunks: vec![pse_obs::ChunkSummary {
-                worker: 0,
-                chunk: 0,
-                items: 5,
-                start_ns: 0,
-                dur_ns: 3,
-            }],
-        }];
-        let v: Value = serde_json::from_str(&r.to_json()).unwrap();
-        assert_eq!(check(&v), Vec::<String>::new());
-
-        // Dropping the runtime counters must still be flagged: the waiver
-        // covers only the offline phases.
-        let mut r2 = v.clone();
-        if let Value::Object(fields) = &mut r2 {
-            for (k, val) in fields.iter_mut() {
-                if k == "counters" {
-                    *val = Value::Array(Vec::new());
-                }
-            }
-        }
-        let errs = check(&r2);
-        assert!(errs.iter().any(|e| e.contains("missing required counter runtime.offers_in")));
-        assert!(!errs.iter().any(|e| e.contains("datagen")));
-    }
-
-    #[test]
     fn store_counters_required_only_when_store_spans_present() {
         // Without store spans, store counters are not demanded.
         assert_eq!(check(&good_report()), Vec::<String>::new());
@@ -766,7 +693,7 @@ mod tests {
         r.spans = STAGE_PREFIXES
             .iter()
             .map(|p| format!("{p}stage"))
-            .chain(["experiments.search_bench.query.search".to_string()])
+            .chain(["request.search.query.search".to_string()])
             .map(|path| pse_obs::SpanSummary {
                 path,
                 count: 1,

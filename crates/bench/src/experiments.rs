@@ -700,191 +700,6 @@ pub fn render_incremental(run: &IncrementalRun) -> String {
     )
 }
 
-/// One churn batch of the durability bench: what the incremental
-/// snapshot after the batch wrote vs reused.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SnapshotBenchRow {
-    /// Batch index (0-based).
-    pub batch: usize,
-    /// Offers ingested in this batch.
-    pub offers: usize,
-    /// WAL bytes accumulated by the batch before the fold.
-    pub wal_bytes: u64,
-    /// Segments rewritten because their shard was dirty.
-    pub segments_written: usize,
-    /// Clean segments reused from the previous manifest.
-    pub segments_skipped: usize,
-    /// Bytes this snapshot wrote.
-    pub bytes_written: u64,
-}
-
-/// Result of the durability experiment: churn through the WAL +
-/// segmented-snapshot path, then race the two restore formats.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct DurabilityRun {
-    /// Shards (= segment files) in the durable store.
-    pub shards: usize,
-    /// Churn batches after the bulk load.
-    pub batches: usize,
-    /// Offers ingested in total.
-    pub offers: usize,
-    /// Products served at the end.
-    pub products: usize,
-    /// Per-batch incremental-snapshot measurements.
-    pub rows: Vec<SnapshotBenchRow>,
-    /// Size of the JSON snapshot oracle.
-    pub json_snapshot_bytes: usize,
-    /// Total bytes of the final committed segmented snapshot.
-    pub segment_bytes: u64,
-    /// Best-of-3 wall-clock of `ProductStore::restore_json`.
-    pub json_restore_ns: u64,
-    /// Best-of-3 wall-clock of `pse_wal::recover` (manifest + segments +
-    /// empty WAL tail).
-    pub segmented_restore_ns: u64,
-    /// Whether the segmented restore beat the JSON restore.
-    pub segmented_restore_faster: bool,
-    /// Both restore paths reproduce the live store byte-identically.
-    pub equal: bool,
-}
-
-/// Run the durability bench: bulk-load ¾ of the Table-2 corpus through
-/// the durable write path (WAL append + fsync, then apply), fold it into
-/// segments, churn the rest in `batches` batches with an incremental
-/// snapshot after each, then time restoring the final state from the
-/// JSON oracle vs from the segmented snapshot. Everything under `dir`,
-/// which is wiped first.
-pub fn run_snapshot_bench(
-    world: &World,
-    shards: usize,
-    batches: usize,
-    dir: &std::path::Path,
-) -> DurabilityRun {
-    use pse_serve::{
-        durable_ingest, durable_retract, durable_snapshot, open_durable, ShardedStore,
-    };
-
-    let sc = crate::serve_corpus(world);
-    let provider = crate::embedded_spec_provider();
-    let _ = std::fs::remove_dir_all(dir);
-    std::fs::create_dir_all(dir).expect("snapshot-bench dir");
-    let dcfg = pse_wal::DurabilityConfig {
-        wal_path: dir.join("wal.log"),
-        snapshot_dir: dir.join("segments"),
-        // Folds are explicit in this bench; never auto-compact.
-        compaction_threshold_bytes: u64::MAX,
-        group: Default::default(),
-    };
-    let seed = ShardedStore::new(sc.correspondences.clone(), shards);
-    let (store, ctx, _) =
-        open_durable(dcfg.clone(), &world.catalog, seed).expect("open a fresh durable dir");
-
-    let batches = batches.max(1);
-    let (bulk, churn) = sc.corpus.split_at(sc.corpus.len() * 3 / 4);
-    durable_ingest(&store, &ctx, &world.catalog, bulk, &provider).expect("bulk ingest");
-    // A couple of retractions so the log carries both record kinds.
-    let ids: Vec<pse_core::OfferId> = bulk.iter().take(2).map(|o| o.id).collect();
-    durable_retract(&store, &ctx, &world.catalog, &ids).expect("bulk retract");
-    durable_snapshot(&store, &ctx).expect("bulk fold");
-
-    let chunk = churn.len().div_ceil(batches).max(1);
-    let mut rows = Vec::new();
-    for (i, batch) in churn.chunks(chunk).enumerate() {
-        durable_ingest(&store, &ctx, &world.catalog, batch, &provider).expect("churn ingest");
-        let wal_bytes =
-            ctx.durability().lock().expect("durability lock").wal_len() - pse_wal::WAL_HEADER_LEN;
-        let stats = durable_snapshot(&store, &ctx).expect("incremental fold");
-        rows.push(SnapshotBenchRow {
-            batch: i,
-            offers: batch.len(),
-            wal_bytes,
-            segments_written: stats.segments_written,
-            segments_skipped: stats.segments_skipped,
-            bytes_written: stats.bytes_written,
-        });
-    }
-    // A no-op fold reports the total bytes the committed manifest
-    // references; then close the WAL before the restore race.
-    let segment_bytes = durable_snapshot(&store, &ctx).expect("final fold").total_bytes;
-    drop(ctx);
-
-    let expected = store.snapshot_json();
-    let json_path = dir.join("snapshot.json");
-    pse_wal::atomic_write(&json_path, expected.as_bytes()).expect("write JSON oracle");
-
-    let best_of = |f: &dyn Fn() -> (u64, String)| -> (u64, String) {
-        (0..3).map(|_| f()).min_by_key(|(ns, _)| *ns).expect("three runs")
-    };
-    let (json_restore_ns, json_snapshot) = best_of(&|| {
-        let t = std::time::Instant::now();
-        let text = std::fs::read_to_string(&json_path).expect("read JSON oracle");
-        let restored = pse_store::ProductStore::restore_json(&text).expect("JSON restores");
-        let ns = t.elapsed().as_nanos() as u64;
-        (ns, restored.snapshot_json())
-    });
-    let (segmented_restore_ns, segmented_snapshot) = best_of(&|| {
-        let t = std::time::Instant::now();
-        let (restored, _) = pse_wal::recover(&dcfg, &world.catalog, || {
-            pse_store::ProductStore::new(sc.correspondences.clone())
-        })
-        .expect("recover succeeds")
-        .expect("durable state exists");
-        let ns = t.elapsed().as_nanos() as u64;
-        (ns, restored.snapshot_json())
-    });
-
-    DurabilityRun {
-        shards,
-        batches,
-        offers: sc.corpus.len(),
-        products: store.products().len(),
-        rows,
-        json_snapshot_bytes: expected.len(),
-        segment_bytes,
-        json_restore_ns,
-        segmented_restore_ns,
-        segmented_restore_faster: segmented_restore_ns < json_restore_ns,
-        equal: json_snapshot == expected && segmented_snapshot == expected,
-    }
-}
-
-/// Render the durability bench as a text table plus the restore race.
-pub fn render_snapshot_bench(run: &DurabilityRun) -> String {
-    let mut t = TextTable::new([
-        "Batch",
-        "Offers",
-        "WAL bytes",
-        "Seg written",
-        "Seg skipped",
-        "Bytes written",
-    ]);
-    for r in &run.rows {
-        t.row(vec![
-            r.batch.to_string(),
-            r.offers.to_string(),
-            r.wal_bytes.to_string(),
-            r.segments_written.to_string(),
-            r.segments_skipped.to_string(),
-            r.bytes_written.to_string(),
-        ]);
-    }
-    format!(
-        "Durability: incremental segmented snapshots + restore race ({} shards)\n{}\
-         products: {} · restore from JSON ({} bytes): {:.2} ms · \
-         from segments ({} bytes): {:.2} ms · speedup {:.2}x · \
-         segmented faster: {} · byte-identical: {}",
-        run.shards,
-        t.render(),
-        run.products,
-        run.json_snapshot_bytes,
-        run.json_restore_ns as f64 / 1e6,
-        run.segment_bytes,
-        run.segmented_restore_ns as f64 / 1e6,
-        run.json_restore_ns as f64 / run.segmented_restore_ns.max(1) as f64,
-        if run.segmented_restore_faster { "yes" } else { "NO" },
-        if run.equal { "yes" } else { "NO — MISMATCH" },
-    )
-}
-
 fn checkpoints_for(max_cov: usize) -> Vec<usize> {
     if max_cov == 0 {
         return Vec::new();
@@ -932,22 +747,6 @@ mod tests {
         // Steady state: later batches touch far fewer clusters than exist.
         let last = run.rows.last().unwrap();
         assert!(last.clusters_dirty <= last.clusters_total);
-    }
-
-    #[test]
-    fn snapshot_bench_restores_are_byte_identical() {
-        let world = tiny_world();
-        let dir = std::env::temp_dir().join(format!("pse-bench-snapbench-{}", std::process::id()));
-        let run = run_snapshot_bench(&world, 4, 3, &dir);
-        assert_eq!(run.rows.len(), 3);
-        assert!(run.equal, "restore paths diverged from the live store");
-        assert!(run.products > 0);
-        assert!(run.segment_bytes > 0);
-        assert!(run.json_snapshot_bytes > 0);
-        assert!(run.rows.iter().all(|r| r.wal_bytes > 0), "each batch logged records");
-        let rendered = render_snapshot_bench(&run);
-        assert!(rendered.contains("byte-identical: yes"));
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

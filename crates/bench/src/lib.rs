@@ -8,26 +8,12 @@
 //! or series the paper reports.
 
 pub mod experiments;
-pub mod ingest_bench;
 pub mod scale;
-pub mod search_bench;
 pub mod serve_bench;
 
 pub use experiments::*;
-pub use ingest_bench::{
-    peak_rss_kb, render_ingest_bench, run_ingest_bench, IngestBenchOpts, IngestLegRow,
-    IngestScaleRun,
-};
 pub use scale::{ArgsError, Scale};
-pub use search_bench::{
-    render_search_bench, run_search_bench, search_query_paths, SearchBenchRow, SearchBenchRun,
-    SEARCH_PRECISION_AT_1_MIN, SEARCH_QUERY_COUNT, SEARCH_RECALL_AT_10_MIN, SEARCH_TOP_K,
-};
-pub use serve_bench::{
-    embedded_spec_provider, query_paths, render_obs_overhead, render_serve_bench, run_serve_bench,
-    run_serve_bench_obs_overhead, run_serve_bench_read_heavy, serve_corpus, ObsOverheadRun,
-    ServeBenchRow, ServeBenchRun, ServeCorpus, OBS_OVERHEAD_BUDGET_PCT,
-};
+pub use serve_bench::{embedded_spec_provider, query_paths, serve_corpus, ServeCorpus};
 
 use pse_core::Offer;
 use pse_datagen::World;

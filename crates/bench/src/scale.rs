@@ -89,12 +89,9 @@ impl Scale {
     /// Recognized keys: `--offers`, `--merchants`, `--seed`,
     /// `--products-per-category`, `--match-error-rate`, `--leaves a,b,c,d`,
     /// `--smoke`. The binary-level flags `--out DIR`, `--batches N`,
-    /// `--workers N`, `--shards a,b,c`, `--requests N`, `--addr A`,
-    /// `--port-file P`, `--wal-dir D`, `--compact-bytes N`,
-    /// `--batch-size N`, `--baseline-offers N`, `--group-size N`,
-    /// `--group-wait-us N`, `--scenario NAME`, `--quiet`, `--obs`,
-    /// `--obs-overhead`, `--read-heavy` and `--verify-blocking` are
-    /// accepted and ignored here.
+    /// `--shards N`, `--addr A`, `--port-file P`, `--wal-dir D`,
+    /// `--compact-bytes N`, `--quiet`, `--obs` and `--verify-blocking`
+    /// are accepted and ignored here.
     pub fn from_args(args: &[String]) -> Result<Self, ArgsError> {
         let mut scale =
             if args.iter().any(|a| a == "--smoke") { Self::smoke() } else { Self::default() };
@@ -120,11 +117,9 @@ impl Scale {
                     }
                     scale.leaves = [parts[0], parts[1], parts[2], parts[3]];
                 }
-                "--smoke" | "--quiet" | "--obs" | "--obs-overhead" | "--verify-blocking"
-                | "--read-heavy" => {}
-                "--out" | "--batches" | "--workers" | "--shards" | "--requests" | "--addr"
-                | "--port-file" | "--wal-dir" | "--compact-bytes" | "--batch-size"
-                | "--baseline-offers" | "--group-size" | "--group-wait-us" | "--scenario" => {
+                "--smoke" | "--quiet" | "--obs" | "--verify-blocking" => {}
+                "--out" | "--batches" | "--shards" | "--addr" | "--port-file" | "--wal-dir"
+                | "--compact-bytes" => {
                     take()?; // consumed by the binary, not the scale
                 }
                 other if other.starts_with("--") => {

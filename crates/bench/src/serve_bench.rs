@@ -1,17 +1,11 @@
-//! Serving-layer drivers: corpus/session plumbing for the `experiments
-//! serve` smoke target and the closed-loop `serve-bench` load generator
-//! whose p50/p99 latency and throughput per shard count are merged into
-//! `BENCH_par.json` under `"serve"`.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant;
+//! Corpus and client-side plumbing for the `experiments serve` smoke
+//! target and the `wal-replay` crash-drill oracle. (Serving load and
+//! latency are measured by `benchmark/`, not here.)
 
 use pse_core::{CorrespondenceSet, Offer, Spec};
 use pse_datagen::World;
-use pse_eval::report::TextTable;
-use pse_serve::{http_request, ServerConfig, ShardedStore};
+use pse_serve::ShardedStore;
 use pse_synthesis::{FnProvider, OfflineLearner, SpecProvider};
-use serde::{Deserialize, Serialize};
 
 /// Offers left unmatched by history with their extracted specifications
 /// materialized into `offer.spec` — the wire format `POST /ingest` uses
@@ -44,7 +38,7 @@ pub fn embedded_spec_provider() -> FnProvider<impl Fn(&Offer) -> Spec + Sync> {
 }
 
 /// A point-lookup path for every product currently served, in store
-/// order — the request mix for smokes and the load generator.
+/// order — the request mix for the serving smoke.
 pub fn query_paths(store: &ShardedStore) -> Vec<String> {
     store
         .products()
@@ -78,349 +72,6 @@ fn encode_query_value(s: &str) -> String {
     out
 }
 
-/// One shard count's closed-loop measurement.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ServeBenchRow {
-    /// Shard count the store ran with.
-    pub shards: usize,
-    /// Read requests that completed with HTTP 200.
-    pub requests: usize,
-    /// Requests that failed or returned a non-200 status.
-    pub errors: usize,
-    /// Write requests (`POST /ingest` / `POST /retract`) that completed
-    /// with HTTP 200 — zero for the pure point-lookup mix.
-    pub writes: usize,
-    /// Median request latency, microseconds.
-    pub p50_us: u64,
-    /// 99th-percentile request latency, microseconds.
-    pub p99_us: u64,
-    /// Completed requests per wall-clock second.
-    pub throughput_rps: f64,
-}
-
-/// Result of the closed-loop load run across shard counts.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ServeBenchRun {
-    /// Concurrent client threads (and server worker threads).
-    pub workers: usize,
-    /// Requests issued per shard count.
-    pub requests_per_shard_count: usize,
-    /// Distinct products behind the query mix.
-    pub products: usize,
-    /// One row per shard count.
-    pub rows: Vec<ServeBenchRow>,
-}
-
-/// Closed-loop load generation: for each shard count, ingest the whole
-/// corpus, start a server on an ephemeral port, and hammer it with
-/// `workers` client threads issuing point lookups until `requests`
-/// requests have been issued.
-pub fn run_serve_bench(
-    world: &World,
-    workers: usize,
-    requests: usize,
-    shard_counts: &[usize],
-) -> ServeBenchRun {
-    let workers = workers.max(1);
-    let sc = serve_corpus(world);
-    let mut rows = Vec::new();
-    let mut products = 0;
-    for &shards in shard_counts {
-        let store = ShardedStore::new(sc.correspondences.clone(), shards);
-        store.ingest(&world.catalog, &sc.corpus, &embedded_spec_provider());
-        let paths = query_paths(&store);
-        assert!(!paths.is_empty(), "serve-bench world must synthesize at least one product");
-        products = paths.len();
-        let config = ServerConfig { workers, ..ServerConfig::default() };
-        let handle = pse_serve::start(store, world.catalog.clone(), config)
-            .expect("serve-bench server starts");
-        let addr = handle.addr().to_string();
-        let next = AtomicUsize::new(0);
-        let errors = AtomicUsize::new(0);
-        let t0 = Instant::now();
-        let mut latencies: Vec<u64> = std::thread::scope(|scope| {
-            let joins: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut lat = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= requests {
-                                break;
-                            }
-                            let path = &paths[i % paths.len()];
-                            let t = Instant::now();
-                            match http_request(&addr, "GET", path, None) {
-                                Ok((200, _)) => lat.push(t.elapsed().as_micros() as u64),
-                                _ => {
-                                    errors.fetch_add(1, Ordering::Relaxed);
-                                }
-                            }
-                        }
-                        lat
-                    })
-                })
-                .collect();
-            joins.into_iter().flat_map(|j| j.join().expect("load worker joins")).collect()
-        });
-        let wall = t0.elapsed();
-        handle.shutdown().expect("serve-bench server stops");
-        latencies.sort_unstable();
-        rows.push(ServeBenchRow {
-            shards,
-            requests: latencies.len(),
-            errors: errors.into_inner(),
-            writes: 0,
-            p50_us: percentile(&latencies, 50),
-            p99_us: percentile(&latencies, 99),
-            throughput_rps: latencies.len() as f64 / wall.as_secs_f64().max(1e-9),
-        });
-    }
-    ServeBenchRun { workers, requests_per_shard_count: requests, products, rows }
-}
-
-/// The 99/1 read-heavy mix (ISSUE 6): 99% `GET /products/{category}` —
-/// answered straight from the published snapshot's response cache — and
-/// 1% streaming-sized writes: each write ingests or retracts one small
-/// rotating window of a churn pool (ingest then retract of the same
-/// window, so store growth is bounded), continuously invalidating and
-/// rebuilding the cache while the readers hammer it. Latency percentiles
-/// are over the reads; completed writes are counted per row; throughput
-/// covers both.
-pub fn run_serve_bench_read_heavy(
-    world: &World,
-    workers: usize,
-    requests: usize,
-    shard_counts: &[usize],
-) -> ServeBenchRun {
-    let workers = workers.max(1);
-    let sc = serve_corpus(world);
-    // The tail tenth of the corpus is the churn pool; the rest is the
-    // stable bulk the readers see. Writes rotate over WINDOW-offer
-    // chunks of the pool so each write is a realistic streaming batch,
-    // not a bulk reload.
-    const WINDOW: usize = 10;
-    let pool_len = (sc.corpus.len() / 10).max(1);
-    let (bulk, pool) = sc.corpus.split_at(sc.corpus.len() - pool_len);
-    let ingest_bodies: Vec<String> = pool
-        .chunks(WINDOW)
-        .map(|w| serde_json::to_string(&w.to_vec()).expect("offers serialize"))
-        .collect();
-    let retract_bodies: Vec<String> = pool
-        .chunks(WINDOW)
-        .map(|w| {
-            let ids: Vec<u64> = w.iter().map(|o| o.id.0).collect();
-            serde_json::to_string(&ids).expect("ids serialize")
-        })
-        .collect();
-    assert!(
-        ingest_bodies.iter().all(|b| b.len() < (1 << 20) - 4096),
-        "one churn window must fit the server's 1 MiB request cap"
-    );
-    let mut rows = Vec::new();
-    let mut products = 0;
-    for &shards in shard_counts {
-        let store = ShardedStore::new(sc.correspondences.clone(), shards);
-        store.ingest(&world.catalog, bulk, &embedded_spec_provider());
-        let served = store.products();
-        assert!(!served.is_empty(), "serve-bench world must synthesize at least one product");
-        products = served.len();
-        let mut categories: Vec<u32> = served.iter().map(|p| p.category.0).collect();
-        categories.dedup();
-        let paths: Vec<String> = categories.iter().map(|c| format!("/products/{c}")).collect();
-        let config = ServerConfig { workers, ..ServerConfig::default() };
-        let handle = pse_serve::start(store, world.catalog.clone(), config)
-            .expect("serve-bench server starts");
-        let addr = handle.addr().to_string();
-        let next = AtomicUsize::new(0);
-        let errors = AtomicUsize::new(0);
-        let writes = AtomicUsize::new(0);
-        let t0 = Instant::now();
-        let mut latencies: Vec<u64> = std::thread::scope(|scope| {
-            let joins: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut lat = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= requests {
-                                break;
-                            }
-                            if i % 100 == 99 {
-                                // The 1%: ingest one churn window, then
-                                // retract the same window, then move on
-                                // to the next window of the pool.
-                                let nth = i / 100;
-                                let window = (nth / 2) % ingest_bodies.len();
-                                let (path, body) = if nth.is_multiple_of(2) {
-                                    ("/ingest", ingest_bodies[window].as_str())
-                                } else {
-                                    ("/retract", retract_bodies[window].as_str())
-                                };
-                                match http_request(&addr, "POST", path, Some(body)) {
-                                    Ok((200, _)) => {
-                                        writes.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                    _ => {
-                                        errors.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                }
-                            } else {
-                                let path = &paths[i % paths.len()];
-                                let t = Instant::now();
-                                match http_request(&addr, "GET", path, None) {
-                                    Ok((200, _)) => lat.push(t.elapsed().as_micros() as u64),
-                                    _ => {
-                                        errors.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                }
-                            }
-                        }
-                        lat
-                    })
-                })
-                .collect();
-            joins.into_iter().flat_map(|j| j.join().expect("load worker joins")).collect()
-        });
-        let wall = t0.elapsed();
-        handle.shutdown().expect("serve-bench server stops");
-        latencies.sort_unstable();
-        let writes = writes.into_inner();
-        rows.push(ServeBenchRow {
-            shards,
-            requests: latencies.len(),
-            errors: errors.into_inner(),
-            writes,
-            p50_us: percentile(&latencies, 50),
-            p99_us: percentile(&latencies, 99),
-            throughput_rps: (latencies.len() + writes) as f64 / wall.as_secs_f64().max(1e-9),
-        });
-    }
-    ServeBenchRun { workers, requests_per_shard_count: requests, products, rows }
-}
-
-/// The documented tracing-overhead budget: p50 of the point-lookup mix
-/// with observability (tracing + RED metrics + flight recorder) on may
-/// regress at most this much over observability off.
-pub const OBS_OVERHEAD_BUDGET_PCT: f64 = 10.0;
-
-/// The obs-on vs obs-off comparison merged into `BENCH_par.json` under
-/// `"serve_obs_overhead"`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ObsOverheadRun {
-    /// Concurrent client threads (and server worker threads).
-    pub workers: usize,
-    /// Requests issued per run.
-    pub requests: usize,
-    /// The point-lookup mix with observability off.
-    pub obs_off: ServeBenchRow,
-    /// The same mix with observability on (tracing, endpoint histograms,
-    /// flight recorder all live).
-    pub obs_on: ServeBenchRow,
-    /// p50 regression, percent (negative = obs-on measured faster).
-    pub p50_overhead_pct: f64,
-    /// p99 regression, percent.
-    pub p99_overhead_pct: f64,
-    /// The budget `p50_overhead_pct` is held to.
-    pub budget_pct: f64,
-    /// Whether the p50 regression stayed within the budget.
-    pub within_budget: bool,
-}
-
-/// Measure the serving-path cost of observability: run the point-lookup
-/// mix twice against identical stores — first with instrumentation off,
-/// then with it on — and compare latency percentiles. The caller's
-/// enabled-state is restored afterwards, so a surrounding `--obs` run
-/// still writes its report.
-pub fn run_serve_bench_obs_overhead(
-    world: &World,
-    workers: usize,
-    requests: usize,
-    shards: usize,
-) -> ObsOverheadRun {
-    let was_enabled = pse_obs::enabled();
-    pse_obs::set_enabled(false);
-    let off = run_serve_bench(world, workers, requests, &[shards]).rows.remove(0);
-    pse_obs::set_enabled(true);
-    let on = run_serve_bench(world, workers, requests, &[shards]).rows.remove(0);
-    pse_obs::set_enabled(was_enabled);
-    let pct = |on: u64, off: u64| (on as f64 - off as f64) / (off as f64).max(1.0) * 100.0;
-    let p50_overhead_pct = pct(on.p50_us, off.p50_us);
-    let p99_overhead_pct = pct(on.p99_us, off.p99_us);
-    ObsOverheadRun {
-        workers,
-        requests,
-        obs_off: off,
-        obs_on: on,
-        p50_overhead_pct,
-        p99_overhead_pct,
-        budget_pct: OBS_OVERHEAD_BUDGET_PCT,
-        within_budget: p50_overhead_pct <= OBS_OVERHEAD_BUDGET_PCT,
-    }
-}
-
-/// Render the overhead comparison as a text table.
-pub fn render_obs_overhead(run: &ObsOverheadRun) -> String {
-    let mut t =
-        TextTable::new(["Mode", "Reads", "Errors", "p50 (us)", "p99 (us)", "Throughput (rps)"]);
-    for (mode, r) in [("obs off", &run.obs_off), ("obs on", &run.obs_on)] {
-        t.row([
-            mode.to_string(),
-            r.requests.to_string(),
-            r.errors.to_string(),
-            r.p50_us.to_string(),
-            r.p99_us.to_string(),
-            format!("{:.0}", r.throughput_rps),
-        ]);
-    }
-    format!(
-        "Serving: observability overhead, {} client threads, {} requests/run\n{}\np50 overhead {:+.1}% (budget {:.0}%), p99 overhead {:+.1}%",
-        run.workers,
-        run.requests,
-        t.render(),
-        run.p50_overhead_pct,
-        run.budget_pct,
-        run.p99_overhead_pct
-    )
-}
-
-fn percentile(sorted: &[u64], pct: usize) -> u64 {
-    match sorted.len() {
-        0 => 0,
-        n => sorted[(n - 1) * pct / 100],
-    }
-}
-
-/// Render the load run as a text table.
-pub fn render_serve_bench(run: &ServeBenchRun) -> String {
-    let mut t = TextTable::new([
-        "Shards",
-        "Reads",
-        "Writes",
-        "Errors",
-        "p50 (us)",
-        "p99 (us)",
-        "Throughput (rps)",
-    ]);
-    for r in &run.rows {
-        t.row([
-            r.shards.to_string(),
-            r.requests.to_string(),
-            r.writes.to_string(),
-            r.errors.to_string(),
-            r.p50_us.to_string(),
-            r.p99_us.to_string(),
-            format!("{:.0}", r.throughput_rps),
-        ]);
-    }
-    format!(
-        "Serving: closed-loop load, {} client threads, {} products\n{}",
-        run.workers,
-        run.products,
-        t.render()
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -429,14 +80,5 @@ mod tests {
     fn query_values_are_percent_encoded() {
         assert_eq!(encode_query_value("abc-123"), "abc-123");
         assert_eq!(encode_query_value("a b&c=d"), "a%20b%26c%3Dd");
-    }
-
-    #[test]
-    fn percentiles_on_small_samples() {
-        assert_eq!(percentile(&[], 99), 0);
-        assert_eq!(percentile(&[5], 50), 5);
-        let v: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile(&v, 50), 50);
-        assert_eq!(percentile(&v, 99), 99);
     }
 }

@@ -15,14 +15,16 @@
 //!                         publish and one dirty-marking per batch)
 //! ```
 //!
-//! The invariants PR 8 established still hold: a record is fsynced
-//! *before* its effects are visible to readers (stage → wait_durable →
-//! apply), and every *published* state equals a sequential replay of a
-//! prefix of the log — step 4's combiner applies strictly in sequence
-//! order, which preserves the second one now that commits overlap. A
-//! batch's intermediate store states are never observable: the owners
-//! of every batched commit still hold the snapshot gate for read, so no
-//! fold can run until the batch's publish and dirty-marking land.
+//! Ingest and retract share one routine ([`commit`]); they differ only
+//! in the [`WalRecord`] they hand it. Two invariants hold throughout: a
+//! record is fsynced *before* its effects are visible to readers (stage
+//! → wait_durable → apply), and every *published* state equals a
+//! sequential replay of a prefix of the log — step 4's combiner applies
+//! strictly in sequence order, which keeps that true while commits
+//! overlap. A batch's intermediate store states are never observable:
+//! the owners of every batched commit still hold the snapshot gate for
+//! read, so no fold can run until the batch's publish and dirty-marking
+//! land.
 //!
 //! Snapshots take the `gate` write lock, which excludes every in-flight
 //! commit (commits hold it for read from stage through apply), so a
@@ -39,7 +41,7 @@ use std::sync::{Mutex, RwLock};
 
 use pse_core::{Catalog, Offer, OfferId};
 use pse_store::{IngestStats, ProductStore};
-use pse_synthesis::{ReconciledOffer, SpecProvider};
+use pse_synthesis::SpecProvider;
 use pse_wal::{Durability, DurabilityConfig, RecoveryStats, SnapshotStats, WalRecord};
 
 use crate::error::ServeError;
@@ -96,16 +98,9 @@ struct WorkItem {
     /// group committer reports durable.
     lsn: u64,
     /// The record to apply; taken by the combiner that applies it.
-    work: Option<ApplyWork>,
+    record: Option<WalRecord>,
     /// The apply's stats, deposited by the combiner for the owner.
     done: Option<IngestStats>,
-}
-
-/// What a staged commit applies to the store once durable.
-#[derive(Debug)]
-enum ApplyWork {
-    Ingest(Vec<ReconciledOffer>),
-    Retract(Vec<OfferId>),
 }
 
 impl DurableCtx {
@@ -128,16 +123,16 @@ impl DurableCtx {
         &self.durability
     }
 
-    /// Queue a staged commit's apply work. Called after the durability
-    /// mutex is released (the turnstile is taken after it, never under
-    /// it — the combiner takes them in the opposite order for
+    /// Queue a staged commit's record for apply. Called after the
+    /// durability mutex is released (the turnstile is taken after it,
+    /// never under it — the combiner takes them in the opposite order for
     /// `mark_dirty`). A combiner scanning past a sequence number whose
     /// item has not landed yet simply stops there; that owner finds
     /// itself next in line when it arrives and combines from its own
     /// sequence onward.
-    fn enqueue(&self, seq: u64, lsn: u64, work: ApplyWork) {
+    fn enqueue(&self, seq: u64, lsn: u64, record: WalRecord) {
         let mut ts = self.turnstile.lock().expect("apply turnstile");
-        ts.items.insert(seq, WorkItem { lsn, work: Some(work), done: None });
+        ts.items.insert(seq, WorkItem { lsn, record: Some(record), done: None });
     }
 
     /// Finish a durable commit: return its apply stats, either applied
@@ -181,8 +176,8 @@ impl DurableCtx {
         let mut next = seq;
         while batch.len() < MAX_COMBINE {
             match ts.items.get_mut(&next) {
-                Some(item) if item.lsn <= durable && item.work.is_some() => {
-                    batch.push((next, item.work.take().expect("work present")));
+                Some(item) if item.lsn <= durable && item.record.is_some() => {
+                    batch.push((next, item.record.take().expect("record present")));
                     next += 1;
                 }
                 _ => break,
@@ -190,24 +185,19 @@ impl DurableCtx {
         }
         drop(ts);
         // `seq` itself is always batchable: its sync returned `Ok`, so
-        // its LSN is durable, and only the owner ever takes its work.
+        // its LSN is durable, and only the owner ever takes its record.
         debug_assert!(!batch.is_empty(), "combiner's own commit must be in the batch");
         pse_obs::observe("serve.apply_batch", batch.len() as u64);
         let mut updates = Vec::new();
         let mut dirty: BTreeSet<usize> = BTreeSet::new();
         let mut results = Vec::with_capacity(batch.len());
-        for (s, work) in batch {
-            let (write, shard_updates) = match work {
-                ApplyWork::Ingest(reconciled) => {
-                    store.ingest_reconciled_unpublished(catalog, reconciled)
-                }
-                ApplyWork::Retract(ids) => store.retract_unpublished(catalog, &ids),
-            };
+        for (s, record) in batch {
+            let (write, shard_updates) = store.apply_unpublished(catalog, record);
             dirty.extend(write.dirty_shards);
             updates.extend(shard_updates);
             results.push((s, write.stats));
         }
-        store.publish_updates(updates);
+        store.publish(updates);
         if !dirty.is_empty() {
             let mut dur = self.durability.lock().expect("durability lock");
             dur.mark_dirty(dirty);
@@ -293,10 +283,40 @@ pub fn open_durable(
     Ok((store, ctx, stats))
 }
 
-/// Ingest a batch durably: reconcile once (outside every lock), stage
-/// the *reconciled* offers into the WAL (replay needs no
-/// `SpecProvider`), wait for the group fsync, then apply to the shards
-/// in sequence order and mark the touched segments dirty.
+/// Commit one record: encode it, stage the frame into the WAL, wait for
+/// the group fsync, then apply in sequence order (module docs). The
+/// caller registers as a group-commit writer first, so whatever work it
+/// does to build `record` counts it as a group member already.
+/// `offers_in` of the returned stats is whatever the apply routed; the
+/// wrappers overwrite it with the raw request size.
+fn commit(
+    store: &ShardedStore,
+    ctx: &DurableCtx,
+    catalog: &Catalog,
+    record: WalRecord,
+) -> Result<IngestStats, ServeError> {
+    // Encode outside the durability lock: staging under the lock is the
+    // write path's only serialized section, so it must stay at "append
+    // the frame", not "serialize the batch".
+    let payload = record.payload();
+    let _gate = ctx.gate.read().expect("snapshot gate");
+    let (lsn, seq) = {
+        let mut dur = ctx.durability.lock().expect("durability lock");
+        let lsn = dur.stage_payload(&payload)?;
+        (lsn, ctx.seq.fetch_add(1, Ordering::Relaxed) + 1)
+    };
+    ctx.enqueue(seq, lsn, record);
+    match ctx.committer.wait_durable(lsn) {
+        Ok(()) => Ok(ctx.complete(seq, store, catalog)),
+        Err(e) => {
+            ctx.abandon(seq);
+            Err(e.into())
+        }
+    }
+}
+
+/// Ingest a batch durably: reconcile once (outside every lock) and
+/// commit the *reconciled* offers, so replay needs no `SpecProvider`.
 pub fn durable_ingest<P: SpecProvider>(
     store: &ShardedStore,
     ctx: &DurableCtx,
@@ -307,35 +327,12 @@ pub fn durable_ingest<P: SpecProvider>(
     let _span = pse_obs::span("store.ingest");
     pse_obs::add("store.ingest", offers.len() as u64);
     let _writer = ctx.committer.writer();
-    let reconciled = store.reconcile(offers, provider);
-    let record = WalRecord::Ingest(reconciled);
-    // Encode outside the durability lock: staging under the lock is the
-    // write path's only serialized section, so it must stay at "append
-    // the frame", not "serialize the batch".
-    let payload = record.payload();
-    let WalRecord::Ingest(reconciled) = record else { unreachable!() };
-    let _gate = ctx.gate.read().expect("snapshot gate");
-    let (lsn, seq) = {
-        let mut dur = ctx.durability.lock().expect("durability lock");
-        let lsn = dur.stage_payload(&payload)?;
-        (lsn, ctx.seq.fetch_add(1, Ordering::Relaxed) + 1)
-    };
-    ctx.enqueue(seq, lsn, ApplyWork::Ingest(reconciled));
-    match ctx.committer.wait_durable(lsn) {
-        Ok(()) => {
-            let mut stats = ctx.complete(seq, store, catalog);
-            stats.offers_in = offers.len();
-            Ok(stats)
-        }
-        Err(e) => {
-            ctx.abandon(seq);
-            Err(e.into())
-        }
-    }
+    let record = WalRecord::Ingest(store.reconcile(offers, provider));
+    let stats = commit(store, ctx, catalog, record)?;
+    Ok(IngestStats { offers_in: offers.len(), ..stats })
 }
 
-/// Retract offers durably: stage, wait for the group fsync, apply in
-/// sequence order, mark dirty.
+/// Retract offers durably.
 pub fn durable_retract(
     store: &ShardedStore,
     ctx: &DurableCtx,
@@ -343,55 +340,8 @@ pub fn durable_retract(
     ids: &[OfferId],
 ) -> Result<IngestStats, ServeError> {
     let _writer = ctx.committer.writer();
-    let record = WalRecord::Retract(ids.to_vec());
-    let payload = record.payload();
-    let _gate = ctx.gate.read().expect("snapshot gate");
-    let (lsn, seq) = {
-        let mut dur = ctx.durability.lock().expect("durability lock");
-        let lsn = dur.stage_payload(&payload)?;
-        (lsn, ctx.seq.fetch_add(1, Ordering::Relaxed) + 1)
-    };
-    ctx.enqueue(seq, lsn, ApplyWork::Retract(ids.to_vec()));
-    match ctx.committer.wait_durable(lsn) {
-        Ok(()) => {
-            let mut stats = ctx.complete(seq, store, catalog);
-            stats.offers_in = ids.len();
-            Ok(stats)
-        }
-        Err(e) => {
-            ctx.abandon(seq);
-            Err(e.into())
-        }
-    }
-}
-
-/// The pre-group-commit write path: log (one fsync per record) and
-/// apply while holding the durability mutex, serializing commits end to
-/// end. Kept as the measured baseline for `experiments ingest-bench`;
-/// the serving layer itself always uses [`durable_ingest`]. Do not mix
-/// the two on one `DurableCtx` — this path bypasses the apply
-/// turnstile, so interleaving it with pipelined commits would let apply
-/// order drift from log order.
-pub fn durable_ingest_serial<P: SpecProvider>(
-    store: &ShardedStore,
-    ctx: &DurableCtx,
-    catalog: &Catalog,
-    offers: &[Offer],
-    provider: &P,
-) -> Result<IngestStats, ServeError> {
-    let _span = pse_obs::span("store.ingest");
-    pse_obs::add("store.ingest", offers.len() as u64);
-    let reconciled = store.reconcile(offers, provider);
-    let _gate = ctx.gate.read().expect("snapshot gate");
-    let mut dur = ctx.durability.lock().expect("durability lock");
-    let record = WalRecord::Ingest(reconciled);
-    dur.log(&record)?;
-    let WalRecord::Ingest(reconciled) = record else { unreachable!() };
-    let write = store.ingest_reconciled(catalog, reconciled);
-    dur.mark_dirty(write.dirty_shards);
-    let mut stats = write.stats;
-    stats.offers_in = offers.len();
-    Ok(stats)
+    let stats = commit(store, ctx, catalog, WalRecord::Retract(ids.to_vec()))?;
+    Ok(IngestStats { offers_in: ids.len(), ..stats })
 }
 
 /// Fold the WAL into segments: write an incremental snapshot (dirty

@@ -23,8 +23,7 @@
 //!   serving `GET /products/{category}`, `GET /product?...`,
 //!   `POST /ingest`, `POST /retract`, `GET /metrics`, `GET /healthz`,
 //!   and `POST /shutdown`; per-connection timeouts, a 1 MiB request-size
-//!   cap (413), panic-isolated handlers, and graceful drain + snapshot
-//!   flush.
+//!   cap (413), panic-isolated handlers, and graceful drain.
 //!
 //! When observability is on (`PSE_OBS=1`), every request is traced into
 //! a per-request span tree (parse → route → handler stages, including
@@ -39,14 +38,15 @@
 //!
 //! When [`ServerConfig`] sets both `wal_path` and `snapshot_dir`, the
 //! [`durable`] module puts `pse-wal` under the write path: every
-//! ingest/retract is appended to the write-ahead log and fsynced before
-//! it is applied (log-then-apply under one mutex), a background thread
-//! folds a grown log into segmented binary snapshots (only dirty shards
-//! are rewritten), and startup recovers segments + WAL tail — so a
-//! SIGKILL at any moment loses nothing that was acknowledged.
+//! ingest/retract is staged into the write-ahead log and fsynced (one
+//! group sync covers concurrent commits) before it is applied, a
+//! background thread folds a grown log into segmented binary snapshots
+//! (only dirty shards are rewritten), and startup recovers segments +
+//! WAL tail — so a SIGKILL at any moment loses nothing that was
+//! acknowledged. Segments + WAL are the only recovery format.
 //!
 //! The [`client`] module holds the matching minimal blocking client used
-//! by tests, the `http_get` bin, and the `serve-bench` load generator.
+//! by tests and the `http_get` bin.
 
 pub mod client;
 pub mod durable;
@@ -58,10 +58,7 @@ pub mod shard;
 pub mod snapshot;
 
 pub use client::{http_request, http_request_timeout};
-pub use durable::{
-    durable_ingest, durable_ingest_serial, durable_retract, durable_snapshot, open_durable,
-    DurableCtx,
-};
+pub use durable::{durable_ingest, durable_retract, durable_snapshot, open_durable, DurableCtx};
 pub use error::{store_error_code, ServeError};
 pub use http::Body;
 pub use router::{Method, Params, Query, Route, RouteOutcome, Router, Seg};

@@ -8,9 +8,9 @@
 //! is caught and turned into a 500, never a dead worker.
 //!
 //! Shutdown (via [`ServerHandle::shutdown`] or `POST /shutdown`) stops
-//! the acceptor, lets the workers drain every queued connection, joins
-//! all threads, and flushes a final snapshot when a snapshot path is
-//! configured.
+//! the acceptor, lets the workers drain every queued connection and
+//! joins all threads; a durable server then folds its WAL into segments
+//! one last time, so the next start replays an empty tail.
 
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -51,8 +51,6 @@ pub struct ServerConfig {
     /// Cap on request size (header + body); larger requests get 413.
     /// Defaults to 1 MiB (the documented cap).
     pub max_request_bytes: usize,
-    /// Where to flush a final snapshot on shutdown, if anywhere.
-    pub snapshot_path: Option<PathBuf>,
     /// Write-ahead log file. Durability is on iff this *and*
     /// `snapshot_dir` are both set: every ingest/retract is logged and
     /// fsynced before it is applied, and startup recovers from
@@ -79,7 +77,6 @@ impl Default for ServerConfig {
             read_timeout: Duration::from_secs(5),
             write_timeout: Duration::from_secs(5),
             max_request_bytes: 1 << 20,
-            snapshot_path: None,
             wal_path: None,
             snapshot_dir: None,
             compaction_threshold_bytes: 8 << 20,
@@ -228,8 +225,7 @@ fn compaction_loop(inner: &Inner) {
 }
 
 /// Signal the compaction thread when the WAL has outgrown its threshold.
-fn maybe_compact(inner: &Inner) {
-    let Some(ctx) = &inner.durability else { return };
+fn maybe_compact(inner: &Inner, ctx: &DurableCtx) {
     if !ctx.durability().lock().expect("durability lock").wants_compaction() {
         return;
     }
@@ -258,8 +254,7 @@ impl ServerHandle {
     }
 
     /// Stop accepting, drain queued and in-flight requests, join every
-    /// thread, flush the final snapshot if configured, and hand back the
-    /// store.
+    /// thread, fold the WAL of a durable server, and hand back the store.
     pub fn shutdown(self) -> Result<ShardedStore, ServeError> {
         self.inner.stop.store(true, Ordering::SeqCst);
         self.inner.compact.1.notify_one();
@@ -278,11 +273,6 @@ impl ServerHandle {
             // Final fold: every logged record lands in segments, so the
             // next start replays an empty WAL tail.
             durable_snapshot(&inner.store, ctx)?;
-        }
-        if let Some(path) = &inner.config.snapshot_path {
-            // Stage-and-rename: a crash mid-write must leave the previous
-            // snapshot intact, never a torn file at the final path.
-            pse_wal::atomic_write(path, inner.store.snapshot_json().as_bytes())?;
         }
         Ok(inner.store)
     }
@@ -764,20 +754,7 @@ fn h_ingest(inner: &Inner, request: &Request, _params: &Params) -> HandlerResult
         parse_json_body(&request.body)?
     };
     pse_obs::add("serve.ingest_offers", offers.len() as u64);
-    let provider = FnProvider(|o: &Offer| o.spec.clone());
-    let stats = match &inner.durability {
-        Some(durability) => {
-            match durable_ingest(&inner.store, durability, &inner.catalog, &offers, &provider) {
-                Ok(stats) => {
-                    maybe_compact(inner);
-                    stats
-                }
-                Err(e) => return Err(durability_failed(e)),
-            }
-        }
-        None => inner.store.ingest(&inner.catalog, &offers, &provider),
-    };
-    json_200(&stats)
+    write(inner, WriteOp::Ingest(&offers))
 }
 
 fn h_retract(inner: &Inner, request: &Request, _params: &Params) -> HandlerResult {
@@ -786,15 +763,40 @@ fn h_retract(inner: &Inner, request: &Request, _params: &Params) -> HandlerResul
         parse_json_body(&request.body)?
     };
     let ids: Vec<OfferId> = ids.into_iter().map(OfferId).collect();
+    write(inner, WriteOp::Retract(&ids))
+}
+
+/// A parsed write request.
+enum WriteOp<'a> {
+    Ingest(&'a [Offer]),
+    Retract(&'a [OfferId]),
+}
+
+/// Every store mutation the server performs goes through here: the one
+/// place that knows whether the server is durable. With a WAL the write
+/// commits through [`crate::durable`] (and may wake the compactor);
+/// without one it applies straight to the shards. Both arms run the
+/// same reconcile and the same shard apply, so the response is the same
+/// bytes either way (pinned by `durable_server.rs`).
+fn write(inner: &Inner, op: WriteOp<'_>) -> HandlerResult {
+    let (store, catalog) = (&inner.store, &inner.catalog);
+    let provider = FnProvider(|o: &Offer| o.spec.clone());
     let stats = match &inner.durability {
-        Some(durability) => match durable_retract(&inner.store, durability, &inner.catalog, &ids) {
-            Ok(stats) => {
-                maybe_compact(inner);
-                stats
-            }
-            Err(e) => return Err(durability_failed(e)),
+        Some(ctx) => {
+            let committed = match op {
+                WriteOp::Ingest(offers) => durable_ingest(store, ctx, catalog, offers, &provider),
+                WriteOp::Retract(ids) => durable_retract(store, ctx, catalog, ids),
+            };
+            // A write we could not make durable is a server-side failure:
+            // the record never hit the log, so the store was not mutated.
+            let stats = committed.map_err(|e| ApiError::from_serve(500, &e))?;
+            maybe_compact(inner, ctx);
+            stats
+        }
+        None => match op {
+            WriteOp::Ingest(offers) => store.ingest(catalog, offers, &provider),
+            WriteOp::Retract(ids) => store.retract(catalog, ids),
         },
-        None => inner.store.retract(&inner.catalog, &ids),
     };
     json_200(&stats)
 }
@@ -804,12 +806,6 @@ fn h_shutdown(inner: &Inner, _request: &Request, _params: &Params) -> HandlerRes
     // Wake the acceptor so it notices; error means it already did.
     let _ = TcpStream::connect(inner.addr);
     Ok((200, "text/plain", b"shutting down\n".to_vec().into()))
-}
-
-/// A write we could not make durable is a server-side failure: the
-/// record never hit the log, so the store was not mutated either.
-fn durability_failed(e: ServeError) -> ApiError {
-    ApiError { status: 500, code: e.code(), message: e.to_string() }
 }
 
 fn parse_json_body<T: serde::Deserialize>(body: &[u8]) -> Result<T, ApiError> {

@@ -42,8 +42,9 @@
 //!   bodies join per-product JSON exactly as the serializer would;
 //! - [`ShardedStore::snapshot_json`] merges the disjoint shards into one
 //!   `ProductStore` before serializing, so the snapshot is the *same
-//!   bytes* regardless of shard count — a 4-shard server can restore an
-//!   8-shard snapshot and vice versa.
+//!   bytes* regardless of shard count — the oracle every equivalence
+//!   test compares against. Resharding goes through the same merge:
+//!   [`ShardedStore::from_store`] over [`ShardedStore::to_store`].
 //!
 //! The property is pinned by proptests in `tests/sharded_equivalence.rs`
 //! over arbitrary ingest/retract interleavings at 1/2/4/8 shards.
@@ -53,9 +54,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 use pse_core::{Catalog, CategoryId, CorrespondenceSet, Offer, OfferId};
-use pse_store::{ClusterKey, IngestStats, ProductStore, StoreError};
+use pse_store::{ClusterKey, IngestStats, ProductStore};
 use pse_synthesis::runtime::{reconcile_batch, KeyAttributes};
 use pse_synthesis::{ReconciledOffer, RuntimeConfig, SpecProvider, SynthesizedProduct};
+use pse_wal::WalRecord;
 
 use crate::snapshot::{
     changed_categories, empty_response, ResponseSlot, SearchSlot, ShardSnapshot, SnapshotCell,
@@ -278,16 +280,30 @@ impl ShardedStore {
         reconciled: Vec<ReconciledOffer>,
     ) -> ShardedWrite {
         let (write, updates) = self.ingest_reconciled_unpublished(catalog, reconciled);
-        self.publish_updates(updates);
+        self.publish(updates);
         write
     }
 
-    /// [`ShardedStore::ingest_reconciled`] minus the publish step: the
-    /// shard stores mutate and successor snapshots are built, but nothing
+    /// Apply one logged mutation minus the publish step: the shard
+    /// stores mutate and successor snapshots are built, but nothing
     /// becomes visible to readers until the returned updates go through
-    /// [`ShardedStore::publish_updates`]. The durable write path's
-    /// combiner applies a whole commit group this way and publishes once.
-    pub(crate) fn ingest_reconciled_unpublished(
+    /// [`ShardedStore::publish`]. The durable write path's combiner
+    /// applies a whole commit group this way and publishes once.
+    pub(crate) fn apply_unpublished(
+        &self,
+        catalog: &Catalog,
+        record: WalRecord,
+    ) -> (ShardedWrite, Vec<ShardUpdate>) {
+        match record {
+            WalRecord::Ingest(reconciled) => {
+                self.ingest_reconciled_unpublished(catalog, reconciled)
+            }
+            WalRecord::Retract(ids) => self.retract_unpublished(catalog, &ids),
+        }
+    }
+
+    /// [`ShardedStore::ingest_reconciled`] minus the publish step.
+    fn ingest_reconciled_unpublished(
         &self,
         catalog: &Catalog,
         reconciled: Vec<ReconciledOffer>,
@@ -308,25 +324,6 @@ impl ShardedStore {
         let mut counts = vec![0usize; n];
         for &shard in routes.iter().flatten() {
             counts[shard] += 1;
-        }
-        let nonempty = counts.iter().filter(|&&c| c > 0).count();
-        if nonempty <= 1 {
-            // Single-shard fast path (small batches at high shard counts
-            // land here constantly): apply under the one writer lock
-            // directly — no slot wrapping, no parallel dispatch.
-            let Some(i) = counts.iter().position(|&c| c > 0) else {
-                return self.collect_write(Vec::new());
-            };
-            let batch: Vec<ReconciledOffer> = reconciled
-                .into_iter()
-                .zip(&routes)
-                .filter_map(|(r, route)| route.map(|_| r))
-                .collect();
-            let mut writer = self.shards[i].write().expect("shard lock");
-            let delta = writer.store.ingest_reconciled_delta(catalog, batch);
-            let update = self.rebuild_snapshot(&mut writer, &delta.dirty).map(|s| (i, s));
-            drop(writer);
-            return self.collect_write(vec![(delta.stats, update)]);
         }
         let mut parts: Vec<Vec<ReconciledOffer>> =
             counts.iter().map(|&c| Vec::with_capacity(c)).collect();
@@ -357,22 +354,15 @@ impl ShardedStore {
     /// takes no writer lock, mutates nothing, and keeps its published
     /// snapshot pointer-identical.
     pub fn retract(&self, catalog: &Catalog, ids: &[OfferId]) -> IngestStats {
-        let mut write = self.retract_write(catalog, ids);
+        let (mut write, updates) = self.retract_unpublished(catalog, ids);
+        self.publish(updates);
         write.stats.offers_in = ids.len();
         write.stats
     }
 
-    /// [`ShardedStore::retract`] with the changed-shard indices attached
-    /// (`stats.offers_in` is left at 0; the wrapper sets it).
-    pub fn retract_write(&self, catalog: &Catalog, ids: &[OfferId]) -> ShardedWrite {
-        let (write, updates) = self.retract_unpublished(catalog, ids);
-        self.publish_updates(updates);
-        write
-    }
-
-    /// [`ShardedStore::retract_write`] minus the publish step (see
-    /// [`ShardedStore::ingest_reconciled_unpublished`]).
-    pub(crate) fn retract_unpublished(
+    /// [`ShardedStore::retract`] minus the publish step
+    /// (`stats.offers_in` is left at 0; the caller sets it).
+    fn retract_unpublished(
         &self,
         catalog: &Catalog,
         ids: &[OfferId],
@@ -403,13 +393,6 @@ impl ShardedStore {
         (ShardedWrite { stats: total, dirty_shards }, updates)
     }
 
-    /// Publish a batch of successor snapshots with one pointer swap.
-    /// Stale updates (a concurrent writer already published past them)
-    /// are skipped inside [`ShardedStore::publish`].
-    pub(crate) fn publish_updates(&self, updates: Vec<ShardUpdate>) {
-        self.publish(updates);
-    }
-
     /// Build the successor snapshot for one shard under its held writer
     /// lock. Returns `None` when the operation touched nothing (the
     /// snapshot stays pointer-stable).
@@ -434,7 +417,7 @@ impl ShardedStore {
     /// Response bodies are rebuilt for exactly the categories whose
     /// entries changed, found by pointer diff, and counted as
     /// `serve.cache.invalidated`.
-    fn publish(&self, updates: Vec<(usize, Arc<ShardSnapshot>)>) {
+    pub(crate) fn publish(&self, updates: Vec<ShardUpdate>) {
         if updates.is_empty() {
             return;
         }
@@ -566,15 +549,9 @@ impl ShardedStore {
         self.to_store().snapshot_json()
     }
 
-    /// Rebuild from a snapshot (either a single store's or a sharded
-    /// store's — they are the same format), splitting into `n_shards`.
-    pub fn restore_json(json: &str, n_shards: usize) -> Result<Self, StoreError> {
-        Ok(Self::from_store(ProductStore::restore_json(json)?, n_shards))
-    }
-
     /// Collapse into one single-threaded store (cluster state moves, no
     /// re-fusion). Reads the writer-side stores shard by shard; callers
-    /// should quiesce writers first (the server does this on shutdown).
+    /// should quiesce writers first.
     pub fn to_store(&self) -> ProductStore {
         let mut merged =
             ProductStore::with_config(self.correspondences.clone(), self.config.clone());

@@ -1,6 +1,6 @@
 //! The durable server end-to-end (ISSUE 8 tentpole): WAL + segmented
-//! snapshots under the HTTP write path, restart recovery, and the
-//! background compaction fold.
+//! snapshots under the HTTP write path, restart recovery, the background
+//! compaction fold, and byte-equivalence with the WAL-less server.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -140,5 +140,51 @@ fn background_compaction_folds_while_serving() {
     let wal_len = std::fs::metadata(dir.join("wal.log")).unwrap().len();
     assert_eq!(wal_len, pse_wal::WAL_HEADER_LEN, "shutdown left a fully folded WAL");
     handle.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The one fork left in the write path is durable vs not. The same HTTP
+/// sequence of `/ingest` batches and a `/retract` against a server with
+/// and without a WAL must answer every request with the same bytes: the
+/// `IngestStats` body of each write, then every `/products/{c}`.
+#[test]
+fn durable_and_volatile_servers_answer_byte_identically() {
+    let f = fixture();
+    let dir = tmp("equiv");
+    let retract: Vec<u64> = f.corpus.iter().step_by(5).map(|o| o.id.0).collect();
+    let mut writes: Vec<(&str, String)> = f
+        .corpus
+        .chunks(f.corpus.len() / 4 + 1)
+        .map(|batch| ("/ingest", serde_json::to_string(&batch.to_vec()).unwrap()))
+        .collect();
+    writes.push(("/retract", serde_json::to_string(&retract).unwrap()));
+
+    let drive = |config: ServerConfig| -> Vec<String> {
+        let store = ShardedStore::new(f.correspondences.clone(), 4);
+        let handle = pse_serve::start(store, f.world.catalog.clone(), config).unwrap();
+        let addr = handle.addr().to_string();
+        let mut bodies = Vec::new();
+        for (path, body) in &writes {
+            let (status, stats) = http_request(&addr, "POST", path, Some(body)).unwrap();
+            assert_eq!(status, 200, "{path} failed: {stats}");
+            bodies.push(stats);
+        }
+        let mut categories: Vec<u32> =
+            handle.store().products().iter().map(|p| p.category.0).collect();
+        categories.dedup();
+        assert!(!categories.is_empty(), "the sequence must leave products to compare");
+        for c in categories {
+            let (status, body) =
+                http_request(&addr, "GET", &format!("/products/{c}"), None).unwrap();
+            assert_eq!(status, 200);
+            bodies.push(body);
+        }
+        handle.shutdown().unwrap();
+        bodies
+    };
+
+    let volatile = drive(ServerConfig::default());
+    let durable = drive(durable_config(&dir, 1 << 20));
+    assert_eq!(durable, volatile);
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -1,8 +1,8 @@
 //! ShardedStore ≡ ProductStore (ISSUE 5 tentpole, layer 1): at 1, 2, 4,
 //! and 8 shards, for arbitrary ingest/retract interleavings, the sharded
 //! store's products and snapshot are byte-identical to a single
-//! `ProductStore` fed the same operation stream — and snapshots written
-//! at one shard count restore at any other.
+//! `ProductStore` fed the same operation stream — and a store built at
+//! one shard count reshards mid-stream to any other.
 
 use std::collections::HashMap;
 use std::sync::OnceLock;
@@ -158,21 +158,20 @@ proptest! {
         let f = fixture();
         let n = f.corpus.len();
         let cut = raw_cut % (n + 1);
-        // Write the snapshot mid-stream at one shard count, restore at
-        // another, finish the stream, and compare against the single
-        // store that never went through a snapshot.
+        // Reshard mid-stream: merge the shards at one shard count, split
+        // at another, finish the stream, and compare against the single
+        // store that never went through a reshard.
         let mut reference = ProductStore::new(f.correspondences.clone());
         reference.ingest(&f.world.catalog, &f.corpus, &provider(f));
         let expected = products_json(&reference.products());
         for (write_shards, read_shards) in [(1, 8), (4, 2), (8, 1), (2, 4)] {
             let first = ShardedStore::new(f.correspondences.clone(), write_shards);
             first.ingest(&f.world.catalog, &f.corpus[..cut], &provider(f));
-            let restored = ShardedStore::restore_json(&first.snapshot_json(), read_shards)
-                .expect("sharded snapshot restores");
-            prop_assert_eq!(restored.n_shards(), read_shards);
-            restored.ingest(&f.world.catalog, &f.corpus[cut..], &provider(f));
+            let resharded = ShardedStore::from_store(first.to_store(), read_shards);
+            prop_assert_eq!(resharded.n_shards(), read_shards);
+            resharded.ingest(&f.world.catalog, &f.corpus[cut..], &provider(f));
             prop_assert_eq!(
-                &products_json(&restored.products()),
+                &products_json(&resharded.products()),
                 &expected,
                 "{} -> {} shards, cut {}",
                 write_shards,

@@ -67,7 +67,7 @@ pub struct DurabilityConfig {
     /// should fold it into fresh segments ([`Durability::wants_compaction`]).
     pub compaction_threshold_bytes: u64,
     /// Group-commit knobs for the stage/wait write path
-    /// ([`Durability::stage`] + [`GroupCommitter::wait_durable`]).
+    /// ([`Durability::stage_payload`] + [`GroupCommitter::wait_durable`]).
     pub group: GroupCommitConfig,
 }
 
@@ -183,8 +183,9 @@ fn apply(store: &mut ProductStore, catalog: &Catalog, record: WalRecord) {
 /// An open durability context: the WAL accepting appends, the last
 /// committed manifest, and the dirty-shard set accumulated since it.
 ///
-/// One writer at a time — callers serialize `log` + apply behind a
-/// mutex so the log order equals the apply order (the serving layer's
+/// One stager at a time — callers serialize [`Self::stage_payload`]
+/// behind a mutex, wait for durability outside it, and apply in staging
+/// order, so the apply order equals the log order (the serving layer's
 /// `durable` module does this).
 #[derive(Debug)]
 pub struct Durability {
@@ -267,31 +268,13 @@ impl Durability {
         self.manifest.is_none()
     }
 
-    /// Append one record and make it durable before returning. The
-    /// record is durable when this returns; apply it to the in-memory
-    /// store *after* (log-then-apply), under the same exclusion that
-    /// ordered the append.
-    ///
-    /// Implemented as stage + group wait: with no other active writers
-    /// the caller immediately elects itself sync leader, so a lone
-    /// writer behaves exactly like the old one-fsync-per-record path.
-    pub fn log(&mut self, record: &WalRecord) -> Result<(), WalError> {
-        let lsn = self.stage(record)?;
-        self.committer.wait_durable(lsn)
-    }
-
-    /// Stage one record into the log **without** waiting for durability.
-    /// Returns the record's commit LSN; pass it to
-    /// [`GroupCommitter::wait_durable`] (from [`Self::committer`]) —
-    /// outside whatever lock serialized this call — before applying the
-    /// record, so fsync-before-apply still holds.
-    pub fn stage(&mut self, record: &WalRecord) -> Result<u64, WalError> {
-        self.stage_payload(&record.payload())
-    }
-
-    /// [`Self::stage`] over a pre-encoded [`WalRecord::payload`], so
-    /// concurrent writers encode outside the lock that serializes
-    /// staging and the critical section shrinks to the frame write.
+    /// Stage one pre-encoded record ([`WalRecord::payload`]) into the
+    /// log **without** waiting for durability. Returns the record's
+    /// commit LSN; pass it to [`GroupCommitter::wait_durable`] (from
+    /// [`Self::committer`]) — outside whatever lock serialized this call
+    /// — before applying the record, so fsync-before-apply holds. Taking
+    /// the encoded bytes lets concurrent writers encode outside that
+    /// lock, shrinking the critical section to the frame write.
     pub fn stage_payload(&mut self, payload: &[u8]) -> Result<u64, WalError> {
         let lsn = self.wal.stage_payload(payload)?;
         self.unfolded_records = true;
@@ -301,8 +284,8 @@ impl Durability {
 
     /// The group-commit coordinator for this WAL. Clone the `Arc` and
     /// call [`GroupCommitter::wait_durable`] without holding the lock
-    /// that serializes [`Self::stage`] — blocking inside that lock would
-    /// keep any group from forming.
+    /// that serializes [`Self::stage_payload`] — blocking inside that
+    /// lock would keep any group from forming.
     pub fn committer(&self) -> Arc<GroupCommitter> {
         Arc::clone(&self.committer)
     }

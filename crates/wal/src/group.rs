@@ -1,13 +1,13 @@
 //! Group commit: amortizing `sync_data` across concurrent writers.
 //!
-//! The per-record protocol ([`crate::Wal::append`]) pays one fsync per
-//! record, so sustained ingest throughput is fsync-bound. Group commit
-//! splits the append in two: writers *stage* frames into the log file
-//! under the caller's ordering lock ([`crate::Wal::stage_record`], no
-//! fsync), then block in [`GroupCommitter::wait_durable`] until their
-//! commit LSN is covered by a sync. The first waiter that finds the
-//! group ready elects itself **leader**, performs a single `sync_data`
-//! covering every staged frame, and wakes the followers.
+//! One fsync per record would leave sustained ingest throughput
+//! fsync-bound. Group commit splits the append in two: writers *stage*
+//! frames into the log file under the caller's ordering lock
+//! ([`crate::Wal::stage_payload`], no fsync), then block in
+//! [`GroupCommitter::wait_durable`] until their commit LSN is covered by
+//! a sync. The first waiter that finds the group ready elects itself
+//! **leader**, performs a single `sync_data` covering every staged
+//! frame, and wakes the followers.
 //!
 //! A group is ready when any of these holds:
 //!
@@ -17,7 +17,7 @@
 //!   latency; see [`GroupCommitter::writer`]),
 //! - the bounded `group_wait` expired for some waiter.
 //!
-//! Durability semantics are unchanged from the per-record protocol:
+//! Durability semantics are those of a per-record fsync:
 //! `wait_durable` returning `Ok` means the record (and the whole log
 //! prefix before it) is on disk — fsync-before-apply still holds per
 //! group. A failed sync poisons the committer: the leader and every
@@ -320,7 +320,7 @@ mod tests {
         let committer = committer_for(&wal, cfg);
         let _w = committer.writer();
         let started = Instant::now();
-        let lsn = wal.stage_record(&retract(&[1])).unwrap();
+        let lsn = wal.stage_payload(&retract(&[1]).payload()).unwrap();
         committer.staged(lsn);
         committer.wait_durable(lsn).unwrap();
         assert!(
@@ -351,7 +351,7 @@ mod tests {
                     let _w = committer.writer();
                     let lsn = {
                         let mut w = wal.lock().unwrap();
-                        let lsn = w.stage_record(&retract(&[i])).unwrap();
+                        let lsn = w.stage_payload(&retract(&[i]).payload()).unwrap();
                         committer.staged(lsn);
                         lsn
                     };
@@ -381,7 +381,7 @@ mod tests {
         let _w1 = committer.writer();
         let _w2 = committer.writer();
         let started = Instant::now();
-        let lsn = wal.stage_record(&retract(&[9])).unwrap();
+        let lsn = wal.stage_payload(&retract(&[9]).payload()).unwrap();
         committer.staged(lsn);
         committer.wait_durable(lsn).unwrap();
         let waited = started.elapsed();

@@ -1,9 +1,8 @@
 //! Durable catalog state for the product store.
 //!
-//! The JSON snapshot ([`pse_store::ProductStore::snapshot_json`]) is a
-//! single pretty-printed blob written at graceful shutdown — a crash at
-//! any other moment loses every ingest since the last clean stop. This
-//! crate closes that window with the classic log + checkpoint design:
+//! The one recovery format of the serving layer, in the classic log +
+//! checkpoint design — a crash at any moment loses nothing that was
+//! acknowledged:
 //!
 //! * **[`Wal`]** — a binary write-ahead log. Every `ingest`/`retract`
 //!   batch is appended as one length-prefixed, FNV-1a-checksummed record
@@ -32,7 +31,8 @@
 //!   previous generation (already folded into segments) is never
 //!   replayed twice.
 //!
-//! The JSON snapshot stays the equivalence oracle: restoring from
+//! The JSON snapshot ([`pse_store::ProductStore::snapshot_json`]) is
+//! not a recovery path; it stays the equivalence oracle: restoring from
 //! segments + WAL yields a store whose `snapshot_json` is byte-identical
 //! to `restore_json` of the same logical state (pinned by the
 //! crash-point proptests in `tests/durability.rs` at the workspace

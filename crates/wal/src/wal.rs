@@ -212,30 +212,15 @@ impl Wal {
         Self::open_for_append(path, gen, WAL_HEADER_LEN)
     }
 
-    /// Append one record and fsync it. Returns the new file length — the
-    /// record is durable iff this returns `Ok`.
-    pub fn append(&mut self, record: &WalRecord) -> Result<u64, WalError> {
-        let _span = pse_obs::span("wal.append");
-        let len = self.stage_record(record)?;
-        let started = Instant::now();
-        self.file.sync_data()?;
-        pse_obs::observe("wal.fsync_us", started.elapsed().as_micros() as u64);
-        Ok(len)
-    }
-
-    /// Write one record's frame **without** syncing. Returns the record's
-    /// commit LSN (the file offset one past its frame); the record is
-    /// durable only once a later `sync_data` covers that offset — the
-    /// group-commit protocol ([`crate::GroupCommitter`]) owns that sync.
-    pub fn stage_record(&mut self, record: &WalRecord) -> Result<u64, WalError> {
-        self.stage_payload(&record.payload())
-    }
-
-    /// [`Wal::stage_record`] over a pre-encoded payload
-    /// ([`WalRecord::payload`]). Encoding a record is the expensive part
-    /// of staging; callers that serialize staging behind a lock can
-    /// encode outside it and keep only the frame write in the critical
-    /// section.
+    /// Write one frame over a pre-encoded payload
+    /// ([`WalRecord::payload`]) **without** syncing — the one way a frame
+    /// enters the log. Returns the record's commit LSN (the file offset
+    /// one past its frame); the record is durable only once a later
+    /// `sync_data` covers that offset — the group-commit protocol
+    /// ([`crate::GroupCommitter`]) owns that sync. Encoding a record is
+    /// the expensive part of staging; callers that serialize staging
+    /// behind a lock encode outside it and keep only the frame write in
+    /// the critical section.
     pub fn stage_payload(&mut self, payload: &[u8]) -> Result<u64, WalError> {
         let _span = pse_obs::span("wal.stage");
         let mut frame = Vec::with_capacity(12 + payload.len());
@@ -306,6 +291,10 @@ mod tests {
         WalRecord::Retract(ids.iter().copied().map(OfferId).collect())
     }
 
+    fn stage(wal: &mut Wal, record: &WalRecord) -> u64 {
+        wal.stage_payload(&record.payload()).unwrap()
+    }
+
     #[test]
     fn records_roundtrip_through_payload() {
         let r = retract(&[1, 2, 99]);
@@ -315,7 +304,7 @@ mod tests {
     }
 
     #[test]
-    fn append_then_read_back() {
+    fn stage_then_read_back() {
         let dir = tmp("roundtrip");
         let path = dir.join("wal.log");
         let mut wal = Wal::create(&path, 7).unwrap();
@@ -323,7 +312,7 @@ mod tests {
         let records = [retract(&[1]), retract(&[2, 3]), retract(&[])];
         let mut ends = Vec::new();
         for r in &records {
-            ends.push(wal.append(r).unwrap());
+            ends.push(stage(&mut wal, r));
         }
         assert_eq!(wal.len(), *ends.last().unwrap());
         let tail = read_wal(&path, 0).unwrap().unwrap();
@@ -344,7 +333,7 @@ mod tests {
         let mut wal = Wal::create(&path, 1).unwrap();
         let mut ends = vec![WAL_HEADER_LEN];
         for r in [retract(&[10]), retract(&[11, 12]), retract(&[13])] {
-            ends.push(wal.append(&r).unwrap());
+            ends.push(stage(&mut wal, &r));
         }
         let full = std::fs::read(&path).unwrap();
         for cut in WAL_HEADER_LEN as usize..=full.len() {
@@ -365,8 +354,8 @@ mod tests {
         let dir = tmp("flip");
         let path = dir.join("wal.log");
         let mut wal = Wal::create(&path, 1).unwrap();
-        let first_end = wal.append(&retract(&[1])).unwrap();
-        wal.append(&retract(&[2])).unwrap();
+        let first_end = stage(&mut wal, &retract(&[1]));
+        stage(&mut wal, &retract(&[2]));
         let mut bytes = std::fs::read(&path).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0xff; // flip a payload byte of the second record
@@ -382,8 +371,8 @@ mod tests {
         let dir = tmp("reopen");
         let path = dir.join("wal.log");
         let mut wal = Wal::create(&path, 3).unwrap();
-        let keep = wal.append(&retract(&[5])).unwrap();
-        wal.append(&retract(&[6])).unwrap();
+        let keep = stage(&mut wal, &retract(&[5]));
+        stage(&mut wal, &retract(&[6]));
         drop(wal);
         // Tear the second record.
         let bytes = std::fs::read(&path).unwrap();
@@ -393,7 +382,7 @@ mod tests {
         assert_eq!(wal.len(), keep);
         assert_eq!(std::fs::metadata(&path).unwrap().len(), keep, "tail physically cut");
         // Appends continue cleanly after the repair.
-        wal.append(&retract(&[7])).unwrap();
+        stage(&mut wal, &retract(&[7]));
         let tail = read_wal(&path, 0).unwrap().unwrap();
         assert_eq!(tail.records.len(), 2);
         assert_eq!(tail.records[1].0, retract(&[7]));
@@ -405,7 +394,7 @@ mod tests {
         let dir = tmp("rotate");
         let path = dir.join("wal.log");
         let mut wal = Wal::create(&path, 1).unwrap();
-        wal.append(&retract(&[1])).unwrap();
+        stage(&mut wal, &retract(&[1]));
         Wal::stage_next(&path, 2).unwrap();
         // Old log is still what readers see until promotion.
         assert_eq!(read_wal(&path, 0).unwrap().unwrap().gen, 1);

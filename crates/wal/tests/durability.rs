@@ -79,6 +79,12 @@ fn dcfg(dir: &Path) -> DurabilityConfig {
     }
 }
 
+/// Stage one record and wait for its fsync: durable when this returns.
+fn log(dur: &mut Durability, record: &WalRecord) {
+    let lsn = dur.stage_payload(&record.payload()).unwrap();
+    dur.committer().wait_durable(lsn).unwrap();
+}
+
 /// The serving layer's write protocol, single-shard edition: reconcile,
 /// log + fsync, then apply.
 fn durable_ingest(
@@ -89,7 +95,7 @@ fn durable_ingest(
 ) {
     let provider = FnProvider(|o: &Offer| o.spec.clone());
     let reconciled = reconcile_batch(offers, store.correspondences(), &provider);
-    dur.log(&WalRecord::Ingest(reconciled.clone())).unwrap();
+    log(dur, &WalRecord::Ingest(reconciled.clone()));
     store.ingest_reconciled(catalog, reconciled);
     dur.mark_dirty([0]);
 }
@@ -100,7 +106,7 @@ fn durable_retract(
     catalog: &Catalog,
     ids: &[OfferId],
 ) {
-    dur.log(&WalRecord::Retract(ids.to_vec())).unwrap();
+    log(dur, &WalRecord::Retract(ids.to_vec()));
     store.retract(catalog, ids);
     dur.mark_dirty([0]);
 }
@@ -263,7 +269,7 @@ fn incremental_snapshot_rewrites_only_dirty_shards() {
     assert_eq!((noop.segments_written, noop.segments_skipped), (0, 2));
     assert_eq!(noop.bytes_written, 0);
     // One dirty shard: exactly one segment is rewritten.
-    dur.log(&WalRecord::Retract(vec![OfferId(999)])).unwrap(); // no-op op, but logged
+    log(&mut dur, &WalRecord::Retract(vec![OfferId(999)])); // no-op op, but logged
     dur.mark_dirty([1]);
     let incr = dur
         .write_snapshot(2, store.config(), store.correspondences(), |i| shards[i].clusters_value())

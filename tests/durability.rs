@@ -82,6 +82,12 @@ fn dcfg_group(dir: &std::path::Path, group: GroupCommitConfig) -> DurabilityConf
     }
 }
 
+/// Stage one record and wait for its fsync: durable when this returns.
+fn log(dur: &mut Durability, record: &WalRecord) {
+    let lsn = dur.stage_payload(&record.payload()).unwrap();
+    dur.committer().wait_durable(lsn).unwrap();
+}
+
 /// One committed operation, replayable against a plain store.
 #[derive(Clone)]
 enum AppliedOp {
@@ -121,7 +127,7 @@ fn apply_ops(
                 let batch = &f.corpus[cursor..cursor + take];
                 cursor += take;
                 let reconciled = reconcile_batch(batch, store.correspondences(), &p);
-                dur.log(&WalRecord::Ingest(reconciled.clone())).unwrap();
+                log(&mut dur, &WalRecord::Ingest(reconciled.clone()));
                 store.ingest_reconciled(&f.world.catalog, reconciled);
                 dur.mark_dirty([0]);
                 live.extend(batch.iter().map(|o| o.id));
@@ -134,7 +140,7 @@ fn apply_ops(
                     continue;
                 }
                 let ids: Vec<OfferId> = live.drain(..take).collect();
-                dur.log(&WalRecord::Retract(ids.clone())).unwrap();
+                log(&mut dur, &WalRecord::Retract(ids.clone()));
                 store.retract(&f.world.catalog, &ids);
                 dur.mark_dirty([0]);
                 tail.push((AppliedOp::Retract(ids), dur.wal_len()));

@@ -171,32 +171,3 @@ fn all_fusion_strategies_are_batch_equivalent_end_to_end() {
     distinct.dedup();
     assert!(distinct.len() > 1, "strategies must actually disagree somewhere on this corpus");
 }
-
-#[test]
-fn store_emits_observability() {
-    let f = fixture();
-    pse_obs::set_enabled(true);
-    pse_obs::reset();
-    let mut store = ProductStore::new(f.correspondences.clone());
-    let mid = f.corpus.len() / 2;
-    store.ingest(&f.world.catalog, &f.corpus[..mid], &provider(f));
-    let store2 = ProductStore::restore_json(&store.snapshot_json()).unwrap();
-    drop(store2);
-    store.ingest(&f.world.catalog, &f.corpus[mid..], &provider(f));
-    // Retract an offer that certainly routed to a cluster.
-    let retractable = store.products()[0].offers[0];
-    store.retract(&f.world.catalog, &[retractable]);
-    let report = pse_obs::report();
-    pse_obs::set_enabled(false);
-    pse_obs::reset();
-
-    assert_eq!(report.validate(), Ok(()));
-    for span in ["store.ingest", "store.ingest.store.refuse", "store.snapshot", "store.retract"] {
-        assert!(report.span(span).is_some(), "missing span {span}");
-    }
-    assert_eq!(report.counter("store.ingest"), Some(f.corpus.len() as u64));
-    assert!(report.counter("store.clusters_dirty").unwrap_or(0) > 0);
-    assert!(report.counter("store.refused").unwrap_or(0) > 0);
-    assert_eq!(report.counter("store.snapshot"), Some(1));
-    assert_eq!(report.counter("store.retracted"), Some(1));
-}
