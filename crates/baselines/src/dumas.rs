@@ -137,7 +137,7 @@ impl DumasMatcher {
             }
             let interner = builder.finalize();
             let corpus = corpus_builder.finalize(&interner);
-            let soft = InternedSoftTfIdf::new(interner, corpus, self.theta);
+            let soft = InternedSoftTfIdf::new(&interner, &corpus, self.theta);
             // Pre-weight each distinct value once (the reference recomputed
             // the TF-IDF vector of both cell values for every cell).
             let docs: HashMap<&str, pse_text::SoftDoc> =

@@ -75,7 +75,7 @@ impl SingleFeatureScorer {
             let mc_products = index.products_mc.get(&(merchant, category));
             for ap in schema.iter() {
                 let ap_norm = ap.normalized_name();
-                let alt_product_bag = match self.feature {
+                let alt_product_counts = match self.feature {
                     SingleFeature::L1Mc | SingleFeature::CosineMc => {
                         mc_products.map(|set| index.product_counts(set, &ap.name))
                     }
@@ -96,7 +96,7 @@ impl SingleFeatureScorer {
                                 .offer_mc
                                 .get(&(merchant, category))
                                 .and_then(|m| m.get(ao.as_str()));
-                            match (offer_bag, &alt_product_bag) {
+                            match (offer_bag, &alt_product_counts) {
                                 (Some(ob), Some(pb)) => match self.feature {
                                     SingleFeature::L1Mc => {
                                         1.0 - (l1_counts(pb, ob) / 2.0).clamp(0.0, 1.0)

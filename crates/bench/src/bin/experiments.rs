@@ -4,15 +4,15 @@
 //! experiments <subcommand> [--offers N] [--merchants N] [--seed S]
 //!             [--leaves a,b,c,d] [--products-per-category N]
 //!             [--match-error-rate R] [--smoke] [--out DIR]
-//!             [--quiet] [--obs] [--batches N] [--verify-blocking]
+//!             [--quiet] [--obs] [--batches N]
 //!
 //! Subcommands:
 //!   table2    end-to-end quality (Table 2)
 //!   table3    per-top-level-category breakdown (Table 3)
 //!   table4    precision/recall by offer-set size (Table 4)
 //!   incremental  replay the Table-2 corpus through the persistent store
-//!                in --batches batches (default 4); per-batch latency is
-//!                merged into BENCH_par.json under "incremental"
+//!                in --batches batches (default 4) and print per-batch
+//!                latency
 //!   serve     ingest half the Table-2 corpus into a sharded store
 //!             (--shards, default 4), serve it over HTTP on --addr
 //!             (default 127.0.0.1:0), write the bound address to
@@ -52,9 +52,6 @@
 //! (default `results/`). `--quiet` silences stderr progress chatter and the
 //! stage summary; `--obs` (or `PSE_OBS=1`) turns on observability and
 //! writes `target/OBS_REPORT.json` under the workspace root on exit.
-//! `--verify-blocking` (with `fig8`) additionally audits the title
-//! matcher's inverted-index candidate blocking against the exhaustive scan
-//! over every world offer and fails the run on any disagreement.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -63,7 +60,7 @@ use pse_bench::{
     ablation_extraction, ablation_features, ablation_fusion, ablation_history_noise, ablation_keys,
     ablation_measures, build_world, curves_csv, embedded_spec_provider, extension_name_features,
     fig6, fig7, fig8, fig9, query_paths, render_curves, render_incremental, run_end_to_end,
-    run_incremental, serve_corpus, table2, table3, table4, verify_blocking, EndToEnd, Scale,
+    run_incremental, serve_corpus, table2, table3, table4, EndToEnd, Scale,
 };
 use pse_datagen::World;
 use pse_eval::correspondence::LabeledCurve;
@@ -76,7 +73,6 @@ fn main() -> ExitCode {
     };
     let rest = &args[1..];
     let quiet = rest.iter().any(|a| a == "--quiet");
-    let audit_blocking = rest.iter().any(|a| a == "--verify-blocking");
     if rest.iter().any(|a| a == "--obs") {
         pse_obs::set_enabled(true);
     }
@@ -111,10 +107,7 @@ fn main() -> ExitCode {
     let run = |name: &str, world: &World| -> bool {
         let t = std::time::Instant::now();
         let _obs = pse_obs::span(&format!("experiments.{name}"));
-        let mut ok = dispatch(name, world, &out_dir, quiet, batches, rest);
-        if ok && name == "fig8" && audit_blocking {
-            ok = run_blocking_audit(world);
-        }
+        let ok = dispatch(name, world, &out_dir, quiet, batches, rest);
         if !quiet {
             eprintln!("# {name} finished in {:.1?}", t.elapsed());
         }
@@ -161,24 +154,6 @@ fn main() -> ExitCode {
     }
 }
 
-/// `--verify-blocking`: compare the title matcher's blocked and naive
-/// paths over every world offer; any disagreement fails the run.
-fn run_blocking_audit(world: &World) -> bool {
-    let _obs = pse_obs::span("experiments.verify-blocking");
-    let audit = verify_blocking(world);
-    println!(
-        "Blocking audit: {} offers, {} matched, {} mismatches between blocked and naive paths",
-        audit.offers, audit.matched, audit.mismatches
-    );
-    if audit.mismatches > 0 {
-        eprintln!(
-            "error: inverted-index blocking diverged from the exhaustive scan on {} offers",
-            audit.mismatches
-        );
-    }
-    audit.mismatches == 0
-}
-
 /// When observability is on, stamp provenance into the report, write
 /// `target/OBS_REPORT.json` under the workspace root (a generated
 /// artefact — never tracked), and print the stage summary.
@@ -223,7 +198,6 @@ fn dispatch(
         "incremental" => {
             let run = run_incremental(world, batches);
             println!("{}", render_incremental(&run));
-            merge_into_bench_json("incremental", &run, quiet);
             if !run.equal {
                 eprintln!("error: incremental store diverged from one-shot process");
             }
@@ -466,40 +440,6 @@ fn run_wal_replay(world: &World, out_dir: &Path, quiet: bool, args: &[String]) -
         );
     }
     true
-}
-
-/// Merge one experiment's results into `BENCH_par.json` at the workspace
-/// root under `key`, preserving whatever else is there (the Criterion
-/// `paths` speedup table, its provenance header, other experiments).
-fn merge_into_bench_json<T: serde::Serialize>(key: &str, run: &T, quiet: bool) {
-    use serde::Value;
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_par.json");
-    let mut fields: Vec<(String, Value)> = match std::fs::read_to_string(path)
-        .ok()
-        .and_then(|t| serde_json::from_str::<Value>(&t).ok())
-    {
-        Some(Value::Object(fields)) => fields,
-        _ => vec![
-            ("git_commit".to_string(), Value::Str(pse_bench::git_commit())),
-            ("threads".to_string(), Value::U64(pse_par::current_threads() as u64)),
-        ],
-    };
-    let entry = run.to_value();
-    if let Some(slot) = fields.iter_mut().find(|(k, _)| k == key) {
-        slot.1 = entry;
-    } else {
-        fields.push((key.to_string(), entry));
-    }
-    let out = serde_json::to_string_pretty(&Value::Object(fields))
-        .expect("bench json serialization is infallible");
-    match std::fs::write(path, out + "\n") {
-        Ok(()) => {
-            if !quiet {
-                eprintln!("# {key} results merged into {path}");
-            }
-        }
-        Err(e) => eprintln!("warning: could not write {path}: {e}"),
-    }
 }
 
 /// The value after a `--flag`, parsed, or `None` when absent/unparsable.

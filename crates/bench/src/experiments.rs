@@ -13,10 +13,7 @@ use pse_eval::correspondence::{labeled_curve, LabeledCurve};
 use pse_eval::recall::recall_report;
 use pse_eval::report::TextTable;
 use pse_eval::synthesis_eval::{evaluate_synthesis, per_top_level, SynthesisQuality};
-use pse_synthesis::{
-    OfflineConfig, OfflineLearner, OfflineOutcome, Pipeline, SpecProvider, SynthesisResult,
-    TitleMatcher,
-};
+use pse_synthesis::{OfflineConfig, OfflineLearner, OfflineOutcome, Pipeline, SynthesisResult};
 use serde::{Deserialize, Serialize};
 
 use crate::scale::Scale;
@@ -280,51 +277,6 @@ pub fn fig9(world: &World) -> Vec<LabeledCurve> {
         Box::new(|| coma_curve("Combined COMA++", ComaConfig::new(ComaStrategy::Combined))),
     ];
     run_sweep(sweep)
-}
-
-/// Outcome of the blocking-equivalence audit (`fig8 --verify-blocking`).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct BlockingAudit {
-    /// Offers audited.
-    pub offers: usize,
-    /// Offers the matcher matched (either path).
-    pub matched: usize,
-    /// Offers where the blocked and naive paths disagreed (product,
-    /// similarity bits, or kind). Must be zero.
-    pub mismatches: usize,
-}
-
-/// Audit the inverted-index candidate blocking of the bootstrap
-/// [`TitleMatcher`]: run every world offer through both the blocked path
-/// and the exhaustive scan, and count disagreements (matched product, match
-/// kind, or the similarity's exact bit pattern). Blocking is a pure
-/// optimization, so any mismatch is a bug.
-pub fn verify_blocking(world: &World) -> BlockingAudit {
-    let provider = html_provider(world);
-    let matcher = TitleMatcher::new(&world.catalog);
-    let mut matched = 0;
-    let mut mismatches = 0;
-    for offer in &world.offers {
-        let spec = provider.spec(offer);
-        let blocked = matcher.match_offer(offer, &spec);
-        let naive = matcher.match_offer_naive(offer, &spec);
-        let agree = match (&blocked, &naive) {
-            (None, None) => true,
-            (Some(b), Some(n)) => {
-                b.product == n.product
-                    && b.kind == n.kind
-                    && b.similarity.to_bits() == n.similarity.to_bits()
-            }
-            _ => false,
-        };
-        if blocked.is_some() || naive.is_some() {
-            matched += 1;
-        }
-        if !agree {
-            mismatches += 1;
-        }
-    }
-    BlockingAudit { offers: world.offers.len(), matched, mismatches }
 }
 
 /// Ablation: extraction noise — oracle specs vs HTML-extracted specs.

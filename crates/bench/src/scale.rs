@@ -90,8 +90,8 @@ impl Scale {
     /// `--products-per-category`, `--match-error-rate`, `--leaves a,b,c,d`,
     /// `--smoke`. The binary-level flags `--out DIR`, `--batches N`,
     /// `--shards N`, `--addr A`, `--port-file P`, `--wal-dir D`,
-    /// `--compact-bytes N`, `--quiet`, `--obs` and `--verify-blocking`
-    /// are accepted and ignored here.
+    /// `--compact-bytes N`, `--quiet` and `--obs` are accepted and ignored
+    /// here.
     pub fn from_args(args: &[String]) -> Result<Self, ArgsError> {
         let mut scale =
             if args.iter().any(|a| a == "--smoke") { Self::smoke() } else { Self::default() };
@@ -117,7 +117,7 @@ impl Scale {
                     }
                     scale.leaves = [parts[0], parts[1], parts[2], parts[3]];
                 }
-                "--smoke" | "--quiet" | "--obs" | "--verify-blocking" => {}
+                "--smoke" | "--quiet" | "--obs" => {}
                 "--out" | "--batches" | "--shards" | "--addr" | "--port-file" | "--wal-dir"
                 | "--compact-bytes" => {
                     take()?; // consumed by the binary, not the scale
@@ -196,16 +196,9 @@ mod tests {
 
     #[test]
     fn binary_level_flags_accepted() {
-        let s = Scale::from_args(&args(&[
-            "--quiet",
-            "--obs",
-            "--verify-blocking",
-            "--out",
-            "results",
-            "--batches",
-            "4",
-        ]))
-        .unwrap();
+        let s =
+            Scale::from_args(&args(&["--quiet", "--obs", "--out", "results", "--batches", "4"]))
+                .unwrap();
         assert_eq!(s.offers, Scale::default().offers);
         assert!(Scale::from_args(&args(&["--batches"])).is_err());
     }

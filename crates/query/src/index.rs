@@ -1,15 +1,18 @@
 //! The per-category inverted index the query engine searches.
 //!
 //! A [`CategoryIndex`] freezes one category's visible products into an
-//! immutable, self-contained search structure: a lexicographic token
-//! [`Interner`], an [`InternedCorpus`] with per-document TF-IDF vectors,
-//! token → document postings, and two phrase resolvers — normalized
+//! immutable, self-contained search structure on **one** lexicographic
+//! token [`Interner`]: an [`InternedCorpus`] with per-document TF-IDF
+//! vectors, token → document postings, two phrase resolvers — normalized
 //! attribute-name phrases (catalog names *and* the merchant surface
 //! forms learned by offline correspondence learning) and normalized
-//! value phrases. Everything is built from the documents in one
-//! deterministic pass over an already-sorted product slice, so two
-//! builds over the same products are identical regardless of how many
-//! shards or threads produced them.
+//! value phrases — and, over the same symbols, a second corpus with one
+//! pre-weighted [`SoftDoc`] per distinct value for the fuzzy fallback,
+//! which is scored by the shared [`InternedSoftTfIdf`] kernel.
+//! Everything is built from the documents in one deterministic pass
+//! over an already-sorted product slice, so two builds over the same
+//! products are identical regardless of how many shards or threads
+//! produced them.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
@@ -17,11 +20,9 @@ use std::sync::Arc;
 use pse_core::{CategoryId, CorrespondenceSet};
 use pse_synthesis::SynthesizedProduct;
 use pse_text::normalize::values_equivalent;
-use pse_text::strsim::jaro_winkler;
-use pse_text::tfidf::TfIdfCorpus;
 use pse_text::{
-    normalize_attribute_name, normalize_value, tokens, BagOfWords, InternedCorpus,
-    InternedCorpusBuilder, Interner, InternerBuilder, SparseCounts, SparseVec, Sym,
+    normalize_attribute_name, normalize_value, tokens, InternedCorpus, InternedCorpusBuilder,
+    InternedSoftTfIdf, Interner, InternerBuilder, JwMemo, SoftDoc, SparseCounts, SparseVec, Sym,
 };
 
 use crate::resolve::FUZZY_THETA;
@@ -83,62 +84,12 @@ pub struct CategoryIndex {
     /// Attribute-name resolver: interned token phrase → sorted
     /// normalized catalog attribute names the phrase can mean.
     attr_phrases: HashMap<Vec<Sym>, Vec<String>>,
-    /// Pre-weighted SoftTFIDF state over the distinct normalized
-    /// values, for the fuzzy fallback when no phrase resolves exactly.
-    fuzzy: FuzzyValues,
-}
-
-/// The fuzzy resolver's frozen state: every value entry's L2-normalized
-/// TF-IDF weights over a dedicated token vocabulary, precomputed once at
-/// build. [`CategoryIndex::fuzzy_value`] is bit-identical to scoring
-/// each entry with [`pse_text::SoftTfIdf::similarity`] — same corpus
-/// weights, same sorted iteration orders, same short-circuit — but no
-/// per-entry tokenization or weighting, memoizes each (query token,
-/// vocabulary token) Jaro–Winkler score once per call, and skips token
-/// pairs that provably cannot reach θ (the same length/prefix bound
-/// proven sound for [`pse_text::InternedSoftTfIdf::similarity`]).
-#[derive(Debug)]
-struct FuzzyValues {
-    corpus: TfIdfCorpus,
-    /// Distinct entry tokens, lexicographically sorted; positions are
-    /// the `fid`s below, so ascending fid = the token order
-    /// [`pse_text::SoftTfIdf::similarity`] scans.
-    vocab: Vec<String>,
-    vocab_lookup: HashMap<String, u32>,
-    /// Character count per vocabulary token, parallel to `vocab`.
-    lens: Vec<u32>,
-    /// Per value entry: `(fid, weight)` ascending by fid — the entry's
-    /// L2-normalized TF-IDF vector.
-    docs: Vec<Vec<(u32, f64)>>,
-}
-
-impl FuzzyValues {
-    /// Precompute the per-entry weight vectors. `values` must be the
-    /// entry list in id order; `corpus` the TF-IDF statistics over
-    /// exactly those values.
-    fn build(corpus: TfIdfCorpus, values: &[ValueEntry]) -> Self {
-        let mut vocab: BTreeSet<String> = BTreeSet::new();
-        for e in values {
-            vocab.extend(tokens(&e.value));
-        }
-        let vocab: Vec<String> = vocab.into_iter().collect();
-        let vocab_lookup: HashMap<String, u32> =
-            vocab.iter().enumerate().map(|(i, t)| (t.clone(), i as u32)).collect();
-        let lens = vocab.iter().map(|t| t.chars().count() as u32).collect();
-        let docs = values
-            .iter()
-            .map(|e| {
-                let mut bag = BagOfWords::new();
-                for t in tokens(&e.value) {
-                    bag.add_token(t);
-                }
-                // weight_vector iterates sorted by token, and fids are
-                // assigned in token order, so the doc is ascending by fid.
-                corpus.weight_vector(&bag).into_iter().map(|(t, w)| (vocab_lookup[&t], w)).collect()
-            })
-            .collect();
-        Self { corpus, vocab, vocab_lookup, lens, docs }
-    }
+    /// Document frequencies over the distinct values (one document per
+    /// `values` entry), indexed by the same `interner` — the statistics
+    /// the fuzzy fallback weighs by.
+    value_corpus: InternedCorpus,
+    /// `value_docs[id]` = `values[id]` pre-weighted under `value_corpus`.
+    value_docs: Vec<SoftDoc>,
 }
 
 impl CategoryIndex {
@@ -153,23 +104,35 @@ impl CategoryIndex {
         correspondences: &CorrespondenceSet,
     ) -> Self {
         let _span = pse_obs::span("query.index_build");
-        // Pass 1: intern every document token, plus the attribute-name
-        // tokens (catalog and merchant surface forms) so name phrases
-        // are resolvable even though documents only contain values.
+        // Pass 1: intern every document token, the attribute-name tokens
+        // (catalog and merchant surface forms) so name phrases are
+        // resolvable even though documents only contain values, and the
+        // tokens of every distinct normalized value the resolvers key by.
         let mut builder = InternerBuilder::default();
         let mut corpus_builder = InternedCorpusBuilder::new();
         let mut provisional_docs: Vec<Vec<u32>> = Vec::with_capacity(products.len());
+        let mut doc_pairs: Vec<Vec<(String, String)>> = Vec::with_capacity(products.len());
         let mut attr_names: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
+        let mut distinct_values: BTreeSet<(String, String)> = BTreeSet::new();
         for p in products {
             let mut prov = builder.tokenize(&p.key_value);
+            let mut pairs = Vec::with_capacity(p.spec.len());
             for av in p.spec.iter() {
                 prov.extend(builder.tokenize(&av.value));
                 let norm = av.normalized_name();
                 builder.tokenize(&norm);
+                let value = normalize_value(&av.value);
+                if !value.is_empty() {
+                    pairs.push((norm.clone(), value));
+                }
                 attr_names.entry(norm.clone()).or_default().insert(norm);
             }
+            pairs.sort();
+            pairs.dedup();
+            distinct_values.extend(pairs.iter().cloned());
             corpus_builder.add_document(prov.iter().copied());
             provisional_docs.push(prov);
+            doc_pairs.push(pairs);
         }
         for c in correspondences.iter().filter(|c| c.category == category) {
             let merchant_surface = normalize_attribute_name(&c.merchant_attribute);
@@ -177,29 +140,32 @@ impl CategoryIndex {
             builder.tokenize(&merchant_surface);
             attr_names.entry(merchant_surface).or_default().insert(catalog);
         }
+        // One document per distinct (attr, value) entry, in id order.
+        // Interned, not looked up: re-tokenizing a normalized value nearly
+        // always finds the tokens pass 1 saw, but a lowercase form can
+        // split differently (`İ` → `i` + combining dot).
+        let mut value_corpus_builder = InternedCorpusBuilder::new();
+        let value_tokens: Vec<Vec<u32>> = distinct_values
+            .iter()
+            .map(|(_, value)| {
+                let prov = builder.tokenize(value);
+                value_corpus_builder.add_document(prov.iter().copied());
+                prov
+            })
+            .collect();
         let interner = builder.finalize();
         let corpus = corpus_builder.finalize(&interner);
+        let value_corpus = value_corpus_builder.finalize(&interner);
 
-        // Pass 2: per-document TF-IDF vectors, postings, and the
-        // normalized pair lists constraints are checked against.
+        // Pass 2: per-document TF-IDF vectors and postings.
         let mut docs = Vec::with_capacity(products.len());
         let mut postings: Vec<Vec<u32>> = vec![Vec::new(); interner.len()];
-        let mut distinct_values: BTreeSet<(String, String)> = BTreeSet::new();
-        for (i, (p, prov)) in products.iter().zip(&provisional_docs).enumerate() {
+        for (i, ((p, prov), pairs)) in
+            products.iter().zip(&provisional_docs).zip(doc_pairs).enumerate()
+        {
             let counts = SparseCounts::from_doc(&interner.doc(prov));
             for &(sym, _) in counts.entries() {
                 postings[sym.0 as usize].push(i as u32);
-            }
-            let mut pairs: Vec<(String, String)> = p
-                .spec
-                .iter()
-                .map(|av| (av.normalized_name(), normalize_value(&av.value)))
-                .filter(|(_, v)| !v.is_empty())
-                .collect();
-            pairs.sort();
-            pairs.dedup();
-            for (a, v) in &pairs {
-                distinct_values.insert((a.clone(), v.clone()));
             }
             docs.push(Doc {
                 key_attribute: p.key_attribute.clone(),
@@ -211,22 +177,20 @@ impl CategoryIndex {
         }
 
         // The value resolver: every distinct (attr, value), exact phrase
-        // keyed by the value's interned tokens, fuzzy scored by a
-        // SoftTFIDF over the same values.
+        // keyed by the value's interned tokens, fuzzy scored by SoftTFIDF
+        // over the same values.
+        let soft = InternedSoftTfIdf::new(&interner, &value_corpus, FUZZY_THETA);
         let mut values = Vec::with_capacity(distinct_values.len());
+        let mut value_docs = Vec::with_capacity(distinct_values.len());
         let mut value_phrases: HashMap<Vec<Sym>, Vec<u32>> = HashMap::new();
         let mut value_concats: HashMap<String, Vec<u32>> = HashMap::new();
-        let mut fuzzy_corpus = TfIdfCorpus::default();
-        for (attr, value) in distinct_values {
+        for ((attr, value), prov) in distinct_values.into_iter().zip(&value_tokens) {
             let id = values.len() as u32;
-            if let Some(syms) = lookup_phrase(&interner, &value) {
-                value_phrases.entry(syms).or_default().push(id);
-            }
-            let concat = tokens(&value).concat();
-            if !concat.is_empty() {
-                value_concats.entry(concat).or_default().push(id);
-            }
-            fuzzy_corpus.add_document(&BagOfWords::from_values([value.as_str()]));
+            let syms = interner.doc(prov).syms().to_vec();
+            let concat: String = syms.iter().map(|&s| interner.resolve(s)).collect();
+            value_phrases.entry(syms).or_default().push(id);
+            value_concats.entry(concat).or_default().push(id);
+            value_docs.push(soft.doc(prov));
             values.push(ValueEntry { attr, value });
         }
         let mut attr_phrases: HashMap<Vec<Sym>, Vec<String>> = HashMap::new();
@@ -246,9 +210,10 @@ impl CategoryIndex {
             postings,
             value_phrases,
             value_concats,
-            fuzzy: FuzzyValues::build(fuzzy_corpus, &values),
             values,
             attr_phrases,
+            value_corpus,
+            value_docs,
         }
     }
 
@@ -322,81 +287,18 @@ impl CategoryIndex {
     /// similarity to `phrase` at or above [`FUZZY_THETA`]; earlier
     /// entries win ties. `None` when nothing clears the threshold.
     ///
-    /// Scores are bit-identical to [`SoftTfIdf::similarity`] against
-    /// every entry (see [`FuzzyValues`]); the query is tokenized and
-    /// weighted once, entries reuse their precomputed vectors, and
-    /// Jaro–Winkler scores are memoized per (query token, vocabulary
-    /// token) for the duration of the call.
-    ///
-    /// [`SoftTfIdf::similarity`]: pse_text::SoftTfIdf::similarity
+    /// Scores are those of the reference [`pse_text::SoftTfIdf`] over the
+    /// distinct values, bit for bit (`tests/fuzzy_reference.rs`). The
+    /// phrase is weighted once, entries reuse their pre-weighted
+    /// documents, and Jaro–Winkler scores are memoized per token pair
+    /// for the duration of the call.
     pub fn fuzzy_value(&self, phrase: &str) -> Option<(u32, f64)> {
-        let ta = tokens(phrase);
-        let va: Vec<(String, f64)> = if ta.is_empty() {
-            Vec::new()
-        } else {
-            let mut bag = BagOfWords::new();
-            for t in &ta {
-                bag.add_token(t.clone());
-            }
-            // BTreeMap → ascending token order, the order SoftTfIdf
-            // iterates the query side in.
-            self.fuzzy.corpus.weight_vector(&bag).into_iter().collect()
-        };
-        let q_lens: Vec<u32> = va.iter().map(|(t, _)| t.chars().count() as u32).collect();
-        let q_fids: Vec<Option<u32>> =
-            va.iter().map(|(t, _)| self.fuzzy.vocab_lookup.get(t).copied()).collect();
-        let mut memo: Vec<HashMap<u32, f64>> = vec![HashMap::new(); va.len()];
-        // The θ-prefilter constants proven sound for
-        // `InternedSoftTfIdf::similarity`: a skipped pair is provably
-        // below θ and could never update `best_s`.
-        let cut = (FUZZY_THETA - 0.8) * 5.0;
-        let theta_gate = FUZZY_THETA - 1e-6;
+        let soft = InternedSoftTfIdf::new(&self.interner, &self.value_corpus, FUZZY_THETA);
+        let query = soft.query_doc(phrase);
+        let mut memo = JwMemo::new();
         let mut best: Option<(u32, f64)> = None;
-        for (id, doc) in self.fuzzy.docs.iter().enumerate() {
-            let sim = if ta.is_empty() || doc.is_empty() {
-                if ta.is_empty() && doc.is_empty() {
-                    1.0
-                } else {
-                    0.0
-                }
-            } else {
-                let mut sum = 0.0;
-                for (qi, (t, wa)) in va.iter().enumerate() {
-                    // Exact matches short-circuit the scan.
-                    if let Some(fid) = q_fids[qi] {
-                        if let Ok(pos) = doc.binary_search_by_key(&fid, |&(f, _)| f) {
-                            sum += wa * doc[pos].1;
-                            continue;
-                        }
-                    }
-                    let la = q_lens[qi];
-                    let mut best_s = 0.0f64;
-                    let mut best_w = 0.0f64;
-                    for &(fid, wb) in doc {
-                        let lb = self.fuzzy.lens[fid as usize];
-                        let (mn, mx) = if la <= lb { (la, lb) } else { (lb, la) };
-                        if (mn as f64) < cut * (mx as f64) - 1e-6 {
-                            continue;
-                        }
-                        let u = &self.fuzzy.vocab[fid as usize];
-                        let prefix =
-                            t.chars().zip(u.chars()).take(4).take_while(|(x, y)| x == y).count();
-                        let jbound = (mn as f64 / mx as f64 + 2.0) / 3.0;
-                        if jbound + 0.1 * prefix as f64 * (1.0 - jbound) < theta_gate {
-                            continue;
-                        }
-                        let s = *memo[qi].entry(fid).or_insert_with(|| jaro_winkler(t, u));
-                        if s >= FUZZY_THETA && s > best_s {
-                            best_s = s;
-                            best_w = wb;
-                        }
-                    }
-                    if best_s > 0.0 {
-                        sum += wa * best_w * best_s;
-                    }
-                }
-                sum.clamp(0.0, 1.0)
-            };
+        for (id, doc) in self.value_docs.iter().enumerate() {
+            let sim = soft.similarity(&query, doc, &mut memo);
             if sim >= FUZZY_THETA && best.is_none_or(|(_, b)| sim > b) {
                 best = Some((id as u32, sim));
             }

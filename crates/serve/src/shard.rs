@@ -76,6 +76,15 @@ fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
 /// `(category, key attribute, normalized key value)` with `0xff`
 /// separators (no field concatenation can collide across boundaries,
 /// since the hashed strings never contain `0xff` after normalization).
+pub fn shard_of(key: &ClusterKey, n_shards: usize) -> usize {
+    let mut h = fnv1a(FNV_OFFSET, &key.0 .0.to_le_bytes());
+    h = fnv1a(h, &[0xff]);
+    h = fnv1a(h, key.1.as_bytes());
+    h = fnv1a(h, &[0xff]);
+    h = fnv1a(h, key.2.as_bytes());
+    (h % n_shards.max(1) as u64) as usize
+}
+
 /// One shard's write result: its delta stats plus, when the shard's
 /// snapshot changed, the replacement to publish as `(shard index, snapshot)`.
 type ShardWrite = (IngestStats, Option<ShardUpdate>);
@@ -101,14 +110,6 @@ pub struct SearchOutcome {
     pub result: pse_query::SearchResult,
     /// `hits[i]`'s cached product JSON.
     pub hit_json: Vec<Arc<str>>,
-}
-pub fn shard_of(key: &ClusterKey, n_shards: usize) -> usize {
-    let mut h = fnv1a(FNV_OFFSET, &key.0 .0.to_le_bytes());
-    h = fnv1a(h, &[0xff]);
-    h = fnv1a(h, key.1.as_bytes());
-    h = fnv1a(h, &[0xff]);
-    h = fnv1a(h, key.2.as_bytes());
-    (h % n_shards.max(1) as u64) as usize
 }
 
 /// One shard's writer state: the mutable store plus the latest snapshot

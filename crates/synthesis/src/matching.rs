@@ -20,16 +20,18 @@
 //! with the offer are touched; all others have cosine exactly `0.0` and are
 //! skipped without changing any result (see [`TitleMatcher::match_offer`]).
 //! [`TitleMatcher::match_offer_naive`] keeps the exhaustive scan as the
-//! reference the blocked path is checked against
-//! (`experiments fig8 --verify-blocking`).
+//! reference the blocked path is checked against: the tier-1 test
+//! `tests/matcher_equivalence.rs::blocked_matcher_is_byte_identical_to_naive_scan`
+//! asserts equal product, match kind and similarity bits over a generated
+//! world — the one place that gate lives.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use pse_core::{Catalog, CategoryId, HistoricalMatches, Offer, ProductId, Spec};
 use pse_text::intern::{Interner, InternerBuilder};
 use pse_text::normalize::normalize_value;
 use pse_text::sparse::{cosine_sparse, SparseCounts, SparseVec};
-use pse_text::tfidf::{InternedCorpus, InternedCorpusBuilder};
+use pse_text::tfidf::{InternedCorpus, InternedCorpusBuilder, QueryTerm};
 use pse_text::tokenize::for_each_token;
 
 /// Configuration of the bootstrap matcher.
@@ -221,8 +223,7 @@ impl<'a> TitleMatcher<'a> {
 
     /// Reference matcher: identical identifier handling, then an exhaustive
     /// cosine scan over every product of the category. Kept as the oracle
-    /// for the blocked path (`experiments fig8 --verify-blocking` and the
-    /// equivalence tests).
+    /// for the blocked path (`tests/matcher_equivalence.rs`).
     pub fn match_offer_naive(&self, offer: &Offer, spec: &Spec) -> Option<ProposedMatch> {
         let category = offer.category?;
         if let Some(m) = self.identifier_match(category, offer, spec) {
@@ -254,51 +255,23 @@ impl<'a> TitleMatcher<'a> {
         None
     }
 
-    /// The offer's L2-normalized TF-IDF vector over the category vocabulary.
-    ///
-    /// Token counts are gathered in a `BTreeMap<String, u64>` so the norm
-    /// accumulates over *all* tokens — including out-of-vocabulary ones,
-    /// which have `df = 0` but still contribute to the norm — in sorted
-    /// string order, bit-identical to the historical
-    /// `TfIdfCorpus::weight_vector` of the offer's bag. Only in-vocabulary
-    /// tokens are emitted (out-of-vocabulary weights multiply a product
-    /// weight of zero in every dot product).
+    /// The offer's L2-normalized TF-IDF vector over the category vocabulary:
+    /// [`InternedCorpus::weight_query`] of the title and spec values, so
+    /// out-of-vocabulary tokens take their share of the norm. Only
+    /// in-vocabulary tokens are kept (an out-of-vocabulary weight multiplies
+    /// a product weight of zero in every dot product).
     fn query_vector(index: &CategoryIndex, offer: &Offer, spec: &Spec) -> SparseVec {
-        let mut counts: BTreeMap<String, u64> = BTreeMap::new();
-        {
-            let mut tally = |t: &str| {
-                if let Some(c) = counts.get_mut(t) {
-                    *c += 1;
-                } else {
-                    counts.insert(t.to_string(), 1);
-                }
-            };
-            for_each_token(&offer.title, &mut tally);
-            for pair in spec.iter() {
-                for_each_token(&pair.value, &mut tally);
-            }
-        }
-        let weights: Vec<_> = counts
-            .iter()
-            .map(|(t, &c)| {
-                let sym = index.interner.lookup(t);
-                let idf = match sym {
-                    Some(s) => index.corpus.idf(s),
-                    None => index.corpus.idf_of_df(0),
-                };
-                (sym, c as f64 * idf)
-            })
-            .collect();
-        let norm = weights.iter().map(|&(_, w)| w * w).sum::<f64>().sqrt();
-        let mut entries = Vec::new();
-        if norm > 0.0 {
-            for (sym, w) in weights {
-                if let Some(s) = sym {
-                    entries.push((s, w / norm));
-                }
-            }
-        }
-        SparseVec::from_sorted(entries)
+        let texts = std::iter::once(offer.title.as_str()).chain(spec.iter().map(|p| &*p.value));
+        let weights = index.corpus.weight_query(&index.interner, texts);
+        SparseVec::from_sorted(
+            weights
+                .into_iter()
+                .filter_map(|(term, w)| match term {
+                    QueryTerm::Known(s) => Some((s, w)),
+                    QueryTerm::Unknown(_) => None,
+                })
+                .collect(),
+        )
     }
 
     fn scan_products(

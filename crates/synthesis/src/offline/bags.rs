@@ -240,9 +240,8 @@ impl FeatureIndex {
     }
 
     /// Bag of the values of catalog attribute `attr` (surface form) over a
-    /// set of products. The interned counterpart of
-    /// [`crate::offline::features::product_bag`]: counting commutes, so the
-    /// `HashSet` iteration order is immaterial. Products the index never
+    /// set of products. Counting commutes, so the `HashSet` iteration order
+    /// is immaterial. Products the index never
     /// saw (not referenced by any product set) contribute nothing.
     pub fn product_counts(&self, products: &HashSet<ProductId>, attr: &str) -> SparseCounts {
         let mut acc: HashMap<Sym, u64> = HashMap::new();

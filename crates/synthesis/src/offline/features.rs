@@ -7,12 +7,11 @@
 //! per merchant for the coarser groupings, which are reused across many
 //! candidates.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
-use pse_core::{Catalog, CategoryId, MerchantId, ProductId};
+use pse_core::{Catalog, CategoryId, MerchantId};
 use pse_text::divergence::MAX_JS;
 use pse_text::sparse::{jaccard_counts, jensen_shannon_counts, SparseCounts};
-use pse_text::BagOfWords;
 
 use super::bags::FeatureIndex;
 
@@ -72,9 +71,9 @@ impl<'a> FeatureComputer<'a> {
             self.index.offer_mc.get(&(merchant, category)).and_then(|m| m.get(merchant_attr))
         {
             self.ensure_mc_group(merchant, category);
-            if let Some(product_bag) = self.mc_bags.get(catalog_attr) {
-                out[0] = jensen_shannon_counts(product_bag, offer_bag);
-                out[1] = jaccard_counts(product_bag, offer_bag);
+            if let Some(product_counts) = self.mc_bags.get(catalog_attr) {
+                out[0] = jensen_shannon_counts(product_counts, offer_bag);
+                out[1] = jaccard_counts(product_counts, offer_bag);
             }
         }
 
@@ -126,17 +125,6 @@ impl<'a> FeatureComputer<'a> {
             }
         }
     }
-}
-
-/// Bag of the values of `attr` over a set of products.
-pub fn product_bag(catalog: &Catalog, products: &HashSet<ProductId>, attr: &str) -> BagOfWords {
-    let mut bag = BagOfWords::new();
-    for &pid in products {
-        if let Some(v) = catalog.product(pid).spec.get(attr) {
-            bag.add_value(v);
-        }
-    }
-    bag
 }
 
 #[cfg(test)]

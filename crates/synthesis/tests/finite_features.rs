@@ -1,4 +1,4 @@
-//! Regression test for the `kullback_leibler` q(t)=0 contract: JS-based
+//! Regression test for the `KL(p ‖ q)` hazard at q(t)=0: JS-based
 //! feature extraction must never feed non-finite values to
 //! `LogisticRegression::train`, even for merchant attributes whose value
 //! vocabularies are completely disjoint from (or empty against) the

@@ -1,4 +1,7 @@
-//! Bags of words over attribute values.
+//! Bags of words over attribute values, keyed by token text. Reference
+//! only — production code counts interned symbols
+//! ([`crate::sparse::SparseCounts`]); the tests listed in the crate docs pin
+//! the two together.
 //!
 //! Section 3.1 of the paper: *"We use a bag of words to collect the values of
 //! each attribute in catalog products as well as for merchant offer

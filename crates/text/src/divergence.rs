@@ -1,7 +1,11 @@
-//! Distributional-similarity measures: Kullback–Leibler divergence,
-//! Jensen–Shannon divergence, and the Jaccard coefficient.
+//! Distributional-similarity measures over string-keyed bags:
+//! Jensen–Shannon divergence, the Jaccard coefficient, and Lee's L1 and
+//! cosine alternatives. Reference only — production code uses the
+//! merge-join kernels of [`crate::sparse`] over interned counts, which
+//! `sparse`'s unit tests and `tests/interned_equivalence.rs` pin to these
+//! bit-for-bit.
 //!
-//! These are the two measures that Lee (COLING '99) found best for synonym
+//! JS and Jaccard are the two measures that Lee (COLING '99) found best for synonym
 //! detection and that the paper adopts as classifier features (Table 1):
 //!
 //! * `JS(p_A ‖ p_B) = ½ KL(p_A ‖ p_M) + ½ KL(p_B ‖ p_M)` with
@@ -15,35 +19,6 @@ use crate::bow::BagOfWords;
 
 /// Maximum possible Jensen–Shannon divergence (natural log): `ln 2`.
 pub const MAX_JS: f64 = std::f64::consts::LN_2;
-
-/// Kullback–Leibler divergence `KL(p ‖ q)` between two empirical
-/// distributions given as bags of words.
-///
-/// Terms with `p(t) = 0` contribute nothing. The caller must guarantee
-/// `q(t) > 0` wherever `p(t) > 0` (true by construction when `q` is the
-/// average distribution of `p` and another bag); otherwise the result is
-/// `f64::INFINITY`.
-///
-/// Caller audit (see the `finite_features` regression test in
-/// `pse-synthesis`): no pipeline feature path calls this function —
-/// [`jensen_shannon`] computes its mixture terms inline and clamps to
-/// `[0, MAX_JS]`, so classifier features stay finite even for bags with
-/// disjoint or empty support. Any new caller must uphold the `q(t) > 0`
-/// contract itself or handle the `INFINITY` sentinel.
-pub fn kullback_leibler(p: &BagOfWords, q: &BagOfWords) -> f64 {
-    let mut sum = 0.0;
-    for (t, _) in p.iter() {
-        let pt = p.probability(t);
-        let qt = q.probability(t);
-        if pt > 0.0 {
-            if qt <= 0.0 {
-                return f64::INFINITY;
-            }
-            sum += pt * (pt / qt).ln();
-        }
-    }
-    sum
-}
 
 /// Jensen–Shannon divergence between the empirical distributions of two bags.
 ///
@@ -63,7 +38,8 @@ pub fn jensen_shannon(a: &BagOfWords, b: &BagOfWords) -> f64 {
     }
     // p_M(t) = (p_A(t) + p_B(t)) / 2, computed on the fly over the union of
     // supports. Only tokens in A's (resp. B's) support contribute to the KL
-    // terms, so iterating each bag once suffices.
+    // terms, so iterating each bag once suffices — and p_M(t) > 0 wherever
+    // the term's own p(t) > 0, so no term is ever infinite.
     let mut js = 0.0;
     for (t, _) in a.iter() {
         let pa = a.probability(t);
@@ -134,19 +110,6 @@ pub fn cosine_bags(a: &BagOfWords, b: &BagOfWords) -> f64 {
     (dot / (norm(a) * norm(b))).clamp(0.0, 1.0)
 }
 
-/// Jaccard coefficient over two explicit sets of items.
-pub fn jaccard_sets<T: Eq + std::hash::Hash>(
-    a: &std::collections::HashSet<T>,
-    b: &std::collections::HashSet<T>,
-) -> f64 {
-    if a.is_empty() && b.is_empty() {
-        return 0.0;
-    }
-    let intersection = a.intersection(b).count();
-    let union = a.len() + b.len() - intersection;
-    intersection as f64 / union as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,19 +167,6 @@ mod tests {
     }
 
     #[test]
-    fn kl_zero_for_identical() {
-        let a = bag(&["x y z x"]);
-        assert!(kullback_leibler(&a, &a).abs() < 1e-12);
-    }
-
-    #[test]
-    fn kl_infinite_when_support_not_covered() {
-        let p = bag(&["x"]);
-        let q = bag(&["y"]);
-        assert!(kullback_leibler(&p, &q).is_infinite());
-    }
-
-    #[test]
     fn jaccard_basics() {
         let a = bag(&["ata 100 ide"]);
         let b = bag(&["ata ide scsi"]);
@@ -249,15 +199,5 @@ mod tests {
         let c = bag(&["ata 100", "ide 999"]);
         let s = cosine_bags(&a, &c);
         assert!(s > 0.0 && s < 1.0);
-    }
-
-    #[test]
-    fn jaccard_sets_basics() {
-        use std::collections::HashSet;
-        let a: HashSet<&str> = ["a", "b"].into_iter().collect();
-        let b: HashSet<&str> = ["b", "c"].into_iter().collect();
-        assert!((jaccard_sets(&a, &b) - 1.0 / 3.0).abs() < 1e-12);
-        let e: HashSet<&str> = HashSet::new();
-        assert_eq!(jaccard_sets(&e, &e), 0.0);
     }
 }

@@ -127,11 +127,6 @@ impl Interner {
     pub fn doc(&self, provisional: &[u32]) -> TokenDoc {
         TokenDoc { syms: provisional.iter().map(|&p| self.sym(p)).collect() }
     }
-
-    /// Symbols in lexicographic (= numeric) order.
-    pub fn symbols(&self) -> impl Iterator<Item = Sym> + '_ {
-        (0..self.strings.len() as u32).map(Sym)
-    }
 }
 
 /// An interned token sequence (tokens in original order, duplicates kept).
@@ -141,11 +136,6 @@ pub struct TokenDoc {
 }
 
 impl TokenDoc {
-    /// A document from already-final symbols.
-    pub fn from_syms(syms: Vec<Sym>) -> Self {
-        Self { syms }
-    }
-
     /// Number of tokens (with multiplicity).
     pub fn len(&self) -> usize {
         self.syms.len()
@@ -223,7 +213,7 @@ mod tests {
             b.intern(t);
         }
         let i = b.finalize();
-        let mut syms: Vec<Sym> = i.symbols().collect();
+        let mut syms: Vec<Sym> = (0..i.len() as u32).map(Sym).collect();
         syms.sort();
         let texts: Vec<&str> = syms.iter().map(|&s| i.resolve(s)).collect();
         let mut expect = texts.clone();

@@ -12,6 +12,21 @@
 //! Jaro–Winkler and SoftTFIDF for DUMAS).
 //!
 //! Everything here is implemented from scratch on `std` only.
+//!
+//! # One kernel per computation
+//!
+//! Every computation has one production implementation, on interned
+//! [`Sym`]s, and at most one reference: the paper-literal version on token
+//! text, which only tests (and the named oracles `score_candidates_reference`
+//! / `match_offer_naive`) call. Production and reference agree bit for bit.
+//!
+//! | computation | production | reference | pinned by |
+//! |---|---|---|---|
+//! | value bag | [`SparseCounts`] | [`BagOfWords`] | `sparse::tests::counts_match_bags` |
+//! | JS / Jaccard / L1 / cosine of bags | [`jensen_shannon_counts`], [`jaccard_counts`], [`l1_counts`], [`cosine_counts`] | [`jensen_shannon`], [`jaccard_bags`], [`l1_distance`], [`cosine_bags`] | `interned_equivalence::divergences_bit_match_string_path` |
+//! | TF-IDF weights, cosine | [`InternedCorpus::weight_counts`], [`cosine_sparse`] | [`tfidf::TfIdfCorpus::weight_vector`], [`tfidf::cosine_of`] | `interned_equivalence::tfidf_cosine_bit_matches_string_path`; COMA `indexed_scores_match_string_reference` |
+//! | TF-IDF weights of out-of-vocabulary text | [`InternedCorpus::weight_query`] | [`tfidf::TfIdfCorpus::weight_vector`] | same test; `matcher_equivalence` (title matcher) |
+//! | SoftTFIDF | [`InternedSoftTfIdf::similarity`] | [`SoftTfIdf::similarity`] | `interned_equivalence::softtfidf_bit_matches_string_path`; `matcher_equivalence` (DUMAS); `pse-query`'s `fuzzy_reference` |
 
 pub mod bow;
 pub mod divergence;
@@ -24,9 +39,7 @@ pub mod tfidf;
 pub mod tokenize;
 
 pub use bow::BagOfWords;
-pub use divergence::{
-    cosine_bags, jaccard_bags, jaccard_sets, jensen_shannon, kullback_leibler, l1_distance,
-};
+pub use divergence::{cosine_bags, jaccard_bags, jensen_shannon, l1_distance};
 pub use intern::{Interner, InternerBuilder, Sym, TokenDoc};
 pub use normalize::{normalize_attribute_name, normalize_value};
 pub use softtfidf::{InternedSoftTfIdf, JwMemo, SoftDoc, SoftTfIdf};

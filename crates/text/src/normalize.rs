@@ -34,11 +34,6 @@ pub fn names_equal(a: &str, b: &str) -> bool {
     normalize_attribute_name(a) == normalize_attribute_name(b)
 }
 
-/// Whether two values are equal after normalization.
-pub fn values_equal(a: &str, b: &str) -> bool {
-    normalize_value(a) == normalize_value(b)
-}
-
 /// Loose value equivalence used when labeling synthesized specifications
 /// against ground truth: equal normal forms, one token sequence containing
 /// the other (so `"windows vista"` is accepted against
@@ -89,9 +84,9 @@ mod tests {
 
     #[test]
     fn values_normalize() {
-        assert!(values_equal("7200 RPM", "7200rpm"));
-        assert!(values_equal("Serial ATA-300", "serial ata 300"));
-        assert!(!values_equal("500", "5000"));
+        assert_eq!(normalize_value("7200 RPM"), normalize_value("7200rpm"));
+        assert_eq!(normalize_value("Serial ATA-300"), normalize_value("serial ata 300"));
+        assert_ne!(normalize_value("500"), normalize_value("5000"));
     }
 
     #[test]

@@ -10,12 +10,15 @@ use std::collections::{BTreeMap, HashMap};
 
 use crate::bow::BagOfWords;
 use crate::intern::{Interner, Sym};
-use crate::sparse::{SparseCounts, SparseVec};
+use crate::sparse::SparseCounts;
 use crate::strsim::{jaro_winkler, jaro_winkler_with, JaroScratch};
-use crate::tfidf::{InternedCorpus, TfIdfCorpus};
+use crate::tfidf::{InternedCorpus, QueryTerm, TfIdfCorpus};
 use crate::tokenize::tokens;
 
-/// SoftTFIDF similarity with a shared IDF corpus.
+/// SoftTFIDF similarity with a shared IDF corpus, on token text — the
+/// paper-literal reference. Production code uses [`InternedSoftTfIdf`];
+/// `tests/interned_equivalence.rs`, `pse-query`'s `fuzzy_reference` and the
+/// DUMAS equivalence test pin the two bit-for-bit.
 #[derive(Debug, Clone)]
 pub struct SoftTfIdf {
     corpus: TfIdfCorpus,
@@ -85,21 +88,29 @@ impl SoftTfIdf {
 }
 
 /// A pre-weighted value under an [`InternedSoftTfIdf`]: the L2-normalized
-/// TF-IDF vector of the value's tokens. Empty iff the value tokenizes to
-/// nothing (TF-IDF weights are strictly positive, so a non-empty token list
-/// always yields a non-empty vector).
+/// TF-IDF weights of its tokens. Empty iff the value tokenizes to nothing
+/// (TF-IDF weights are strictly positive, so a non-empty token list always
+/// yields a non-empty vector).
 #[derive(Debug, Clone, Default)]
 pub struct SoftDoc {
-    weights: SparseVec,
-    /// Character count of each token, parallel to `weights`' entries — feeds
-    /// the length-based θ-prefilter in [`InternedSoftTfIdf::similarity`].
+    /// `(token, weight)` ascending by token *text* — the order the string
+    /// reference sums in. For a vocabulary value ([`InternedSoftTfIdf::doc`])
+    /// that is ascending [`Sym`]; a query ([`InternedSoftTfIdf::query_doc`])
+    /// interleaves its out-of-vocabulary tokens, numbered
+    /// `Sym(vocabulary size + i)` for `oov[i]`.
+    entries: Vec<(Sym, f64)>,
+    /// Character count of each token, parallel to `entries` — feeds the
+    /// length-based θ-prefilter in [`InternedSoftTfIdf::similarity`].
     lens: Vec<u32>,
+    /// Text of a query's out-of-vocabulary tokens; empty for a vocabulary
+    /// value. The ids above mean something inside this document only.
+    oov: Vec<String>,
 }
 
 impl SoftDoc {
     /// Whether the underlying value had no tokens.
     pub fn is_empty(&self) -> bool {
-        self.weights.is_empty()
+        self.entries.is_empty()
     }
 }
 
@@ -141,10 +152,12 @@ impl std::hash::BuildHasher for PairHasherBuilder {
 
 /// Memo of Jaro–Winkler scores per `(Sym, Sym)` pair.
 ///
-/// Scoped to one matrix build (e.g. one DUMAS (merchant, category) group):
-/// within that scope the token vocabulary is fixed, so each distinct token
-/// pair is scored once no matter how many cells compare values containing
-/// it. Dropping the memo flushes `softtfidf.jw_memo_hit` /
+/// Scoped to one matrix build (e.g. one DUMAS (merchant, category) group)
+/// or one query: within that scope the token vocabulary is fixed, so each
+/// distinct token pair is scored once no matter how many cells compare
+/// values containing it. A memo that has seen a query document must not
+/// outlive it — the ids of out-of-vocabulary tokens are per document.
+/// Dropping the memo flushes `softtfidf.jw_memo_hit` /
 /// `softtfidf.jw_memo_miss` counters to pse-obs.
 #[derive(Debug, Default)]
 pub struct JwMemo {
@@ -160,15 +173,16 @@ impl JwMemo {
         Self::default()
     }
 
-    /// Jaro–Winkler similarity of two interned tokens, memoized.
-    pub fn jw(&mut self, interner: &Interner, a: Sym, b: Sym) -> f64 {
+    /// Jaro–Winkler similarity of tokens `a` and `b`, whose texts are `ta`
+    /// and `tb`, memoized by id pair.
+    fn jw(&mut self, a: Sym, b: Sym, ta: &str, tb: &str) -> f64 {
         let key = ((a.0 as u64) << 32) | b.0 as u64;
         if let Some(&s) = self.map.get(&key) {
             self.hits += 1;
             return s;
         }
         self.misses += 1;
-        let s = jaro_winkler_with(&mut self.scratch, interner.resolve(a), interner.resolve(b));
+        let s = jaro_winkler_with(&mut self.scratch, ta, tb);
         self.map.insert(key, s);
         s
     }
@@ -181,7 +195,10 @@ impl Drop for JwMemo {
     }
 }
 
-/// Interned SoftTFIDF over a frozen vocabulary and corpus.
+/// Interned SoftTFIDF over a frozen vocabulary and corpus — the one
+/// production SoftTFIDF kernel (DUMAS's similarity matrices, the search
+/// index's fuzzy value resolver). It borrows both, so the owner of a
+/// vocabulary scores against it without handing over a copy.
 ///
 /// [`InternedSoftTfIdf::similarity`] is bit-identical to
 /// [`SoftTfIdf::similarity`] on equivalent inputs: both iterate the first
@@ -197,38 +214,54 @@ impl Drop for JwMemo {
 /// once per matrix build (equivalent to scanning the group's token list once
 /// per distinct query token, rather than once per product cell).
 #[derive(Debug)]
-pub struct InternedSoftTfIdf {
-    interner: Interner,
-    corpus: InternedCorpus,
+pub struct InternedSoftTfIdf<'a> {
+    interner: &'a Interner,
+    corpus: &'a InternedCorpus,
     theta: f64,
 }
 
-impl InternedSoftTfIdf {
-    /// Build from a frozen vocabulary and its corpus statistics. `theta` is
-    /// clamped to `[0, 1]` like [`SoftTfIdf::with_theta`].
-    pub fn new(interner: Interner, corpus: InternedCorpus, theta: f64) -> Self {
+impl<'a> InternedSoftTfIdf<'a> {
+    /// Score against a frozen vocabulary and the corpus statistics indexed
+    /// by it. `theta` is clamped to `[0, 1]` like [`SoftTfIdf::with_theta`].
+    pub fn new(interner: &'a Interner, corpus: &'a InternedCorpus, theta: f64) -> Self {
         Self { interner, corpus, theta: theta.clamp(0.0, 1.0) }
     }
 
-    /// The symbol table.
-    pub fn interner(&self) -> &Interner {
-        &self.interner
-    }
-
-    /// Pre-weight one value given as provisional ids from the builder that
-    /// produced this vocabulary.
+    /// Pre-weight one vocabulary value given as provisional ids from the
+    /// builder that produced this vocabulary.
     pub fn doc(&self, provisional: &[u32]) -> SoftDoc {
         let counts = SparseCounts::from_doc(&self.interner.doc(provisional));
-        let weights = self.corpus.weight_counts(&counts);
-        let lens = weights
-            .entries()
-            .iter()
-            .map(|&(s, _)| self.interner.resolve(s).chars().count() as u32)
-            .collect();
-        SoftDoc { weights, lens }
+        let entries = self.corpus.weight_counts(&counts).entries().to_vec();
+        let lens = entries.iter().map(|&(s, _)| char_len(self.interner.resolve(s))).collect();
+        SoftDoc { entries, lens, oov: Vec::new() }
     }
 
-    /// SoftTFIDF similarity of two pre-weighted values, in `[0, 1]`.
+    /// Pre-weight free text that may leave the vocabulary — the first
+    /// argument of [`Self::similarity`], never the second. Weights are
+    /// [`InternedCorpus::weight_query`]'s: unknown tokens take their share
+    /// of the norm, exactly as the string reference weighs them.
+    pub fn query_doc(&self, text: &str) -> SoftDoc {
+        let mut doc = SoftDoc::default();
+        for (term, w) in self.corpus.weight_query(self.interner, [text]) {
+            let sym = match term {
+                QueryTerm::Known(s) => {
+                    doc.lens.push(char_len(self.interner.resolve(s)));
+                    s
+                }
+                QueryTerm::Unknown(t) => {
+                    let s = Sym((self.interner.len() + doc.oov.len()) as u32);
+                    doc.lens.push(char_len(&t));
+                    doc.oov.push(t);
+                    s
+                }
+            };
+            doc.entries.push((sym, w));
+        }
+        doc
+    }
+
+    /// SoftTFIDF similarity of two pre-weighted values, in `[0, 1]`. `b`
+    /// must be a vocabulary value ([`Self::doc`]); `a` may be a query.
     ///
     /// Token pairs that provably cannot reach θ are skipped before any
     /// Jaro–Winkler work. With `mn = min(|t|, |u|)`, `mx = max(|t|, |u|)`:
@@ -242,6 +275,7 @@ impl InternedSoftTfIdf {
     /// unfiltered scan. Both comparisons keep a `1e-6` slack so float
     /// rounding can only make the filter *less* aggressive, never unsound.
     pub fn similarity(&self, a: &SoftDoc, b: &SoftDoc, memo: &mut JwMemo) -> f64 {
+        debug_assert!(b.oov.is_empty(), "the second value must be in vocabulary");
         if a.is_empty() || b.is_empty() {
             return if a.is_empty() && b.is_empty() { 1.0 } else { 0.0 };
         }
@@ -251,17 +285,21 @@ impl InternedSoftTfIdf {
         let cut = (self.theta - 0.8) * 5.0;
         let theta_gate = self.theta - 1e-6;
         let mut sum = 0.0;
-        for (ai, &(t, wa)) in a.weights.entries().iter().enumerate() {
-            // Exact matches short-circuit the O(|T|) scan.
-            if let Some(wb) = b.weights.get(t) {
-                sum += wa * wb;
+        for (ai, &(t, wa)) in a.entries.iter().enumerate() {
+            // Exact matches short-circuit the O(|T|) scan. (An
+            // out-of-vocabulary `t` is above every id in `b`.)
+            if let Ok(bi) = b.entries.binary_search_by_key(&t, |&(u, _)| u) {
+                sum += wa * b.entries[bi].1;
                 continue;
             }
             let la = a.lens[ai];
-            let ta = self.interner.resolve(t);
+            let ta = match (t.0 as usize).checked_sub(self.interner.len()) {
+                None => self.interner.resolve(t),
+                Some(i) => a.oov[i].as_str(),
+            };
             let mut best = 0.0f64;
             let mut best_w = 0.0f64;
-            for (bi, &(u, wb)) in b.weights.entries().iter().enumerate() {
+            for (bi, &(u, wb)) in b.entries.iter().enumerate() {
                 let lb = b.lens[bi];
                 let (mn, mx) = if la <= lb { (la, lb) } else { (lb, la) };
                 if (mn as f64) < cut * (mx as f64) - 1e-6 {
@@ -274,7 +312,7 @@ impl InternedSoftTfIdf {
                 if jbound + 0.1 * prefix as f64 * (1.0 - jbound) < theta_gate {
                     continue;
                 }
-                let s = memo.jw(&self.interner, t, u);
+                let s = memo.jw(t, u, ta, tu);
                 if s >= self.theta && s > best {
                     best = s;
                     best_w = wb;
@@ -286,6 +324,10 @@ impl InternedSoftTfIdf {
         }
         sum.clamp(0.0, 1.0)
     }
+}
+
+fn char_len(token: &str) -> u32 {
+    token.chars().count() as u32
 }
 
 #[cfg(test)]

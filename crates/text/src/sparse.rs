@@ -139,14 +139,6 @@ impl SparseVec {
         Self { entries }
     }
 
-    /// The weight of a symbol, if present.
-    pub fn get(&self, s: Sym) -> Option<f64> {
-        match self.entries.binary_search_by_key(&s, |&(t, _)| t) {
-            Ok(i) => Some(self.entries[i].1),
-            Err(_) => None,
-        }
-    }
-
     /// Number of non-zero entries.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -422,8 +414,6 @@ mod tests {
     #[test]
     fn sparse_vec_lookup() {
         let v = SparseVec::from_sorted(vec![(Sym(1), 0.5), (Sym(4), 0.25)]);
-        assert_eq!(v.get(Sym(1)), Some(0.5));
-        assert_eq!(v.get(Sym(2)), None);
         assert_eq!(dot_sparse(&v, &v), 0.5 * 0.5 + 0.25 * 0.25);
     }
 }

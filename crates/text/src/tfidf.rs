@@ -1,15 +1,20 @@
-//! TF-IDF weighting and cosine similarity over token bags.
+//! TF-IDF weighting and cosine similarity.
 //!
-//! Used by the COMA++-style instance matcher (documents = attribute value
-//! corpora) and as the corpus-statistics backbone of [`crate::softtfidf`].
+//! [`InternedCorpus`] is the production kernel: the COMA++-style instance
+//! matcher, the bootstrap title matcher, the search index and
+//! [`crate::softtfidf`] all weight through it. [`TfIdfCorpus`] /
+//! [`cosine_of`] are the string-keyed reference the tests pin it to.
 
 use std::collections::{BTreeMap, HashMap};
 
 use crate::bow::BagOfWords;
 use crate::intern::{Interner, Sym};
 use crate::sparse::{SparseCounts, SparseVec};
+use crate::tokenize::for_each_token;
 
-/// Corpus-level document-frequency statistics for IDF computation.
+/// Corpus-level document-frequency statistics for IDF computation, keyed by
+/// token text. Reference only — production code uses [`InternedCorpus`];
+/// `tests/interned_equivalence.rs` pins the two bit-for-bit.
 ///
 /// A "document" is whatever unit the caller chooses — for attribute matching
 /// it is the full value corpus of one attribute.
@@ -136,7 +141,7 @@ pub struct InternedCorpus {
     /// IDF indexed by document frequency. `df` never exceeds `num_docs`, so
     /// this table (`num_docs + 1` entries) replaces a `ln` call per token
     /// with a lookup — the table entry is computed by the exact expression
-    /// [`InternedCorpus::idf_of_df`] uses, so weights are unchanged.
+    /// `idf_of_df` falls back to, so weights are unchanged.
     idf_by_df: Vec<f64>,
 }
 
@@ -166,9 +171,9 @@ impl InternedCorpus {
         self.idf_of_df(self.doc_freq(s))
     }
 
-    /// IDF for an explicit document frequency (used for out-of-vocabulary
-    /// query tokens, where `df = 0`).
-    pub fn idf_of_df(&self, df: u32) -> f64 {
+    /// IDF for an explicit document frequency (`df = 0` for a token outside
+    /// the vocabulary).
+    fn idf_of_df(&self, df: u32) -> f64 {
         match self.idf_by_df.get(df as usize) {
             Some(&idf) => idf,
             None => (((1 + self.num_docs) as f64) / ((1 + df) as f64)).ln() + 1.0,
@@ -189,6 +194,53 @@ impl InternedCorpus {
         }
         SparseVec::from_sorted(entries)
     }
+
+    /// L2-normalized TF-IDF weights of free text that may leave the
+    /// vocabulary: every text is tokenized, tokens `interner` knows weigh in
+    /// by their document frequency, unknown ones by `df = 0`, and the norm
+    /// accumulates over *all* of them in ascending token order — so the
+    /// result is entry-wise bit-identical to [`TfIdfCorpus::weight_vector`]
+    /// of the same tokens' bag, which it returns in the same order.
+    /// `interner` must be the symbol table this corpus is indexed by.
+    pub fn weight_query<'t>(
+        &self,
+        interner: &Interner,
+        texts: impl IntoIterator<Item = &'t str>,
+    ) -> Vec<(QueryTerm, f64)> {
+        let mut counts: BTreeMap<String, u64> = BTreeMap::new();
+        for text in texts {
+            for_each_token(text, |t| match counts.get_mut(t) {
+                Some(c) => *c += 1,
+                None => {
+                    counts.insert(t.to_string(), 1);
+                }
+            });
+        }
+        let mut terms: Vec<(QueryTerm, f64)> = counts
+            .into_iter()
+            .map(|(t, c)| match interner.lookup(&t) {
+                Some(s) => (QueryTerm::Known(s), c as f64 * self.idf(s)),
+                None => (QueryTerm::Unknown(t), c as f64 * self.idf_of_df(0)),
+            })
+            .collect();
+        let norm = terms.iter().map(|&(_, w)| w * w).sum::<f64>().sqrt();
+        if norm > 0.0 {
+            for (_, w) in &mut terms {
+                *w /= norm;
+            }
+        }
+        terms
+    }
+}
+
+/// One token of an [`InternedCorpus::weight_query`] result.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum QueryTerm {
+    /// In the vocabulary.
+    Known(Sym),
+    /// Out of the vocabulary, kept as text: it still took its share of the
+    /// norm, and a fuzzy scorer can still compare it to vocabulary tokens.
+    Unknown(String),
 }
 
 #[cfg(test)]

@@ -95,13 +95,6 @@ pub fn surface_tokens(input: &str) -> Vec<String> {
         .collect()
 }
 
-/// Token count without materializing the tokens.
-pub fn token_count(input: &str) -> usize {
-    let mut n = 0;
-    for_each_token(input, |_| n += 1);
-    n
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,13 +197,6 @@ mod tests {
             let mut seen = Vec::new();
             for_each_token(s, |t| seen.push(t.to_string()));
             assert_eq!(seen, tokens(s));
-        }
-    }
-
-    #[test]
-    fn token_count_matches_tokens_len() {
-        for s in ["", "a b c", "500GB SATA", "Windows Vista", "Größe 42"] {
-            assert_eq!(token_count(s), tokens(s).len());
         }
     }
 }

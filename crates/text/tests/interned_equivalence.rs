@@ -12,7 +12,7 @@ use pse_text::divergence::{cosine_bags, jaccard_bags, jensen_shannon, l1_distanc
 use pse_text::sparse::{
     cosine_counts, cosine_sparse, jaccard_counts, jensen_shannon_counts, l1_counts, SparseCounts,
 };
-use pse_text::tfidf::{cosine_of, InternedCorpusBuilder, TfIdfCorpus};
+use pse_text::tfidf::{cosine_of, InternedCorpusBuilder, QueryTerm, TfIdfCorpus};
 use pse_text::tokenize::tokens;
 use pse_text::{BagOfWords, InternedSoftTfIdf, Interner, InternerBuilder, JwMemo, SoftTfIdf};
 
@@ -66,12 +66,14 @@ proptest! {
     }
 
     /// Interned TF-IDF weighting + sparse cosine are bit-identical to the
-    /// `BTreeMap<String, f64>` path, with the same corpus statistics.
+    /// `BTreeMap<String, f64>` path, with the same corpus statistics — and
+    /// so is the weighting of a query `q` whose tokens were never interned.
     #[test]
     fn tfidf_cosine_bit_matches_string_path(
         docs in prop::collection::vec(values(), 0..4),
         a in values(),
         b in values(),
+        q in values(),
     ) {
         // String side.
         let mut corpus = TfIdfCorpus::new();
@@ -118,15 +120,33 @@ proptest! {
             eprintln!("DOCS={:?} A={:?} B={:?} l={} r={}", docs, a, b, l, r);
         }
         prop_assert_eq!(l.to_bits(), r.to_bits());
+        // Out-of-vocabulary-aware weighting: `q` mixes unknown tokens with
+        // `a`'s known ones; both kinds share one norm, in token order.
+        let query: Vec<&str> = q.iter().chain(&a).map(String::as_str).collect();
+        let svq = corpus.weight_vector(&BagOfWords::from_values(query.iter().copied()));
+        let vq = icorpus.weight_query(&interner, query);
+        prop_assert_eq!(vq.len(), svq.len());
+        for ((term, w), (t, sw)) in vq.iter().zip(svq.iter()) {
+            match term {
+                QueryTerm::Known(s) => prop_assert_eq!(interner.resolve(*s), t.as_str()),
+                QueryTerm::Unknown(u) => {
+                    prop_assert_eq!(u, t);
+                    prop_assert_eq!(interner.lookup(u), None);
+                }
+            }
+            prop_assert_eq!(w.to_bits(), sw.to_bits());
+        }
     }
 
     /// Interned SoftTFIDF (pre-weighted docs + Jaro–Winkler memo) is
-    /// bit-identical to the per-call string implementation.
+    /// bit-identical to the per-call string implementation, for vocabulary
+    /// values and for a query `q` whose tokens were never interned.
     #[test]
     fn softtfidf_bit_matches_string_path(
         docs in prop::collection::vec(value(), 0..5),
         a in value(),
         b in value(),
+        q in value(),
         theta_idx in 0usize..4,
     ) {
         let theta = [0.0f64, 0.8, 0.9, 1.0][theta_idx];
@@ -145,7 +165,7 @@ proptest! {
         let rb = builder.tokenize(&b);
         let interner = builder.finalize();
         let icorpus = cb.finalize(&interner);
-        let isoft = InternedSoftTfIdf::new(interner, icorpus, theta);
+        let isoft = InternedSoftTfIdf::new(&interner, &icorpus, theta);
         let da = isoft.doc(&ra);
         let db = isoft.doc(&rb);
         let mut memo = JwMemo::new();
@@ -154,6 +174,15 @@ proptest! {
         let second = isoft.similarity(&da, &db, &mut memo);
         prop_assert_eq!(first.to_bits(), soft.similarity(&a, &b).to_bits());
         prop_assert_eq!(first.to_bits(), second.to_bits());
+        // A query is weighted and scored like the same text on the string
+        // path, whether its tokens are known (`a`), unknown (`q`) or mixed.
+        for query in [a.clone(), q.clone(), format!("{q} {a} {q}")] {
+            let mut memo = JwMemo::new();
+            let dq = isoft.query_doc(&query);
+            let got = isoft.similarity(&dq, &db, &mut memo);
+            prop_assert_eq!(got.to_bits(), soft.similarity(&query, &b).to_bits(), "{:?}", query);
+            prop_assert_eq!(got.to_bits(), isoft.similarity(&dq, &db, &mut memo).to_bits());
+        }
     }
 
     /// Interning then resolving is the identity on token streams, and the

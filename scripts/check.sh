@@ -18,12 +18,6 @@ PSE_OBS=1 cargo run --release -q -p pse-bench --bin experiments -- \
     table2 --smoke --quiet --obs --out target/check-results
 cargo run --release -q -p pse-bench --bin obs_check
 
-# Blocking smoke: the fig8 sweep with --verify-blocking re-runs the title
-# matcher exhaustively over every offer and exits non-zero if the
-# inverted-index blocked path disagrees with the naive scan anywhere.
-cargo run --release -q -p pse-bench --bin experiments -- \
-    fig8 --smoke --quiet --verify-blocking --out target/check-results
-
 # Incremental smoke: replay the Table-2 corpus through the persistent store
 # in 4 batches. The subcommand exits non-zero if the store's products diverge
 # from a one-shot RuntimePipeline::process over the same corpus, and the
