@@ -91,8 +91,7 @@ impl DumasMatcher {
         let _span = pse_obs::span("baselines.dumas");
         // The memo counters may stay at zero (no groups, or exact-match-only
         // cells); seed them so reports always carry them with the span.
-        pse_obs::seed("softtfidf.jw_memo_hit");
-        pse_obs::seed("softtfidf.jw_memo_miss");
+        pse_text::softtfidf::METRICS.seed();
         let mut out = Vec::new();
         let grouped = group_duplicates(offers, historical, provider);
         for ((merchant, category), dups) in grouped {

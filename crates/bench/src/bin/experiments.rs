@@ -13,23 +13,6 @@
 //!   incremental  replay the Table-2 corpus through the persistent store
 //!                in --batches batches (default 4) and print per-batch
 //!                latency
-//!   serve     ingest half the Table-2 corpus into a sharded store
-//!             (--shards, default 4), serve it over HTTP on --addr
-//!             (default 127.0.0.1:0), write the bound address to
-//!             --port-file plus driving materials (serve_batch.json,
-//!             serve_queries.txt) under --out, and block until a client
-//!             POSTs /shutdown — the CI serving smoke. With --wal-dir DIR
-//!             the server runs durably (WAL at DIR/wal.log, segments at
-//!             DIR/segments, compaction threshold --compact-bytes,
-//!             default 8 MiB); when DIR already holds durable state the
-//!             pre-ingest is skipped and the served state is whatever
-//!             recovery rebuilt — the restart leg of the crash drill
-//!   wal-replay   read-only recovery oracle over --wal-dir: rebuild the
-//!                store from manifest + segments + WAL tail without
-//!                touching the directory, then write snapshot.json,
-//!                categories.txt, and per-category cat_<id>.json under
-//!                --out/drill_expected for the crash drill to compare
-//!                against the restarted server's responses
 //!   fig6      classifier vs single-feature baselines (Figure 6)
 //!   fig7      with vs without historical matches (Figure 7)
 //!   fig8      vs DUMAS / Naive Bayes / COMA++ (Figure 8)
@@ -53,14 +36,14 @@
 //! stage summary; `--obs` (or `PSE_OBS=1`) turns on observability and
 //! writes `target/OBS_REPORT.json` under the workspace root on exit.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
 use pse_bench::{
     ablation_extraction, ablation_features, ablation_fusion, ablation_history_noise, ablation_keys,
-    ablation_measures, build_world, curves_csv, embedded_spec_provider, extension_name_features,
-    fig6, fig7, fig8, fig9, query_paths, render_curves, render_incremental, run_end_to_end,
-    run_incremental, serve_corpus, table2, table3, table4, EndToEnd, Scale,
+    ablation_measures, build_world, curves_csv, extension_name_features, fig6, fig7, fig8, fig9,
+    render_curves, render_incremental, run_end_to_end, run_incremental, table2, table3, table4,
+    EndToEnd, Scale,
 };
 use pse_datagen::World;
 use pse_eval::correspondence::LabeledCurve;
@@ -68,7 +51,7 @@ use pse_eval::correspondence::LabeledCurve;
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first().cloned() else {
-        eprintln!("usage: experiments <table2|table3|table4|fig6|fig7|fig8|fig9|incremental|serve|wal-replay|ablation|ablation-features|ablation-fusion|ablation-keys|ablation-history|all|all-ablations> [flags]");
+        eprintln!("usage: experiments <table2|table3|table4|fig6|fig7|fig8|fig9|incremental|ablation|ablation-features|ablation-fusion|ablation-keys|ablation-history|all|all-ablations> [flags]");
         return ExitCode::FAILURE;
     };
     let rest = &args[1..];
@@ -107,7 +90,7 @@ fn main() -> ExitCode {
     let run = |name: &str, world: &World| -> bool {
         let t = std::time::Instant::now();
         let _obs = pse_obs::span(&format!("experiments.{name}"));
-        let ok = dispatch(name, world, &out_dir, quiet, batches, rest);
+        let ok = dispatch(name, world, &out_dir, quiet, batches);
         if !quiet {
             eprintln!("# {name} finished in {:.1?}", t.elapsed());
         }
@@ -186,14 +169,7 @@ fn e2e_cached(world: &World) -> &'static EndToEnd {
     CACHE.get_or_init(|| run_end_to_end(world))
 }
 
-fn dispatch(
-    cmd: &str,
-    world: &World,
-    out_dir: &PathBuf,
-    quiet: bool,
-    batches: usize,
-    args: &[String],
-) -> bool {
+fn dispatch(cmd: &str, world: &World, out_dir: &PathBuf, quiet: bool, batches: usize) -> bool {
     match cmd {
         "incremental" => {
             let run = run_incremental(world, batches);
@@ -203,8 +179,6 @@ fn dispatch(
             }
             run.equal
         }
-        "serve" => run_serve(world, out_dir, quiet, args),
-        "wal-replay" => run_wal_replay(world, out_dir, quiet, args),
         "table2" => {
             println!("{}", table2(world, e2e_cached(world)));
             true
@@ -305,156 +279,6 @@ fn figure(
         eprintln!("# series written to {}", path.display());
     }
     true
-}
-
-/// The CI serving smoke: pre-ingest half the corpus into a sharded store,
-/// serve it, write the bound address and driving materials for the client
-/// side, and block until a client POSTs /shutdown.
-fn run_serve(world: &World, out_dir: &PathBuf, quiet: bool, args: &[String]) -> bool {
-    let shards = flag_value(args, "--shards").unwrap_or(4);
-    let addr = string_flag(args, "--addr").unwrap_or_else(|| "127.0.0.1:0".to_string());
-    let wal_dir = string_flag(args, "--wal-dir").map(PathBuf::from);
-    let sc = serve_corpus(world);
-    let (pre, rest) = sc.corpus.split_at(sc.corpus.len() / 2);
-    let store = pse_serve::ShardedStore::new(sc.correspondences.clone(), shards);
-    // On a durable restart the seed is discarded for the recovered disk
-    // state anyway; skip the pre-ingest so the served state is exactly
-    // what recovery rebuilt (the restart leg of the crash drill).
-    let durable_state_exists = wal_dir.as_ref().is_some_and(|d| {
-        d.join("segments").join("manifest.json").exists() || d.join("wal.log").exists()
-    });
-    if !durable_state_exists {
-        store.ingest(&world.catalog, pre, &embedded_spec_provider());
-    } else if !quiet {
-        eprintln!("# durable state found; skipping pre-ingest, serving recovered state");
-    }
-    let config = pse_serve::ServerConfig {
-        addr,
-        wal_path: wal_dir.as_ref().map(|d| d.join("wal.log")),
-        snapshot_dir: wal_dir.as_ref().map(|d| d.join("segments")),
-        compaction_threshold_bytes: flag_value(args, "--compact-bytes").unwrap_or(8 << 20),
-        ..Default::default()
-    };
-    let handle = match pse_serve::start(store, world.catalog.clone(), config) {
-        Ok(h) => h,
-        Err(e) => {
-            eprintln!("error: cannot start server: {e}");
-            return false;
-        }
-    };
-
-    // Materials for the driving client: a second-half ingest batch and the
-    // point-lookup paths of everything already served.
-    let batch = serde_json::to_string(&rest.to_vec()).expect("offers serialize");
-    let queries = query_paths(handle.store()).join("\n") + "\n";
-    if let Err(e) = std::fs::create_dir_all(out_dir)
-        .and_then(|_| std::fs::write(out_dir.join("serve_batch.json"), batch))
-        .and_then(|_| std::fs::write(out_dir.join("serve_queries.txt"), queries))
-    {
-        eprintln!("warning: could not write serve materials under {}: {e}", out_dir.display());
-    }
-    let bound = handle.addr().to_string();
-    if let Some(port_file) = string_flag(args, "--port-file") {
-        if let Err(e) = std::fs::write(&port_file, &bound) {
-            eprintln!("error: cannot write {port_file}: {e}");
-            let _ = handle.shutdown();
-            return false;
-        }
-    }
-    if !quiet {
-        eprintln!("# serving {shards} shards at {bound}; POST /shutdown to stop");
-    }
-    handle.wait_for_stop();
-    match handle.shutdown() {
-        Ok(_) => true,
-        Err(e) => {
-            eprintln!("error: shutdown failed: {e}");
-            false
-        }
-    }
-}
-
-/// The crash-drill oracle: recover the durable directory read-only (no
-/// truncation, no WAL rotation — the crashed dir stays inspectable) and
-/// write what a correctly restarted server must serve, byte for byte.
-fn run_wal_replay(world: &World, out_dir: &Path, quiet: bool, args: &[String]) -> bool {
-    let Some(dir) = string_flag(args, "--wal-dir").map(PathBuf::from) else {
-        eprintln!("error: wal-replay requires --wal-dir DIR");
-        return false;
-    };
-    let sc = serve_corpus(world);
-    let dcfg = pse_wal::DurabilityConfig {
-        wal_path: dir.join("wal.log"),
-        snapshot_dir: dir.join("segments"),
-        compaction_threshold_bytes: u64::MAX,
-        group: Default::default(),
-    };
-    let recovered = match pse_wal::recover(&dcfg, &world.catalog, || {
-        pse_store::ProductStore::new(sc.correspondences.clone())
-    }) {
-        Ok(Some((store, stats))) => {
-            if !quiet {
-                eprintln!(
-                    "# recovered {} segments + {} WAL records ({} torn bytes discarded)",
-                    stats.segments_loaded, stats.wal_records_replayed, stats.torn_bytes
-                );
-            }
-            store
-        }
-        Ok(None) => {
-            eprintln!("error: no durable state under {}", dir.display());
-            return false;
-        }
-        Err(e) => {
-            eprintln!("error: recovery failed: {e}");
-            return false;
-        }
-    };
-    let expected = out_dir.join("drill_expected");
-    let mut categories: Vec<u32> = recovered.products().iter().map(|p| p.category.0).collect();
-    categories.sort_unstable();
-    categories.dedup();
-    let write_all = || -> std::io::Result<()> {
-        std::fs::create_dir_all(&expected)?;
-        std::fs::write(expected.join("snapshot.json"), recovered.snapshot_json())?;
-        let lines = categories.iter().map(|c| c.to_string()).collect::<Vec<_>>().join("\n") + "\n";
-        std::fs::write(expected.join("categories.txt"), lines)?;
-        for c in &categories {
-            let body =
-                serde_json::to_string(&recovered.products_in_category(pse_core::CategoryId(*c)))
-                    .expect("products serialize");
-            std::fs::write(expected.join(format!("cat_{c}.json")), body)?;
-        }
-        Ok(())
-    };
-    if let Err(e) = write_all() {
-        eprintln!("error: cannot write {}: {e}", expected.display());
-        return false;
-    }
-    if !quiet {
-        eprintln!(
-            "# oracle for {} categories ({} products) written to {}",
-            categories.len(),
-            recovered.products().len(),
-            expected.display()
-        );
-    }
-    true
-}
-
-/// The value after a `--flag`, parsed, or `None` when absent/unparsable.
-fn flag_value<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
-    string_flag(args, flag).and_then(|v| v.parse().ok())
-}
-
-fn string_flag(args: &[String], flag: &str) -> Option<String> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == flag {
-            return it.next().cloned();
-        }
-    }
-    None
 }
 
 fn batches(args: &[String]) -> usize {

@@ -1,5 +1,4 @@
-//! Experiment harness shared by the `experiments` binary and the Criterion
-//! benches.
+//! Experiment harness behind the `experiments` binary.
 //!
 //! Each experiment of the paper (Tables 2–4, Figures 6–9) has a driver here
 //! that builds a synthetic world at the requested scale, runs the honest
@@ -9,11 +8,9 @@
 
 pub mod experiments;
 pub mod scale;
-pub mod serve_bench;
 
 pub use experiments::*;
 pub use scale::{ArgsError, Scale};
-pub use serve_bench::{embedded_spec_provider, query_paths, serve_corpus, ServeCorpus};
 
 use pse_core::Offer;
 use pse_datagen::World;

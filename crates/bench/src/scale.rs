@@ -89,9 +89,7 @@ impl Scale {
     /// Recognized keys: `--offers`, `--merchants`, `--seed`,
     /// `--products-per-category`, `--match-error-rate`, `--leaves a,b,c,d`,
     /// `--smoke`. The binary-level flags `--out DIR`, `--batches N`,
-    /// `--shards N`, `--addr A`, `--port-file P`, `--wal-dir D`,
-    /// `--compact-bytes N`, `--quiet` and `--obs` are accepted and ignored
-    /// here.
+    /// `--quiet` and `--obs` are accepted and ignored here.
     pub fn from_args(args: &[String]) -> Result<Self, ArgsError> {
         let mut scale =
             if args.iter().any(|a| a == "--smoke") { Self::smoke() } else { Self::default() };
@@ -118,8 +116,7 @@ impl Scale {
                     scale.leaves = [parts[0], parts[1], parts[2], parts[3]];
                 }
                 "--smoke" | "--quiet" | "--obs" => {}
-                "--out" | "--batches" | "--shards" | "--addr" | "--port-file" | "--wal-dir"
-                | "--compact-bytes" => {
+                "--out" | "--batches" => {
                     take()?; // consumed by the binary, not the scale
                 }
                 other if other.starts_with("--") => {

@@ -25,7 +25,8 @@
 //! - **Spans** aggregate per hierarchical path into a `BTreeMap`, so export
 //!   order is path order, not arrival order.
 //! - **Timelines** record one event per `pse-par` chunk (worker id, chunk
-//!   index, start/stop), grouped and sorted on export.
+//!   index, start/stop) under the caller's label; each label keeps an
+//!   exact call count and its [`TIMELINE_RETAINED`] most recent chunks.
 //!
 //! Recorded *durations* are wall-clock and naturally vary run to run; the
 //! deterministic part is the event structure (paths, counts, counter
@@ -45,10 +46,12 @@
 //! inside parallel chunks stay attributed to the stage that forked them.
 
 pub mod hist;
+mod metrics;
 pub mod report;
 mod sink;
 pub mod trace;
 
+pub use metrics::MetricSet;
 pub use report::{
     BucketEntry, ChunkSummary, CounterEntry, HistogramSummary, ObsReport, ReportError, SpanSummary,
     TimelineGroup, SCHEMA_VERSION,
@@ -63,7 +66,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Once, OnceLock};
 use std::time::Instant;
 
-use sink::{ChunkEvent, Sink};
+use sink::Sink;
+pub use sink::TIMELINE_RETAINED;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static ENV_INIT: Once = Once::new();
@@ -297,14 +301,16 @@ pub struct ChunkGuard {
 impl Drop for ChunkGuard {
     fn drop(&mut self) {
         let dur_ns = now_ns().saturating_sub(self.start_ns);
-        global_sink().record_chunk(ChunkEvent {
-            label: self.label.to_string(),
-            worker: self.worker,
-            chunk: self.chunk,
-            items: self.items,
-            start_ns: self.start_ns,
-            dur_ns,
-        });
+        global_sink().record_chunk(
+            &self.label,
+            ChunkSummary {
+                worker: self.worker,
+                chunk: self.chunk,
+                items: self.items,
+                start_ns: self.start_ns,
+                dur_ns,
+            },
+        );
         INHERITED.with(|i| *i.borrow_mut() = self.prev_inherited.take());
         WORKER.with(|w| w.set(self.prev_worker));
         trace::restore(self.prev_trace.take());
@@ -405,6 +411,47 @@ mod tests {
         add("maybe.zero", 2);
         seed("maybe.zero");
         assert_eq!(report().counter("maybe.zero"), Some(2));
+    }
+
+    #[test]
+    fn metric_set_seeds_and_misses_exactly_its_declared_names() {
+        let (_g, _s) = ObsSession::start();
+        metric_set! {
+            SET {
+                counters { A = "m.a", B = "m.b" }
+                histograms { H = "m.h" }
+            }
+        }
+        assert_eq!(SET.missing(&report()), [A, B, H]);
+        // A histogram named like a counter does not stand in for it.
+        add(A, 3);
+        observe(B, 1);
+        assert_eq!(SET.missing(&report()), [B, H]);
+        // Seeding materializes the rest at zero and leaves values alone.
+        SET.seed();
+        let r = report();
+        assert_eq!(SET.missing(&r), Vec::<&str>::new());
+        assert_eq!((r.counter(A), r.counter(B)), (Some(3), Some(0)));
+        assert_eq!(r.validate(), Ok(()));
+    }
+
+    #[test]
+    fn timeline_keeps_exact_calls_and_only_recent_chunks() {
+        let (_g, _s) = ObsSession::start();
+        let call = par_call().unwrap();
+        let calls = 3 * TIMELINE_RETAINED as u64;
+        for i in 0..calls {
+            drop(call.chunk(0, 0, i as usize));
+            drop(call.chunk(1, 1, i as usize));
+        }
+        let r = report();
+        let t = &r.timelines[0];
+        assert_eq!(t.calls, calls);
+        assert_eq!(t.chunks.len(), TIMELINE_RETAINED);
+        // What is retained is the tail of the stream.
+        let oldest = calls - TIMELINE_RETAINED as u64 / 2;
+        assert!(t.chunks.iter().all(|c| c.items >= oldest));
+        assert_eq!(r.validate(), Ok(()));
     }
 
     #[test]

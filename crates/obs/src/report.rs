@@ -75,15 +75,16 @@ pub struct ChunkSummary {
     pub dur_ns: u64,
 }
 
-/// All chunks recorded under one parallel-call label (the caller's active
-/// span path at call time).
+/// The parallel calls recorded under one label (the caller's active span
+/// path at call time).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TimelineGroup {
     /// Label of the parallel call site.
     pub label: String,
-    /// Number of distinct parallel calls (chunk-0 events).
+    /// Number of distinct parallel calls (chunk-0 events), exact.
     pub calls: u64,
-    /// Every chunk, sorted by `(start_ns, worker)`.
+    /// The most recent chunks (at most [`crate::TIMELINE_RETAINED`]),
+    /// sorted by `(start_ns, worker)`.
     pub chunks: Vec<ChunkSummary>,
 }
 
@@ -192,6 +193,21 @@ pub enum ReportError {
         /// The offending boundary.
         boundary: u64,
     },
+    /// A non-empty histogram whose sum is below its largest sample.
+    HistogramSumBelowMax {
+        /// Histogram name.
+        name: String,
+        /// Recorded sum.
+        sum: u64,
+        /// Recorded maximum.
+        max: u64,
+    },
+    /// A timeline group with no calls or no chunks (a label only exists
+    /// once a chunk was recorded under it).
+    TimelineEmpty {
+        /// Timeline label.
+        label: String,
+    },
 }
 
 impl std::fmt::Display for ReportError {
@@ -211,6 +227,10 @@ impl std::fmt::Display for ReportError {
             Self::HistogramUnknownBoundary { name, boundary } => {
                 write!(f, "histogram {name}: unknown boundary {boundary}")
             }
+            Self::HistogramSumBelowMax { name, sum, max } => {
+                write!(f, "histogram {name}: sum {sum} < max {max}")
+            }
+            Self::TimelineEmpty { label } => write!(f, "timeline {label}: no calls or no chunks"),
         }
     }
 }
@@ -244,11 +264,12 @@ impl ObsReport {
         self.spans.iter().find(|s| s.path == path)
     }
 
-    /// Internal-consistency check: monotone bucket boundaries, bucket
-    /// counts summing to histogram counts, and `min <= max <= total` on
-    /// spans. (`u64` fields cannot encode NaN or negatives; the JSON-level
-    /// validator in `obs_check` additionally rejects reports whose raw
-    /// numbers are not non-negative integers.)
+    /// Internal-consistency check: known bucket boundaries, bucket counts
+    /// summing to histogram counts, `min <= max <= sum` on non-empty
+    /// histograms, `min <= max <= total` on spans, and no empty timeline
+    /// group. (`u64` fields cannot encode NaN or negatives, and
+    /// [`ObsReport::from_json`] refuses floats, negatives and `null` in
+    /// their place.)
     pub fn validate(&self) -> Result<(), ReportError> {
         for s in &self.spans {
             if s.count == 0 {
@@ -279,6 +300,13 @@ impl ObsReport {
                     max: h.max,
                 });
             }
+            if h.count > 0 && h.sum < h.max {
+                return Err(ReportError::HistogramSumBelowMax {
+                    name: h.name.clone(),
+                    sum: h.sum,
+                    max: h.max,
+                });
+            }
             for b in &h.buckets {
                 if b.le != 0 && !BUCKET_BOUNDS.contains(&b.le) {
                     return Err(ReportError::HistogramUnknownBoundary {
@@ -286,6 +314,11 @@ impl ObsReport {
                         boundary: b.le,
                     });
                 }
+            }
+        }
+        for t in &self.timelines {
+            if t.calls == 0 || t.chunks.is_empty() {
+                return Err(ReportError::TimelineEmpty { label: t.label.clone() });
             }
         }
         Ok(())
@@ -432,6 +465,32 @@ mod tests {
         let mut r = sample();
         r.spans[0].min_ns = 999;
         assert!(r.validate().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_sum_below_max_and_empty_timelines() {
+        let mut r = sample();
+        r.histograms[0].sum = 4; // max is 5
+        assert!(matches!(r.validate(), Err(ReportError::HistogramSumBelowMax { .. })));
+        let mut r = sample();
+        r.timelines[0].calls = 0;
+        assert!(matches!(r.validate(), Err(ReportError::TimelineEmpty { .. })));
+        let mut r = sample();
+        r.timelines[0].chunks.clear();
+        assert!(matches!(r.validate(), Err(ReportError::TimelineEmpty { .. })));
+    }
+
+    /// A NaN duration serializes as `null`; neither it nor a negative or
+    /// fractional number can stand where the report holds a `u64`.
+    #[test]
+    fn nan_and_negative_durations_rejected() {
+        let good = sample().to_json();
+        assert!(ObsReport::from_json(&good).is_ok());
+        for bad in ["null", "-4", "1.5"] {
+            let json = good.replace("\"total_ns\": 300", &format!("\"total_ns\": {bad}"));
+            assert_ne!(json, good, "the sample's total_ns was not found");
+            assert!(ObsReport::from_json(&json).is_err(), "total_ns = {bad} accepted");
+        }
     }
 
     #[test]

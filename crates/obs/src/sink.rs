@@ -2,12 +2,14 @@
 //! export ordering.
 //!
 //! Spans and histograms aggregate *incrementally* (per-path / per-name
-//! integer merges), so memory stays bounded no matter how many events are
-//! recorded, and the export order is the `BTreeMap` key order — fully
+//! integer merges) and each timeline label keeps an exact call count plus
+//! only its [`TIMELINE_RETAINED`] most recent chunk events, so memory is
+//! bounded by the number of distinct names — not by how many events are
+//! recorded — and the export order is the `BTreeMap` key order, fully
 //! deterministic regardless of thread interleaving. Counters are exact
 //! integer sums, which commute, so any interleaving yields the same value.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Mutex;
 
 use crate::hist::{Histogram, BUCKET_BOUNDS};
@@ -25,16 +27,16 @@ struct SpanAgg {
     max_ns: u64,
 }
 
-/// One raw chunk event from a `pse-par` call (bounded: one per worker per
-/// parallel call, not per item).
-#[derive(Debug, Clone)]
-pub(crate) struct ChunkEvent {
-    pub label: String,
-    pub worker: u64,
-    pub chunk: u64,
-    pub items: u64,
-    pub start_ns: u64,
-    pub dur_ns: u64,
+/// Chunk events kept per timeline label: a long-running server records
+/// one per `pse-par` chunk forever, so only the most recent ones are held
+/// (enough for the utilization estimate); `calls` stays exact.
+pub const TIMELINE_RETAINED: usize = 256;
+
+/// Aggregated state of one timeline label.
+#[derive(Debug, Default)]
+struct TimelineAgg {
+    calls: u64,
+    recent: VecDeque<ChunkSummary>,
 }
 
 /// The global sink.
@@ -43,7 +45,7 @@ pub(crate) struct Sink {
     spans: Mutex<BTreeMap<String, SpanAgg>>,
     counters: Mutex<BTreeMap<String, u64>>,
     histograms: Mutex<BTreeMap<String, Histogram>>,
-    timeline: Mutex<Vec<ChunkEvent>>,
+    timelines: Mutex<BTreeMap<String, TimelineAgg>>,
 }
 
 impl Sink {
@@ -96,19 +98,32 @@ impl Sink {
         }
     }
 
-    pub fn record_chunk(&self, ev: ChunkEvent) {
-        self.timeline.lock().expect("timeline sink poisoned").push(ev);
+    /// One executed chunk of a parallel call labelled `label`; chunk 0
+    /// marks a new call.
+    pub fn record_chunk(&self, label: &str, ev: ChunkSummary) {
+        let mut timelines = self.timelines.lock().expect("timeline sink poisoned");
+        if !timelines.contains_key(label) {
+            timelines.insert(label.to_string(), TimelineAgg::default());
+        }
+        let agg = timelines.get_mut(label).expect("just inserted");
+        if ev.chunk == 0 {
+            agg.calls += 1;
+        }
+        if agg.recent.len() == TIMELINE_RETAINED {
+            agg.recent.pop_front();
+        }
+        agg.recent.push_back(ev);
     }
 
     pub fn clear(&self) {
         self.spans.lock().expect("span sink poisoned").clear();
         self.counters.lock().expect("counter sink poisoned").clear();
         self.histograms.lock().expect("histogram sink poisoned").clear();
-        self.timeline.lock().expect("timeline sink poisoned").clear();
+        self.timelines.lock().expect("timeline sink poisoned").clear();
     }
 
     /// Snapshot into a report with deterministic ordering: spans, counters
-    /// and histograms in key order; timelines grouped by label (sorted),
+    /// and histograms in key order; timelines by label (sorted), retained
     /// chunks within a group in `(start_ns, worker, chunk)` order.
     pub fn snapshot(&self, enabled: bool) -> ObsReport {
         let spans = self
@@ -155,29 +170,15 @@ impl Sink {
             })
             .collect();
 
-        let mut groups: BTreeMap<String, TimelineGroup> = BTreeMap::new();
-        for ev in self.timeline.lock().expect("timeline sink poisoned").iter() {
-            let g = groups.entry(ev.label.clone()).or_insert_with(|| TimelineGroup {
-                label: ev.label.clone(),
-                calls: 0,
-                chunks: Vec::new(),
-            });
-            if ev.chunk == 0 {
-                g.calls += 1;
-            }
-            g.chunks.push(ChunkSummary {
-                worker: ev.worker,
-                chunk: ev.chunk,
-                items: ev.items,
-                start_ns: ev.start_ns,
-                dur_ns: ev.dur_ns,
-            });
-        }
-        let timelines = groups
-            .into_values()
-            .map(|mut g| {
-                g.chunks.sort_by_key(|c| (c.start_ns, c.worker, c.chunk));
-                g
+        let timelines = self
+            .timelines
+            .lock()
+            .expect("timeline sink poisoned")
+            .iter()
+            .map(|(label, agg)| {
+                let mut chunks: Vec<ChunkSummary> = agg.recent.iter().cloned().collect();
+                chunks.sort_by_key(|c| (c.start_ns, c.worker, c.chunk));
+                TimelineGroup { label: label.clone(), calls: agg.calls, chunks }
             })
             .collect();
 

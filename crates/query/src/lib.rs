@@ -45,14 +45,23 @@ pub use index::{CategoryIndex, Doc, SearchIndex};
 pub use resolve::{Constraint, Resolution, FUZZY_THETA, MAX_PHRASE_TOKENS};
 pub use search::{search, search_scan, Hit, SearchResult};
 
-/// Seed every counter and histogram the engine can emit, so the metric
-/// set in an observability report is a function of the engine being
-/// wired in, not of which queries happened to arrive (`obs_check`
-/// demands the full set whenever a `query.*` span is present).
-pub fn seed_metrics() {
-    for c in ["query.requests", "query.resolved_exact", "query.resolved_fuzzy", "query.no_category"]
-    {
-        pse_obs::seed(c);
+/// The engine's metric names, each written once.
+pub mod metrics {
+    pse_obs::metric_set! {
+        /// Every counter and histogram the engine can emit. Whoever wires
+        /// the engine in seeds it (`pse-serve` does at server start), so
+        /// the metric set in an observability report is a function of the
+        /// engine running, not of which queries happened to arrive;
+        /// `tests/obs_contract.rs` holds reports to exactly this set.
+        METRICS {
+            counters {
+                REQUESTS = "query.requests",
+                RESOLVED_EXACT = "query.resolved_exact",
+                RESOLVED_FUZZY = "query.resolved_fuzzy",
+                NO_CATEGORY = "query.no_category",
+            }
+            histograms { CANDIDATES = "query.candidates" }
+        }
     }
-    pse_obs::seed_histogram("query.candidates");
 }
+pub use metrics::METRICS;

@@ -12,6 +12,7 @@ use pse_core::CategoryId;
 use pse_text::{cosine_sparse, tokens, SparseVec};
 
 use crate::index::{CategoryIndex, SearchIndex};
+use crate::metrics;
 use crate::resolve::{Constraint, Resolution};
 
 /// One ranked product.
@@ -74,13 +75,13 @@ pub struct SearchResult {
 /// hits in the same order.
 pub fn search(index: &SearchIndex, query: &str, k: usize) -> SearchResult {
     let _span = pse_obs::span("query.search");
-    pse_obs::incr("query.requests");
+    pse_obs::incr(metrics::REQUESTS);
     let toks = tokens(query);
     let winners = elect_categories(index, &toks);
     let mut candidates = 0u64;
     let mut hits = Vec::new();
     if winners.is_empty() {
-        pse_obs::incr("query.no_category");
+        pse_obs::incr(metrics::NO_CATEGORY);
         for ci in index.values() {
             let mut ids: BTreeSet<u32> = BTreeSet::new();
             for t in &toks {
@@ -114,7 +115,7 @@ pub fn search(index: &SearchIndex, query: &str, k: usize) -> SearchResult {
         candidates += ids.len() as u64;
         score_docs(&mut hits, ci, &ci.query_vec(&toks), &r.constraints, ids.iter().copied());
     }
-    pse_obs::observe("query.candidates", candidates);
+    pse_obs::observe(metrics::CANDIDATES, candidates);
     rank(&mut hits, k);
     let (category, constraints) = primary(winners);
     SearchResult { category, constraints, hits }
@@ -177,8 +178,8 @@ fn elect_categories(index: &SearchIndex, toks: &[String]) -> Vec<(CategoryId, Re
     }
     if let Some((_, r)) = winners.first() {
         let exact = r.constraints.iter().filter(|c| c.exact).count() as u64;
-        pse_obs::add("query.resolved_exact", exact);
-        pse_obs::add("query.resolved_fuzzy", r.constraints.len() as u64 - exact);
+        pse_obs::add(metrics::RESOLVED_EXACT, exact);
+        pse_obs::add(metrics::RESOLVED_FUZZY, r.constraints.len() as u64 - exact);
     }
     winners
 }

@@ -45,6 +45,7 @@ use pse_synthesis::SpecProvider;
 use pse_wal::{Durability, DurabilityConfig, RecoveryStats, SnapshotStats, WalRecord};
 
 use crate::error::ServeError;
+use crate::metrics;
 use crate::shard::ShardedStore;
 
 /// The most commits one combiner applies before handing off. Bounds the
@@ -187,7 +188,7 @@ impl DurableCtx {
         // `seq` itself is always batchable: its sync returned `Ok`, so
         // its LSN is durable, and only the owner ever takes its record.
         debug_assert!(!batch.is_empty(), "combiner's own commit must be in the batch");
-        pse_obs::observe("serve.apply_batch", batch.len() as u64);
+        pse_obs::observe(metrics::APPLY_BATCH, batch.len() as u64);
         let mut updates = Vec::new();
         let mut dirty: BTreeSet<usize> = BTreeSet::new();
         let mut results = Vec::with_capacity(batch.len());
@@ -325,7 +326,7 @@ pub fn durable_ingest<P: SpecProvider>(
     provider: &P,
 ) -> Result<IngestStats, ServeError> {
     let _span = pse_obs::span("store.ingest");
-    pse_obs::add("store.ingest", offers.len() as u64);
+    pse_obs::add(pse_store::metrics::INGEST, offers.len() as u64);
     let _writer = ctx.committer.writer();
     let record = WalRecord::Ingest(store.reconcile(offers, provider));
     let stats = commit(store, ctx, catalog, record)?;

@@ -57,10 +57,48 @@ pub mod server;
 pub mod shard;
 pub mod snapshot;
 
+/// The serving layer's metric names, each written once.
+pub mod metrics {
+    pse_obs::metric_set! {
+        /// Every `serve.*` counter and histogram besides the per-endpoint
+        /// RED trio, which derives from the route table
+        /// ([`endpoint_metrics`](crate::endpoint_metrics)). [`start`](crate::start)
+        /// seeds both, so the metric set in a report is a function of the
+        /// server running, not of which requests happened to arrive —
+        /// even an all-200 run reports the full per-status set at zero.
+        METRICS {
+            counters {
+                REQUESTS = "serve.requests",
+                BACKPRESSURE_503 = "serve.backpressure_503",
+                HTTP_200 = "serve.http_200",
+                HTTP_400 = "serve.http_400",
+                HTTP_404 = "serve.http_404",
+                HTTP_405 = "serve.http_405",
+                HTTP_413 = "serve.http_413",
+                HTTP_500 = "serve.http_500",
+                HTTP_503 = "serve.http_503",
+                HTTP_OTHER = "serve.http_other",
+                IO_ERROR = "serve.io_error",
+                ACCEPT_ERROR = "serve.accept_error",
+                CACHE_HIT = "serve.cache.hit",
+                CACHE_MISS = "serve.cache.miss",
+                CACHE_INVALIDATED = "serve.cache.invalidated",
+                INGEST_OFFERS = "serve.ingest_offers",
+            }
+            histograms {
+                REQUEST_US = "serve.request_us",
+                QUEUE_DEPTH = "serve.queue_depth",
+                APPLY_BATCH = "serve.apply_batch",
+            }
+        }
+    }
+}
+pub use metrics::METRICS;
+
 pub use client::{http_request, http_request_timeout};
 pub use durable::{durable_ingest, durable_retract, durable_snapshot, open_durable, DurableCtx};
 pub use error::{store_error_code, ServeError};
 pub use http::Body;
 pub use router::{Method, Params, Query, Route, RouteOutcome, Router, Seg};
-pub use server::{start, ServerConfig, ServerHandle};
+pub use server::{endpoint_metrics, routes, start, ServerConfig, ServerHandle};
 pub use shard::{shard_of, SearchOutcome, ShardedStore, ShardedWrite};

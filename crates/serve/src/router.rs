@@ -53,7 +53,7 @@ pub enum Seg {
 
 /// The RED-metric names of one endpoint, precomputed so the request
 /// path never formats a metric name.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 pub struct EndpointMetrics {
     /// Requests routed to the endpoint.
     pub requests: &'static str,

@@ -31,6 +31,7 @@ use pse_wal::DurabilityConfig;
 use crate::durable::{durable_ingest, durable_retract, durable_snapshot, open_durable, DurableCtx};
 use crate::error::ServeError;
 use crate::http::{read_request, write_response, Body, Request};
+use crate::metrics;
 use crate::router::{EndpointMetrics, Method, Params, Query, Route, RouteOutcome, Router, Seg};
 use crate::shard::ShardedStore;
 
@@ -120,40 +121,18 @@ pub fn start(
 ) -> Result<ServerHandle, ServeError> {
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
-    // Seed every counter the record path can emit, so the counter set in
-    // a report is a function of the server running, not of which
-    // requests happened to arrive (`obs_check` requires the full set).
-    for c in [
-        "serve.requests",
-        "serve.backpressure_503",
-        "serve.http_200",
-        "serve.http_400",
-        "serve.http_404",
-        "serve.http_405",
-        "serve.http_413",
-        "serve.http_500",
-        "serve.http_503",
-        "serve.http_other",
-        "serve.io_error",
-        "serve.cache.hit",
-        "serve.cache.miss",
-        "serve.cache.invalidated",
-        "serve.accept_error",
-    ] {
-        pse_obs::seed(c);
-    }
-    // RED counters come straight off the route table (plus the
-    // non-routable outcomes), so a new route is seeded by construction.
-    for route in ROUTER.routes() {
-        pse_obs::seed(route.metrics.requests);
-        pse_obs::seed(route.metrics.errors);
-    }
-    for m in &EXTRA_ENDPOINTS {
+    // Seed everything the record path can emit, so the metric set in a
+    // report is a function of the server running, not of which requests
+    // happened to arrive. The RED trios come straight off the route table
+    // (plus the non-routable outcomes), so a new route is seeded by
+    // construction; the query engine's family is served by `GET /search`.
+    metrics::METRICS.seed();
+    for m in endpoint_metrics() {
         pse_obs::seed(m.requests);
         pse_obs::seed(m.errors);
+        pse_obs::seed_histogram(m.us);
     }
-    // The query engine's metric family, served through `GET /search`.
-    pse_query::seed_metrics();
+    pse_query::METRICS.seed();
     let (store, durability) = match (&config.wal_path, &config.snapshot_dir) {
         (Some(wal_path), Some(snapshot_dir)) => {
             let dcfg = DurabilityConfig {
@@ -301,7 +280,7 @@ fn accept_loop(inner: &Inner, listener: &TcpListener, tx: &SyncSender<TcpStream>
                 if inner.stop.load(Ordering::SeqCst) {
                     break;
                 }
-                pse_obs::incr("serve.accept_error");
+                pse_obs::incr(metrics::ACCEPT_ERROR);
                 std::thread::sleep(backoff);
                 backoff = next_accept_backoff(backoff);
                 continue;
@@ -312,12 +291,12 @@ fn accept_loop(inner: &Inner, listener: &TcpListener, tx: &SyncSender<TcpStream>
             break;
         }
         let depth = inner.queue_depth.fetch_add(1, Ordering::SeqCst) + 1;
-        pse_obs::observe("serve.queue_depth", depth as u64);
+        pse_obs::observe(metrics::QUEUE_DEPTH, depth as u64);
         match tx.try_send(stream) {
             Ok(()) => {}
             Err(TrySendError::Full(mut stream)) => {
                 inner.queue_depth.fetch_sub(1, Ordering::SeqCst);
-                pse_obs::incr("serve.backpressure_503");
+                pse_obs::incr(metrics::BACKPRESSURE_503);
                 count_status(503);
                 let _ = stream.set_write_timeout(Some(inner.config.write_timeout));
                 // No request was read, so no trace exists: empty trace_id.
@@ -342,14 +321,14 @@ fn worker_loop(inner: &Inner, rx: &Mutex<Receiver<TcpStream>>) {
 
 fn count_status(status: u16) {
     pse_obs::incr(match status {
-        200 => "serve.http_200",
-        400 => "serve.http_400",
-        404 => "serve.http_404",
-        405 => "serve.http_405",
-        413 => "serve.http_413",
-        500 => "serve.http_500",
-        503 => "serve.http_503",
-        _ => "serve.http_other",
+        200 => metrics::HTTP_200,
+        400 => metrics::HTTP_400,
+        404 => metrics::HTTP_404,
+        405 => metrics::HTTP_405,
+        413 => metrics::HTTP_413,
+        500 => metrics::HTTP_500,
+        503 => metrics::HTTP_503,
+        _ => metrics::HTTP_OTHER,
     });
 }
 
@@ -408,13 +387,31 @@ static ROUTES: &[Route<Handler>] = &[
 
 static ROUTER: Router<Handler> = Router::new(ROUTES);
 
+/// The route table with the handlers erased: what the router property
+/// tests enumerate instead of a copy of the table.
+pub fn routes() -> impl Iterator<Item = Route<()>> {
+    ROUTES.iter().map(|r| Route {
+        method: r.method,
+        pattern: r.pattern,
+        label: r.label,
+        metrics: r.metrics,
+        handler: (),
+    })
+}
+
 /// The non-routable outcomes: `other` (no route matched), `invalid`
 /// (unparseable or oversized request head), and `io` (client vanished
 /// before a request could be read).
 static EXTRA_ENDPOINTS: [EndpointMetrics; 3] =
     [endpoint_metrics_for!("other"), endpoint_metrics_for!("invalid"), endpoint_metrics_for!("io")];
 
-fn endpoint_metrics(label: &str) -> &'static EndpointMetrics {
+/// The RED metric names of every endpoint label a request can be
+/// recorded under: one per route, then the non-routable outcomes.
+pub fn endpoint_metrics() -> impl Iterator<Item = &'static EndpointMetrics> {
+    ROUTES.iter().map(|r| &r.metrics).chain(&EXTRA_ENDPOINTS)
+}
+
+fn metrics_of(label: &str) -> &'static EndpointMetrics {
     match label {
         "other" => &EXTRA_ENDPOINTS[0],
         "invalid" => &EXTRA_ENDPOINTS[1],
@@ -428,14 +425,15 @@ fn endpoint_metrics(label: &str) -> &'static EndpointMetrics {
 }
 
 /// One endpoint RED observation: exactly one per handled request, paired
-/// with the `serve.requests` increment at request start — `obs_check`
-/// verifies the per-endpoint request counters sum back to it. Errors are
-/// server-side failures: 5xx, or status 0 (client gone mid-read).
+/// with the `serve.requests` increment at request start —
+/// `tests/obs_contract.rs` verifies the per-endpoint request counters sum
+/// back to it. Errors are server-side failures: 5xx, or status 0 (client
+/// gone mid-read).
 fn record_endpoint(label: &str, status: u16, started: &Instant) {
     if !pse_obs::enabled() {
         return;
     }
-    let m = endpoint_metrics(label);
+    let m = metrics_of(label);
     pse_obs::incr(m.requests);
     if status >= 500 || status == 0 {
         pse_obs::incr(m.errors);
@@ -446,7 +444,7 @@ fn record_endpoint(label: &str, status: u16, started: &Instant) {
 fn handle_connection(inner: &Inner, stream: &mut TcpStream) {
     let mut trace = pse_obs::start_request_trace(None);
     let _span = pse_obs::span("serve.request");
-    pse_obs::incr("serve.requests");
+    pse_obs::incr(metrics::REQUESTS);
     let started = Instant::now();
     let _ = stream.set_read_timeout(Some(inner.config.read_timeout));
     let _ = stream.set_write_timeout(Some(inner.config.write_timeout));
@@ -496,7 +494,7 @@ fn handle_connection(inner: &Inner, stream: &mut TcpStream) {
         }
         Err(ServeError::Io(_)) => {
             // Client vanished or timed out; nothing to write to.
-            pse_obs::incr("serve.io_error");
+            pse_obs::incr(metrics::IO_ERROR);
             record_endpoint("io", 0, &started);
             if let Some(t) = trace.finish("io", 0) {
                 inner.recorder.record(t);
@@ -512,7 +510,7 @@ fn handle_connection(inner: &Inner, stream: &mut TcpStream) {
     {
         let _write = pse_obs::span("write");
         if write_response(stream, status, content_type, body.as_ref()).is_err() {
-            pse_obs::incr("serve.io_error");
+            pse_obs::incr(metrics::IO_ERROR);
         }
         let _ = stream.flush();
     }
@@ -522,7 +520,7 @@ fn handle_connection(inner: &Inner, stream: &mut TcpStream) {
         // it. Swallow what is in flight so the close is a clean FIN.
         drain_unread(stream);
     }
-    pse_obs::observe("serve.request_us", started.elapsed().as_micros() as u64);
+    pse_obs::observe(metrics::REQUEST_US, started.elapsed().as_micros() as u64);
     record_endpoint(endpoint, status, &started);
     if let Some(t) = trace.finish(endpoint, status) {
         inner.recorder.record(t);
@@ -753,7 +751,7 @@ fn h_ingest(inner: &Inner, request: &Request, _params: &Params) -> HandlerResult
         let _parse = pse_obs::span("parse_body");
         parse_json_body(&request.body)?
     };
-    pse_obs::add("serve.ingest_offers", offers.len() as u64);
+    pse_obs::add(metrics::INGEST_OFFERS, offers.len() as u64);
     write(inner, WriteOp::Ingest(&offers))
 }
 

@@ -59,6 +59,7 @@ use pse_synthesis::runtime::{reconcile_batch, KeyAttributes};
 use pse_synthesis::{ReconciledOffer, RuntimeConfig, SpecProvider, SynthesizedProduct};
 use pse_wal::WalRecord;
 
+use crate::metrics;
 use crate::snapshot::{
     changed_categories, empty_response, ResponseSlot, SearchSlot, ShardSnapshot, SnapshotCell,
     StoreSnapshot,
@@ -250,7 +251,7 @@ impl ShardedStore {
         provider: &P,
     ) -> IngestStats {
         let _span = pse_obs::span("store.ingest");
-        pse_obs::add("store.ingest", offers.len() as u64);
+        pse_obs::add(pse_store::metrics::INGEST, offers.len() as u64);
         let reconciled = self.reconcile(offers, provider);
         let mut write = self.ingest_reconciled(catalog, reconciled);
         write.stats.offers_in = offers.len();
@@ -445,7 +446,7 @@ impl ShardedStore {
             responses.insert(category, Arc::new(ResponseSlot::default()));
             search.insert(category, Arc::new(SearchSlot::default()));
         }
-        pse_obs::add("serve.cache.invalidated", dirty_categories.len() as u64);
+        pse_obs::add(metrics::CACHE_INVALIDATED, dirty_categories.len() as u64);
         self.published.swap(Arc::new(StoreSnapshot { shards, responses, search }));
     }
 
@@ -483,16 +484,16 @@ impl ShardedStore {
         match snap.responses.get(&category) {
             Some(slot) => match slot.built() {
                 Some(body) => {
-                    pse_obs::incr("serve.cache.hit");
+                    pse_obs::incr(metrics::CACHE_HIT);
                     Arc::clone(body)
                 }
                 None => {
-                    pse_obs::incr("serve.cache.miss");
+                    pse_obs::incr(metrics::CACHE_MISS);
                     slot.get_or_build(&snap.shards, category)
                 }
             },
             None => {
-                pse_obs::incr("serve.cache.miss");
+                pse_obs::incr(metrics::CACHE_MISS);
                 empty_response()
             }
         }

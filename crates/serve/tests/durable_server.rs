@@ -2,43 +2,12 @@
 //! snapshots under the HTTP write path, restart recovery, the background
 //! compaction fold, and byte-equivalence with the WAL-less server.
 
-use std::collections::HashMap;
+mod common;
+
 use std::path::{Path, PathBuf};
-use std::sync::OnceLock;
 
-use pse_core::{CorrespondenceSet, Offer, Spec};
-use pse_datagen::{World, WorldConfig};
+use common::fixture;
 use pse_serve::{http_request, ServerConfig, ShardedStore};
-use pse_synthesis::{ExtractingProvider, OfflineLearner, SpecProvider};
-
-struct Fixture {
-    world: World,
-    correspondences: CorrespondenceSet,
-    corpus: Vec<Offer>,
-}
-
-fn fixture() -> &'static Fixture {
-    static FIXTURE: OnceLock<Fixture> = OnceLock::new();
-    FIXTURE.get_or_init(|| {
-        let world = World::generate(WorldConfig::tiny());
-        let provider = ExtractingProvider::new(|o: &Offer| world.landing_page(o.id));
-        let offline = OfflineLearner::new().learn(
-            &world.catalog,
-            &world.offers,
-            &world.historical,
-            &provider,
-        );
-        let specs: HashMap<u64, Spec> =
-            world.offers.iter().map(|o| (o.id.0, provider.spec(o))).collect();
-        let corpus: Vec<Offer> = world
-            .offers
-            .iter()
-            .filter(|o| world.historical.product_of(o.id).is_none())
-            .map(|o| Offer { spec: specs[&o.id.0].clone(), ..o.clone() })
-            .collect();
-        Fixture { world, correspondences: offline.correspondences, corpus }
-    })
-}
 
 fn tmp(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("pse-durable-srv-{tag}-{}", std::process::id()));

@@ -9,50 +9,19 @@
 //! the empty string (the envelope shape never changes); the traced
 //! variant is covered in `trace_http.rs` where the obs lock lives.
 
-use std::collections::HashMap;
+mod common;
+
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::OnceLock;
 use std::time::Duration;
 
-use pse_core::{CorrespondenceSet, Offer, Spec};
-use pse_datagen::{World, WorldConfig};
+use common::{fixture, spec_provider};
 use pse_serve::{http_request, ServerConfig, ShardedStore};
-use pse_synthesis::{ExtractingProvider, FnProvider, OfflineLearner, SpecProvider};
-
-struct Fixture {
-    world: World,
-    correspondences: CorrespondenceSet,
-    corpus: Vec<Offer>,
-}
-
-fn fixture() -> &'static Fixture {
-    static FIXTURE: OnceLock<Fixture> = OnceLock::new();
-    FIXTURE.get_or_init(|| {
-        let world = World::generate(WorldConfig::tiny());
-        let provider = ExtractingProvider::new(|o: &Offer| world.landing_page(o.id));
-        let offline = OfflineLearner::new().learn(
-            &world.catalog,
-            &world.offers,
-            &world.historical,
-            &provider,
-        );
-        let specs: HashMap<u64, Spec> =
-            world.offers.iter().map(|o| (o.id.0, provider.spec(o))).collect();
-        let corpus: Vec<Offer> = world
-            .offers
-            .iter()
-            .filter(|o| world.historical.product_of(o.id).is_none())
-            .map(|o| Offer { spec: specs[&o.id.0].clone(), ..o.clone() })
-            .collect();
-        Fixture { world, correspondences: offline.correspondences, corpus }
-    })
-}
 
 fn started_server(shards: usize, config: ServerConfig) -> (pse_serve::ServerHandle, String) {
     let f = fixture();
     let store = ShardedStore::new(f.correspondences.clone(), shards);
-    store.ingest(&f.world.catalog, &f.corpus, &FnProvider(|o: &Offer| o.spec.clone()));
+    store.ingest(&f.world.catalog, &f.corpus, &spec_provider());
     let handle = pse_serve::start(store, f.world.catalog.clone(), config).expect("server starts");
     let addr = handle.addr().to_string();
     (handle, addr)

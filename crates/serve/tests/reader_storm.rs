@@ -81,8 +81,8 @@ fn reader_storm_sees_consistent_bytes_and_counters_reconcile() {
     let store = handle.store();
 
     let before = pse_obs::report();
-    let hits_before = before.counter("serve.cache.hit").unwrap_or(0);
-    let misses_before = before.counter("serve.cache.miss").unwrap_or(0);
+    let hits_before = before.counter(pse_serve::metrics::CACHE_HIT).unwrap_or(0);
+    let misses_before = before.counter(pse_serve::metrics::CACHE_MISS).unwrap_or(0);
 
     let done = AtomicBool::new(false);
     std::thread::scope(|scope| {
@@ -131,8 +131,10 @@ fn reader_storm_sees_consistent_bytes_and_counters_reconcile() {
 
     // Exactly one hit-or-miss per `GET /products/{category}` request.
     let after = pse_obs::report();
-    let hits = after.counter("serve.cache.hit").expect("hit counter seeded") - hits_before;
-    let misses = after.counter("serve.cache.miss").expect("miss counter seeded") - misses_before;
+    let hits =
+        after.counter(pse_serve::metrics::CACHE_HIT).expect("hit counter seeded") - hits_before;
+    let misses =
+        after.counter(pse_serve::metrics::CACHE_MISS).expect("miss counter seeded") - misses_before;
     let requests = (READERS * REQUESTS_PER_READER) as u64;
     assert_eq!(
         hits + misses,
@@ -142,7 +144,8 @@ fn reader_storm_sees_consistent_bytes_and_counters_reconcile() {
     assert!(hits > 0, "the stable category must be served from the cache");
     assert!(misses > 0, "the absent category must count as misses");
     assert!(
-        after.counter("serve.cache.invalidated").expect("invalidated counter seeded") > 0,
+        after.counter(pse_serve::metrics::CACHE_INVALIDATED).expect("invalidated counter seeded")
+            > 0,
         "the churn must invalidate its category's cached response"
     );
 

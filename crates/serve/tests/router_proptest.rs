@@ -1,192 +1,121 @@
-//! Property tests for the typed router and the shared query parser
-//! (ISSUE 10 satellite): over the server's endpoint set and arbitrary
-//! methods × paths, `Router::find` agrees with a transliteration of the
-//! legacy `match (method, path)` dispatch — with its two `starts_with`
-//! fallthrough bugs fixed — and percent-encoded query strings round-trip
+//! Property tests for the typed router and the shared query parser. The
+//! routing properties are generated from the server's own route table
+//! ([`pse_serve::routes`]), so there is no second table to keep in step:
+//! every declared route matches its own pattern and captures its
+//! parameters, an unrouted method is a 405, and a path one segment off a
+//! declared pattern is a 404. Percent-encoded query strings round-trip
 //! through `parse_query` byte-for-byte.
+
+use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
 use pse_serve::http::parse_query;
-use pse_serve::router::EndpointMetrics;
 use pse_serve::{Method, Route, RouteOutcome, Router, Seg};
 
-const M: EndpointMetrics = EndpointMetrics { requests: "r", errors: "e", us: "u" };
-
-/// The server's route table with handlers replaced by row indexes —
-/// same shape as `server.rs`'s `ROUTES`, which is private by design
-/// (the socket tests in `error_envelope.rs` pin the real table's
-/// behavior; this table pins the matching engine on the same patterns).
-static TABLE: &[Route<usize>] = &[
-    Route {
-        method: Method::Get,
-        pattern: &[Seg::Lit("healthz")],
-        label: "healthz",
-        metrics: M,
-        handler: 0,
-    },
-    Route {
-        method: Method::Get,
-        pattern: &[Seg::Lit("metrics")],
-        label: "metrics",
-        metrics: M,
-        handler: 1,
-    },
-    Route {
-        method: Method::Get,
-        pattern: &[Seg::Lit("product")],
-        label: "product",
-        metrics: M,
-        handler: 2,
-    },
-    Route {
-        method: Method::Get,
-        pattern: &[Seg::Lit("products"), Seg::Param("category")],
-        label: "products",
-        metrics: M,
-        handler: 3,
-    },
-    Route {
-        method: Method::Get,
-        pattern: &[Seg::Lit("search")],
-        label: "search",
-        metrics: M,
-        handler: 4,
-    },
-    Route {
-        method: Method::Get,
-        pattern: &[Seg::Lit("debug"), Seg::Lit("requests")],
-        label: "debug_requests",
-        metrics: M,
-        handler: 5,
-    },
-    Route {
-        method: Method::Get,
-        pattern: &[Seg::Lit("debug"), Seg::Lit("trace"), Seg::Param("id")],
-        label: "debug_trace",
-        metrics: M,
-        handler: 6,
-    },
-    Route {
-        method: Method::Post,
-        pattern: &[Seg::Lit("ingest")],
-        label: "ingest",
-        metrics: M,
-        handler: 7,
-    },
-    Route {
-        method: Method::Post,
-        pattern: &[Seg::Lit("retract")],
-        label: "retract",
-        metrics: M,
-        handler: 8,
-    },
-    Route {
-        method: Method::Post,
-        pattern: &[Seg::Lit("shutdown")],
-        label: "shutdown",
-        metrics: M,
-        handler: 9,
-    },
-];
-
-static ROUTER: Router<usize> = Router::new(TABLE);
-
-/// What the router decided, flattened for comparison: the matched label
-/// and captured params, or the error status.
-#[derive(Debug, PartialEq)]
-enum Decision {
-    Handler(&'static str, Vec<(String, String)>),
-    Status(u16),
+/// The matching engine over the server's rows, handlers erased.
+fn router() -> &'static Router<()> {
+    static ROUTER: OnceLock<Router<()>> = OnceLock::new();
+    ROUTER.get_or_init(|| Router::new(Vec::leak(pse_serve::routes().collect())))
 }
 
-fn router_decision(method: &str, path: &str) -> Decision {
-    match ROUTER.find(method, path) {
-        RouteOutcome::Matched(route, params) => {
-            let captured = ["category", "id"]
-                .iter()
-                .filter_map(|n| params.get(n).map(|v| (n.to_string(), v.to_string())))
-                .collect();
-            Decision::Handler(route.label, captured)
-        }
-        RouteOutcome::NotFound => Decision::Status(404),
-        RouteOutcome::MethodNotAllowed => Decision::Status(405),
+fn method_name(method: Method) -> &'static str {
+    match method {
+        Method::Get => "GET",
+        Method::Post => "POST",
     }
 }
 
-/// The legacy dispatch `match`, transliterated — except the two
-/// `starts_with` arms now require exactly one non-empty trailing
-/// segment, which is the documented fix (a trailing slash or an extra
-/// `/seg` used to fall through into the handler).
-fn legacy_decision(method: &str, path: &str) -> Decision {
-    fn single_nonempty_segment(rest: &str) -> Option<&str> {
-        (!rest.is_empty() && !rest.contains('/')).then_some(rest)
-    }
-    let capture = |name: &str, value: &str| vec![(name.to_string(), value.to_string())];
-    match (method, path) {
-        ("GET", "/healthz") => Decision::Handler("healthz", vec![]),
-        ("GET", "/metrics") => Decision::Handler("metrics", vec![]),
-        ("GET", "/product") => Decision::Handler("product", vec![]),
-        ("GET", p) if p.starts_with("/products/") => {
-            match single_nonempty_segment(&p["/products/".len()..]) {
-                Some(seg) => Decision::Handler("products", capture("category", seg)),
-                None => Decision::Status(404),
+/// A path `route` must match — each `{param}` filled with the next of
+/// `fill` — and the captures that match must report.
+fn path_of(route: &Route<()>, fill: &[String]) -> (String, Vec<(&'static str, String)>) {
+    let mut path = String::new();
+    let mut captures = Vec::new();
+    for seg in route.pattern {
+        path.push('/');
+        match seg {
+            Seg::Lit(lit) => path.push_str(lit),
+            Seg::Param(name) => {
+                let value = &fill[captures.len() % fill.len()];
+                path.push_str(value);
+                captures.push((*name, value.clone()));
             }
         }
-        ("GET", "/search") => Decision::Handler("search", vec![]),
-        ("GET", "/debug/requests") => Decision::Handler("debug_requests", vec![]),
-        ("GET", p) if p.starts_with("/debug/trace/") => {
-            match single_nonempty_segment(&p["/debug/trace/".len()..]) {
-                Some(seg) => Decision::Handler("debug_trace", capture("id", seg)),
-                None => Decision::Status(404),
-            }
-        }
-        ("POST", "/ingest") => Decision::Handler("ingest", vec![]),
-        ("POST", "/retract") => Decision::Handler("retract", vec![]),
-        ("POST", "/shutdown") => Decision::Handler("shutdown", vec![]),
-        ("GET" | "POST", _) => Decision::Status(404),
-        _ => Decision::Status(405),
     }
+    (path, captures)
 }
 
-const METHODS: &[&str] =
-    &["GET", "POST", "PUT", "DELETE", "PATCH", "HEAD", "get", "post", "", "G ET"];
-
-/// Segment pool biased toward the table's literals so generated paths
-/// collide with real routes often, plus near-misses and junk.
-const SEGMENTS: &[&str] = &[
-    "healthz", "metrics", "product", "products", "search", "debug", "requests", "trace", "ingest",
-    "retract", "shutdown", "7", "banana", "", "Products", "..", "a b",
-];
-
-fn method_strategy() -> impl Strategy<Value = String> {
-    (0..METHODS.len()).prop_map(|i| METHODS[i].to_string())
-}
-
-fn path_strategy() -> impl Strategy<Value = String> {
-    (proptest::collection::vec(0..SEGMENTS.len(), 0..4), any::<bool>()).prop_map(
-        |(indexes, leading_slash)| {
-            let joined = indexes.iter().map(|&i| SEGMENTS[i]).collect::<Vec<_>>().join("/");
-            if leading_slash {
-                format!("/{joined}")
-            } else {
-                joined
-            }
-        },
-    )
+fn status(method: &str, path: &str) -> Option<u16> {
+    match router().find(method, path) {
+        RouteOutcome::Matched(..) => None,
+        RouteOutcome::NotFound => Some(404),
+        RouteOutcome::MethodNotAllowed => Some(405),
+    }
 }
 
 proptest! {
-    /// The router and the (fixed) legacy match agree on every
-    /// method × path, including captures.
+    /// Every declared route matches its own pattern with arbitrary
+    /// non-empty segments in its `{param}` positions, and captures them.
     #[test]
-    fn router_agrees_with_legacy_dispatch(
-        method in method_strategy(),
-        path in path_strategy(),
+    fn every_route_matches_its_own_pattern(
+        fill in proptest::collection::vec("[A-Za-z0-9 ._%~+-]{1,10}", 1..3),
     ) {
-        let got = router_decision(&method, &path);
-        let want = legacy_decision(&method, &path);
-        prop_assert_eq!(got, want, "method={:?} path={:?}", &method, &path);
+        for route in router().routes() {
+            let (path, captures) = path_of(route, &fill);
+            match router().find(method_name(route.method), &path) {
+                RouteOutcome::Matched(found, params) => {
+                    prop_assert_eq!(found.label, route.label, "path={:?}", &path);
+                    for (name, value) in &captures {
+                        prop_assert_eq!(params.get(name), Some(value.as_str()), "path={:?}", &path);
+                    }
+                }
+                _ => prop_assert!(false, "{} {:?} did not match", route.label, &path),
+            }
+        }
+    }
+
+    /// A method the table routes nowhere is a 405 on every declared
+    /// path; the other routed method is a 404 unless the table declares
+    /// that row too.
+    #[test]
+    fn undeclared_method_on_a_declared_path(
+        fill in proptest::collection::vec("[A-Za-z0-9._~-]{1,10}", 1..3),
+        method in "(PUT|DELETE|PATCH|HEAD|OPTIONS|get|post|G ET|)",
+    ) {
+        for route in router().routes() {
+            let (path, _) = path_of(route, &fill);
+            prop_assert_eq!(status(&method, &path), Some(405), "{} {:?}", &method, &path);
+            let other = match route.method {
+                Method::Get => "POST",
+                Method::Post => "GET",
+            };
+            prop_assert_eq!(status(other, &path), Some(404), "{} {:?}", other, &path);
+        }
+    }
+
+    /// One segment off a declared pattern — an extra trailing segment, a
+    /// trailing slash, the last segment missing or emptied, no leading
+    /// slash — is a 404.
+    #[test]
+    fn a_path_one_segment_off_is_not_found(
+        fill in proptest::collection::vec("[A-Za-z0-9._~-]{1,10}", 1..3),
+        extra in "[A-Za-z0-9._~-]{1,10}",
+    ) {
+        for route in router().routes() {
+            let method = method_name(route.method);
+            let (path, _) = path_of(route, &fill);
+            let parent = &path[..path.rfind('/').expect("paths start with a slash")];
+            let near_misses = [
+                format!("{path}/{extra}"),
+                format!("{path}/"),
+                parent.to_string(),
+                format!("{parent}/"),
+                path[1..].to_string(),
+            ];
+            for miss in &near_misses {
+                prop_assert_eq!(status(method, miss), Some(404), "{} {:?}", method, miss);
+            }
+        }
     }
 }
 

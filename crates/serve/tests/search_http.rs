@@ -3,47 +3,16 @@
 //! shard count, and an index that follows ingest through the same
 //! snapshot publish that refreshes the response cache.
 
-use std::collections::HashMap;
-use std::sync::OnceLock;
+mod common;
 
-use pse_core::{CorrespondenceSet, Offer, Spec};
-use pse_datagen::{World, WorldConfig};
+use common::{fixture, spec_provider};
+use pse_core::Offer;
 use pse_serve::{http_request, ServerConfig, ShardedStore};
-use pse_synthesis::{ExtractingProvider, FnProvider, OfflineLearner, SpecProvider};
-
-struct Fixture {
-    world: World,
-    correspondences: CorrespondenceSet,
-    corpus: Vec<Offer>,
-}
-
-fn fixture() -> &'static Fixture {
-    static FIXTURE: OnceLock<Fixture> = OnceLock::new();
-    FIXTURE.get_or_init(|| {
-        let world = World::generate(WorldConfig::tiny());
-        let provider = ExtractingProvider::new(|o: &Offer| world.landing_page(o.id));
-        let offline = OfflineLearner::new().learn(
-            &world.catalog,
-            &world.offers,
-            &world.historical,
-            &provider,
-        );
-        let specs: HashMap<u64, Spec> =
-            world.offers.iter().map(|o| (o.id.0, provider.spec(o))).collect();
-        let corpus: Vec<Offer> = world
-            .offers
-            .iter()
-            .filter(|o| world.historical.product_of(o.id).is_none())
-            .map(|o| Offer { spec: specs[&o.id.0].clone(), ..o.clone() })
-            .collect();
-        Fixture { world, correspondences: offline.correspondences, corpus }
-    })
-}
 
 fn started_server(shards: usize, corpus: &[Offer]) -> (pse_serve::ServerHandle, String) {
     let f = fixture();
     let store = ShardedStore::new(f.correspondences.clone(), shards);
-    store.ingest(&f.world.catalog, corpus, &FnProvider(|o: &Offer| o.spec.clone()));
+    store.ingest(&f.world.catalog, corpus, &spec_provider());
     let handle = pse_serve::start(store, f.world.catalog.clone(), ServerConfig::default())
         .expect("server starts");
     let addr = handle.addr().to_string();
@@ -78,7 +47,7 @@ fn get_search(addr: &str, q: &str, k: Option<usize>) -> (u16, String) {
 fn query_mix() -> Vec<String> {
     let f = fixture();
     let store = ShardedStore::new(f.correspondences.clone(), 1);
-    store.ingest(&f.world.catalog, &f.corpus, &FnProvider(|o: &Offer| o.spec.clone()));
+    store.ingest(&f.world.catalog, &f.corpus, &spec_provider());
     let products = store.products();
     assert!(!products.is_empty(), "fixture synthesizes products");
     let mut queries = Vec::new();
@@ -192,7 +161,7 @@ fn search_index_follows_ingest_and_retract() {
 
     // A product that only exists once the second half lands.
     let full_store = ShardedStore::new(f.correspondences.clone(), 1);
-    full_store.ingest(&f.world.catalog, &f.corpus, &FnProvider(|o: &Offer| o.spec.clone()));
+    full_store.ingest(&f.world.catalog, &f.corpus, &spec_provider());
     let before: Vec<String> =
         handle.store().products().iter().map(|p| p.key_value.clone()).collect();
     let Some(new_product) =

@@ -2,53 +2,15 @@
 //! lifecycle, every endpoint, robustness (400/404/413, raw-socket
 //! garbage), deliberate backpressure 503, and graceful shutdown.
 
-use std::collections::HashMap;
+mod common;
+
 use std::io::Write;
 use std::net::TcpStream;
-use std::sync::OnceLock;
 use std::time::Duration;
 
-use pse_core::{CorrespondenceSet, Offer, Spec};
-use pse_datagen::{World, WorldConfig};
+use common::{fixture, spec_provider};
 use pse_serve::{http_request, ServerConfig, ShardedStore};
 use pse_store::ProductStore;
-use pse_synthesis::{ExtractingProvider, FnProvider, OfflineLearner, SpecProvider};
-
-struct Fixture {
-    world: World,
-    correspondences: CorrespondenceSet,
-    corpus: Vec<Offer>,
-}
-
-/// Like the equivalence fixture, but with specs materialized INTO the
-/// offers, because the HTTP ingest path serializes offers as JSON and the
-/// server's provider reads `offer.spec`.
-fn fixture() -> &'static Fixture {
-    static FIXTURE: OnceLock<Fixture> = OnceLock::new();
-    FIXTURE.get_or_init(|| {
-        let world = World::generate(WorldConfig::tiny());
-        let provider = ExtractingProvider::new(|o: &Offer| world.landing_page(o.id));
-        let offline = OfflineLearner::new().learn(
-            &world.catalog,
-            &world.offers,
-            &world.historical,
-            &provider,
-        );
-        let specs: HashMap<u64, Spec> =
-            world.offers.iter().map(|o| (o.id.0, provider.spec(o))).collect();
-        let corpus: Vec<Offer> = world
-            .offers
-            .iter()
-            .filter(|o| world.historical.product_of(o.id).is_none())
-            .map(|o| Offer { spec: specs[&o.id.0].clone(), ..o.clone() })
-            .collect();
-        Fixture { world, correspondences: offline.correspondences, corpus }
-    })
-}
-
-fn spec_provider() -> FnProvider<impl Fn(&Offer) -> Spec + Sync> {
-    FnProvider(|o: &Offer| o.spec.clone())
-}
 
 fn addr_of(handle: &pse_serve::ServerHandle) -> String {
     handle.addr().to_string()

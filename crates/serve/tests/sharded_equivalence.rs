@@ -4,48 +4,19 @@
 //! `ProductStore` fed the same operation stream — and a store built at
 //! one shard count reshards mid-stream to any other.
 
-use std::collections::HashMap;
-use std::sync::OnceLock;
+mod common;
 
+use std::collections::HashMap;
+
+use common::{fixture, Fixture};
 use proptest::prelude::*;
-use pse_core::{CorrespondenceSet, Offer, OfferId, Spec};
-use pse_datagen::{World, WorldConfig};
+use pse_core::{Offer, OfferId, Spec};
 use pse_serve::{shard_of, ShardedStore};
 use pse_store::ProductStore;
 use pse_synthesis::runtime::{reconcile_batch, KeyAttributes};
-use pse_synthesis::{ExtractingProvider, FnProvider, OfflineLearner, RuntimeConfig, SpecProvider};
+use pse_synthesis::{FnProvider, RuntimeConfig};
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
-struct Fixture {
-    world: World,
-    correspondences: CorrespondenceSet,
-    corpus: Vec<Offer>,
-    specs: HashMap<u64, Spec>,
-}
-
-fn fixture() -> &'static Fixture {
-    static FIXTURE: OnceLock<Fixture> = OnceLock::new();
-    FIXTURE.get_or_init(|| {
-        let world = World::generate(WorldConfig::tiny());
-        let provider = ExtractingProvider::new(|o: &Offer| world.landing_page(o.id));
-        let offline = OfflineLearner::new().learn(
-            &world.catalog,
-            &world.offers,
-            &world.historical,
-            &provider,
-        );
-        let corpus: Vec<Offer> = world
-            .offers
-            .iter()
-            .filter(|o| world.historical.product_of(o.id).is_none())
-            .cloned()
-            .collect();
-        assert!(corpus.len() >= 20, "tiny world must leave a usable unmatched corpus");
-        let specs = corpus.iter().map(|o| (o.id.0, provider.spec(o))).collect();
-        Fixture { world, correspondences: offline.correspondences, corpus, specs }
-    })
-}
 
 fn provider(f: &Fixture) -> FnProvider<impl Fn(&Offer) -> Spec + Sync + '_> {
     FnProvider(move |o: &Offer| f.specs[&o.id.0].clone())

@@ -7,16 +7,15 @@
 //! the process-global observability flag; they serialize on a local lock
 //! so cargo's parallel harness cannot interleave them.
 
-use std::collections::HashMap;
+mod common;
+
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Mutex, MutexGuard};
 
-use pse_core::{CorrespondenceSet, Offer, Spec};
-use pse_datagen::{World, WorldConfig};
+use common::{fixture, spec_provider, Fixture};
 use pse_obs::{DebugRequests, RecorderConfig, RequestTrace, TraceId};
 use pse_serve::{http_request, ServerConfig, ShardedStore};
-use pse_synthesis::{ExtractingProvider, FnProvider, OfflineLearner, SpecProvider};
 use serde::Deserialize;
 
 static TEST_LOCK: Mutex<()> = Mutex::new(());
@@ -31,41 +30,6 @@ fn obs_session() -> MutexGuard<'static, ()> {
 fn end_session() {
     pse_obs::set_enabled(false);
     pse_obs::reset();
-}
-
-struct Fixture {
-    world: World,
-    correspondences: CorrespondenceSet,
-    corpus: Vec<Offer>,
-}
-
-/// Same shape as the `server_http` fixture: specs materialized INTO the
-/// offers so the server's `FnProvider` reads `offer.spec`.
-fn fixture() -> &'static Fixture {
-    static FIXTURE: OnceLock<Fixture> = OnceLock::new();
-    FIXTURE.get_or_init(|| {
-        let world = World::generate(WorldConfig::tiny());
-        let provider = ExtractingProvider::new(|o: &Offer| world.landing_page(o.id));
-        let offline = OfflineLearner::new().learn(
-            &world.catalog,
-            &world.offers,
-            &world.historical,
-            &provider,
-        );
-        let specs: HashMap<u64, Spec> =
-            world.offers.iter().map(|o| (o.id.0, provider.spec(o))).collect();
-        let corpus: Vec<Offer> = world
-            .offers
-            .iter()
-            .filter(|o| world.historical.product_of(o.id).is_none())
-            .map(|o| Offer { spec: specs[&o.id.0].clone(), ..o.clone() })
-            .collect();
-        Fixture { world, correspondences: offline.correspondences, corpus }
-    })
-}
-
-fn spec_provider() -> FnProvider<impl Fn(&Offer) -> Spec + Sync> {
-    FnProvider(|o: &Offer| o.spec.clone())
 }
 
 fn started_server(f: &Fixture, recorder: RecorderConfig) -> (pse_serve::ServerHandle, String) {

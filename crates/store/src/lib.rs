@@ -28,8 +28,8 @@
 //!   its clusters into.
 //!
 //! The property is enforced by proptests (`tests/incremental_store.rs` at
-//! the workspace root) at 1 and 4 threads, and by the `check.sh`
-//! incremental smoke over the Table-2 corpus.
+//! the workspace root) at 1 and 4 threads; `experiments incremental`
+//! replays the Table-2 corpus the same way and fails on any divergence.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -43,6 +43,26 @@ use serde::{Deserialize, Serialize};
 
 /// Snapshot format version; bumped on incompatible layout changes.
 pub const SNAPSHOT_VERSION: u32 = 1;
+
+/// The store's metric names, each written once.
+pub mod metrics {
+    pse_obs::metric_set! {
+        /// Every `store.*` counter. Each span-emitting entry point seeds
+        /// the set, so any run that touched the store reports all of it,
+        /// even when it never snapshots, retracts or refuses an offer.
+        METRICS {
+            counters {
+                INGEST = "store.ingest",
+                CLUSTERS_DIRTY = "store.clusters_dirty",
+                REFUSED = "store.refused",
+                RETRACTED = "store.retracted",
+                SNAPSHOT = "store.snapshot",
+            }
+            histograms {}
+        }
+    }
+}
+pub use metrics::METRICS;
 
 /// Why a store operation failed. Implements `std::error::Error`; a
 /// `From<StoreError> for String` bridge is kept for one release so callers
@@ -196,22 +216,6 @@ impl ProductStore {
         self.clusters.values().map(|s| s.members.len()).sum()
     }
 
-    /// Register every gated `store.*` counter at zero. Called from each
-    /// span-emitting entry point so any run that shows a `store.*` span
-    /// also reports the full counter set (`obs_check` enforces this),
-    /// even when the run never snapshots or refuses an offer.
-    fn seed_obs_counters() {
-        for c in [
-            "store.ingest",
-            "store.clusters_dirty",
-            "store.refused",
-            "store.retracted",
-            "store.snapshot",
-        ] {
-            pse_obs::seed(c);
-        }
-    }
-
     /// Ingest a batch: reconcile (in parallel, order-preserving), route
     /// each offer to its cluster, and re-fuse only the clusters this batch
     /// touched. Offers without a category, with no mapped pairs, or with no
@@ -223,7 +227,7 @@ impl ProductStore {
         provider: &P,
     ) -> IngestStats {
         let _span = pse_obs::span("store.ingest");
-        pse_obs::add("store.ingest", offers.len() as u64);
+        pse_obs::add(metrics::INGEST, offers.len() as u64);
         let reconciled = reconcile_batch(offers, &self.correspondences, provider);
         let mut stats = self.ingest_reconciled(catalog, reconciled);
         stats.offers_in = offers.len();
@@ -255,7 +259,7 @@ impl ProductStore {
         catalog: &Catalog,
         reconciled: Vec<ReconciledOffer>,
     ) -> IngestDelta {
-        Self::seed_obs_counters();
+        METRICS.seed();
         let offers_in = reconciled.len();
         let mut dirty: BTreeSet<ClusterKey> = BTreeSet::new();
         let mut offers_routed = 0;
@@ -277,7 +281,7 @@ impl ProductStore {
             offers_routed += 1;
         }
         pse_obs::add("runtime.clusters_formed", clusters_formed);
-        pse_obs::add("store.clusters_dirty", dirty.len() as u64);
+        pse_obs::add(metrics::CLUSTERS_DIRTY, dirty.len() as u64);
         let refused = self.refuse(catalog, &dirty);
         let stats = IngestStats { offers_in, offers_routed, clusters_dirty: dirty.len(), refused };
         IngestDelta { stats, dirty: dirty.into_iter().collect() }
@@ -295,7 +299,7 @@ impl ProductStore {
     /// disappearance invalidates cached reads just as surely.
     pub fn retract_delta(&mut self, catalog: &Catalog, ids: &[OfferId]) -> IngestDelta {
         let _span = pse_obs::span("store.retract");
-        Self::seed_obs_counters();
+        METRICS.seed();
         let mut dirty: BTreeSet<ClusterKey> = BTreeSet::new();
         let mut vanished: BTreeSet<ClusterKey> = BTreeSet::new();
         let mut removed = 0;
@@ -316,8 +320,8 @@ impl ProductStore {
                 dirty.insert(key);
             }
         }
-        pse_obs::add("store.retracted", removed as u64);
-        pse_obs::add("store.clusters_dirty", dirty.len() as u64);
+        pse_obs::add(metrics::RETRACTED, removed as u64);
+        pse_obs::add(metrics::CLUSTERS_DIRTY, dirty.len() as u64);
         let refused = self.refuse(catalog, &dirty);
         let stats = IngestStats {
             offers_in: ids.len(),
@@ -371,7 +375,7 @@ impl ProductStore {
             });
         drop(refuse_span);
         let refused = work.len();
-        pse_obs::add("store.refused", refused as u64);
+        pse_obs::add(metrics::REFUSED, refused as u64);
         pse_obs::add(
             "runtime.values_fused",
             fused.iter().flatten().map(|p| p.spec.len() as u64).sum::<u64>(),
@@ -461,8 +465,8 @@ impl ProductStore {
     /// deterministic).
     pub fn snapshot_json(&self) -> String {
         let _span = pse_obs::span("store.snapshot");
-        Self::seed_obs_counters();
-        pse_obs::incr("store.snapshot");
+        METRICS.seed();
+        pse_obs::incr(metrics::SNAPSHOT);
         let snapshot = Snapshot {
             schema_version: SNAPSHOT_VERSION,
             config: self.config.clone(),
@@ -478,7 +482,7 @@ impl ProductStore {
     /// impossible state for a store maintained through `ingest`/`retract`.
     pub fn restore_json(json: &str) -> Result<Self, StoreError> {
         let _span = pse_obs::span("store.restore");
-        Self::seed_obs_counters();
+        METRICS.seed();
         let snapshot: Snapshot = serde_json::from_str(json).map_err(|e| StoreError::Json(e.0))?;
         if snapshot.schema_version != SNAPSHOT_VERSION {
             return Err(StoreError::UnsupportedVersion {

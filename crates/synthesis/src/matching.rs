@@ -34,6 +34,23 @@ use pse_text::sparse::{cosine_sparse, SparseCounts, SparseVec};
 use pse_text::tfidf::{InternedCorpus, InternedCorpusBuilder, QueryTerm};
 use pse_text::tokenize::for_each_token;
 
+/// The blocking metric names, each written once.
+pub mod metrics {
+    pse_obs::metric_set! {
+        /// What blocked candidate retrieval emits;
+        /// [`TitleMatcher::bootstrap`](super::TitleMatcher::bootstrap)
+        /// seeds the set.
+        METRICS {
+            counters {
+                CANDIDATES = "match.block.candidates",
+                SKIPPED = "match.block.skipped",
+            }
+            histograms { CANDIDATES_PER_OFFER = "match.block.candidates_per_offer" }
+        }
+    }
+}
+pub use metrics::METRICS;
+
 /// Configuration of the bootstrap matcher.
 #[derive(Debug, Clone)]
 pub struct MatcherConfig {
@@ -191,9 +208,9 @@ impl<'a> TitleMatcher<'a> {
             }
         }
         touched.sort_unstable();
-        pse_obs::add("match.block.candidates", touched.len() as u64);
-        pse_obs::add("match.block.skipped", (n - touched.len()) as u64);
-        pse_obs::observe("match.block.candidates_per_offer", touched.len() as u64);
+        pse_obs::add(metrics::CANDIDATES, touched.len() as u64);
+        pse_obs::add(metrics::SKIPPED, (n - touched.len()) as u64);
+        pse_obs::observe(metrics::CANDIDATES_PER_OFFER, touched.len() as u64);
 
         if touched.is_empty() {
             if self.config.min_similarity > 0.0 {
@@ -319,11 +336,10 @@ impl<'a> TitleMatcher<'a> {
         F: FnMut(&Offer) -> Spec,
     {
         let _span = pse_obs::span("match.bootstrap");
-        // Counters may legitimately end at zero (e.g. every offer matched
-        // by identifier); seed them so reports always carry them alongside
-        // the span.
-        pse_obs::seed("match.block.candidates");
-        pse_obs::seed("match.block.skipped");
+        // The blocking metrics may legitimately end at zero (e.g. every
+        // offer matched by identifier); seed them so reports always carry
+        // them alongside the span.
+        METRICS.seed();
         let mut matches = HistoricalMatches::new();
         for offer in offers {
             let spec = spec_of(offer);

@@ -150,6 +150,23 @@ impl std::hash::BuildHasher for PairHasherBuilder {
     }
 }
 
+/// The memo's metric names, each written once.
+pub mod metrics {
+    pse_obs::metric_set! {
+        /// What a dropped [`JwMemo`](super::JwMemo) flushes. Both may
+        /// stay at zero (exact-match-only cells), so a caller that wants
+        /// them in every report seeds the set — DUMAS does.
+        METRICS {
+            counters {
+                JW_MEMO_HIT = "softtfidf.jw_memo_hit",
+                JW_MEMO_MISS = "softtfidf.jw_memo_miss",
+            }
+            histograms {}
+        }
+    }
+}
+pub use metrics::METRICS;
+
 /// Memo of Jaro–Winkler scores per `(Sym, Sym)` pair.
 ///
 /// Scoped to one matrix build (e.g. one DUMAS (merchant, category) group)
@@ -190,8 +207,8 @@ impl JwMemo {
 
 impl Drop for JwMemo {
     fn drop(&mut self) {
-        pse_obs::add("softtfidf.jw_memo_hit", self.hits);
-        pse_obs::add("softtfidf.jw_memo_miss", self.misses);
+        pse_obs::add(metrics::JW_MEMO_HIT, self.hits);
+        pse_obs::add(metrics::JW_MEMO_MISS, self.misses);
     }
 }
 

@@ -54,7 +54,7 @@ use serde::{Deserialize, Serialize, Value};
 use crate::group::{GroupCommitConfig, GroupCommitter};
 use crate::segments::{self, Manifest, SegmentEntry, SnapshotMeta};
 use crate::wal::{self, Wal, WalRecord, WAL_HEADER_LEN};
-use crate::{codec, WalError, FORMAT_VERSION};
+use crate::{codec, metrics, WalError, FORMAT_VERSION, METRICS};
 
 /// Where durable state lives and when to compact it.
 #[derive(Debug, Clone)]
@@ -97,17 +97,6 @@ pub struct SnapshotStats {
     pub total_bytes: u64,
 }
 
-fn seed_obs_counters() {
-    for c in ["wal.append", "wal.bytes", "snapshot.segments_written", "snapshot.segments_skipped"] {
-        pse_obs::seed(c);
-    }
-    // Group-commit distributions: seeded so reports show them whenever a
-    // WAL is open, even before (or without) any grouped sync.
-    for h in ["wal.group_size", "wal.group_wait_us"] {
-        pse_obs::seed_histogram(h);
-    }
-}
-
 /// Rebuild a store from segments + WAL tail, read-only (no truncation,
 /// no rotation — the on-disk state is untouched). Returns `Ok(None)`
 /// when neither a manifest nor a WAL exists. `empty_store` supplies the
@@ -118,7 +107,7 @@ pub fn recover(
     empty_store: impl FnOnce() -> ProductStore,
 ) -> Result<Option<(ProductStore, RecoveryStats)>, WalError> {
     let _span = pse_obs::span("wal.recover");
-    seed_obs_counters();
+    METRICS.seed();
     let manifest = segments::read_manifest(&config.snapshot_dir)?;
     let mut stats = RecoveryStats::default();
     let (mut store, wal_from, manifest_gen) = match &manifest {
@@ -219,7 +208,7 @@ impl Durability {
         empty_store: impl FnOnce() -> ProductStore,
     ) -> Result<(Option<ProductStore>, Durability, RecoveryStats), WalError> {
         let _span = pse_obs::span("wal.open");
-        seed_obs_counters();
+        METRICS.seed();
         std::fs::create_dir_all(&config.snapshot_dir)?;
         if let Some(parent) = config.wal_path.parent() {
             if !parent.as_os_str().is_empty() {
@@ -331,7 +320,7 @@ impl Durability {
         if !rewrite_all && self.dirty_shards.is_empty() && !self.unfolded_records {
             // Nothing to fold; the committed snapshot already covers it.
             let m = self.manifest.as_ref().expect("manifest exists when not rewriting");
-            pse_obs::add("snapshot.segments_skipped", n_shards as u64);
+            pse_obs::add(metrics::SEGMENTS_SKIPPED, n_shards as u64);
             return Ok(SnapshotStats {
                 snapshot_id: m.snapshot_id,
                 segments_written: 0,
@@ -395,8 +384,8 @@ impl Durability {
         // layer's snapshot gate), so nothing is staged-but-unsynced.
         self.committer.reset(self.wal.sync_handle()?, self.wal.len());
         segments::gc(&dir, &manifest)?;
-        pse_obs::add("snapshot.segments_written", written as u64);
-        pse_obs::add("snapshot.segments_skipped", skipped as u64);
+        pse_obs::add(metrics::SEGMENTS_WRITTEN, written as u64);
+        pse_obs::add(metrics::SEGMENTS_SKIPPED, skipped as u64);
         let total_bytes =
             manifest.meta_bytes + manifest.segments.iter().map(|s| s.bytes).sum::<u64>();
         self.manifest = Some(manifest);

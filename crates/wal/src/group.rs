@@ -35,7 +35,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::WalError;
+use crate::{metrics, WalError};
 
 /// Group-commit tuning knobs.
 #[derive(Debug, Clone)]
@@ -190,7 +190,7 @@ impl GroupCommitter {
                 s.waiting.remove(&key);
             }
             if s.durable_lsn >= lsn {
-                pse_obs::observe("wal.group_wait_us", entered.elapsed().as_micros() as u64);
+                pse_obs::observe(metrics::GROUP_WAIT_US, entered.elapsed().as_micros() as u64);
                 return Ok(());
             }
             if s.poisoned {
@@ -211,12 +211,12 @@ impl GroupCommitter {
                 drop(s);
                 let started = Instant::now();
                 let synced = file.sync_data();
-                pse_obs::observe("wal.fsync_us", started.elapsed().as_micros() as u64);
+                pse_obs::observe(metrics::FSYNC_US, started.elapsed().as_micros() as u64);
                 s = self.state.lock().expect("group-commit state");
                 s.syncing = false;
                 match synced {
                     Ok(()) => {
-                        pse_obs::observe("wal.group_size", covered as u64);
+                        pse_obs::observe(metrics::GROUP_SIZE, covered as u64);
                         s.durable_lsn = s.durable_lsn.max(target);
                         // Commits staged while the sync was in flight
                         // stay pending for the next leader.

@@ -52,6 +52,31 @@ pub mod group;
 pub mod segments;
 pub mod wal;
 
+/// The durability layer's metric names, each written once.
+pub mod metrics {
+    pse_obs::metric_set! {
+        /// Every counter and histogram the layer can emit. Both
+        /// [`recover`](crate::recover) and [`Durability::open`](crate::Durability::open)
+        /// seed the set, so a report shows all of it whenever the layer
+        /// ran — a read-only recovery reports fsync latency and the
+        /// group-commit distributions at zero samples.
+        METRICS {
+            counters {
+                APPEND = "wal.append",
+                BYTES = "wal.bytes",
+                SEGMENTS_WRITTEN = "snapshot.segments_written",
+                SEGMENTS_SKIPPED = "snapshot.segments_skipped",
+            }
+            histograms {
+                FSYNC_US = "wal.fsync_us",
+                GROUP_SIZE = "wal.group_size",
+                GROUP_WAIT_US = "wal.group_wait_us",
+            }
+        }
+    }
+}
+pub use metrics::METRICS;
+
 pub use durability::{recover, Durability, DurabilityConfig, RecoveryStats, SnapshotStats};
 pub use group::{GroupCommitConfig, GroupCommitter, WriterGuard};
 pub use segments::{Manifest, SegmentEntry, FORMAT_VERSION};

@@ -33,7 +33,7 @@ use pse_core::OfferId;
 use pse_synthesis::ReconciledOffer;
 use serde::{Deserialize, Serialize, Value};
 
-use crate::{codec, WalError};
+use crate::{codec, metrics, WalError};
 
 /// Magic bytes opening every WAL file (name + format version).
 pub const WAL_MAGIC: [u8; 8] = *b"PSEWAL01";
@@ -185,7 +185,7 @@ impl Wal {
         file.set_len(durable_len)?;
         let started = Instant::now();
         file.sync_all()?;
-        pse_obs::observe("wal.fsync_us", started.elapsed().as_micros() as u64);
+        pse_obs::observe(metrics::FSYNC_US, started.elapsed().as_micros() as u64);
         file.seek(SeekFrom::End(0))?;
         Ok(Self { file, path: path.to_path_buf(), gen, len: durable_len })
     }
@@ -228,8 +228,8 @@ impl Wal {
         frame.extend_from_slice(&codec::fnv1a(payload).to_le_bytes());
         frame.extend_from_slice(payload);
         self.file.write_all(&frame)?;
-        pse_obs::incr("wal.append");
-        pse_obs::add("wal.bytes", frame.len() as u64);
+        pse_obs::incr(metrics::APPEND);
+        pse_obs::add(metrics::BYTES, frame.len() as u64);
         self.len += frame.len() as u64;
         Ok(self.len)
     }
