@@ -8,23 +8,27 @@
 //! forms learned by offline correspondence learning) and normalized
 //! value phrases — and, over the same symbols, a second corpus with one
 //! pre-weighted [`SoftDoc`] per distinct value for the fuzzy fallback,
-//! which is scored by the shared [`InternedSoftTfIdf`] kernel.
+//! which is scored by the shared [`InternedSoftTfIdf`] kernel on the few
+//! values a [`TokenProbe`] over the value tokens and their posting lists
+//! say can score above zero.
 //! Everything is built from the documents in one deterministic pass
 //! over an already-sorted product slice, so two builds over the same
 //! products are identical regardless of how many shards or threads
 //! produced them.
 
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
 use pse_core::{CategoryId, CorrespondenceSet};
 use pse_synthesis::SynthesizedProduct;
-use pse_text::normalize::values_equivalent;
 use pse_text::{
     normalize_attribute_name, normalize_value, tokens, InternedCorpus, InternedCorpusBuilder,
     InternedSoftTfIdf, Interner, InternerBuilder, JwMemo, SoftDoc, SparseCounts, SparseVec, Sym,
+    TokenProbe,
 };
 
+use crate::metrics;
 use crate::resolve::FUZZY_THETA;
 
 /// The full searchable catalog: one immutable index per category. The
@@ -61,6 +65,11 @@ pub struct ValueEntry {
     pub attr: String,
     /// Normalized value.
     pub value: String,
+    /// The value's interned tokens, in order, repeats kept.
+    pub(crate) syms: Vec<Sym>,
+    /// The all-digit tokens among `syms`, in order — the magnitudes the
+    /// value-equivalence digit rule compares.
+    digits: Vec<Sym>,
 }
 
 /// One category's products frozen into a searchable structure.
@@ -88,8 +97,14 @@ pub struct CategoryIndex {
     /// `values` entry), indexed by the same `interner` — the statistics
     /// the fuzzy fallback weighs by.
     value_corpus: InternedCorpus,
-    /// `value_docs[id]` = `values[id]` pre-weighted under `value_corpus`.
+    /// `value_docs[id]` = `values[id]` pre-weighted under `value_corpus`;
+    /// never empty.
     value_docs: Vec<SoftDoc>,
+    /// `value_postings[sym]` = ascending ids of the values containing that
+    /// token.
+    value_postings: Vec<Vec<u32>>,
+    /// Gate features of every token some value contains.
+    value_probe: TokenProbe,
 }
 
 impl CategoryIndex {
@@ -182,17 +197,27 @@ impl CategoryIndex {
         let soft = InternedSoftTfIdf::new(&interner, &value_corpus, FUZZY_THETA);
         let mut values = Vec::with_capacity(distinct_values.len());
         let mut value_docs = Vec::with_capacity(distinct_values.len());
+        let mut value_postings: Vec<Vec<u32>> = vec![Vec::new(); interner.len()];
         let mut value_phrases: HashMap<Vec<Sym>, Vec<u32>> = HashMap::new();
         let mut value_concats: HashMap<String, Vec<u32>> = HashMap::new();
         for ((attr, value), prov) in distinct_values.into_iter().zip(&value_tokens) {
             let id = values.len() as u32;
             let syms = interner.doc(prov).syms().to_vec();
             let concat: String = syms.iter().map(|&s| interner.resolve(s)).collect();
-            value_phrases.entry(syms).or_default().push(id);
+            let digits = syms.iter().copied().filter(|&s| is_digits(interner.resolve(s))).collect();
+            value_phrases.entry(syms.clone()).or_default().push(id);
             value_concats.entry(concat).or_default().push(id);
-            value_docs.push(soft.doc(prov));
-            values.push(ValueEntry { attr, value });
+            let doc = soft.doc(prov);
+            // An empty value would score 1.0 against an empty phrase — the
+            // one positive score no shared token explains.
+            assert!(!doc.is_empty(), "indexed values are non-empty");
+            for sym in doc.syms() {
+                value_postings[sym.0 as usize].push(id);
+            }
+            value_docs.push(doc);
+            values.push(ValueEntry { attr, value, syms, digits });
         }
+        let value_probe = TokenProbe::new(&interner, value_docs.iter().flat_map(SoftDoc::syms));
         let mut attr_phrases: HashMap<Vec<Sym>, Vec<String>> = HashMap::new();
         for (surface, catalog_attrs) in attr_names {
             if let Some(syms) = lookup_phrase(&interner, &surface) {
@@ -214,6 +239,8 @@ impl CategoryIndex {
             attr_phrases,
             value_corpus,
             value_docs,
+            value_postings,
+            value_probe,
         }
     }
 
@@ -262,20 +289,29 @@ impl CategoryIndex {
     /// fused `"30"`, `"32.5 in"` vs `"32.5 inches"`), while `"10
     /// inches"` still refuses a `"10 cm"` entry.
     pub fn hinted_equivalent_values(&self, attrs: &[String], phrase: &[String]) -> Vec<u32> {
-        self.values
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| {
-                if !attrs.contains(&e.attr) {
-                    return false;
+        // A digit-bearing phrase matches by magnitude; any other falls back
+        // to plain value equivalence, which re-tokenizes the joined phrase.
+        let by_magnitude = phrase.iter().any(|t| is_digits(t));
+        let query = (!by_magnitude).then(|| self.intern_phrase(&tokens(&phrase.join(" "))));
+        let mut ids: Vec<u32> = Vec::new();
+        for attr in attrs {
+            // Entries are in (attr, value) order: one attribute, one run.
+            let lo = self.values.partition_point(|e| e.attr < *attr);
+            for (id, e) in
+                self.values.iter().enumerate().skip(lo).take_while(|(_, e)| e.attr == *attr)
+            {
+                let hit = match &query {
+                    None => self.hinted_value_match(phrase, e),
+                    Some(q) => self.entry_equivalent(id as u32, q),
+                };
+                if hit {
+                    ids.push(id as u32);
                 }
-                let vt = tokens(&e.value);
-                hinted_value_match(phrase, &vt)
-                    || (!phrase.iter().any(|t| t.bytes().all(|b| b.is_ascii_digit()))
-                        && values_equivalent(&phrase.join(" "), &e.value))
-            })
-            .map(|(i, _)| i as u32)
-            .collect()
+            }
+        }
+        ids.sort_unstable();
+        ids.dedup();
+        ids
     }
 
     /// One value entry by id.
@@ -288,22 +324,68 @@ impl CategoryIndex {
     /// entries win ties. `None` when nothing clears the threshold.
     ///
     /// Scores are those of the reference [`pse_text::SoftTfIdf`] over the
-    /// distinct values, bit for bit (`tests/fuzzy_reference.rs`). The
-    /// phrase is weighted once, entries reuse their pre-weighted
-    /// documents, and Jaro–Winkler scores are memoized per token pair
-    /// for the duration of the call.
+    /// distinct values, bit for bit (`tests/fuzzy_reference.rs`), but only
+    /// the values that can score above zero are scored: those holding a
+    /// token equal or θ-close to a token of the phrase, found by probing
+    /// the value tokens' gate features and following their posting lists
+    /// ([`InternedSoftTfIdf::close_tokens`] has the argument). The resolver
+    /// runs the same function with one probe per query instead of one per
+    /// window.
     pub fn fuzzy_value(&self, phrase: &str) -> Option<(u32, f64)> {
-        let soft = InternedSoftTfIdf::new(&self.interner, &self.value_corpus, FUZZY_THETA);
-        let query = soft.query_doc(phrase);
+        self.fuzzy_window(&[phrase], &self.fuzzy_probe(&[phrase]))
+    }
+
+    /// One row per text: the value tokens equal or θ-close to some token
+    /// of it. Rows are keyed by the text's position, so any run of them
+    /// serves the window joining the same run of texts.
+    pub(crate) fn fuzzy_probe<S: Borrow<str>>(&self, texts: &[S]) -> Vec<Vec<Sym>> {
+        let soft = self.soft();
+        texts.iter().map(|t| soft.close_tokens(&self.value_probe, t.borrow())).collect()
+    }
+
+    /// The fuzzy scorer: SoftTFIDF at [`FUZZY_THETA`] over the distinct
+    /// values' statistics.
+    fn soft(&self) -> InternedSoftTfIdf<'_> {
+        InternedSoftTfIdf::new(&self.interner, &self.value_corpus, FUZZY_THETA)
+    }
+
+    /// [`Self::fuzzy_value`] of `window` joined by spaces, given the
+    /// [`Self::fuzzy_probe`] rows of exactly those texts.
+    pub(crate) fn fuzzy_window<S: Borrow<str>>(
+        &self,
+        window: &[S],
+        rows: &[Vec<Sym>],
+    ) -> Option<(u32, f64)> {
+        let candidates = self.fuzzy_candidates(rows);
+        if candidates.is_empty() {
+            return None;
+        }
+        pse_obs::observe(metrics::FUZZY_CANDIDATES, candidates.len() as u64);
+        let soft = self.soft();
+        let query = soft.query_doc(&window.join(" "));
         let mut memo = JwMemo::new();
         let mut best: Option<(u32, f64)> = None;
-        for (id, doc) in self.value_docs.iter().enumerate() {
-            let sim = soft.similarity(&query, doc, &mut memo);
+        for id in candidates {
+            let sim = soft.similarity(&query, &self.value_docs[id as usize], &mut memo);
             if sim >= FUZZY_THETA && best.is_none_or(|(_, b)| sim > b) {
-                best = Some((id as u32, sim));
+                best = Some((id, sim));
             }
         }
         best
+    }
+
+    /// Ascending ids of the values holding any token of `rows` — every
+    /// value whose similarity to the probed texts can be non-zero.
+    fn fuzzy_candidates(&self, rows: &[Vec<Sym>]) -> Vec<u32> {
+        let mut ids: Vec<u32> = rows
+            .iter()
+            .flatten()
+            .flat_map(|sym| &self.value_postings[sym.0 as usize])
+            .copied()
+            .collect();
+        ids.sort_unstable();
+        ids.dedup();
+        ids
     }
 
     /// Ascending doc ids containing `sym`.
@@ -328,36 +410,72 @@ impl CategoryIndex {
     /// these entries' token postings so equivalence matches — which can
     /// share no literal token with the query — are never missed.
     pub fn equivalent_values(&self, value: &str) -> Vec<u32> {
-        self.values
+        let query = self.intern_phrase(&tokens(value));
+        (0..self.values.len() as u32).filter(|&id| self.entry_equivalent(id, &query)).collect()
+    }
+
+    /// `toks` seen through the index's vocabulary.
+    fn intern_phrase(&self, toks: &[String]) -> InternedPhrase<'_> {
+        let lookup = |t: &String| self.interner.lookup(t);
+        InternedPhrase {
+            syms: toks.iter().map(lookup).collect(),
+            digits: toks.iter().filter(|t| is_digits(t)).map(lookup).collect(),
+            concat_ids: self.value_concats.get(&toks.concat()).map_or(&[], Vec::as_slice),
+        }
+    }
+
+    /// [`pse_text::normalize::values_equivalent`] of a phrase and entry
+    /// `id`, clause for clause, on interned tokens. Entries are never
+    /// empty, so an empty phrase is equivalent to none.
+    fn entry_equivalent(&self, id: u32, query: &InternedPhrase<'_>) -> bool {
+        let same = |q: &[Option<Sym>], e: &[Sym]| q.iter().copied().eq(e.iter().map(|&s| Some(s)));
+        let e = &self.values[id as usize];
+        let (q, v) = (query.syms.as_slice(), e.syms.as_slice());
+        !q.is_empty()
+            && (query.concat_ids.binary_search(&id).is_ok()
+                || (v.len() <= q.len() && q.windows(v.len()).any(|w| same(w, v)))
+                || (q.len() <= v.len() && v.windows(q.len()).any(|w| same(q, w)))
+                || (!e.digits.is_empty() && same(&query.digits, &e.digits)))
+    }
+
+    /// Whether a digit-bearing query phrase denotes the same fact as an
+    /// indexed value: identical non-empty digit sequences, and every
+    /// multi-character unit token of the phrase prefix-aligns with some unit
+    /// token of the value (`"in"`/`"inches"`, `"mb"`/`"mbps"`; never
+    /// `"inches"`/`"cm"`). Single-character leftovers of tokenization
+    /// (`"mb s"` from `"MB/s"`) are ignored; extra value tokens (merchant
+    /// junk suffixes) are allowed.
+    fn hinted_value_match(&self, phrase: &[String], e: &ValueEntry) -> bool {
+        let text = |s: &Sym| self.interner.resolve(*s);
+        let magnitudes = phrase.iter().map(String::as_str).filter(|t| is_digits(t));
+        if e.digits.is_empty() || !magnitudes.eq(e.digits.iter().map(text)) {
+            return false;
+        }
+        let prefix_align = |a: &str, b: &str| {
+            a == b || (a.len() >= 2 && b.len() >= 2 && (a.starts_with(b) || b.starts_with(a)))
+        };
+        phrase
             .iter()
-            .enumerate()
-            .filter(|(_, e)| values_equivalent(&e.value, value))
-            .map(|(i, _)| i as u32)
-            .collect()
+            .filter(|t| !is_digits(t) && t.len() >= 2)
+            .all(|p| e.syms.iter().map(text).filter(|v| !is_digits(v)).any(|v| prefix_align(p, v)))
     }
 }
 
-/// Whether a digit-bearing query phrase denotes the same fact as an
-/// indexed value: identical non-empty digit sequences, and every
-/// multi-character unit token of the phrase prefix-aligns with some unit
-/// token of the value (`"in"`/`"inches"`, `"mb"`/`"mbps"`; never
-/// `"inches"`/`"cm"`). Single-character leftovers of tokenization
-/// (`"mb s"` from `"MB/s"`) are ignored; extra value tokens (merchant
-/// junk suffixes) are allowed.
-fn hinted_value_match(phrase: &[String], value: &[String]) -> bool {
-    let is_digits = |t: &String| t.bytes().all(|b| b.is_ascii_digit());
-    let pd: Vec<&String> = phrase.iter().filter(|t| is_digits(t)).collect();
-    let vd: Vec<&String> = value.iter().filter(|t| is_digits(t)).collect();
-    if pd.is_empty() || pd != vd {
-        return false;
-    }
-    let prefix_align = |a: &str, b: &str| {
-        a == b || (a.len() >= 2 && b.len() >= 2 && (a.starts_with(b) || b.starts_with(a)))
-    };
-    phrase
-        .iter()
-        .filter(|t| !is_digits(t) && t.len() >= 2)
-        .all(|p| value.iter().filter(|t| !is_digits(t)).any(|v| prefix_align(p, v)))
+/// A value phrase on the index's vocabulary — the query side of
+/// [`CategoryIndex::entry_equivalent`]. An out-of-vocabulary token is
+/// `None`: it equals no indexed token.
+struct InternedPhrase<'a> {
+    syms: Vec<Option<Sym>>,
+    /// The all-digit tokens among `syms`, in order.
+    digits: Vec<Option<Sym>>,
+    /// Ascending ids of the entries whose separator-free concatenation
+    /// equals the phrase's.
+    concat_ids: &'a [u32],
+}
+
+/// Whether `token` is an all-digit token — a magnitude.
+fn is_digits(token: &str) -> bool {
+    token.bytes().all(|b| b.is_ascii_digit())
 }
 
 /// Look up every token of `text` in the finalized interner; `None` when
@@ -369,4 +487,64 @@ fn lookup_phrase(interner: &Interner, text: &str) -> Option<Vec<Sym>> {
         return None;
     }
     toks.iter().map(|t| interner.lookup(t)).collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use pse_core::Spec;
+
+    use super::*;
+
+    /// The scaling guard a vocabulary scan cannot pass: what a fuzzy window
+    /// scores is set by the tokens near the phrase, not by how many values
+    /// the category holds.
+    #[test]
+    fn fuzzy_candidates_do_not_grow_with_the_vocabulary() {
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        // 1,500 words of 6–10 letters over `a..=p`, two to a value.
+        let words: Vec<String> = (0..1500)
+            .map(|_| (0..6 + next(5)).map(|_| (b'a' + next(16) as u8) as char).collect())
+            .collect();
+        let mut word = || words[next(1500) as usize].as_str();
+        let products: Vec<SynthesizedProduct> = (0..1100)
+            .map(|i| SynthesizedProduct {
+                category: CategoryId(0),
+                key_attribute: "MPN".into(),
+                key_value: format!("{i:04}"),
+                spec: Spec::from_pairs([
+                    ("model", format!("{} {}", word(), word())),
+                    ("series", format!("{} {}", word(), word())),
+                ]),
+                offers: Vec::new(),
+            })
+            .collect();
+        let refs: Vec<&SynthesizedProduct> = products.iter().collect();
+        let idx = CategoryIndex::build(CategoryId(0), &refs, &CorrespondenceSet::new());
+        assert!(idx.values.len() >= 2000, "{} distinct values", idx.values.len());
+
+        // One substitution in an indexed value's first token: it still
+        // resolves, by scoring a handful of values.
+        let target = &idx.values[1000];
+        let misspelt: String = idx
+            .interner
+            .resolve(target.syms[0])
+            .chars()
+            .enumerate()
+            .map(|(i, c)| if i == 3 { 'x' } else { c })
+            .collect();
+        let phrase = format!("{misspelt} {}", idx.interner.resolve(target.syms[1]));
+        let scored = idx.fuzzy_candidates(&idx.fuzzy_probe(&[misspelt.as_str()]));
+        assert!(scored.contains(&1000) && scored.len() <= 32, "{} values scored", scored.len());
+        let (id, _) = idx.fuzzy_value(&phrase).expect("one edit stays above θ");
+        assert_eq!(idx.values[id as usize].value, target.value);
+        // A token near nothing scores nothing.
+        assert_eq!(idx.fuzzy_candidates(&idx.fuzzy_probe(&["zzyzxq"])), Vec::<u32>::new());
+        assert_eq!(idx.fuzzy_value("zzyzxq"), None);
+    }
 }

@@ -16,9 +16,13 @@
 //! 2. **Resolution** — each phrase becomes a `(category, attribute,
 //!    normalized value)` constraint: exact interned-token lookup first,
 //!    then a SoftTFIDF fallback for fuzzy value matches at or above
-//!    [`FUZZY_THETA`]. The query's category is inferred by voting across
-//!    the per-category resolutions (sum of constraint scores; ties break
-//!    to more constraints, then the smaller id).
+//!    [`FUZZY_THETA`], which scores only the values holding a token equal
+//!    or θ-close to a query token (one token probe per category and
+//!    query, then posting lists). The query's category is elected across
+//!    the per-category resolutions by query tokens covered, then summed
+//!    constraint score (plus a bonus per hint-bound constraint), then
+//!    constraint count; categories that tie exactly are *all* elected and
+//!    their hits ranked together.
 //! 3. **Retrieval** — candidates come from an inverted index over
 //!    interned tokens ([`CategoryIndex`]): the union of the postings of
 //!    every query token, plus the postings of every indexed value
@@ -28,8 +32,10 @@
 //!    full scan — [`search`] and [`search_scan`] are byte-identical,
 //!    property-pinned in the crate tests.
 //! 4. **Ranking** — candidates order by (constraints satisfied desc,
-//!    TF-IDF cosine over interned tokens desc, cluster key asc), using
-//!    the same [`pse_text::InternedCorpus`] weighting the matcher uses.
+//!    TF-IDF cosine over interned tokens × `1 + ln(offers fused)` desc,
+//!    cluster key asc): the same [`pse_text::InternedCorpus`] weighting
+//!    the matcher uses, scaled by the evidence behind the product so a
+//!    many-merchant product outranks a single-offer phantom cluster.
 //!
 //! The engine itself is single-threaded and allocation-light; the
 //! serving layer keeps one [`CategoryIndex`] per category, built lazily
@@ -60,7 +66,10 @@ pub mod metrics {
                 RESOLVED_FUZZY = "query.resolved_fuzzy",
                 NO_CATEGORY = "query.no_category",
             }
-            histograms { CANDIDATES = "query.candidates" }
+            histograms {
+                CANDIDATES = "query.candidates",
+                FUZZY_CANDIDATES = "query.fuzzy_candidates",
+            }
         }
     }
 }

@@ -11,6 +11,8 @@
 //! the position. Tokens that resolve to nothing stay free text and
 //! still participate in TF-IDF ranking.
 
+use pse_text::Sym;
+
 use crate::index::CategoryIndex;
 
 /// Inner SoftTFIDF threshold for the fuzzy value fallback, and the θ of
@@ -103,6 +105,8 @@ impl Resolution {
         // (attributes it may name, token length of the naming phrase),
         // consumed by the next value constraint.
         let mut hint: Option<(Vec<String>, usize)> = None;
+        // `CategoryIndex::fuzzy_probe` rows, one per query token.
+        let mut probe: Option<Vec<Vec<Sym>>> = None;
         let mut i = 0;
         while i < toks.len() {
             let max_len = MAX_PHRASE_TOKENS.min(toks.len() - i);
@@ -183,13 +187,16 @@ impl Resolution {
             }
             // Fuzzy fallback, longest phrase first so "cannon" can still
             // bind a multi-token brand; single unresolvable tokens stay
-            // free text.
+            // free text. The first position to get here probes the index
+            // for every token of the query; each window then scores only
+            // what its own tokens' rows point at.
+            let rows = probe.get_or_insert_with(|| index.fuzzy_probe(toks));
             for len in (1..=max_len).rev() {
-                let phrase = toks[i..i + len].join(" ");
-                if let Some((id, sim)) = index.fuzzy_value(&phrase) {
+                let window = &toks[i..i + len];
+                if let Some((id, sim)) = index.fuzzy_window(window, &rows[i..i + len]) {
                     constraints.push(make_constraint(
                         index,
-                        &toks[i..i + len],
+                        window,
                         &[id],
                         sim,
                         false,

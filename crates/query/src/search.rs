@@ -104,10 +104,8 @@ pub fn search(index: &SearchIndex, query: &str, k: usize) -> SearchResult {
         for c in &r.constraints {
             for (_, cv) in &c.candidates {
                 for vid in ci.equivalent_values(cv) {
-                    for vt in tokens(&ci.value_entry(vid).value) {
-                        if let Some(sym) = ci.lookup(&vt) {
-                            ids.extend(ci.postings(sym));
-                        }
+                    for &sym in &ci.value_entry(vid).syms {
+                        ids.extend(ci.postings(sym));
                     }
                 }
             }

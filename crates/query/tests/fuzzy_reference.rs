@@ -1,6 +1,8 @@
 //! Property pin: [`CategoryIndex::fuzzy_value`] is the first arg-max at
 //! or above θ of the paper-literal string [`SoftTfIdf`] over the index's
-//! distinct values — same entry id, same `f64` bits.
+//! distinct values — same entry id, same `f64` bits — and so is every
+//! fuzzy window of [`Resolution::resolve`], which shares one token probe
+//! across the windows of a query.
 //!
 //! `search_proptest` cannot see a drift here (it runs the same
 //! `fuzzy_value` on both sides of its comparison), and the benchmark's
@@ -15,7 +17,7 @@ use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 use pse_core::{CategoryId, CorrespondenceSet, Spec};
-use pse_query::{CategoryIndex, FUZZY_THETA};
+use pse_query::{CategoryIndex, Constraint, Resolution, FUZZY_THETA, MAX_PHRASE_TOKENS};
 use pse_synthesis::SynthesizedProduct;
 use pse_text::tfidf::TfIdfCorpus;
 use pse_text::{BagOfWords, SoftTfIdf};
@@ -148,6 +150,68 @@ proptest! {
         let q = phrase(&ps, spec);
         let idx = build(&ps);
         prop_assert_eq!(bits(idx.fuzzy_value(&q)), bits(reference(&idx, &q)), "phrase {:?}", q);
+    }
+}
+
+/// [`Resolution::resolve`] where no exact route applies: greedy, longest
+/// window first, every window resolved by [`reference`].
+fn reference_resolve(idx: &CategoryIndex, toks: &[String]) -> Vec<Constraint> {
+    let mut out = Vec::new();
+    let mut i = 0;
+    while i < toks.len() {
+        let longest = MAX_PHRASE_TOKENS.min(toks.len() - i);
+        let hit = (1..=longest).rev().find_map(|len| {
+            let phrase = toks[i..i + len].join(" ");
+            reference(idx, &phrase).map(|(id, sim)| (len, phrase, id, sim))
+        });
+        let Some((len, phrase, id, score)) = hit else {
+            i += 1;
+            continue;
+        };
+        let e = idx.value_entry(id);
+        let (attribute, value) = (e.attr.clone(), e.value.clone());
+        let candidates = vec![(attribute.clone(), value.clone())];
+        out.push(Constraint {
+            phrase,
+            attribute,
+            value,
+            candidates,
+            score,
+            exact: false,
+            hinted: false,
+        });
+        i += len;
+    }
+    out
+}
+
+proptest! {
+    /// The resolver reaches the scorer through one probe shared by every
+    /// window of the query, not through `fuzzy_value`: pin that route too.
+    /// Queries are runs of misspelt indexed values and out-of-vocabulary
+    /// tokens; [`ATTRS`] words never occur, so no hint is ever pending.
+    #[test]
+    fn resolver_equals_reference_per_window(
+        ps in products(),
+        specs in proptest::collection::vec(phrase_spec(), 1..4),
+    ) {
+        let q: Vec<String> = specs
+            .into_iter()
+            .map(|(seed, toks)| {
+                let edited = toks.into_iter().map(|(v, edit, pos)| (v, edit.max(1), pos)).collect();
+                phrase(&ps, (seed, edited))
+            })
+            .collect();
+        let toks = pse_text::tokens(&q.join(" "));
+        let idx = build(&ps);
+        let got = Resolution::resolve(&idx, &toks).constraints;
+        // An edit can land on another indexed token (or leave `"500"` as it
+        // was): that window is not this property's.
+        prop_assume!(got.iter().all(|c| !c.exact));
+        let want = reference_resolve(&idx, &toks);
+        let score_bits = |cs: &[Constraint]| cs.iter().map(|c| c.score.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(score_bits(&got), score_bits(&want), "query {:?}", toks);
+        prop_assert_eq!(got, want, "query {:?}", toks);
     }
 }
 

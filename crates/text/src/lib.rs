@@ -27,6 +27,7 @@
 //! | TF-IDF weights, cosine | [`InternedCorpus::weight_counts`], [`cosine_sparse`] | [`tfidf::TfIdfCorpus::weight_vector`], [`tfidf::cosine_of`] | `interned_equivalence::tfidf_cosine_bit_matches_string_path`; COMA `indexed_scores_match_string_reference` |
 //! | TF-IDF weights of out-of-vocabulary text | [`InternedCorpus::weight_query`] | [`tfidf::TfIdfCorpus::weight_vector`] | same test; `matcher_equivalence` (title matcher) |
 //! | SoftTFIDF | [`InternedSoftTfIdf::similarity`] | [`SoftTfIdf::similarity`] | `interned_equivalence::softtfidf_bit_matches_string_path`; `matcher_equivalence` (DUMAS); `pse-query`'s `fuzzy_reference` |
+//! | tokens that can give SoftTFIDF > 0 | [`InternedSoftTfIdf::close_tokens`] over a [`TokenProbe`] | a Jaro–Winkler scan of the vocabulary (in the test) | `softtfidf::tests::close_tokens_is_the_brute_force_set`, `pair_gate_never_rejects_a_close_pair` |
 
 pub mod bow;
 pub mod divergence;
@@ -42,7 +43,7 @@ pub use bow::BagOfWords;
 pub use divergence::{cosine_bags, jaccard_bags, jensen_shannon, l1_distance};
 pub use intern::{Interner, InternerBuilder, Sym, TokenDoc};
 pub use normalize::{normalize_attribute_name, normalize_value};
-pub use softtfidf::{InternedSoftTfIdf, JwMemo, SoftDoc, SoftTfIdf};
+pub use softtfidf::{InternedSoftTfIdf, JwMemo, SoftDoc, SoftTfIdf, TokenProbe};
 pub use sparse::{
     cosine_counts, cosine_sparse, dot_sparse, jaccard_counts, jensen_shannon_counts, l1_counts,
     SparseCounts, SparseVec,

@@ -11,9 +11,9 @@ use std::collections::{BTreeMap, HashMap};
 use crate::bow::BagOfWords;
 use crate::intern::{Interner, Sym};
 use crate::sparse::SparseCounts;
-use crate::strsim::{jaro_winkler, jaro_winkler_with, JaroScratch};
+use crate::strsim::{jaro_winkler, jaro_winkler_with, winkler_prefix, JaroScratch};
 use crate::tfidf::{InternedCorpus, QueryTerm, TfIdfCorpus};
-use crate::tokenize::tokens;
+use crate::tokenize::{for_each_token, tokens};
 
 /// SoftTFIDF similarity with a shared IDF corpus, on token text — the
 /// paper-literal reference. Production code uses [`InternedSoftTfIdf`];
@@ -99,9 +99,9 @@ pub struct SoftDoc {
     /// interleaves its out-of-vocabulary tokens, numbered
     /// `Sym(vocabulary size + i)` for `oov[i]`.
     entries: Vec<(Sym, f64)>,
-    /// Character count of each token, parallel to `entries` — feeds the
-    /// length-based θ-prefilter in [`InternedSoftTfIdf::similarity`].
-    lens: Vec<u32>,
+    /// Gate features of each token, parallel to `entries` — what
+    /// [`InternedSoftTfIdf::similarity`]'s pair gate reads before any text.
+    gates: Vec<TokenGate>,
     /// Text of a query's out-of-vocabulary tokens; empty for a vocabulary
     /// value. The ids above mean something inside this document only.
     oov: Vec<String>,
@@ -111,6 +111,85 @@ impl SoftDoc {
     /// Whether the underlying value had no tokens.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
+    }
+
+    /// The distinct tokens, ascending by text (for a vocabulary value:
+    /// ascending [`Sym`]).
+    pub fn syms(&self) -> impl Iterator<Item = Sym> + '_ {
+        self.entries.iter().map(|&(s, _)| s)
+    }
+}
+
+/// What the pair gate knows of a token without reading its text: the
+/// character count, and one bit per character class present. Any map from
+/// characters to 64 classes is sound (equal characters share a class);
+/// this one keeps the tokenizer's common output — `a–z`, `0–9` — collision
+/// free.
+#[derive(Debug, Clone, Copy, Default)]
+struct TokenGate {
+    len: u32,
+    mask: u64,
+}
+
+impl TokenGate {
+    fn of(token: &str) -> Self {
+        let mut gate = Self::default();
+        for c in token.chars() {
+            let class = match c {
+                'a'..='z' => c as u32 - 'a' as u32,
+                '0'..='9' => 26 + (c as u32 - '0' as u32),
+                _ => 36 + c as u32 % 28,
+            };
+            gate.len += 1;
+            gate.mask |= 1 << class;
+        }
+        gate
+    }
+
+    /// Upper bound on the match count `m` of `jaro(t, u)`. A character
+    /// class of `t` absent from `u` holds at least one character of `t` that
+    /// equals no character of `u` and so cannot be matched: `m` is at most
+    /// `|t|` minus the number of such classes, symmetrically for `u` — and
+    /// so never above `min(|t|, |u|)`.
+    fn match_bound(self, other: Self) -> u32 {
+        (self.len - (self.mask & !other.mask).count_ones())
+            .min(other.len - (other.mask & !self.mask).count_ones())
+    }
+}
+
+/// Gate features of a set of vocabulary tokens, sliced by length — what
+/// [`InternedSoftTfIdf::close_tokens`] scans instead of the values that
+/// contain them.
+#[derive(Debug, Clone, Default)]
+pub struct TokenProbe {
+    /// `(character-class mask, token)`, ascending by (length, token).
+    tokens: Vec<(u64, Sym)>,
+    /// `tokens[len_start[l]..len_start[l + 1]]` are the tokens of `l`
+    /// characters.
+    len_start: Vec<u32>,
+}
+
+impl TokenProbe {
+    /// Index `syms` (duplicates allowed), which `interner` must know.
+    pub fn new(interner: &Interner, syms: impl IntoIterator<Item = Sym>) -> Self {
+        let mut keyed: Vec<(u32, Sym, u64)> = syms
+            .into_iter()
+            .map(|s| {
+                let gate = TokenGate::of(interner.resolve(s));
+                (gate.len, s, gate.mask)
+            })
+            .collect();
+        keyed.sort_unstable();
+        keyed.dedup();
+        let longest = keyed.last().map_or(0, |&(len, ..)| len as usize);
+        let mut len_start = vec![0u32; longest + 2];
+        for &(len, ..) in &keyed {
+            len_start[len as usize + 1] += 1;
+        }
+        for l in 1..len_start.len() {
+            len_start[l] += len_start[l - 1];
+        }
+        Self { tokens: keyed.into_iter().map(|(_, s, mask)| (mask, s)).collect(), len_start }
     }
 }
 
@@ -226,10 +305,14 @@ impl Drop for JwMemo {
 /// Near-match blocking note: unlike exact-token cosine (see the inverted
 /// index in `pse-synthesis`'s `TitleMatcher`), SoftTFIDF cannot be blocked
 /// on shared exact tokens — a pair may score > 0 through θ-close tokens
-/// only. Instead of a per-cell rescan, the θ-close search is amortized by
-/// [`JwMemo`]: each distinct token pair of the group's vocabulary is scored
-/// once per matrix build (equivalent to scanning the group's token list once
-/// per distinct query token, rather than once per product cell).
+/// only. It is blocked one level down, on tokens: a value scores above zero
+/// only if it holds a token equal or θ-close to a query token, so a caller
+/// with many values per query ([`Self::close_tokens`] over a
+/// [`TokenProbe`], then a posting list — the search index's fuzzy resolver)
+/// scores only those. Within a matrix build the θ-close search is amortized
+/// by [`JwMemo`]: each distinct token pair of the group's vocabulary is
+/// scored once (equivalent to scanning the group's token list once per
+/// distinct query token, rather than once per product cell).
 #[derive(Debug)]
 pub struct InternedSoftTfIdf<'a> {
     interner: &'a Interner,
@@ -249,8 +332,8 @@ impl<'a> InternedSoftTfIdf<'a> {
     pub fn doc(&self, provisional: &[u32]) -> SoftDoc {
         let counts = SparseCounts::from_doc(&self.interner.doc(provisional));
         let entries = self.corpus.weight_counts(&counts).entries().to_vec();
-        let lens = entries.iter().map(|&(s, _)| char_len(self.interner.resolve(s))).collect();
-        SoftDoc { entries, lens, oov: Vec::new() }
+        let gates = entries.iter().map(|&(s, _)| TokenGate::of(self.interner.resolve(s))).collect();
+        SoftDoc { entries, gates, oov: Vec::new() }
     }
 
     /// Pre-weight free text that may leave the vocabulary — the first
@@ -262,12 +345,12 @@ impl<'a> InternedSoftTfIdf<'a> {
         for (term, w) in self.corpus.weight_query(self.interner, [text]) {
             let sym = match term {
                 QueryTerm::Known(s) => {
-                    doc.lens.push(char_len(self.interner.resolve(s)));
+                    doc.gates.push(TokenGate::of(self.interner.resolve(s)));
                     s
                 }
                 QueryTerm::Unknown(t) => {
                     let s = Sym((self.interner.len() + doc.oov.len()) as u32);
-                    doc.lens.push(char_len(&t));
+                    doc.gates.push(TokenGate::of(&t));
                     doc.oov.push(t);
                     s
                 }
@@ -277,30 +360,103 @@ impl<'a> InternedSoftTfIdf<'a> {
         doc
     }
 
+    /// The pair gate's one inequality: whether two tokens of `la` and `lb`
+    /// characters with at most `m` matched characters and a common prefix
+    /// of `prefix ≤ 4` can reach Jaro–Winkler θ. `false` proves `jw < θ`.
+    ///
+    /// Transpositions only lower the score, so `jaro = (m/la + m/lb +
+    /// (m − tr)/m) / 3 ≤ jbound = (m/la + m/lb + 1) / 3`, increasing in `m`
+    /// (at `m = 0`, `jaro = 0` and the `1/3` is merely loose). The Winkler
+    /// boost is `0.1·ℓ·(1 − jaro)` for the true common-prefix length `ℓ`,
+    /// and `jaro + 0.1·ℓ·(1 − jaro)` is increasing in `jaro` and in `ℓ` for
+    /// `ℓ ≤ 4`, so `jw ≤ jbound + 0.1·prefix·(1 − jbound)` whenever `m` and
+    /// `prefix` are upper bounds. With `prefix = 4`, `jw ≥ θ` needs `jaro ≥
+    /// (θ − 0.4) / 0.6`; on lengths alone (`m = min(la, lb)`) that is the
+    /// cut `mn/mx ≥ 5·(θ − 0.8)`, which never fires for θ ≤ 0.8. The `1e-6`
+    /// slack means float rounding can only make the gate *less* aggressive,
+    /// never unsound.
+    fn bound_reaches_theta(&self, m: u32, la: u32, lb: u32, prefix: usize) -> bool {
+        let m = m as f64;
+        let jbound = (m / la as f64 + m / lb as f64 + 1.0) / 3.0;
+        jbound + 0.1 * prefix as f64 * (1.0 - jbound) >= self.theta - 1e-6
+    }
+
+    /// The pair gate: whether `jaro_winkler(t, u)` can reach θ, for a token
+    /// `t` (text `ta`, features `ga`) and a vocabulary token `u`. A rejected
+    /// pair could never have entered a `best` update or a probe result, so
+    /// every caller's output is bit-identical to the ungated computation.
+    /// [`TokenGate::match_bound`] bounds the matches; the prefix is first
+    /// taken as 4, before any text is read, then as it is.
+    fn may_reach_theta(&self, ta: &str, ga: TokenGate, u: Sym, gu: TokenGate) -> bool {
+        let m = ga.match_bound(gu);
+        self.bound_reaches_theta(m, ga.len, gu.len, 4)
+            && self.bound_reaches_theta(
+                m,
+                ga.len,
+                gu.len,
+                winkler_prefix(ta, self.interner.resolve(u)),
+            )
+    }
+
+    /// Every token of `probe` that equals, or is Jaro–Winkler ≥ θ to, some
+    /// token of `text` — ascending, each once. `text` is tokenized as
+    /// [`Self::query_doc`] tokenizes it, and `probe` must index tokens of
+    /// this vocabulary.
+    ///
+    /// This is the candidate side of [`Self::similarity`]: `similarity(
+    /// query_doc(text), v)` sums one non-negative term per query token, and
+    /// a term is non-zero only through a token of `v` that is equal (the
+    /// short-circuit) or θ-close (the `best` scan) to it. A non-empty `v`
+    /// holding none of the returned tokens therefore scores exactly `0.0`.
+    pub fn close_tokens(&self, probe: &TokenProbe, text: &str) -> Vec<Sym> {
+        let mut out = Vec::new();
+        let mut scratch = JaroScratch::default();
+        for_each_token(text, |t| {
+            let gt = TokenGate::of(t);
+            for (len, slice) in probe.len_start.windows(2).enumerate() {
+                let len = len as u32;
+                // The pair gate, split so the scan compares integers: the
+                // inequality is monotone in `m`, so per length it becomes
+                // "at least `need` matches", found from the top; a length
+                // that fails with every character matched is skipped whole.
+                let reaches = |m| self.bound_reaches_theta(m, gt.len, len, 4);
+                let mut need = gt.len.min(len);
+                if slice[0] == slice[1] || !reaches(need) {
+                    continue;
+                }
+                while need > 0 && reaches(need - 1) {
+                    need -= 1;
+                }
+                for &(mask, u) in &probe.tokens[slice[0] as usize..slice[1] as usize] {
+                    let m = gt.match_bound(TokenGate { len, mask });
+                    if m < need {
+                        continue;
+                    }
+                    let tu = self.interner.resolve(u);
+                    if self.bound_reaches_theta(m, gt.len, len, winkler_prefix(t, tu))
+                        && (tu == t || jaro_winkler_with(&mut scratch, t, tu) >= self.theta)
+                    {
+                        out.push(u);
+                    }
+                }
+            }
+        });
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+
     /// SoftTFIDF similarity of two pre-weighted values, in `[0, 1]`. `b`
     /// must be a vocabulary value ([`Self::doc`]); `a` may be a query.
     ///
-    /// Token pairs that provably cannot reach θ are skipped before any
-    /// Jaro–Winkler work. With `mn = min(|t|, |u|)`, `mx = max(|t|, |u|)`:
-    /// at most `mn` characters match and transpositions only lower the
-    /// score, so `jaro ≤ (mn/mx + 2) / 3`. The Winkler boost is
-    /// `0.1·ℓ·(1 − jaro)` for the true common-prefix length `ℓ ≤ 4`, and is
-    /// monotone in jaro for `ℓ ≤ 4`, so
-    /// `jw ≤ jbound + 0.1·ℓ·(1 − jbound)` with `jbound = (mn/mx + 2) / 3`.
-    /// A skipped pair therefore scores strictly below θ and could never have
-    /// entered the `best` update; the result is bit-identical to the
-    /// unfiltered scan. Both comparisons keep a `1e-6` slack so float
-    /// rounding can only make the filter *less* aggressive, never unsound.
+    /// Token pairs that provably cannot reach θ are skipped by the pair
+    /// gate before any Jaro–Winkler work; the result is bit-identical
+    /// to the unfiltered scan.
     pub fn similarity(&self, a: &SoftDoc, b: &SoftDoc, memo: &mut JwMemo) -> f64 {
         debug_assert!(b.oov.is_empty(), "the second value must be in vocabulary");
         if a.is_empty() || b.is_empty() {
             return if a.is_empty() && b.is_empty() { 1.0 } else { 0.0 };
         }
-        // Cheap pre-test without resolving strings: assume the maximal
-        // prefix boost (ℓ = 4, i.e. jw ≤ 0.8 + 0.2·mn/mx) and skip iff
-        // mn/mx < (θ − 0.8)·5. For θ ≤ 0.8 the cut is ≤ 0 and never fires.
-        let cut = (self.theta - 0.8) * 5.0;
-        let theta_gate = self.theta - 1e-6;
         let mut sum = 0.0;
         for (ai, &(t, wa)) in a.entries.iter().enumerate() {
             // Exact matches short-circuit the O(|T|) scan. (An
@@ -309,7 +465,7 @@ impl<'a> InternedSoftTfIdf<'a> {
                 sum += wa * b.entries[bi].1;
                 continue;
             }
-            let la = a.lens[ai];
+            let ga = a.gates[ai];
             let ta = match (t.0 as usize).checked_sub(self.interner.len()) {
                 None => self.interner.resolve(t),
                 Some(i) => a.oov[i].as_str(),
@@ -317,19 +473,10 @@ impl<'a> InternedSoftTfIdf<'a> {
             let mut best = 0.0f64;
             let mut best_w = 0.0f64;
             for (bi, &(u, wb)) in b.entries.iter().enumerate() {
-                let lb = b.lens[bi];
-                let (mn, mx) = if la <= lb { (la, lb) } else { (lb, la) };
-                if (mn as f64) < cut * (mx as f64) - 1e-6 {
+                if !self.may_reach_theta(ta, ga, u, b.gates[bi]) {
                     continue;
                 }
-                // Tighter test with the true prefix length.
-                let tu = self.interner.resolve(u);
-                let prefix = ta.chars().zip(tu.chars()).take(4).take_while(|(x, y)| x == y).count();
-                let jbound = (mn as f64 / mx as f64 + 2.0) / 3.0;
-                if jbound + 0.1 * prefix as f64 * (1.0 - jbound) < theta_gate {
-                    continue;
-                }
-                let s = memo.jw(t, u, ta, tu);
+                let s = memo.jw(t, u, ta, self.interner.resolve(u));
                 if s >= self.theta && s > best {
                     best = s;
                     best_w = wb;
@@ -343,13 +490,12 @@ impl<'a> InternedSoftTfIdf<'a> {
     }
 }
 
-fn char_len(token: &str) -> u32 {
-    token.chars().count() as u32
-}
-
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+    use crate::intern::InternerBuilder;
 
     fn corpus_of(docs: &[&str]) -> TfIdfCorpus {
         let mut c = TfIdfCorpus::new();
@@ -384,6 +530,90 @@ mod tests {
         let s = SoftTfIdf::new(corpus_of(&["x"]));
         assert_eq!(s.similarity("", ""), 1.0);
         assert_eq!(s.similarity("", "x"), 0.0);
+    }
+
+    /// Lowercase alphanumeric tokens over an alphabet small enough that
+    /// repeats and near-collisions are the norm, with every kind of
+    /// character class: letters, digits, and two-byte `é`/`ß`.
+    fn token() -> impl Strategy<Value = String> {
+        "[abcdeéß12]{1,9}"
+    }
+
+    /// `token` with one edit at `pos`: transpose, delete, substitute,
+    /// insert or double a character — what keeps Jaro–Winkler near θ.
+    fn edited(token: &str, edit: usize, pos: usize) -> String {
+        let mut chars: Vec<char> = token.chars().collect();
+        let pos = pos % chars.len();
+        match edit {
+            0 if pos + 1 < chars.len() => chars.swap(pos, pos + 1),
+            1 if chars.len() > 1 => drop(chars.remove(pos)),
+            2 => chars[pos] = 'é',
+            3 => chars.insert(pos, 'b'),
+            _ => chars.insert(pos, chars[pos]),
+        }
+        chars.into_iter().collect()
+    }
+
+    const THETAS: [f64; 3] = [0.8, 0.9, 1.0];
+
+    proptest! {
+        /// The pair gate is sound: it passes every pair that reaches θ.
+        #[test]
+        fn pair_gate_never_rejects_a_close_pair(
+            t in token(),
+            other in token(),
+            edits in prop::collection::vec((0usize..5, 0usize..9), 0..3),
+            theta_idx in 0..THETAS.len(),
+        ) {
+            // No edits: an unrelated token; otherwise `t`, edited once or twice.
+            let u = match edits.as_slice() {
+                [] => other,
+                edits => edits.iter().fold(t.clone(), |u, &(e, p)| edited(&u, e, p)),
+            };
+            let mut builder = InternerBuilder::new();
+            let raw = builder.intern(&u);
+            let interner = builder.finalize();
+            let corpus = InternedCorpus::default();
+            let soft = InternedSoftTfIdf::new(&interner, &corpus, THETAS[theta_idx]);
+            let passed =
+                soft.may_reach_theta(&t, TokenGate::of(&t), interner.sym(raw), TokenGate::of(&u));
+            let jw = jaro_winkler(&t, &u);
+            prop_assert!(passed || jw < soft.theta, "{:?} / {:?}: jw {} rejected", t, u, jw);
+        }
+
+        /// The probe returns exactly the tokens a scan of the vocabulary
+        /// would: equal or θ-close to some token of the text.
+        #[test]
+        fn close_tokens_is_the_brute_force_set(
+            vocab in prop::collection::vec(token(), 1..16),
+            t in token(),
+            t2 in token(),
+            edits in prop::collection::vec((0usize..5, 0usize..9), 0..8),
+            theta_idx in 0..THETAS.len(),
+        ) {
+            let theta = THETAS[theta_idx];
+            let mut builder = InternerBuilder::new();
+            for v in &vocab {
+                builder.intern(v);
+            }
+            for &(e, p) in &edits {
+                builder.intern(&edited(&t, e, p));
+            }
+            let interner = builder.finalize();
+            let corpus = InternedCorpus::default();
+            let soft = InternedSoftTfIdf::new(&interner, &corpus, theta);
+            let all = || (0..interner.len() as u32).map(Sym);
+            let probe = TokenProbe::new(&interner, all());
+            for text in [t.clone(), format!("{t} {t2}"), String::new()] {
+                let want: Vec<Sym> = all()
+                    .filter(|&u| {
+                        let tu = interner.resolve(u);
+                        tokens(&text).iter().any(|t| tu == t || jaro_winkler(t, tu) >= theta)
+                    })
+                    .collect();
+                prop_assert_eq!(soft.close_tokens(&probe, &text), want, "text {:?}", text);
+            }
+        }
     }
 
     #[test]

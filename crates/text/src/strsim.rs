@@ -114,8 +114,12 @@ pub fn jaro_winkler(a: &str, b: &str) -> f64 {
 /// [`jaro_winkler`] with caller-provided scratch buffers.
 pub fn jaro_winkler_with(s: &mut JaroScratch, a: &str, b: &str) -> f64 {
     let j = jaro_with(s, a, b);
-    let prefix = a.chars().zip(b.chars()).take(4).take_while(|(x, y)| x == y).count();
-    j + prefix as f64 * 0.1 * (1.0 - j)
+    j + winkler_prefix(a, b) as f64 * 0.1 * (1.0 - j)
+}
+
+/// Length of the common prefix, counted up to Winkler's cap of 4.
+pub(crate) fn winkler_prefix(a: &str, b: &str) -> usize {
+    a.chars().zip(b.chars()).take(4).take_while(|(x, y)| x == y).count()
 }
 
 /// The multiset of character `n`-grams of `s` (over a lowercased, padded
