@@ -9,7 +9,7 @@
 
 use pse_core::{Catalog, HistoricalMatches, Offer};
 use pse_synthesis::offline::bags::FeatureIndex;
-use pse_synthesis::offline::features::{FeatureComputer, F_JACCARD_MC, F_JS_MC};
+use pse_synthesis::offline::features::Grouping;
 use pse_synthesis::{ScoredCandidate, SpecProvider};
 use pse_text::divergence::MAX_JS;
 use pse_text::sparse::{cosine_counts, l1_counts};
@@ -55,67 +55,39 @@ impl SingleFeatureScorer {
         self.score_from_index(catalog, &index)
     }
 
-    /// Score candidates over a pre-built index.
+    /// Score candidates over a pre-built index: the merchant+category
+    /// grouping of each group, through the learner's own group-level code.
     pub fn score_from_index(
         &self,
         catalog: &Catalog,
         index: &FeatureIndex,
     ) -> Vec<ScoredCandidate> {
-        let mut computer = FeatureComputer::new(catalog, index);
         let mut out = Vec::new();
         for (merchant, category) in index.merchant_category_groups() {
-            let schema = catalog.taxonomy().schema(category);
-            let attrs: Vec<String> = index
-                .merchant_attributes(merchant, category)
-                .into_iter()
-                .map(String::from)
-                .collect();
-            // Product bags for the Lee-alternative measures, built once per
-            // (merchant, category) group.
-            let mc_products = index.products_mc.get(&(merchant, category));
-            for ap in schema.iter() {
-                let ap_norm = ap.normalized_name();
-                let alt_product_counts = match self.feature {
-                    SingleFeature::L1Mc | SingleFeature::CosineMc => {
-                        mc_products.map(|set| index.product_counts(set, &ap.name))
-                    }
-                    _ => None,
-                };
-                for ao in &attrs {
-                    let score = match self.feature {
-                        SingleFeature::JsMc => {
-                            let f = computer.features(merchant, category, &ap.name, ao);
-                            1.0 - (f[F_JS_MC] / MAX_JS).clamp(0.0, 1.0)
-                        }
-                        SingleFeature::JaccardMc => {
-                            let f = computer.features(merchant, category, &ap.name, ao);
-                            f[F_JACCARD_MC]
-                        }
-                        SingleFeature::L1Mc | SingleFeature::CosineMc => {
-                            let offer_bag = index
-                                .offer_mc
-                                .get(&(merchant, category))
-                                .and_then(|m| m.get(ao.as_str()));
-                            match (offer_bag, &alt_product_counts) {
-                                (Some(ob), Some(pb)) => match self.feature {
-                                    SingleFeature::L1Mc => {
-                                        1.0 - (l1_counts(pb, ob) / 2.0).clamp(0.0, 1.0)
-                                    }
-                                    _ => cosine_counts(pb, ob),
-                                },
-                                _ => 0.0,
-                            }
-                        }
-                    };
-                    out.push(ScoredCandidate {
-                        catalog_attribute: ap.name.clone(),
-                        merchant_attribute: ao.clone(),
-                        merchant,
-                        category,
-                        score,
-                        is_name_identity: *ao == ap_norm,
-                    });
+            let group = Grouping::merchant_category(catalog, index, merchant, category);
+            let scores: Vec<f64> = match self.feature {
+                SingleFeature::JsMc => {
+                    group.pairs().iter().map(|p| 1.0 - (p[0] / MAX_JS).clamp(0.0, 1.0)).collect()
                 }
+                SingleFeature::JaccardMc => group.pairs().iter().map(|p| p[1]).collect(),
+                SingleFeature::L1Mc => {
+                    group.map(|pb, ob| 1.0 - (l1_counts(pb, ob) / 2.0).clamp(0.0, 1.0))
+                }
+                SingleFeature::CosineMc => group.map(cosine_counts),
+            };
+            let named = catalog.taxonomy().schema(category).iter().flat_map(|ap| {
+                let ap_norm = ap.normalized_name();
+                group.attrs.iter().map(move |&ao| (ap, ao, ao == ap_norm))
+            });
+            for ((ap, ao, is_name_identity), score) in named.zip(scores) {
+                out.push(ScoredCandidate {
+                    catalog_attribute: ap.name.clone(),
+                    merchant_attribute: ao.to_string(),
+                    merchant,
+                    category,
+                    score,
+                    is_name_identity,
+                });
             }
         }
         out

@@ -3,10 +3,14 @@
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-/// A dense dataset of feature vectors with binary labels.
+/// A dense dataset of feature vectors with binary labels. The vectors sit
+/// back to back in one buffer of stride [`Dataset::dim`], so building a
+/// set of a hundred thousand examples is not a hundred thousand
+/// allocations.
 #[derive(Debug, Clone, Default)]
 pub struct Dataset {
-    features: Vec<Vec<f64>>,
+    features: Vec<f64>,
+    dim: usize,
     labels: Vec<bool>,
 }
 
@@ -20,27 +24,28 @@ impl Dataset {
     ///
     /// # Panics
     /// Panics when the feature dimension differs from previous examples.
-    pub fn push(&mut self, features: Vec<f64>, label: bool) {
-        if let Some(first) = self.features.first() {
-            assert_eq!(first.len(), features.len(), "inconsistent feature dimension");
+    pub fn push(&mut self, features: &[f64], label: bool) {
+        if self.labels.is_empty() {
+            self.dim = features.len();
         }
-        self.features.push(features);
+        assert_eq!(self.dim, features.len(), "inconsistent feature dimension");
+        self.features.extend_from_slice(features);
         self.labels.push(label);
     }
 
     /// Number of examples.
     pub fn len(&self) -> usize {
-        self.features.len()
+        self.labels.len()
     }
 
     /// Whether the dataset has no examples.
     pub fn is_empty(&self) -> bool {
-        self.features.is_empty()
+        self.labels.is_empty()
     }
 
     /// Feature dimension (0 for an empty dataset).
     pub fn dim(&self) -> usize {
-        self.features.first().map_or(0, Vec::len)
+        self.dim
     }
 
     /// Number of positive examples.
@@ -50,12 +55,12 @@ impl Dataset {
 
     /// Example accessors.
     pub fn example(&self, i: usize) -> (&[f64], bool) {
-        (&self.features[i], self.labels[i])
+        (&self.features[i * self.dim..(i + 1) * self.dim], self.labels[i])
     }
 
-    /// All feature vectors.
-    pub fn features(&self) -> &[Vec<f64>] {
-        &self.features
+    /// All feature vectors, in insertion order.
+    pub fn rows(&self) -> impl Iterator<Item = &[f64]> + Clone {
+        (0..self.len()).map(|i| self.example(i).0)
     }
 
     /// All labels.
@@ -81,9 +86,9 @@ impl Dataset {
         for (k, &i) in idx.iter().enumerate() {
             let (f, l) = self.example(i);
             if k < n_test {
-                test.push(f.to_vec(), l);
+                test.push(f, l);
             } else {
-                train.push(f.to_vec(), l);
+                train.push(f, l);
             }
         }
         (train, test)
@@ -97,7 +102,7 @@ mod tests {
     fn sample() -> Dataset {
         let mut d = Dataset::new();
         for i in 0..10 {
-            d.push(vec![i as f64, 1.0], i % 2 == 0);
+            d.push(&[i as f64, 1.0], i % 2 == 0);
         }
         d
     }
@@ -131,6 +136,6 @@ mod tests {
     #[should_panic(expected = "inconsistent feature dimension")]
     fn dimension_mismatch_panics() {
         let mut d = sample();
-        d.push(vec![1.0], true);
+        d.push(&[1.0], true);
     }
 }

@@ -45,25 +45,34 @@ pub struct LogisticRegression {
 impl LogisticRegression {
     /// Train on a dataset.
     ///
+    /// The standardized rows sit in one buffer of stride `dim` and the
+    /// labels in a `Vec<f64>`: an epoch visits the examples in shuffled
+    /// order, so with a `Vec` per row every update would start with a cache
+    /// miss on a pointer. The update itself is the textbook one, operation
+    /// for operation (`tests/properties.rs` holds it to that by bits).
+    ///
     /// # Panics
     /// Panics when the dataset is empty.
     pub fn train(data: &Dataset, config: &TrainConfig) -> Self {
         assert!(!data.is_empty(), "cannot train on an empty dataset");
-        let standardizer = Standardizer::fit(data.features());
-        let rows: Vec<Vec<f64>> = data.features().iter().map(|r| standardizer.apply(r)).collect();
+        let standardizer = Standardizer::fit(data.rows());
         let dim = data.dim();
+        let mut rows: Vec<f64> = Vec::with_capacity(data.len() * dim);
+        for r in data.rows() {
+            rows.extend(standardizer.transformed(r));
+        }
+        let labels: Vec<f64> = data.labels().iter().map(|&l| if l { 1.0 } else { 0.0 }).collect();
         let mut weights = vec![0.0f64; dim];
         let mut intercept = 0.0f64;
-        let n = rows.len() as f64;
+        let n = labels.len() as f64;
 
         for epoch in 0..config.epochs {
             let lr = config.learning_rate / (1.0 + epoch as f64 * config.decay);
             let order = data.shuffled_indices(config.seed.wrapping_add(epoch as u64));
             for i in order {
-                let x = &rows[i];
-                let y = if data.labels()[i] { 1.0 } else { 0.0 };
+                let x = &rows[i * dim..(i + 1) * dim];
                 let p = sigmoid(dot(&weights, x) + intercept);
-                let err = p - y;
+                let err = p - labels[i];
                 for (w, xi) in weights.iter_mut().zip(x) {
                     *w -= lr * (err * xi + config.l2 * *w / n);
                 }
@@ -78,8 +87,8 @@ impl LogisticRegression {
     /// # Panics
     /// Panics on feature-dimension mismatch.
     pub fn predict_proba(&self, features: &[f64]) -> f64 {
-        let x = self.standardizer.apply(features);
-        sigmoid(dot(&self.weights, &x) + self.intercept)
+        let x = self.standardizer.transformed(features);
+        sigmoid(self.weights.iter().zip(x).map(|(w, x)| w * x).sum::<f64>() + self.intercept)
     }
 
     /// Hard prediction at threshold 0.5.
@@ -151,7 +160,7 @@ mod tests {
         for _ in 0..n {
             let x0: f64 = rng.random();
             let x1: f64 = rng.random();
-            d.push(vec![x0, x1], x0 + x1 > 1.0);
+            d.push(&[x0, x1], x0 + x1 > 1.0);
         }
         d
     }
@@ -198,7 +207,7 @@ mod tests {
     fn handles_single_class_gracefully() {
         let mut d = Dataset::new();
         for i in 0..20 {
-            d.push(vec![i as f64], true);
+            d.push(&[i as f64], true);
         }
         let model = LogisticRegression::train(&d, &TrainConfig::default());
         assert!(model.predict_proba(&[5.0]) > 0.9);

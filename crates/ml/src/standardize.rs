@@ -14,19 +14,22 @@ pub struct Standardizer {
 }
 
 impl Standardizer {
-    /// Fit on a set of feature vectors.
+    /// Fit on a set of feature vectors (walked twice: means, then
+    /// variances).
     ///
     /// Constant features get `std = 1` so they pass through centered but
     /// unscaled. An empty input yields an identity transform of dimension 0.
-    pub fn fit(rows: &[Vec<f64>]) -> Self {
-        let dim = rows.first().map_or(0, Vec::len);
-        let n = rows.len().max(1) as f64;
+    pub fn fit<'a>(rows: impl Iterator<Item = &'a [f64]> + Clone) -> Self {
+        let dim = rows.clone().next().map_or(0, <[f64]>::len);
+        let mut count = 0usize;
         let mut means = vec![0.0; dim];
-        for r in rows {
+        for r in rows.clone() {
+            count += 1;
             for (m, x) in means.iter_mut().zip(r) {
                 *m += x;
             }
         }
+        let n = count.max(1) as f64;
         for m in &mut means {
             *m /= n;
         }
@@ -56,22 +59,19 @@ impl Standardizer {
         self.means.len()
     }
 
-    /// Transform one vector in place.
+    /// The transformed components of `x`, one at a time — for a caller that
+    /// folds them or lays them into a buffer of its own.
     ///
     /// # Panics
     /// Panics on dimension mismatch.
-    pub fn apply_in_place(&self, x: &mut [f64]) {
+    pub fn transformed<'a>(&'a self, x: &'a [f64]) -> impl Iterator<Item = f64> + 'a {
         assert_eq!(x.len(), self.dim(), "dimension mismatch");
-        for ((x, m), s) in x.iter_mut().zip(&self.means).zip(&self.stds) {
-            *x = (*x - m) / s;
-        }
+        x.iter().zip(&self.means).zip(&self.stds).map(|((x, m), s)| (x - m) / s)
     }
 
     /// Transform one vector, returning a new one.
     pub fn apply(&self, x: &[f64]) -> Vec<f64> {
-        let mut out = x.to_vec();
-        self.apply_in_place(&mut out);
-        out
+        self.transformed(x).collect()
     }
 }
 
@@ -81,8 +81,8 @@ mod tests {
 
     #[test]
     fn standardizes_to_zero_mean_unit_variance() {
-        let rows = vec![vec![1.0, 10.0], vec![3.0, 10.0], vec![5.0, 10.0]];
-        let s = Standardizer::fit(&rows);
+        let rows = [vec![1.0, 10.0], vec![3.0, 10.0], vec![5.0, 10.0]];
+        let s = Standardizer::fit(rows.iter().map(Vec::as_slice));
         let t: Vec<Vec<f64>> = rows.iter().map(|r| s.apply(r)).collect();
         let mean0: f64 = t.iter().map(|r| r[0]).sum::<f64>() / 3.0;
         let var0: f64 = t.iter().map(|r| r[0] * r[0]).sum::<f64>() / 3.0;
@@ -94,7 +94,7 @@ mod tests {
 
     #[test]
     fn empty_fit_is_dimension_zero() {
-        let s = Standardizer::fit(&[]);
+        let s = Standardizer::fit(std::iter::empty());
         assert_eq!(s.dim(), 0);
         assert!(s.apply(&[]).is_empty());
     }
@@ -102,7 +102,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "dimension mismatch")]
     fn wrong_dim_panics() {
-        let s = Standardizer::fit(&[vec![1.0]]);
+        let s = Standardizer::fit([&[1.0][..]].into_iter());
         s.apply(&[1.0, 2.0]);
     }
 }

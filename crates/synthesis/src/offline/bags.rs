@@ -8,8 +8,9 @@
 //! * offer-side bags: token multisets of the values of each merchant
 //!   attribute, keyed by (merchant, category), category, or merchant;
 //! * product-side *sets*: the catalog products matched by the offers of the
-//!   group (bags over their attribute values are materialized lazily by the
-//!   feature computer, per candidate catalog attribute).
+//!   group (bags over their attribute values are materialized per grouping
+//!   by [`FeatureIndex::product_bags`], one walk over the set for all the
+//!   catalog attributes asked for).
 //!
 //! The unconditioned variant (the "No matching" baseline of Figure 7) uses
 //! all offers and all catalog products of the category instead.
@@ -48,18 +49,21 @@ pub struct FeatureIndex {
     pub products_c: HashMap<CategoryId, HashSet<ProductId>>,
     /// Products matched by the offers of each merchant.
     pub products_m: HashMap<MerchantId, HashSet<ProductId>>,
-    /// Interned spec values (attribute surface name, token doc) of every
-    /// product referenced by a product set, in spec order.
-    product_values: HashMap<ProductId, Vec<(String, TokenDoc)>>,
+    /// Catalog attribute surface name → the id `product_values` knows it by.
+    attr_ids: HashMap<String, u32>,
+    /// Interned spec values (attribute id, token doc) of every product
+    /// referenced by a product set, in spec order. A name a spec repeats
+    /// keeps its first value only — the one a lookup by name returns.
+    product_values: HashMap<ProductId, Vec<(u32, TokenDoc)>>,
 }
+
+/// A product's spec with names as attribute ids and values as provisional
+/// token ids, pending the vocabulary freeze.
+type ProvisionalSpec = Vec<(u32, Vec<u32>)>;
 
 /// Accumulates offer bags with *provisional* token ids while the vocabulary
 /// is still growing; [`IndexBuilder::finish`] interns the catalog side,
 /// freezes the symbol table and remaps everything onto it.
-/// A product's spec with values as provisional token ids, pending the
-/// vocabulary freeze.
-type ProvisionalSpec = Vec<(String, Vec<u32>)>;
-
 #[derive(Default)]
 struct IndexBuilder {
     interner: InternerBuilder,
@@ -115,14 +119,27 @@ impl IndexBuilder {
         // (the match source is external); those contribute empty bags.
         let by_id: HashMap<ProductId, &pse_core::Product> =
             catalog.products().map(|p| (p.id, p)).collect();
+        let mut attr_ids: HashMap<String, u32> = HashMap::new();
         let mut raw_values: Vec<(ProductId, ProvisionalSpec)> = Vec::new();
         for &pid in &referenced {
             let Some(product) = by_id.get(&pid) else { continue };
-            let pairs = product
-                .spec
-                .iter()
-                .map(|pair| (pair.name.clone(), self.interner.tokenize(&pair.value)))
-                .collect();
+            let mut pairs = ProvisionalSpec::new();
+            for pair in product.spec.iter() {
+                let attr = match attr_ids.get(&pair.name) {
+                    Some(&id) => id,
+                    None => {
+                        let id = attr_ids.len() as u32;
+                        attr_ids.insert(pair.name.clone(), id);
+                        id
+                    }
+                };
+                // Every value is interned, read or not: the vocabulary is
+                // that of the referenced products, not of what gets asked.
+                let raw = self.interner.tokenize(&pair.value);
+                if pairs.iter().all(|&(seen, _)| seen != attr) {
+                    pairs.push((attr, raw));
+                }
+            }
             raw_values.push((pid, pairs));
         }
         let interner = self.interner.finalize();
@@ -150,6 +167,7 @@ impl IndexBuilder {
             products_mc,
             products_c,
             products_m,
+            attr_ids,
             product_values,
         }
     }
@@ -239,22 +257,28 @@ impl FeatureIndex {
         builder.finish(catalog, products_mc, products_c, products_m)
     }
 
-    /// Bag of the values of catalog attribute `attr` (surface form) over a
-    /// set of products. Counting commutes, so the `HashSet` iteration order
-    /// is immaterial. Products the index never
-    /// saw (not referenced by any product set) contribute nothing.
-    pub fn product_counts(&self, products: &HashSet<ProductId>, attr: &str) -> SparseCounts {
-        let mut acc: HashMap<Sym, u64> = HashMap::new();
+    /// Bags of the values of the catalog attributes `attrs` (surface forms,
+    /// distinct) over a set of products, `attrs[i]`'s at position `i` — all
+    /// of them from one walk over the set. Counting commutes, so the
+    /// `HashSet` iteration order is immaterial. Products the index never
+    /// saw (not referenced by any product set) and attributes no product
+    /// carries contribute nothing.
+    pub fn product_bags(&self, products: &HashSet<ProductId>, attrs: &[&str]) -> Vec<SparseCounts> {
+        let mut slot_of = vec![usize::MAX; self.attr_ids.len()];
+        for (slot, attr) in attrs.iter().enumerate() {
+            if let Some(&id) = self.attr_ids.get(*attr) {
+                slot_of[id as usize] = slot;
+            }
+        }
+        let mut syms: Vec<Vec<Sym>> = vec![Vec::new(); attrs.len()];
         for pid in products {
-            if let Some(pairs) = self.product_values.get(pid) {
-                if let Some((_, doc)) = pairs.iter().find(|(n, _)| n == attr) {
-                    for &s in doc.syms() {
-                        *acc.entry(s).or_insert(0) += 1;
-                    }
+            for (attr, doc) in self.product_values.get(pid).into_iter().flatten() {
+                if let Some(bag) = syms.get_mut(slot_of[*attr as usize]) {
+                    bag.extend_from_slice(doc.syms());
                 }
             }
         }
-        SparseCounts::from_unsorted(acc.into_iter().collect())
+        syms.into_iter().map(SparseCounts::from_syms).collect()
     }
 
     /// The (merchant, category) groups with at least one offer attribute,
@@ -263,18 +287,6 @@ impl FeatureIndex {
         let mut keys: Vec<_> = self.offer_mc.keys().copied().collect();
         keys.sort();
         keys
-    }
-
-    /// Merchant attribute names observed for a (merchant, category), in
-    /// deterministic order.
-    pub fn merchant_attributes(&self, merchant: MerchantId, category: CategoryId) -> Vec<&str> {
-        let mut names: Vec<&str> = self
-            .offer_mc
-            .get(&(merchant, category))
-            .map(|m| m.keys().map(String::as_str).collect())
-            .unwrap_or_default();
-        names.sort_unstable();
-        names
     }
 }
 
@@ -366,22 +378,24 @@ mod tests {
         assert_eq!(bag.total(), 2, "all offers contribute");
         assert_eq!(index.products_c[&cat].len(), 3, "all products included");
         assert_eq!(index.products_mc[&(MerchantId(0), cat)].len(), 3);
-        // Product values are interned for the lazily built product bags.
-        let counts = index.product_counts(&index.products_c[&cat], "Speed");
-        assert_eq!(counts.total(), 3);
-        assert_eq!(count(&index, &counts, "7200"), 3);
+        // Product values are interned for the product bags; an attribute no
+        // product carries gets an empty bag at its position.
+        let bags = index.product_bags(&index.products_c[&cat], &["Weight", "Speed"]);
+        assert!(bags[0].is_empty());
+        assert_eq!(bags[1].total(), 3);
+        assert_eq!(count(&index, &bags[1], "7200"), 3);
     }
 
     #[test]
-    fn product_counts_ignores_unknown_products_and_attrs() {
+    fn product_bags_ignore_unknown_products() {
         let catalog = Catalog::new(Taxonomy::new());
         let offers = vec![offer(0, 0, 0, &[("RPM", "7200")])];
         let mut hist = HistoricalMatches::new();
         hist.insert(OfferId(0), ProductId(99));
         let index = FeatureIndex::build_matched(&catalog, &offers, &hist, &provider());
         // ProductId(99) is not in the (empty) catalog: empty bag, no panic.
-        let counts = index.product_counts(&HashSet::from([ProductId(99)]), "Speed");
-        assert!(counts.is_empty());
+        let bags = index.product_bags(&HashSet::from([ProductId(99)]), &["Speed"]);
+        assert!(bags[0].is_empty());
     }
 
     #[test]
@@ -396,7 +410,5 @@ mod tests {
             index.merchant_category_groups(),
             vec![(MerchantId(1), CategoryId(3)), (MerchantId(2), CategoryId(0))]
         );
-        assert_eq!(index.merchant_attributes(MerchantId(2), CategoryId(0)), ["a", "b"]);
-        assert!(index.merchant_attributes(MerchantId(9), CategoryId(9)).is_empty());
     }
 }

@@ -21,7 +21,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::provider::SpecProvider;
 use bags::FeatureIndex;
-use features::{FeatureComputer, NUM_FEATURES};
+use features::{FeatureTables, NUM_FEATURES};
 
 /// Configuration of the offline phase.
 #[derive(Debug, Clone)]
@@ -183,83 +183,70 @@ impl OfflineLearner {
         index: &FeatureIndex,
         historical_offers: usize,
     ) -> OfflineOutcome {
-        // 1. Enumerate candidates and compute features. Groups are
-        //    independent given the shared (immutable) index, so they fan out
-        //    across worker threads; each worker owns a `FeatureComputer`
-        //    whose bag caches stay hot across the contiguous run of groups
-        //    it processes. Group outputs are concatenated in group order, so
-        //    candidate enumeration is identical at any thread count.
+        // 1. Enumerate candidates and compute features (see `features`):
+        //    the category tables first, then one task per merchant. A task
+        //    names its candidates and lays their classifier inputs — the six
+        //    features under the mask, then any name features — end to end,
+        //    both in enumeration order; the tasks' outputs are concatenated
+        //    in merchant order, so candidates and row buffer are identical
+        //    at any thread count.
         let features_span = pse_obs::span("offline.features");
-        let groups = index.merchant_category_groups();
-        let per_group: Vec<(Vec<ScoredCandidate>, Vec<Vec<f64>>)> = pse_par::par_map_init(
-            &groups,
-            || FeatureComputer::new(catalog, index),
-            |computer, &(merchant, category)| {
-                let schema = catalog.taxonomy().schema(category);
-                let merchant_attrs: Vec<String> = index
-                    .merchant_attributes(merchant, category)
-                    .into_iter()
-                    .map(String::from)
-                    .collect();
-                let mut cands = Vec::new();
-                let mut rows = Vec::new();
-                for ap in schema.iter() {
-                    let ap_norm = ap.normalized_name();
-                    for ao in &merchant_attrs {
-                        let mut f = computer.features(merchant, category, &ap.name, ao).to_vec();
-                        for (i, keep) in self.config.feature_mask.iter().enumerate() {
-                            if !keep {
-                                // Worst-case constants: max divergence / zero overlap.
-                                f[i] = if i % 2 == 0 { pse_text::divergence::MAX_JS } else { 0.0 };
-                            }
-                        }
-                        if self.config.use_name_features {
-                            f.push(pse_text::strsim::levenshtein_similarity(&ap_norm, ao));
-                            f.push(pse_text::strsim::trigram_dice(&ap_norm, ao));
-                        }
-                        rows.push(f);
-                        cands.push(ScoredCandidate {
-                            catalog_attribute: ap.name.clone(),
-                            merchant_attribute: ao.clone(),
-                            merchant,
-                            category,
-                            score: 0.0,
-                            is_name_identity: *ao == ap_norm,
-                        });
-                    }
+        let tables = FeatureTables::new(catalog, index);
+        let dim = NUM_FEATURES + if self.config.use_name_features { 2 } else { 0 };
+        let per_merchant = pse_par::par_map(&tables.merchants(), |&merchant| {
+            let features = tables.merchant(merchant);
+            let mut scored: Vec<ScoredCandidate> = Vec::with_capacity(features.rows.len());
+            let mut rows: Vec<f64> = Vec::with_capacity(features.rows.len() * dim);
+            for (group, ap, ao, f) in features.candidates() {
+                for (i, (&x, &keep)) in f.iter().zip(&self.config.feature_mask).enumerate() {
+                    // Worst-case constants: max divergence / zero overlap.
+                    let masked = if i % 2 == 0 { pse_text::divergence::MAX_JS } else { 0.0 };
+                    rows.push(if keep { x } else { masked });
                 }
-                (cands, rows)
-            },
-        );
-        let mut candidates: Vec<ScoredCandidate> = Vec::new();
-        let mut feature_rows: Vec<Vec<f64>> = Vec::new();
-        for (cands, rows) in per_group {
-            candidates.extend(cands);
-            feature_rows.extend(rows);
+                if self.config.use_name_features {
+                    rows.push(pse_text::strsim::levenshtein_similarity(&ap.normalized, ao));
+                    rows.push(pse_text::strsim::trigram_dice(&ap.normalized, ao));
+                }
+                scored.push(ScoredCandidate {
+                    catalog_attribute: ap.name.to_string(),
+                    merchant_attribute: ao.to_string(),
+                    merchant: group.merchant,
+                    category: group.category,
+                    score: 0.0,
+                    is_name_identity: ao == ap.normalized,
+                });
+            }
+            (scored, rows)
+        });
+        let total: usize = per_merchant.iter().map(|(scored, _)| scored.len()).sum();
+        let mut scored: Vec<ScoredCandidate> = Vec::with_capacity(total);
+        let mut rows: Vec<f64> = Vec::with_capacity(total * dim);
+        for (merchant_scored, merchant_rows) in per_merchant {
+            scored.extend(merchant_scored);
+            rows.extend_from_slice(&merchant_rows);
         }
         drop(features_span);
-        pse_obs::add("offline.candidates", candidates.len() as u64);
+        pse_obs::add("offline.candidates", scored.len() as u64);
 
         // 2. Automated training-set construction (Section 3.2): for every
         //    (M, C) where the merchant uses some catalog attribute name
         //    verbatim, that candidate is positive and all ⟨A, B≠A, M, C⟩
-        //    candidates for the same catalog attribute are negative.
+        //    candidates for the same catalog attribute are negative. The
+        //    candidates of one ⟨M, C, A⟩ are a contiguous run in
+        //    enumeration order: one scan says whether it holds an identity.
         let mut train = Dataset::new();
-        let mut group_has_identity: std::collections::HashMap<
-            (MerchantId, CategoryId, String),
-            bool,
-        > = std::collections::HashMap::new();
-        for c in &candidates {
-            if c.is_name_identity {
-                group_has_identity
-                    .insert((c.merchant, c.category, c.catalog_attribute.clone()), true);
+        let mut run_start = 0;
+        let same_run = |a: &ScoredCandidate, b: &ScoredCandidate| {
+            (a.merchant, a.category, &a.catalog_attribute)
+                == (b.merchant, b.category, &b.catalog_attribute)
+        };
+        for run in scored.chunk_by(same_run) {
+            if run.iter().any(|c| c.is_name_identity) {
+                for (c, row) in run.iter().zip(rows[run_start * dim..].chunks_exact(dim)) {
+                    train.push(row, c.is_name_identity);
+                }
             }
-        }
-        for (c, f) in candidates.iter().zip(&feature_rows) {
-            let key = (c.merchant, c.category, c.catalog_attribute.clone());
-            if group_has_identity.contains_key(&key) {
-                train.push(f.clone(), c.is_name_identity);
-            }
+            run_start += run.len();
         }
 
         // 3. Train; degenerate training sets fall back to a heuristic
@@ -279,7 +266,7 @@ impl OfflineLearner {
 
         // 4. Score all candidates.
         let score_span = pse_obs::span("offline.score");
-        for (c, f) in candidates.iter_mut().zip(&feature_rows) {
+        for (c, f) in scored.iter_mut().zip(rows.chunks_exact(dim)) {
             c.score = match &model {
                 Some(m) => m.predict_proba(f),
                 None => heuristic_score(f),
@@ -290,7 +277,7 @@ impl OfflineLearner {
         // 5. Assemble the correspondence set.
         let mut set = CorrespondenceSet::new();
         let mut predicted_valid = 0usize;
-        for c in &candidates {
+        for c in &scored {
             if c.score >= self.config.decision_threshold {
                 predicted_valid += 1;
             }
@@ -310,12 +297,12 @@ impl OfflineLearner {
         pse_obs::add("offline.correspondences_accepted", set.len() as u64);
         let stats = OfflineStats {
             historical_offers,
-            candidates: candidates.len(),
+            candidates: scored.len(),
             training_examples: train.len(),
             training_positives: positives,
             predicted_valid,
         };
-        OfflineOutcome { correspondences: set, scored: candidates, model, stats }
+        OfflineOutcome { correspondences: set, scored, model, stats }
     }
 }
 

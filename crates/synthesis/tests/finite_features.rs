@@ -10,7 +10,7 @@ use pse_core::{
 };
 use pse_ml::{Dataset, LogisticRegression, TrainConfig};
 use pse_synthesis::offline::bags::FeatureIndex;
-use pse_synthesis::offline::features::{FeatureComputer, NUM_FEATURES};
+use pse_synthesis::offline::features::{FeatureTables, NUM_FEATURES};
 use pse_synthesis::{FnProvider, OfflineLearner};
 
 /// A worst-case scenario for divergence features: merchant 0 shares values
@@ -75,26 +75,22 @@ fn all_candidate_features_are_finite_even_with_disjoint_vocabularies() {
     let (catalog, offers, hist) = scenario();
     let provider = FnProvider(|o: &Offer| o.spec.clone());
     let index = FeatureIndex::build_matched(&catalog, &offers, &hist, &provider);
-    let mut computer = FeatureComputer::new(&catalog, &index);
+    let tables = FeatureTables::new(&catalog, &index);
 
     let mut rows: Vec<Vec<f64>> = Vec::new();
-    for (merchant, category) in index.merchant_category_groups() {
-        let schema = catalog.taxonomy().schema(category);
-        for ap in schema.iter() {
-            for ao in index.merchant_attributes(merchant, category) {
-                let f = computer.features(merchant, category, &ap.name, ao);
-                for (i, v) in f.iter().enumerate() {
-                    assert!(
-                        v.is_finite(),
-                        "non-finite feature {i} = {v} for ({:?}, {:?}, {}, {ao})",
-                        merchant,
-                        category,
-                        ap.name,
-                    );
-                }
-                assert_eq!(f.len(), NUM_FEATURES);
-                rows.push(f.to_vec());
+    for merchant in tables.merchants() {
+        for (group, ap, ao, f) in tables.merchant(merchant).candidates() {
+            for (i, v) in f.iter().enumerate() {
+                assert!(
+                    v.is_finite(),
+                    "non-finite feature {i} = {v} for ({:?}, {:?}, {}, {ao})",
+                    group.merchant,
+                    group.category,
+                    ap.name,
+                );
             }
+            assert_eq!(f.len(), NUM_FEATURES);
+            rows.push(f.to_vec());
         }
     }
     assert!(rows.len() >= 8, "scenario produced too few candidates: {}", rows.len());
@@ -103,7 +99,7 @@ fn all_candidate_features_are_finite_even_with_disjoint_vocabularies() {
     // out finite and usable.
     let mut train = Dataset::new();
     for (i, f) in rows.iter().enumerate() {
-        train.push(f.clone(), i % 2 == 0);
+        train.push(f, i % 2 == 0);
     }
     let model = LogisticRegression::train(&train, &TrainConfig::default());
     assert!(model.weights().iter().all(|w| w.is_finite()), "non-finite weight");

@@ -28,16 +28,21 @@ impl SparseCounts {
 
     /// Count the tokens of one document.
     pub fn from_doc(doc: &TokenDoc) -> Self {
-        let mut syms: Vec<Sym> = doc.syms().to_vec();
+        Self::from_syms(doc.syms().to_vec())
+    }
+
+    /// Count a multiset given as its occurrences, one entry per occurrence
+    /// in any order (e.g. the concatenated tokens of many documents).
+    pub fn from_syms(mut syms: Vec<Sym>) -> Self {
         syms.sort_unstable();
         let mut entries: Vec<(Sym, u64)> = Vec::new();
-        for s in syms {
+        for &s in &syms {
             match entries.last_mut() {
                 Some((last, c)) if *last == s => *c += 1,
                 _ => entries.push((s, 1)),
             }
         }
-        Self { total: doc.len() as u64, entries }
+        Self { total: syms.len() as u64, entries }
     }
 
     /// Build from unordered `(Sym, count)` pairs (e.g. drained from a
@@ -189,30 +194,45 @@ pub fn cosine_sparse(a: &SparseVec, b: &SparseVec) -> f64 {
 /// Bit-identical to [`crate::divergence::jensen_shannon`]: the same two
 /// passes (all of `a`'s support, then all of `b`'s), each in ascending token
 /// order, with the same per-term expressions.
+///
+/// A token the other bag lacks costs no `ln`. Its count there is 0, so the
+/// reference computes `pm = 0.5 * (p + 0.0)`: `p + 0.0` is `p`, halving a
+/// normal `f64` only lowers its exponent (and `p >= 2^-64` is nowhere near
+/// subnormal), so `pm` is exactly `p / 2` and the correctly rounded
+/// quotient `p / pm` is exactly `2.0`. The reference's term is therefore
+/// `0.5 * p * ln(2.0)`, and so is this one, with `ln(2.0)` taken once per
+/// call from the same `f64::ln` rather than written as a constant.
 pub fn jensen_shannon_counts(a: &SparseCounts, b: &SparseCounts) -> f64 {
     if a.is_empty() || b.is_empty() {
         return MAX_JS;
     }
+    let ln_two = 2.0_f64.ln();
     let mut js = 0.0;
     let mut j = 0usize;
     for &(s, ca) in &a.entries {
         while j < b.entries.len() && b.entries[j].0 < s {
             j += 1;
         }
-        let cb = if j < b.entries.len() && b.entries[j].0 == s { b.entries[j].1 } else { 0 };
         let pa = ca as f64 / a.total as f64;
-        let pm = 0.5 * (pa + cb as f64 / b.total as f64);
-        js += 0.5 * pa * (pa / pm).ln();
+        if j < b.entries.len() && b.entries[j].0 == s {
+            let pm = 0.5 * (pa + b.entries[j].1 as f64 / b.total as f64);
+            js += 0.5 * pa * (pa / pm).ln();
+        } else {
+            js += 0.5 * pa * ln_two;
+        }
     }
     let mut i = 0usize;
     for &(s, cb) in &b.entries {
         while i < a.entries.len() && a.entries[i].0 < s {
             i += 1;
         }
-        let ca = if i < a.entries.len() && a.entries[i].0 == s { a.entries[i].1 } else { 0 };
         let pb = cb as f64 / b.total as f64;
-        let pm = 0.5 * (ca as f64 / a.total as f64 + pb);
-        js += 0.5 * pb * (pb / pm).ln();
+        if i < a.entries.len() && a.entries[i].0 == s {
+            let pm = 0.5 * (a.entries[i].1 as f64 / a.total as f64 + pb);
+            js += 0.5 * pb * (pb / pm).ln();
+        } else {
+            js += 0.5 * pb * ln_two;
+        }
     }
     js.clamp(0.0, MAX_JS)
 }
@@ -363,6 +383,20 @@ mod tests {
                 jensen_shannon(&ba, &bb).to_bits(),
                 "a={a:?} b={b:?}"
             );
+        }
+    }
+
+    /// The unshared-token shortcut multiplies by a hoisted `ln(2.0)` and the
+    /// result is clamped to `MAX_JS`; a platform where the two disagree
+    /// must fail here, loudly, not in a score's last bit. `black_box` keeps
+    /// the call a run-time one, as it is in the reference's loop.
+    #[test]
+    fn runtime_ln_two_is_the_clamp_bound() {
+        assert_eq!(std::hint::black_box(2.0_f64).ln().to_bits(), MAX_JS.to_bits());
+        assert_eq!(2.0_f64.ln().to_bits(), MAX_JS.to_bits());
+        // x / (0.5 * x) is exactly 2 across the range of token probabilities.
+        for x in [1.0, 1.0 / 3.0, 0.1, 7.0 / 11.0, 1.0 / u64::MAX as f64, f64::MIN_POSITIVE * 4.0] {
+            assert_eq!((x / (0.5 * (x + 0.0_f64))).to_bits(), 2.0_f64.to_bits(), "x = {x:e}");
         }
     }
 

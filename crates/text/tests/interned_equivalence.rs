@@ -27,6 +27,35 @@ fn values() -> impl Strategy<Value = Vec<String>> {
     prop::collection::vec(value(), 0..6)
 }
 
+/// Pairs of value lists whose supports relate in every way the divergence
+/// kernels branch on: unrelated, disjoint by construction (two alphabets
+/// no token can straddle), one nested in the other (either way round),
+/// identical, and heavily repeated tokens shared with a few unshared ones.
+fn value_lists() -> impl Strategy<Value = (Vec<String>, Vec<String>)> {
+    let low = prop::collection::vec("[a-mA-M0-4é /\\-]{0,14}", 0..6);
+    let high = prop::collection::vec("[n-zN-Z5-9ßµü \\.]{0,14}", 0..6);
+    (0usize..7, values(), values(), low, high, (1usize..40, 1usize..40)).prop_map(
+        |(shape, a, b, low, high, (times_a, times_b))| {
+            let repeat = |v: &[String], times: usize| -> Vec<String> {
+                v.iter().cycle().take(v.len() * times).cloned().collect()
+            };
+            let with = |mut v: Vec<String>, extra: &[String]| {
+                v.extend_from_slice(extra);
+                v
+            };
+            match shape {
+                0 => (a, b),
+                1 => (low, high),
+                2 => (a.clone(), with(a, &b)),
+                3 => (with(b.clone(), &a), b),
+                4 => (a.clone(), a.into_iter().rev().collect()),
+                5 => (repeat(&a, times_a), with(repeat(&a, times_b), &b)),
+                _ => (with(repeat(&low, times_a), &b), with(repeat(&high, times_b), &b)),
+            }
+        },
+    )
+}
+
 /// Intern both value lists under one vocabulary; return the interned counts
 /// and the reference bags.
 fn counts_pair(
@@ -54,7 +83,7 @@ proptest! {
     /// The divergence kernels over interned counts are bit-identical to the
     /// string-bag references.
     #[test]
-    fn divergences_bit_match_string_path(a in values(), b in values()) {
+    fn divergences_bit_match_string_path((a, b) in value_lists()) {
         let (_, ca, cb, ba, bb) = counts_pair(&a, &b);
         prop_assert_eq!(
             jensen_shannon_counts(&ca, &cb).to_bits(),

@@ -223,6 +223,24 @@ fn every_phase_reports_exactly_its_declared_metrics() {
     }
     assert!(!report.timelines.is_empty(), "the pipeline recorded no per-worker timeline");
 
+    // The offline stage's useful-outcomes-to-attempts ratio: every bag pair
+    // goes through JS + Jaccard once — at most three per candidate, fewer
+    // wherever merchants share a category pair or categories a merchant
+    // pair — and the fan-out decides who evaluates it, never how often.
+    let evals = [1, 2, 4].map(|threads| {
+        let report = phase("offline learning", &[], || {
+            let provider = ExtractingProvider::new(|o: &Offer| f.world.landing_page(o.id));
+            let (world, learner) = (&f.world, OfflineLearner::new());
+            pse_par::with_threads(threads, || {
+                learner.learn(&world.catalog, &world.offers, &world.historical, &provider)
+            });
+        });
+        (counter(&report, "offline.similarity_evals"), counter(&report, "offline.candidates"))
+    });
+    let (similarity_evals, candidates) = evals[0];
+    assert!(candidates < similarity_evals && similarity_evals < 3 * candidates, "{evals:?}");
+    assert_eq!(evals, [evals[0]; 3], "similarity evaluations depend on the thread count");
+
     // The persistent store alone: ingest, snapshot, ingest, retract.
     let report = phase("store", &[Store], || {
         let mut store = ProductStore::new(f.correspondences.clone());
