@@ -39,12 +39,6 @@ pub fn computing_offers(world: &World) -> Vec<Offer> {
         .collect()
 }
 
-/// Run the offline phase over the given offers with the honest HTML path.
-pub fn run_offline(world: &World, offers: &[Offer]) -> OfflineOutcome {
-    let provider = html_provider(world);
-    OfflineLearner::new().learn(&world.catalog, offers, &world.historical, &provider)
-}
-
 /// Full end-to-end run: offline learning on historical offers, then the
 /// run-time pipeline over the offers *not* matched to any product (the
 /// product-synthesis population).

@@ -35,12 +35,6 @@ impl std::fmt::Display for ArgsError {
 
 impl std::error::Error for ArgsError {}
 
-impl From<ArgsError> for String {
-    fn from(e: ArgsError) -> String {
-        e.to_string()
-    }
-}
-
 /// Scale knobs resolved from CLI arguments.
 #[derive(Debug, Clone)]
 pub struct Scale {

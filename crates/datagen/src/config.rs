@@ -165,12 +165,6 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-impl From<ConfigError> for String {
-    fn from(e: ConfigError) -> String {
-        e.to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

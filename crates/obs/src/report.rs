@@ -237,12 +237,6 @@ impl std::fmt::Display for ReportError {
 
 impl std::error::Error for ReportError {}
 
-impl From<ReportError> for String {
-    fn from(e: ReportError) -> String {
-        e.to_string()
-    }
-}
-
 impl ObsReport {
     /// Serialize as pretty-printed JSON (the `OBS_REPORT.json` format).
     pub fn to_json(&self) -> String {

@@ -144,96 +144,9 @@ where
     out
 }
 
-/// Order-preserving parallel map with per-worker scratch state: `init`
-/// runs once per worker, and `f` receives the worker's scratch for
-/// every item it processes. The scratch must never influence results in
-/// an order-dependent way if determinism is required — it exists for
-/// allocation reuse (buffers, interners), not accumulation.
-pub fn par_map_init<T, U, S, I, F>(items: &[T], init: I, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, &T) -> U + Sync,
-{
-    let threads = current_threads();
-    let obs = pse_obs::par_call();
-    if threads <= 1 || items.len() <= 1 {
-        let _t = obs.as_ref().map(|c| c.chunk(0, 0, items.len()));
-        let mut scratch = init();
-        return items.iter().map(|item| f(&mut scratch, item)).collect();
-    }
-    let chunk = items.len().div_ceil(threads);
-    let mut out = Vec::with_capacity(items.len());
-    thread::scope(|s| {
-        let (init, f) = (&init, &f);
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .enumerate()
-            .map(|(ci, slice)| {
-                let obs = obs.clone();
-                s.spawn(move || {
-                    let _t = obs.as_ref().map(|c| c.chunk(ci, ci, slice.len()));
-                    let mut scratch = init();
-                    slice.iter().map(|item| f(&mut scratch, item)).collect::<Vec<U>>()
-                })
-            })
-            .collect();
-        join_ordered(handles, &mut out);
-    });
-    out
-}
-
-/// Parallel for-each with per-worker scratch state. Side effects only;
-/// use [`par_map_init`] when results are needed.
-pub fn par_for_each_init<T, S, I, F>(items: &[T], init: I, f: F)
-where
-    T: Sync,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, &T) + Sync,
-{
-    par_map_init(items, init, |scratch, item| f(scratch, item));
-}
-
-/// Order-preserving indexed parallel map: like [`par_map`] but `f`
-/// also receives the item's index in `items`.
-pub fn par_map_indexed<T, U, F>(items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &T) -> U + Sync,
-{
-    let threads = current_threads();
-    let obs = pse_obs::par_call();
-    if threads <= 1 || items.len() <= 1 {
-        let _t = obs.as_ref().map(|c| c.chunk(0, 0, items.len()));
-        return items.iter().enumerate().map(|(i, item)| f(i, item)).collect();
-    }
-    let chunk = items.len().div_ceil(threads);
-    let mut out = Vec::with_capacity(items.len());
-    thread::scope(|s| {
-        let f = &f;
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .enumerate()
-            .map(|(chunk_idx, slice)| {
-                let base = chunk_idx * chunk;
-                let obs = obs.clone();
-                s.spawn(move || {
-                    let _t = obs.as_ref().map(|c| c.chunk(chunk_idx, chunk_idx, slice.len()));
-                    slice.iter().enumerate().map(|(i, item)| f(base + i, item)).collect::<Vec<U>>()
-                })
-            })
-            .collect();
-        join_ordered(handles, &mut out);
-    });
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn par_map_matches_sequential_map() {
@@ -257,51 +170,6 @@ mod tests {
         let items: Vec<usize> = (0..97).collect();
         let got = with_threads(5, || par_map_chunked(&items, 8, |x| x * 3));
         assert_eq!(got, items.iter().map(|x| x * 3).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn indexed_map_sees_true_indices() {
-        let items = vec!["a"; 53];
-        let got = with_threads(4, || par_map_indexed(&items, |i, _| i));
-        assert_eq!(got, (0..53).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn init_runs_once_per_worker() {
-        let inits = AtomicUsize::new(0);
-        let items: Vec<u32> = (0..100).collect();
-        let got = with_threads(4, || {
-            par_map_init(
-                &items,
-                || {
-                    inits.fetch_add(1, Ordering::SeqCst);
-                    Vec::<u32>::new()
-                },
-                |scratch, x| {
-                    scratch.push(*x);
-                    x + 1
-                },
-            )
-        });
-        assert_eq!(got, (1..=100).collect::<Vec<_>>());
-        let n = inits.load(Ordering::SeqCst);
-        assert!((1..=4).contains(&n), "init ran {n} times");
-    }
-
-    #[test]
-    fn for_each_init_visits_everything() {
-        let count = AtomicUsize::new(0);
-        let items: Vec<u32> = (0..500).collect();
-        with_threads(4, || {
-            par_for_each_init(
-                &items,
-                || (),
-                |(), _| {
-                    count.fetch_add(1, Ordering::SeqCst);
-                },
-            )
-        });
-        assert_eq!(count.load(Ordering::SeqCst), 500);
     }
 
     #[test]

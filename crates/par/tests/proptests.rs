@@ -3,9 +3,10 @@
 //! and propagates worker panics.
 
 use proptest::prelude::*;
-use pse_par::{par_map, par_map_chunked, par_map_indexed, with_threads};
+use pse_par::{par_map, par_map_chunked, with_threads};
 
 proptest! {
+    #[test]
     fn par_map_preserves_length_and_order(
         items in prop::collection::vec(any::<i64>(), 0..200),
         threads in 1usize..9,
@@ -16,6 +17,7 @@ proptest! {
         prop_assert_eq!(got, expected);
     }
 
+    #[test]
     fn chunked_map_matches_sequential(
         items in prop::collection::vec(any::<u32>(), 0..300),
         threads in 1usize..9,
@@ -28,15 +30,7 @@ proptest! {
         prop_assert_eq!(got, expected);
     }
 
-    fn indexed_map_sees_correct_indices(
-        len in 0usize..250,
-        threads in 1usize..9,
-    ) {
-        let items = vec![(); len];
-        let got = with_threads(threads, || par_map_indexed(&items, |i, _| i));
-        prop_assert_eq!(got, (0..len).collect::<Vec<_>>());
-    }
-
+    #[test]
     fn worker_panics_always_propagate(
         len in 1usize..120,
         panic_at in 0usize..120,

@@ -1,0 +1,69 @@
+//! Failure is an end state of the write path, not a hang: what the
+//! queue's two poisons look like from `durable_retract` and
+//! `durable_snapshot` (the call `shutdown()` ends with).
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::{Duration, Instant};
+
+use super::*;
+use pse_core::CorrespondenceSet;
+
+fn open(tag: &str) -> (std::path::PathBuf, Catalog, ShardedStore, DurableCtx) {
+    let dir = std::env::temp_dir().join(format!("pse-durable-fail-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let dcfg = DurabilityConfig {
+        wal_path: dir.join("wal.log"),
+        snapshot_dir: dir.join("segments"),
+        compaction_threshold_bytes: u64::MAX,
+        group: Default::default(),
+    };
+    let catalog = Catalog::default();
+    let seed = ShardedStore::new(CorrespondenceSet::default(), 2);
+    let (store, ctx, _) = open_durable(dcfg, &catalog, seed).unwrap();
+    (dir, catalog, store, ctx)
+}
+
+fn retract_fails_fast(store: &ShardedStore, ctx: &DurableCtx, catalog: &Catalog, why: &str) {
+    let started = Instant::now();
+    let err = durable_retract(store, ctx, catalog, &[OfferId(7)]).unwrap_err();
+    assert_eq!(err.code(), "durability_failed");
+    assert!(err.to_string().contains(why), "{err}");
+    assert!(started.elapsed() < Duration::from_secs(1), "an error, not a hang");
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn a_failed_sync_fails_commits_until_the_next_fold_rotates_the_log() {
+    let (dir, catalog, store, ctx) = open("sync");
+    // `sync_data` on /dev/null is EINVAL: the first commit leads it.
+    let null = std::fs::OpenOptions::new().write(true).open("/dev/null").unwrap();
+    ctx.queue.reset(null, ctx.durability.lock().unwrap().wal_len());
+    retract_fails_fast(&store, &ctx, &catalog, "Invalid argument");
+    retract_fails_fast(&store, &ctx, &catalog, "poisoned until the log rotates");
+    // The fold rotates the log and re-arms the queue on it.
+    durable_snapshot(&store, &ctx).unwrap();
+    durable_retract(&store, &ctx, &catalog, &[OfferId(7)]).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_panicking_apply_costs_one_panic_then_errors_and_no_fold() {
+    let (dir, catalog, store, ctx) = open("apply");
+    // One commit by hand, `commit()`'s steps with an apply that panics.
+    let record = WalRecord::Retract(vec![OfferId(7)]);
+    let lsn = {
+        let mut dur = ctx.durability.lock().unwrap();
+        let lsn = dur.stage_payload(&record.payload()).unwrap();
+        ctx.queue.enqueue(lsn, record);
+        lsn
+    };
+    let panicked = catch_unwind(AssertUnwindSafe(|| ctx.queue.commit(lsn, |_| panic!("apply"))));
+    assert!(panicked.is_err());
+    retract_fails_fast(&store, &ctx, &catalog, "until a restart");
+    // Shutdown's final fold returns — the gate is free — but refuses to
+    // snapshot a store that may be half-applied; the log keeps the truth.
+    let wal_len = ctx.durability.lock().unwrap().wal_len();
+    assert_eq!(durable_snapshot(&store, &ctx).unwrap_err().code(), "durability_failed");
+    assert_eq!(ctx.durability.lock().unwrap().wal_len(), wal_len, "log not rotated");
+    std::fs::remove_dir_all(&dir).unwrap();
+}

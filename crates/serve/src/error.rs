@@ -24,6 +24,9 @@ pub enum ServeError {
     BadResponse(String),
     /// The durability layer failed (WAL append, snapshot write, recovery).
     Durability(WalError),
+    /// The [`crate::ServerConfig`] contradicts itself; the server did
+    /// not start.
+    BadConfig(String),
 }
 
 impl ServeError {
@@ -38,6 +41,7 @@ impl ServeError {
             Self::Store(e) => store_error_code(e),
             Self::BadResponse(_) => "bad_response",
             Self::Durability(_) => "durability_failed",
+            Self::BadConfig(_) => "bad_config",
         }
     }
 }
@@ -62,6 +66,7 @@ impl std::fmt::Display for ServeError {
             Self::Store(e) => write!(f, "store error: {e}"),
             Self::BadResponse(msg) => write!(f, "bad response: {msg}"),
             Self::Durability(e) => write!(f, "durability error: {e}"),
+            Self::BadConfig(msg) => write!(f, "bad server config: {msg}"),
         }
     }
 }
@@ -92,11 +97,5 @@ impl From<StoreError> for ServeError {
 impl From<WalError> for ServeError {
     fn from(e: WalError) -> Self {
         Self::Durability(e)
-    }
-}
-
-impl From<ServeError> for String {
-    fn from(e: ServeError) -> String {
-        e.to_string()
     }
 }

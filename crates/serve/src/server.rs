@@ -52,11 +52,12 @@ pub struct ServerConfig {
     /// Cap on request size (header + body); larger requests get 413.
     /// Defaults to 1 MiB (the documented cap).
     pub max_request_bytes: usize,
-    /// Write-ahead log file. Durability is on iff this *and*
+    /// Write-ahead log file. Durability is on when this *and*
     /// `snapshot_dir` are both set: every ingest/retract is logged and
     /// fsynced before it is applied, and startup recovers from
     /// segments + WAL (disk state wins over the store passed to
-    /// [`start`]).
+    /// [`start`]). Setting only one of the two is a
+    /// [`ServeError::BadConfig`], not a volatile server.
     pub wal_path: Option<PathBuf>,
     /// Directory for segmented binary snapshots (manifest + one segment
     /// per shard). See `wal_path`.
@@ -94,9 +95,8 @@ struct Inner {
     queue_depth: AtomicUsize,
     addr: SocketAddr,
     recorder: FlightRecorder,
-    /// The durable write path when WAL + snapshot dir are configured.
-    /// Lock order: snapshot gate → durability mutex → shard locks,
-    /// never any other order (see `durable` module docs).
+    /// The durable write path when WAL + snapshot dir are configured
+    /// (lock order: see the `durable` module docs).
     durability: Option<DurableCtx>,
     /// Wakes the compaction thread: `true` = a writer saw the WAL cross
     /// the compaction threshold.
@@ -119,6 +119,12 @@ pub fn start(
     catalog: Catalog,
     config: ServerConfig,
 ) -> Result<ServerHandle, ServeError> {
+    // Half a durability config must not start a volatile server.
+    if config.wal_path.is_some() != config.snapshot_dir.is_some() {
+        return Err(ServeError::BadConfig(
+            "durability needs both `wal_path` and `snapshot_dir`; only one is set".to_string(),
+        ));
+    }
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
     // Seed everything the record path can emit, so the metric set in a

@@ -131,6 +131,12 @@ pub struct ShardedStore {
     config: RuntimeConfig,
     /// Routing table derived from `config.key_attributes`.
     keys: KeyAttributes,
+    /// One writer lock per shard. Without a WAL they serialize
+    /// concurrent same-shard writers. With one, the commit queue never
+    /// runs two apply passes at once, so the locks are uncontended
+    /// among writers: they lend `&mut` to the `pse-par` shard tasks and
+    /// order a pass against the writer-side readers (`offer_count`,
+    /// `to_store`, `shard_clusters_value`).
     shards: Vec<RwLock<ShardWriter>>,
     /// The snapshot readers load; replaced wholesale on publish.
     published: SnapshotCell,
@@ -289,8 +295,8 @@ impl ShardedStore {
     /// Apply one logged mutation minus the publish step: the shard
     /// stores mutate and successor snapshots are built, but nothing
     /// becomes visible to readers until the returned updates go through
-    /// [`ShardedStore::publish`]. The durable write path's combiner
-    /// applies a whole commit group this way and publishes once.
+    /// [`ShardedStore::publish`]. The durable write path's apply pass
+    /// runs a whole batch of commits this way and publishes once.
     pub(crate) fn apply_unpublished(
         &self,
         catalog: &Catalog,
@@ -568,11 +574,6 @@ impl ShardedStore {
     /// writer-side store under the shard's reader lock.
     pub fn shard_clusters_value(&self, shard: usize) -> serde::Value {
         self.shards[shard].read().expect("shard lock").store.clusters_value()
-    }
-
-    /// Offer counts per shard (balance diagnostics; `/metrics` extra).
-    pub fn shard_sizes(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.read().expect("shard lock").store.offer_count()).collect()
     }
 }
 

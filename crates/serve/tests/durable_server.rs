@@ -157,3 +157,24 @@ fn durable_and_volatile_servers_answer_byte_identically() {
     assert_eq!(durable, volatile);
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// Half a durability config is an error, never a silently volatile
+/// server, and nothing is created on disk.
+#[test]
+fn half_set_durability_config_refuses_to_start() {
+    let f = fixture();
+    let dir = tmp("half");
+    let whole = durable_config(&dir, 1 << 20);
+    for config in [
+        ServerConfig { snapshot_dir: None, ..whole.clone() },
+        ServerConfig { wal_path: None, ..whole.clone() },
+    ] {
+        let store = ShardedStore::new(f.correspondences.clone(), 2);
+        let Err(err) = pse_serve::start(store, f.world.catalog.clone(), config) else {
+            panic!("a half-set durability config started a server");
+        };
+        assert_eq!(err.code(), "bad_config");
+    }
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0, "nothing written");
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -64,9 +64,7 @@ pub mod metrics {
 }
 pub use metrics::METRICS;
 
-/// Why a store operation failed. Implements `std::error::Error`; a
-/// `From<StoreError> for String` bridge is kept for one release so callers
-/// still holding `Result<_, String>` migrate with a `?`.
+/// Why a store operation failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StoreError {
     /// The snapshot was not valid JSON for the expected layout.
@@ -97,12 +95,6 @@ impl std::fmt::Display for StoreError {
 }
 
 impl std::error::Error for StoreError {}
-
-impl From<StoreError> for String {
-    fn from(e: StoreError) -> String {
-        e.to_string()
-    }
-}
 
 /// Identity of a cluster: `(category, key attribute, normalized key value)`.
 /// `BTreeMap` iteration over this key reproduces the batch pipeline's
@@ -772,8 +764,7 @@ mod tests {
     fn garbage_snapshot_is_a_json_error() {
         let err = ProductStore::restore_json("not json").unwrap_err();
         assert!(matches!(err, StoreError::Json(_)));
-        let as_string: String = err.into();
-        assert!(as_string.contains("snapshot parse error"));
+        assert!(err.to_string().contains("snapshot parse error"));
     }
 
     #[test]

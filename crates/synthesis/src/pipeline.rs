@@ -87,12 +87,6 @@ impl std::fmt::Display for PipelineBuildError {
 
 impl std::error::Error for PipelineBuildError {}
 
-impl From<PipelineBuildError> for String {
-    fn from(e: PipelineBuildError) -> String {
-        e.to_string()
-    }
-}
-
 /// Builder for [`Pipeline`]; see the module docs for the idiom.
 #[derive(Default)]
 pub struct PipelineBuilder {
@@ -256,7 +250,6 @@ mod tests {
             Pipeline::builder().catalog(catalog).build().err(),
             Some(PipelineBuildError::MissingCorrespondences)
         );
-        let as_string: String = PipelineBuildError::MissingCatalog.into();
-        assert!(as_string.contains("no catalog"));
+        assert!(PipelineBuildError::MissingCatalog.to_string().contains("no catalog"));
     }
 }

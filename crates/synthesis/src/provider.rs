@@ -35,11 +35,6 @@ impl<F: Fn(&Offer) -> String> ExtractingProvider<F> {
     pub fn new(fetch: F) -> Self {
         Self { fetch, extractor: PageExtractor::new() }
     }
-
-    /// Build with a custom extractor configuration.
-    pub fn with_extractor(fetch: F, extractor: PageExtractor) -> Self {
-        Self { fetch, extractor }
-    }
 }
 
 impl<F: Fn(&Offer) -> String + Sync> SpecProvider for ExtractingProvider<F> {

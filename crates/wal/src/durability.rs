@@ -42,8 +42,8 @@
 //! steady state, minus some garbage files the next gc sweeps.
 
 use std::collections::BTreeSet;
+use std::fs::File;
 use std::path::PathBuf;
-use std::sync::Arc;
 
 use pse_core::Catalog;
 use pse_core::CorrespondenceSet;
@@ -51,7 +51,7 @@ use pse_store::ProductStore;
 use pse_synthesis::RuntimeConfig;
 use serde::{Deserialize, Serialize, Value};
 
-use crate::group::{GroupCommitConfig, GroupCommitter};
+use crate::group::GroupCommitConfig;
 use crate::segments::{self, Manifest, SegmentEntry, SnapshotMeta};
 use crate::wal::{self, Wal, WalRecord, WAL_HEADER_LEN};
 use crate::{codec, metrics, WalError, FORMAT_VERSION, METRICS};
@@ -66,8 +66,8 @@ pub struct DurabilityConfig {
     /// When the WAL grows past this many record bytes, the serving layer
     /// should fold it into fresh segments ([`Durability::wants_compaction`]).
     pub compaction_threshold_bytes: u64,
-    /// Group-commit knobs for the stage/wait write path
-    /// ([`Durability::stage_payload`] + [`GroupCommitter::wait_durable`]).
+    /// Group-commit knobs for the [`crate::CommitQueue`] the owner of the
+    /// opened [`Durability`] builds over it.
     pub group: GroupCommitConfig,
 }
 
@@ -106,6 +106,24 @@ pub fn recover(
     catalog: &Catalog,
     empty_store: impl FnOnce() -> ProductStore,
 ) -> Result<Option<(ProductStore, RecoveryStats)>, WalError> {
+    Ok(replay(config, catalog, empty_store)?.store)
+}
+
+/// What one read-only pass over a durable directory found: everything
+/// [`recover`] returns and everything [`Durability::open`] needs to
+/// reopen the log, so neither file is read twice.
+struct Replayed {
+    manifest: Option<Manifest>,
+    /// The log's generation and durable length, when a log exists.
+    log: Option<(u64, u64)>,
+    store: Option<(ProductStore, RecoveryStats)>,
+}
+
+fn replay(
+    config: &DurabilityConfig,
+    catalog: &Catalog,
+    empty_store: impl FnOnce() -> ProductStore,
+) -> Result<Replayed, WalError> {
     let _span = pse_obs::span("wal.recover");
     METRICS.seed();
     let manifest = segments::read_manifest(&config.snapshot_dir)?;
@@ -135,9 +153,8 @@ pub fn recover(
         None => (empty_store(), WAL_HEADER_LEN, None),
     };
     let tail = wal::read_wal(&config.wal_path, wal_from)?;
-    if manifest.is_none() && tail.is_none() {
-        return Ok(None);
-    }
+    let log = tail.as_ref().map(|t| (t.gen, t.durable_len));
+    let found = manifest.is_some() || tail.is_some();
     if let Some(tail) = tail {
         // A generation mismatch means the manifest superseded this log
         // (crash between manifest commit and log rotation): its records
@@ -155,7 +172,7 @@ pub fn recover(
             }
         }
     }
-    Ok(Some((store, stats)))
+    Ok(Replayed { manifest, log, store: found.then_some((store, stats)) })
 }
 
 fn apply(store: &mut ProductStore, catalog: &Catalog, record: WalRecord) {
@@ -173,16 +190,13 @@ fn apply(store: &mut ProductStore, catalog: &Catalog, record: WalRecord) {
 /// committed manifest, and the dirty-shard set accumulated since it.
 ///
 /// One stager at a time — callers serialize [`Self::stage_payload`]
-/// behind a mutex, wait for durability outside it, and apply in staging
-/// order, so the apply order equals the log order (the serving layer's
-/// `durable` module does this).
+/// behind a mutex and hand each staged record to a
+/// [`crate::CommitQueue`] under that same mutex; the queue syncs and
+/// applies in log order (the serving layer's `durable` module does this).
 #[derive(Debug)]
 pub struct Durability {
     config: DurabilityConfig,
     wal: Wal,
-    /// Group-commit coordinator syncing staged frames; shared with
-    /// waiters via [`Self::committer`], re-armed on every WAL rotation.
-    committer: Arc<GroupCommitter>,
     manifest: Option<Manifest>,
     /// Shards whose segment must be rewritten at the next snapshot.
     dirty_shards: BTreeSet<usize>,
@@ -208,46 +222,34 @@ impl Durability {
         empty_store: impl FnOnce() -> ProductStore,
     ) -> Result<(Option<ProductStore>, Durability, RecoveryStats), WalError> {
         let _span = pse_obs::span("wal.open");
-        METRICS.seed();
         std::fs::create_dir_all(&config.snapshot_dir)?;
         if let Some(parent) = config.wal_path.parent() {
             if !parent.as_os_str().is_empty() {
                 std::fs::create_dir_all(parent)?;
             }
         }
-        let recovered = recover(&config, catalog, empty_store)?;
-        let manifest = segments::read_manifest(&config.snapshot_dir)?;
-        let tail = wal::read_wal(&config.wal_path, WAL_HEADER_LEN)?;
-        let wal = match (&manifest, &tail) {
-            // Healthy pair: truncate the torn tail, keep appending.
-            (Some(m), Some(t)) if t.gen == m.wal_gen => {
-                Wal::open_for_append(&config.wal_path, t.gen, t.durable_len)?
-            }
-            // Crashed rotation (or missing log): the manifest's
-            // generation wins; its records live in the segments.
-            (Some(m), _) => Wal::create(&config.wal_path, m.wal_gen)?,
-            // Log without a snapshot yet.
-            (None, Some(t)) => Wal::open_for_append(&config.wal_path, t.gen, t.durable_len)?,
-            // Fresh directory.
-            (None, None) => Wal::create(&config.wal_path, 1)?,
+        let Replayed { manifest, log, store } = replay(&config, catalog, empty_store)?;
+        let manifest_gen = manifest.as_ref().map(|m| m.wal_gen);
+        let wal = match log.filter(|(gen, _)| manifest_gen.is_none_or(|m| m == *gen)) {
+            // A log the manifest (if there is one) pairs with: truncate
+            // the torn tail, keep appending.
+            Some((gen, durable_len)) => Wal::open_for_append(&config.wal_path, gen, durable_len)?,
+            // Fresh directory, missing log, or the stale log of a crashed
+            // rotation: the manifest's generation wins; its records live
+            // in the segments.
+            None => Wal::create(&config.wal_path, manifest_gen.unwrap_or(1))?,
         };
-        let (store, stats) = match recovered {
-            Some((s, stats)) => (Some(s), stats),
-            None => (None, RecoveryStats::default()),
-        };
+        let (store, stats) = store.unzip();
         let unfolded = !wal.is_empty();
-        let committer = Arc::new(GroupCommitter::new(config.group.clone()));
-        committer.reset(wal.sync_handle()?, wal.len());
         let durability = Durability {
             config,
             wal,
-            committer,
             manifest,
             dirty_shards: BTreeSet::new(),
             rewrite_all: unfolded || store.is_none(),
             unfolded_records: unfolded,
         };
-        Ok((store, durability, stats))
+        Ok((store, durability, stats.unwrap_or_default()))
     }
 
     /// Whether no snapshot exists yet. Callers should write an initial
@@ -258,25 +260,30 @@ impl Durability {
     }
 
     /// Stage one pre-encoded record ([`WalRecord::payload`]) into the
-    /// log **without** waiting for durability. Returns the record's
-    /// commit LSN; pass it to [`GroupCommitter::wait_durable`] (from
-    /// [`Self::committer`]) — outside whatever lock serialized this call
-    /// — before applying the record, so fsync-before-apply holds. Taking
-    /// the encoded bytes lets concurrent writers encode outside that
-    /// lock, shrinking the critical section to the frame write.
+    /// log **without** waiting for durability, and return its commit LSN.
+    /// The record is durable once a `sync_data` on [`Self::sync_handle`]
+    /// covers that LSN; queue it ([`crate::CommitQueue::enqueue`]) under
+    /// the lock that serialized this call and let the queue sync before
+    /// it applies, so fsync-before-apply holds. Taking the encoded bytes
+    /// lets concurrent writers encode outside that lock, shrinking the
+    /// critical section to the frame write.
     pub fn stage_payload(&mut self, payload: &[u8]) -> Result<u64, WalError> {
         let lsn = self.wal.stage_payload(payload)?;
         self.unfolded_records = true;
-        self.committer.staged(lsn);
         Ok(lsn)
     }
 
-    /// The group-commit coordinator for this WAL. Clone the `Arc` and
-    /// call [`GroupCommitter::wait_durable`] without holding the lock
-    /// that serializes [`Self::stage_payload`] — blocking inside that
-    /// lock would keep any group from forming.
-    pub fn committer(&self) -> Arc<GroupCommitter> {
-        Arc::clone(&self.committer)
+    /// A duplicate handle of the current log file ([`Wal::sync_handle`]).
+    /// The owner arms its [`crate::CommitQueue`] with it after
+    /// [`Self::open`] and again whenever [`Self::wal_gen`] has changed.
+    pub fn sync_handle(&self) -> Result<File, WalError> {
+        self.wal.sync_handle()
+    }
+
+    /// Generation of the log being appended to; every snapshot that
+    /// rotates the log advances it.
+    pub fn wal_gen(&self) -> u64 {
+        self.wal.gen()
     }
 
     /// Record which shards a just-applied write touched, so the next
@@ -379,10 +386,6 @@ impl Durability {
         };
         segments::write_manifest(&dir, &manifest)?;
         self.wal = Wal::promote_staged(&self.config.wal_path, next_gen)?;
-        // Re-arm the committer on the rotated log. Safe because callers
-        // exclude in-flight commits around snapshots (the serving
-        // layer's snapshot gate), so nothing is staged-but-unsynced.
-        self.committer.reset(self.wal.sync_handle()?, self.wal.len());
         segments::gc(&dir, &manifest)?;
         pse_obs::add(metrics::SEGMENTS_WRITTEN, written as u64);
         pse_obs::add(metrics::SEGMENTS_SKIPPED, skipped as u64);

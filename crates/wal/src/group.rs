@@ -1,41 +1,73 @@
-//! Group commit: amortizing `sync_data` across concurrent writers.
+//! The commit queue: group commit and ordered apply as one state machine.
 //!
-//! One fsync per record would leave sustained ingest throughput
-//! fsync-bound. Group commit splits the append in two: writers *stage*
-//! frames into the log file under the caller's ordering lock
-//! ([`crate::Wal::stage_payload`], no fsync), then block in
-//! [`GroupCommitter::wait_durable`] until their commit LSN is covered by
-//! a sync. The first waiter that finds the group ready elects itself
-//! **leader**, performs a single `sync_data` covering every staged
-//! frame, and wakes the followers.
+//! One fsync per record would leave sustained ingest fsync-bound, and
+//! applying records in any order but the log's would break recovery. One
+//! decision answers both — *which staged commits are durable, and which
+//! of those is applied next* — so one structure makes it: a
+//! [`CommitQueue`] holds every commit from the moment its frame is
+//! staged until its owner has collected the apply's result, behind one
+//! mutex.
 //!
-//! A group is ready when any of these holds:
+//! A writer stages its frame ([`crate::Wal::stage_payload`], no fsync)
+//! and calls [`CommitQueue::enqueue`] **under the lock that ordered the
+//! frame**, so queue order is log order by construction. Outside that
+//! lock it calls [`CommitQueue::commit`], which asks three questions:
 //!
-//! - it is full (`group_size` commits staged and unsynced),
-//! - every *active writer* has staged (the group cannot grow — the
-//!   self-clocking fast path that keeps a lone writer at zero added
-//!   latency; see [`GroupCommitter::writer`]),
-//! - the bounded `group_wait` expired for some waiter.
+//! 1. *Am I durable?* Until yes: become the **leader** when the group is
+//!    ready — one `sync_data`, no lock held, covers every frame staged
+//!    when it started — else wait for a sync to finish. A group is ready
+//!    when it is full (`group_size` commits staged and unsynced), when
+//!    every *active writer* has staged (it cannot grow: the
+//!    self-clocking rule that keeps a lone writer at zero added latency;
+//!    see [`CommitQueue::writer`]), or when a waiter's `group_wait`
+//!    expires (counted from entering `commit`; re-armed while a leader
+//!    is mid-sync, so nobody spins).
+//! 2. *Was I applied?* Another commit's pass deposited my result: take
+//!    it and return.
+//! 3. *Is nobody applying?* Then pop every durable entry off the front
+//!    (at most [`MAX_APPLY_BATCH`]), run `apply` on them with no lock
+//!    held, and deposit one result per owner; else wait for the running
+//!    pass to finish, and ask 2 again.
 //!
-//! Durability semantics are those of a per-record fsync:
-//! `wait_durable` returning `Ok` means the record (and the whole log
-//! prefix before it) is on disk — fsync-before-apply still holds per
-//! group. A failed sync poisons the committer: the leader and every
-//! waiter (current and future) gets an error, so no caller can mistake
-//! an unsynced record for a durable one.
+//! Only durable records reach `apply`, in log order, one pass at a time;
+//! the sync of one group overlaps the apply of the one before. Two
+//! condition variables carry the wakeups: `synced` (a sync completed or
+//! failed — every commit waiting to become durable re-asks question 1)
+//! and `applied` (a pass completed — every durable commit re-asks 2 and
+//! 3). A completed apply does **not** signal `synced`: a commit still
+//! waiting for company keeps sleeping out its `group_wait`, as it always
+//! has. Changing that is a scheduling-policy change, not a refactor.
 //!
-//! The committer holds a duplicate handle of the log file (same file
-//! description), so the leader syncs without borrowing the `Wal` or
-//! holding the caller's ordering lock — that is what lets followers
-//! stage the next group while the leader's fsync is in flight.
+//! Durability semantics are those of a per-record fsync: `commit`
+//! returning `Ok` means the record and the whole log prefix before it
+//! are on disk and applied. Failure is an end state, not a hang:
+//!
+//! - **A failed sync** poisons the queue. The entries it did not cover
+//!   are dropped; their owners and every later commit get an error,
+//!   while entries an earlier sync covered still apply. Rotating the log
+//!   ([`CommitQueue::reset`]) clears it.
+//! - **A panic in `apply`** poisons it for good: the store may be
+//!   half-applied, so every blocked and every later commit errors and
+//!   [`CommitQueue::check_apply`] lets the owner refuse to snapshot that
+//!   state. Only a restart — recovery from the log — clears it.
+//!
+//! The queue syncs through a duplicate handle of the log file (same file
+//! description), so the leader needs neither the `Wal` nor the caller's
+//! ordering lock — followers stage the next group while it is in flight.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::fs::File;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use crate::{metrics, WalError};
+
+/// The most entries one apply pass takes. Bounds the latency helped
+/// commits add to the applier's own return; groups are never larger than
+/// the writer count in practice, so the cap only binds under a backlog.
+pub const MAX_APPLY_BATCH: usize = 64;
 
 /// Group-commit tuning knobs.
 #[derive(Debug, Clone)]
@@ -53,235 +85,264 @@ impl Default for GroupCommitConfig {
     }
 }
 
+/// Why the queue stopped accepting commits (module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Poison {
+    Sync,
+    Apply,
+}
+
 #[derive(Debug)]
-struct GroupState {
+struct QueueState<T, R> {
     /// Duplicate handle of the current log file. Shares the `Wal`'s
     /// file description, so one `sync_data` here covers every frame
     /// staged through the `Wal`.
-    file: Option<Arc<File>>,
-    /// Highest staged LSN (bytes written to the log file so far).
-    staged_lsn: u64,
+    file: Arc<File>,
     /// Highest LSN covered by a completed sync.
     durable_lsn: u64,
-    /// Commits staged but not yet covered by a completed sync.
-    pending: usize,
     /// A leader is inside `sync_data` right now.
     syncing: bool,
-    /// A sync failed; every current and future wait errors out.
-    poisoned: bool,
-    /// Parked waiters keyed by `(lsn, ticket)` — the LSN each waits on
-    /// plus a per-wait ticket so equal LSNs never collide. A completed
-    /// sync unparks exactly the waiters it covered (plus one uncovered
-    /// waiter to keep leader election moving); waiters past their
-    /// deadline wake themselves via `park_timeout`.
-    waiting: BTreeMap<(u64, u64), std::thread::Thread>,
-    /// Ticket source for `waiting` keys.
-    tickets: u64,
+    /// An apply pass is running right now.
+    applying: bool,
+    poison: Option<Poison>,
+    /// Staged, not yet applied commits as `(lsn, item)`, in log order:
+    /// durable ones at the front, then the unsynced. LSNs are unique
+    /// within a log generation, so they name the commit.
+    queue: VecDeque<(u64, T)>,
+    /// Results of applied commits their owners have not collected yet.
+    results: BTreeMap<u64, R>,
 }
 
-/// The shared group-commit coordinator for one WAL. See module docs.
+impl<T, R> QueueState<T, R> {
+    /// How many entries at the front of the queue are durable.
+    fn durable_front(&self) -> usize {
+        self.queue.partition_point(|(lsn, _)| *lsn <= self.durable_lsn)
+    }
+
+    /// How many commits are staged but not covered by a completed sync.
+    fn unsynced(&self) -> usize {
+        self.queue.len() - self.durable_front()
+    }
+
+    /// The error a commit at `lsn` must fail with, if the queue is
+    /// poisoned for it: always after a panicked apply, and after a
+    /// failed sync when no earlier sync covered `lsn`.
+    fn check(&self, lsn: u64) -> Result<(), WalError> {
+        let why = match self.poison {
+            Some(Poison::Apply) => {
+                "an apply panicked and may have left the store half-applied; \
+                 the commit queue is poisoned until a restart recovers from the log"
+            }
+            Some(Poison::Sync) if self.durable_lsn < lsn => {
+                "wal group sync failed; the commit queue is poisoned until the log rotates"
+            }
+            _ => return Ok(()),
+        };
+        Err(WalError::Io(std::io::Error::other(why)))
+    }
+}
+
+type Guard<'a, T, R> = MutexGuard<'a, QueueState<T, R>>;
+
+/// The commit queue of one WAL, generic over what a commit carries
+/// (`T`) and what applying it yields (`R`). See the module docs.
 #[derive(Debug)]
-pub struct GroupCommitter {
+pub struct CommitQueue<T, R> {
     cfg: GroupCommitConfig,
-    state: Mutex<GroupState>,
+    state: Mutex<QueueState<T, R>>,
+    /// A sync completed or failed.
+    synced: Condvar,
+    /// An apply pass completed or panicked.
+    applied: Condvar,
     /// Writers currently inside a commit operation (see [`Self::writer`]).
     writers: AtomicUsize,
 }
 
-/// RAII registration of an active writer ([`GroupCommitter::writer`]).
+/// RAII registration of an active writer ([`CommitQueue::writer`]).
 #[derive(Debug)]
 pub struct WriterGuard<'a> {
-    committer: &'a GroupCommitter,
+    writers: &'a AtomicUsize,
 }
 
 impl Drop for WriterGuard<'_> {
     fn drop(&mut self) {
-        self.committer.writers.fetch_sub(1, Ordering::Relaxed);
+        self.writers.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
-impl GroupCommitter {
-    /// A committer with no log attached yet; [`Self::reset`] arms it.
-    pub fn new(cfg: GroupCommitConfig) -> Self {
+impl<T, R> CommitQueue<T, R> {
+    /// An empty queue over the log `file` (a [`crate::Wal::sync_handle`])
+    /// whose length `durable_lsn` is already fully durable.
+    pub fn new(cfg: GroupCommitConfig, file: File, durable_lsn: u64) -> Self {
+        let state = QueueState {
+            file: Arc::new(file),
+            durable_lsn,
+            syncing: false,
+            applying: false,
+            poison: None,
+            queue: VecDeque::new(),
+            results: BTreeMap::new(),
+        };
         Self {
             cfg,
-            state: Mutex::new(GroupState {
-                file: None,
-                staged_lsn: 0,
-                durable_lsn: 0,
-                pending: 0,
-                syncing: false,
-                poisoned: false,
-                waiting: BTreeMap::new(),
-                tickets: 0,
-            }),
+            state: Mutex::new(state),
+            synced: Condvar::new(),
+            applied: Condvar::new(),
             writers: AtomicUsize::new(0),
         }
     }
 
-    /// The knobs this committer runs with.
-    pub fn config(&self) -> &GroupCommitConfig {
-        &self.cfg
+    fn lock(&self) -> Guard<'_, T, R> {
+        self.state.lock().expect("commit queue")
     }
 
-    /// Point the committer at a fresh (or rotated) log file whose length
-    /// `durable_lsn` is already fully durable. Callers must exclude
-    /// in-flight commits first — the serving layer's snapshot gate does —
-    /// so no waiter can observe the LSN space jumping backwards.
+    /// Point the queue at a rotated log file whose length `durable_lsn`
+    /// is already fully durable, clearing a failed sync's poison (never a
+    /// panicked apply's). Callers must exclude in-flight commits first —
+    /// the serving layer's snapshot gate does — so the queue is empty
+    /// and no waiter sees the LSN space jump backwards.
     pub fn reset(&self, file: File, durable_lsn: u64) {
-        let mut s = self.state.lock().expect("group-commit state");
-        debug_assert!(!s.syncing && s.pending == 0, "reset with commits in flight");
-        let stale = std::mem::take(&mut s.waiting);
-        let tickets = s.tickets;
-        *s = GroupState {
-            file: Some(Arc::new(file)),
-            staged_lsn: durable_lsn,
-            durable_lsn,
-            pending: 0,
-            syncing: false,
-            poisoned: false,
-            waiting: BTreeMap::new(),
-            tickets,
-        };
-        drop(s);
-        for (_, thread) in stale {
-            thread.unpark();
-        }
+        let mut s = self.lock();
+        debug_assert!(!s.syncing && !s.applying, "reset with commits in flight");
+        debug_assert!(s.queue.is_empty() && s.results.is_empty(), "reset with commits queued");
+        s.file = Arc::new(file);
+        s.durable_lsn = durable_lsn;
+        s.poison = s.poison.filter(|p| *p == Poison::Apply);
     }
 
     /// Register the calling thread as an active writer for the lifetime
     /// of the returned guard (ideally the whole commit operation, from
     /// before staging until after apply). Leader election compares the
-    /// staged count against the active-writer count: once every active
+    /// unsynced count against the active-writer count: once every active
     /// writer has staged, the group cannot grow, so the leader syncs
     /// immediately instead of waiting out `group_wait`.
     pub fn writer(&self) -> WriterGuard<'_> {
         self.writers.fetch_add(1, Ordering::Relaxed);
-        WriterGuard { committer: self }
+        WriterGuard { writers: &self.writers }
     }
 
-    /// Note a record staged at `lsn`. Call under the same exclusion that
-    /// ordered the staging write (the caller's durability mutex), so
-    /// `staged_lsn` only ever advances.
-    pub fn staged(&self, lsn: u64) {
-        let mut s = self.state.lock().expect("group-commit state");
-        debug_assert!(lsn >= s.staged_lsn, "stage calls must be ordered");
-        s.staged_lsn = s.staged_lsn.max(lsn);
-        s.pending += 1;
-        // No notify: the staging thread enters `wait_durable` next and
-        // runs leader election itself, so waking the already-parked
-        // waiters here only makes them recompute and sleep again — a
-        // per-commit broadcast herd. Waiters that could newly lead are
-        // covered by their bounded `group_wait` timeout.
-    }
-
-    /// Block until every byte up to `lsn` is durable, electing this
-    /// thread as the sync leader when the group is ready (module docs).
-    /// `Ok` means the log prefix through `lsn` is on disk.
-    pub fn wait_durable(&self, lsn: u64) -> Result<(), WalError> {
-        let entered = Instant::now();
-        let deadline = entered + self.cfg.group_wait;
-        let mut ticket: Option<(u64, u64)> = None;
-        let mut s = self.state.lock().expect("group-commit state");
-        loop {
-            if let Some(key) = ticket.take() {
-                // Back from a park: drop our waiter entry (the waker
-                // usually removed it already when it unparked us).
-                s.waiting.remove(&key);
-            }
-            if s.durable_lsn >= lsn {
-                pse_obs::observe(metrics::GROUP_WAIT_US, entered.elapsed().as_micros() as u64);
-                return Ok(());
-            }
-            if s.poisoned {
-                return Err(WalError::Io(std::io::Error::other(
-                    "wal group sync failed; committer is poisoned",
-                )));
-            }
-            let quorum =
-                self.writers.load(Ordering::Relaxed).max(1).min(self.cfg.group_size.max(1));
-            let now = Instant::now();
-            if !s.syncing && (s.pending >= quorum || now >= deadline) {
-                // Become the leader: one sync_data covers every frame
-                // staged so far, with no locks held across the IO.
-                s.syncing = true;
-                let target = s.staged_lsn;
-                let covered = s.pending;
-                let file = Arc::clone(s.file.as_ref().expect("committer has a log handle"));
-                drop(s);
-                let started = Instant::now();
-                let synced = file.sync_data();
-                pse_obs::observe(metrics::FSYNC_US, started.elapsed().as_micros() as u64);
-                s = self.state.lock().expect("group-commit state");
-                s.syncing = false;
-                match synced {
-                    Ok(()) => {
-                        pse_obs::observe(metrics::GROUP_SIZE, covered as u64);
-                        s.durable_lsn = s.durable_lsn.max(target);
-                        // Commits staged while the sync was in flight
-                        // stay pending for the next leader.
-                        s.pending = s.pending.saturating_sub(covered);
-                        // Wake exactly the waiters this sync covered —
-                        // the next group's would only recompute and
-                        // sleep again — plus, when commits are already
-                        // pending, one uncovered waiter so leader
-                        // election keeps moving even if that group
-                        // fully staged while we were syncing.
-                        let durable = s.durable_lsn;
-                        let uncovered = s.waiting.split_off(&(durable + 1, 0));
-                        let mut wake: Vec<std::thread::Thread> =
-                            std::mem::replace(&mut s.waiting, uncovered).into_values().collect();
-                        if s.pending >= quorum {
-                            // The next group may have fully staged while
-                            // we were syncing — every member parked, no
-                            // future stager to run the election. Hand
-                            // one of them the leader check; sub-quorum
-                            // groups are driven by arriving stagers and
-                            // the bounded deadline instead.
-                            if let Some((&key, _)) = s.waiting.iter().next() {
-                                wake.extend(s.waiting.remove(&key));
-                            }
-                        }
-                        drop(s);
-                        for thread in wake {
-                            thread.unpark();
-                        }
-                        s = self.state.lock().expect("group-commit state");
-                    }
-                    Err(e) => {
-                        s.poisoned = true;
-                        let stale = std::mem::take(&mut s.waiting);
-                        drop(s);
-                        for (_, thread) in stale {
-                            thread.unpark();
-                        }
-                        return Err(e.into());
-                    }
-                }
-                continue;
-            }
-            // Not our turn to lead: park until the covering sync (or a
-            // poisoning) unparks us. Past the deadline (a leader is
-            // mid-sync), re-arm a full `group_wait` so the loop never
-            // busy-spins.
-            let wait = if now >= deadline {
-                self.cfg.group_wait.max(Duration::from_micros(100))
-            } else {
-                deadline - now
-            };
-            s.tickets += 1;
-            let key = (lsn, s.tickets);
-            ticket = Some(key);
-            s.waiting.insert(key, std::thread::current());
-            drop(s);
-            std::thread::park_timeout(wait);
-            s = self.state.lock().expect("group-commit state");
+    /// Queue a commit whose frame was just staged at `lsn`. Call under
+    /// the same exclusion that ordered the staging write (the caller's
+    /// durability mutex), so LSNs arrive in increasing order and queue
+    /// order is log order. Wakes nobody: the caller enters
+    /// [`Self::commit`] next and runs the leader election itself.
+    pub fn enqueue(&self, lsn: u64, item: T) {
+        let mut s = self.lock();
+        let last = s.queue.back().map_or(s.durable_lsn, |(last, _)| *last);
+        debug_assert!(lsn > last, "enqueue calls must follow log order");
+        if s.poison.is_none() {
+            s.queue.push_back((lsn, item));
         }
     }
 
-    /// Highest LSN known durable (for tests and diagnostics).
-    pub fn durable_lsn(&self) -> u64 {
-        self.state.lock().expect("group-commit state").durable_lsn
+    /// Finish the commit queued at `lsn`: block until it is durable and
+    /// applied — leading the group's sync or running an apply pass when
+    /// it is this thread's turn (module docs) — and return its result.
+    /// `apply` gets a batch of durable items in log order and must
+    /// return one result per item, in order; it never runs concurrently
+    /// with another `apply` on this queue.
+    pub fn commit(&self, lsn: u64, mut apply: impl FnMut(Vec<T>) -> Vec<R>) -> Result<R, WalError> {
+        let entered = Instant::now();
+        let mut deadline = entered + self.cfg.group_wait;
+        let mut s = self.lock();
+        while s.durable_lsn < lsn {
+            s.check(lsn)?;
+            let quorum =
+                self.writers.load(Ordering::Relaxed).max(1).min(self.cfg.group_size.max(1));
+            let now = Instant::now();
+            s = if !s.syncing && (s.unsynced() >= quorum || now >= deadline) {
+                self.lead_sync(s)?
+            } else {
+                // Past the deadline a leader is mid-sync: re-arm a full
+                // `group_wait`, so the loop never busy-spins and the end
+                // of that sync alone does not make this commit lead.
+                if now >= deadline {
+                    deadline = now + self.cfg.group_wait.max(Duration::from_micros(100));
+                }
+                self.synced.wait_timeout(s, deadline - now).expect("commit queue").0
+            };
+        }
+        pse_obs::observe(metrics::GROUP_WAIT_US, entered.elapsed().as_micros() as u64);
+        loop {
+            if let Some(result) = s.results.remove(&lsn) {
+                return Ok(result);
+            }
+            s.check(lsn)?;
+            s = if s.applying {
+                self.applied.wait(s).expect("commit queue")
+            } else {
+                self.apply_pass(s, &mut apply)
+            };
+        }
+    }
+
+    /// Lead the group's sync: one `sync_data`, with no lock held across
+    /// the IO, covers every frame staged so far. Commits staged while it
+    /// is in flight stay unsynced for the next leader.
+    fn lead_sync<'a>(&'a self, mut s: Guard<'a, T, R>) -> Result<Guard<'a, T, R>, WalError> {
+        let covered = s.unsynced();
+        s.syncing = true;
+        let target = s.queue.back().expect("the leader's own commit is queued").0;
+        let file = Arc::clone(&s.file);
+        drop(s);
+        let started = Instant::now();
+        let synced = file.sync_data();
+        pse_obs::observe(metrics::FSYNC_US, started.elapsed().as_micros() as u64);
+        let mut s = self.lock();
+        s.syncing = false;
+        self.synced.notify_all();
+        match synced {
+            Ok(()) => {
+                pse_obs::observe(metrics::GROUP_SIZE, covered as u64);
+                s.durable_lsn = target;
+                Ok(s)
+            }
+            Err(e) => {
+                s.poison.get_or_insert(Poison::Sync);
+                let durable = s.durable_front();
+                s.queue.truncate(durable);
+                Err(e.into())
+            }
+        }
+    }
+
+    /// One apply pass over the durable front of the queue, run by a
+    /// durable commit that found nobody applying.
+    fn apply_pass<'a>(
+        &'a self,
+        mut s: Guard<'a, T, R>,
+        apply: &mut impl FnMut(Vec<T>) -> Vec<R>,
+    ) -> Guard<'a, T, R> {
+        let take = s.durable_front().min(MAX_APPLY_BATCH);
+        let (lsns, batch): (Vec<u64>, Vec<T>) = s.queue.drain(..take).unzip();
+        debug_assert!(!batch.is_empty(), "a durable, unapplied commit is still queued");
+        s.applying = true;
+        drop(s);
+        let outcome = catch_unwind(AssertUnwindSafe(|| apply(batch)));
+        let mut s = self.lock();
+        s.applying = false;
+        self.applied.notify_all();
+        match outcome {
+            Ok(results) => {
+                debug_assert_eq!(results.len(), lsns.len(), "one result per applied item");
+                s.results.extend(lsns.into_iter().zip(results));
+                s
+            }
+            Err(panic) => {
+                s.poison = Some(Poison::Apply);
+                s.queue.clear();
+                drop(s);
+                self.synced.notify_all();
+                resume_unwind(panic)
+            }
+        }
+    }
+
+    /// `Err` once an `apply` has panicked: the state it was mutating may
+    /// be half-applied and must not be snapshotted. (LSN 0 is durable by
+    /// definition, so a failed sync alone does not fail this.)
+    pub fn check_apply(&self) -> Result<(), WalError> {
+        self.lock().check(0)
     }
 }
 
@@ -291,102 +352,268 @@ mod tests {
     use crate::wal::{read_wal, Wal, WalRecord};
     use pse_core::OfferId;
     use std::path::PathBuf;
-    use std::sync::Mutex as StdMutex;
+    use std::sync::mpsc::{channel, Receiver};
+    use std::thread::{sleep, spawn, JoinHandle};
 
-    fn tmp(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("pse-wal-group-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
+    /// A log, a queue of `u64` ids over it, and every batch `apply` saw.
+    /// The fake `apply` answers id `i` with `10 * i`.
+    struct Rig {
+        dir: PathBuf,
+        wal: Wal,
+        queue: Arc<CommitQueue<u64, u64>>,
+        applied: Arc<Mutex<Vec<Vec<u64>>>>,
     }
 
-    fn retract(ids: &[u64]) -> WalRecord {
-        WalRecord::Retract(ids.iter().copied().map(OfferId).collect())
+    impl Rig {
+        fn new(tag: &str, cfg: GroupCommitConfig) -> Self {
+            let dir =
+                std::env::temp_dir().join(format!("pse-wal-group-{tag}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            let wal = Wal::create(&dir.join("wal.log"), 1).unwrap();
+            let queue = Arc::new(CommitQueue::new(cfg, wal.sync_handle().unwrap(), wal.len()));
+            Self { dir, wal, queue, applied: Arc::default() }
+        }
+
+        /// Stage a frame naming `id` and queue it, as one ordered step.
+        fn stage(&mut self, id: u64) -> u64 {
+            let record = WalRecord::Retract(vec![OfferId(id)]);
+            let lsn = self.wal.stage_payload(&record.payload()).unwrap();
+            self.queue.enqueue(lsn, id);
+            lsn
+        }
+
+        fn apply(&self) -> impl FnMut(Vec<u64>) -> Vec<u64> {
+            let applied = Arc::clone(&self.applied);
+            move |batch| {
+                let results = batch.iter().map(|id| 10 * id).collect();
+                applied.lock().unwrap().push(batch);
+                results
+            }
+        }
+
+        fn commit(&self, lsn: u64) -> Result<u64, WalError> {
+            self.queue.commit(lsn, self.apply())
+        }
+
+        /// Commit `lsn` on its own thread; with `hold`, its apply pass
+        /// blocks until the sender is used or dropped.
+        fn spawn_commit(&self, lsn: u64, hold: Option<Receiver<()>>) -> JoinHandle<u64> {
+            let (queue, mut apply) = (Arc::clone(&self.queue), self.apply());
+            spawn(move || {
+                let apply = |batch| {
+                    let _ = hold.as_ref().map(Receiver::recv);
+                    apply(batch)
+                };
+                queue.commit(lsn, apply).unwrap()
+            })
+        }
+
+        fn wait_until(&self, what: &str, holds: impl Fn(&QueueState<u64, u64>) -> bool) {
+            let started = Instant::now();
+            while !holds(&self.queue.lock()) {
+                assert!(
+                    started.elapsed() < Duration::from_secs(10),
+                    "timed out waiting for {what}"
+                );
+                sleep(Duration::from_millis(1));
+            }
+        }
+
+        fn applied(&self) -> Vec<Vec<u64>> {
+            self.applied.lock().unwrap().clone()
+        }
     }
 
-    fn committer_for(wal: &Wal, cfg: GroupCommitConfig) -> GroupCommitter {
-        let c = GroupCommitter::new(cfg);
-        c.reset(wal.sync_handle().unwrap(), wal.len());
-        c
+    impl Drop for Rig {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.dir);
+        }
     }
+
+    const NEVER: Duration = Duration::from_secs(30);
 
     #[test]
     fn lone_writer_commits_without_waiting_for_a_full_group() {
-        let dir = tmp("lone");
-        let mut wal = Wal::create(&dir.join("wal.log"), 1).unwrap();
         // A huge group and a huge wait: only the self-clocking path
         // (all active writers staged) can return promptly.
-        let cfg = GroupCommitConfig { group_size: 64, group_wait: Duration::from_secs(30) };
-        let committer = committer_for(&wal, cfg);
-        let _w = committer.writer();
+        let mut rig = Rig::new("lone", GroupCommitConfig { group_size: 64, group_wait: NEVER });
+        let queue = Arc::clone(&rig.queue);
+        let _w = queue.writer();
         let started = Instant::now();
-        let lsn = wal.stage_payload(&retract(&[1]).payload()).unwrap();
-        committer.staged(lsn);
-        committer.wait_durable(lsn).unwrap();
-        assert!(
-            started.elapsed() < Duration::from_secs(5),
-            "lone writer must not wait out group_wait"
-        );
-        assert_eq!(committer.durable_lsn(), lsn);
-        let tail = read_wal(wal.path(), 0).unwrap().unwrap();
-        assert_eq!(tail.durable_len, lsn);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn concurrent_writers_all_become_durable() {
-        let dir = tmp("many");
-        let wal = Wal::create(&dir.join("wal.log"), 1).unwrap();
-        let committer = std::sync::Arc::new(committer_for(
-            &wal,
-            GroupCommitConfig { group_size: 4, group_wait: Duration::from_millis(2) },
-        ));
-        let wal = std::sync::Arc::new(StdMutex::new(wal));
-        let n = 16u64;
-        let handles: Vec<_> = (0..n)
-            .map(|i| {
-                let committer = std::sync::Arc::clone(&committer);
-                let wal = std::sync::Arc::clone(&wal);
-                std::thread::spawn(move || {
-                    let _w = committer.writer();
-                    let lsn = {
-                        let mut w = wal.lock().unwrap();
-                        let lsn = w.stage_payload(&retract(&[i]).payload()).unwrap();
-                        committer.staged(lsn);
-                        lsn
-                    };
-                    committer.wait_durable(lsn).unwrap();
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let path = wal.lock().unwrap().path().to_path_buf();
-        let tail = read_wal(&path, 0).unwrap().unwrap();
-        assert_eq!(tail.records.len(), n as usize);
-        assert_eq!(tail.torn_bytes, 0);
-        assert_eq!(committer.durable_lsn(), tail.durable_len);
-        std::fs::remove_dir_all(&dir).unwrap();
+        let lsn = rig.stage(1);
+        assert_eq!(rig.commit(lsn).unwrap(), 10);
+        assert!(started.elapsed() < Duration::from_secs(5), "must not wait out group_wait");
+        assert_eq!(rig.queue.lock().durable_lsn, lsn);
+        assert_eq!(read_wal(rig.wal.path(), 0).unwrap().unwrap().durable_len, lsn);
     }
 
     #[test]
     fn bounded_wait_syncs_a_partial_group() {
-        let dir = tmp("partial");
-        let mut wal = Wal::create(&dir.join("wal.log"), 1).unwrap();
         let cfg = GroupCommitConfig { group_size: 8, group_wait: Duration::from_millis(20) };
-        let committer = committer_for(&wal, cfg);
+        let mut rig = Rig::new("partial", cfg);
         // Two registered writers but only one ever stages: the quorum
         // of 2 is unreachable, so only the deadline can release us.
-        let _w1 = committer.writer();
-        let _w2 = committer.writer();
+        let queue = Arc::clone(&rig.queue);
+        let (_w1, _w2) = (queue.writer(), queue.writer());
         let started = Instant::now();
-        let lsn = wal.stage_payload(&retract(&[9]).payload()).unwrap();
-        committer.staged(lsn);
-        committer.wait_durable(lsn).unwrap();
+        let lsn = rig.stage(9);
+        rig.commit(lsn).unwrap();
         let waited = started.elapsed();
         assert!(waited >= Duration::from_millis(15), "deadline path should bound the wait");
         assert!(waited < Duration::from_secs(5), "partial group must still commit");
-        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn concurrent_writers_apply_in_log_order_and_get_their_own_results() {
+        let cfg = GroupCommitConfig { group_size: 4, group_wait: Duration::from_millis(2) };
+        let rig = Arc::new(Mutex::new(Rig::new("many", cfg)));
+        let queue = Arc::clone(&rig.lock().unwrap().queue);
+        let handles: Vec<_> = (1..=16u64)
+            .map(|id| {
+                let (rig, queue) = (Arc::clone(&rig), Arc::clone(&queue));
+                spawn(move || {
+                    let _w = queue.writer();
+                    let (lsn, apply) = {
+                        let mut rig = rig.lock().unwrap();
+                        (rig.stage(id), rig.apply())
+                    };
+                    assert_eq!(queue.commit(lsn, apply).unwrap(), 10 * id, "own result");
+                })
+            })
+            .collect();
+        handles.into_iter().for_each(|h| h.join().unwrap());
+        let rig = rig.lock().unwrap();
+        let tail = read_wal(rig.wal.path(), 0).unwrap().unwrap();
+        assert_eq!((tail.records.len(), tail.torn_bytes), (16, 0));
+        assert_eq!(queue.lock().durable_lsn, tail.durable_len);
+        let logged: Vec<u64> = tail
+            .records
+            .iter()
+            .map(|(record, _)| match record {
+                WalRecord::Retract(ids) => ids[0].0,
+                other => panic!("unexpected record {other:?}"),
+            })
+            .collect();
+        assert_eq!(rig.applied().concat(), logged, "apply order is log order");
+    }
+
+    /// Group N+1 becomes durable while group N is still applying, and
+    /// reaches `apply` only after N's pass returns — no store, no luck.
+    #[test]
+    fn the_next_group_syncs_while_the_previous_one_applies() {
+        let mut rig = Rig::new("pipeline", GroupCommitConfig::default());
+        let (release, hold) = channel();
+        let a = rig.stage(1);
+        let first = rig.spawn_commit(a, Some(hold));
+        rig.wait_until("group N to start applying", |s| s.applying);
+        let (b, c) = (rig.stage(2), rig.stage(3));
+        let second = [rig.spawn_commit(b, None), rig.spawn_commit(c, None)];
+        rig.wait_until("group N+1 to become durable", |s| s.durable_lsn >= c);
+        assert!(rig.queue.lock().applying, "N is still inside apply");
+        assert_eq!(rig.applied(), Vec::<Vec<u64>>::new(), "nothing overtook it");
+        release.send(()).unwrap();
+        assert_eq!(first.join().unwrap(), 10);
+        assert_eq!(second.map(|h| h.join().unwrap()), [20, 30]);
+        assert_eq!(rig.applied().concat(), [1, 2, 3]);
+        assert_eq!(rig.applied()[0], [1], "N applied alone, N+1 after it");
+    }
+
+    #[test]
+    fn the_batch_cap_hands_the_remainder_to_a_later_pass() {
+        let mut rig = Rig::new("cap", GroupCommitConfig::default());
+        let lsns: Vec<u64> = (1..=70).map(|id| rig.stage(id)).collect();
+        // The last commit's sync covers all 70; its first pass fills the
+        // cap without reaching its own entry, its second finishes.
+        assert_eq!(rig.commit(lsns[69]).unwrap(), 700);
+        let sizes: Vec<usize> = rig.applied().iter().map(Vec::len).collect();
+        assert_eq!(sizes, [MAX_APPLY_BATCH, 70 - MAX_APPLY_BATCH]);
+        assert_eq!(rig.applied().concat(), (1..=70).collect::<Vec<u64>>());
+        // Every helped owner finds its result waiting.
+        for (i, lsn) in lsns[..69].iter().enumerate() {
+            assert_eq!(rig.commit(*lsn).unwrap(), 10 * (i as u64 + 1));
+        }
+        assert_eq!(rig.applied().len(), 2, "collecting applies nothing");
+    }
+
+    /// `sync_data` on `/dev/null` is `EINVAL`: a failed sync with no IO
+    /// trait. Leader and follower error, nothing uncovered is applied,
+    /// what an earlier sync covered still is, and `reset` re-arms.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_failed_sync_fails_the_uncovered_and_applies_the_covered() {
+        let mut rig = Rig::new("poison", GroupCommitConfig { group_size: 8, group_wait: NEVER });
+        // A applies (held); B becomes durable behind it and waits.
+        let (release, hold) = channel();
+        let a = rig.stage(1);
+        let first = rig.spawn_commit(a, Some(hold));
+        rig.wait_until("A to start applying", |s| s.applying);
+        let b = rig.stage(2);
+        let covered = rig.spawn_commit(b, None);
+        rig.wait_until("B to become durable", |s| s.durable_lsn >= b);
+        // From here on every sync fails.
+        let null = std::fs::OpenOptions::new().write(true).open("/dev/null").unwrap();
+        rig.queue.lock().file = Arc::new(null);
+        // Three writers: C waits for company until D and E complete the
+        // group; whoever leads its sync gets the IO error, and the failed
+        // sync — not C's 30 s deadline — must wake the others to theirs.
+        let queue = Arc::clone(&rig.queue);
+        let writers = [queue.writer(), queue.writer(), queue.writer()];
+        let started = Instant::now();
+        let c = rig.stage(3);
+        let follower = {
+            let queue = Arc::clone(&queue);
+            spawn(move || queue.commit(c, |_| panic!("uncovered entry applied")))
+        };
+        sleep(Duration::from_millis(20));
+        let (d, e) = (rig.stage(4), rig.stage(5));
+        let leader = queue.commit(e, |_| panic!("uncovered entry applied"));
+        let errors = [leader, follower.join().unwrap(), rig.commit(d)]
+            .map(|failed| failed.unwrap_err().to_string());
+        let poisoned = errors.iter().filter(|e| e.contains("poisoned until the log rotates"));
+        assert_eq!(poisoned.count(), 2, "one leader with the IO error, two poisoned: {errors:?}");
+        assert!(started.elapsed() < Duration::from_secs(10), "woken, not timed out");
+        assert_eq!(rig.queue.lock().durable_lsn, b, "a failed sync covers nothing");
+        release.send(()).unwrap();
+        assert_eq!((first.join().unwrap(), covered.join().unwrap()), (10, 20));
+        assert_eq!(rig.applied(), [[1], [2]]);
+        // Rotation's half of the contract: reset on a real file re-arms.
+        drop(writers);
+        rig.queue.reset(rig.wal.sync_handle().unwrap(), rig.wal.len());
+        let f = rig.stage(6);
+        assert_eq!(rig.commit(f).unwrap(), 60);
+    }
+
+    /// A panic in `apply` costs its caller the panic and everyone else a
+    /// typed error — batch-mates, later commits — with nobody left
+    /// blocked, and rotation does not clear it.
+    #[test]
+    fn a_panicking_apply_fails_its_batch_mates_and_every_later_commit() {
+        let mut rig = Rig::new("panic", GroupCommitConfig { group_size: 3, group_wait: NEVER });
+        let queue = Arc::clone(&rig.queue);
+        let writers = [queue.writer(), queue.writer(), queue.writer()];
+        // Three commits in one group, so whichever applies has taken the
+        // other two's items when its closure panics.
+        let outcomes: Vec<_> = [rig.stage(1), rig.stage(2), rig.stage(3)]
+            .map(|lsn| {
+                let queue = Arc::clone(&rig.queue);
+                spawn(move || queue.commit(lsn, |_| panic!("apply blew up")))
+            })
+            .into_iter()
+            .map(JoinHandle::join)
+            .collect();
+        assert_eq!(outcomes.iter().filter(|o| o.is_err()).count(), 1, "one thread panicked");
+        for mate in outcomes.into_iter().flatten() {
+            assert!(mate.unwrap_err().to_string().contains("until a restart"));
+        }
+        drop(writers);
+        assert!(!rig.queue.lock().applying);
+        assert!(rig.queue.check_apply().is_err());
+        rig.queue.reset(rig.wal.sync_handle().unwrap(), rig.wal.len());
+        let started = Instant::now();
+        let later = rig.stage(4);
+        assert!(rig.commit(later).unwrap_err().to_string().contains("until a restart"));
+        assert!(started.elapsed() < Duration::from_secs(1), "fails fast, never hangs");
+        assert_eq!(rig.applied(), Vec::<Vec<u64>>::new());
     }
 }

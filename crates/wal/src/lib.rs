@@ -8,9 +8,10 @@
 //!   batch is appended as one length-prefixed, FNV-1a-checksummed record
 //!   and fsynced *before* it is applied to the in-memory store, so a
 //!   batch the client saw acknowledged is on disk. Concurrent writers
-//!   amortize that fsync via group commit ([`GroupCommitter`]): frames
-//!   are staged unsynced, one leader `sync_data`s the whole group, and
-//!   each waiter blocks until its commit LSN is durable.
+//!   amortize that fsync through the [`CommitQueue`]: frames are staged
+//!   unsynced and queued in log order, one leader `sync_data`s the whole
+//!   group, and one commit at a time applies every durable record at the
+//!   front of the queue — group commit and ordered apply behind one lock.
 //! * **Segmented snapshots** ([`segments`]) — one binary segment per
 //!   shard plus a small meta blob (config + correspondences), each
 //!   written temp-file → fsync → rename, bound together by a JSON
@@ -78,7 +79,7 @@ pub mod metrics {
 pub use metrics::METRICS;
 
 pub use durability::{recover, Durability, DurabilityConfig, RecoveryStats, SnapshotStats};
-pub use group::{GroupCommitConfig, GroupCommitter, WriterGuard};
+pub use group::{CommitQueue, GroupCommitConfig, WriterGuard};
 pub use segments::{Manifest, SegmentEntry, FORMAT_VERSION};
 pub use wal::{read_wal, Wal, WalRecord, WalTail, WAL_HEADER_LEN, WAL_MAGIC};
 

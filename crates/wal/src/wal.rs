@@ -216,8 +216,8 @@ impl Wal {
     /// ([`WalRecord::payload`]) **without** syncing — the one way a frame
     /// enters the log. Returns the record's commit LSN (the file offset
     /// one past its frame); the record is durable only once a later
-    /// `sync_data` covers that offset — the group-commit protocol
-    /// ([`crate::GroupCommitter`]) owns that sync. Encoding a record is
+    /// `sync_data` covers that offset — the commit queue
+    /// ([`crate::CommitQueue`]) owns that sync. Encoding a record is
     /// the expensive part of staging; callers that serialize staging
     /// behind a lock encode outside it and keep only the frame write in
     /// the critical section.

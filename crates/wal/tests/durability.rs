@@ -81,8 +81,8 @@ fn dcfg(dir: &Path) -> DurabilityConfig {
 
 /// Stage one record and wait for its fsync: durable when this returns.
 fn log(dur: &mut Durability, record: &WalRecord) {
-    let lsn = dur.stage_payload(&record.payload()).unwrap();
-    dur.committer().wait_durable(lsn).unwrap();
+    dur.stage_payload(&record.payload()).unwrap();
+    dur.sync_handle().unwrap().sync_data().unwrap();
 }
 
 /// The serving layer's write protocol, single-shard edition: reconcile,

@@ -84,8 +84,8 @@ fn dcfg_group(dir: &std::path::Path, group: GroupCommitConfig) -> DurabilityConf
 
 /// Stage one record and wait for its fsync: durable when this returns.
 fn log(dur: &mut Durability, record: &WalRecord) {
-    let lsn = dur.stage_payload(&record.payload()).unwrap();
-    dur.committer().wait_durable(lsn).unwrap();
+    dur.stage_payload(&record.payload()).unwrap();
+    dur.sync_handle().unwrap().sync_data().unwrap();
 }
 
 /// One committed operation, replayable against a plain store.
