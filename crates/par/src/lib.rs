@@ -17,6 +17,11 @@
 //! 2. the `PSE_THREADS` environment variable,
 //! 3. [`std::thread::available_parallelism`].
 //!
+//! The last two are read once per process, on the first call: a commit
+//! on the serving path calls `par_map` several times, and neither an
+//! environment lookup nor the cgroup reads behind
+//! `available_parallelism` belong on it.
+//!
 //! `PSE_THREADS=1` (or `with_threads(1, ..)`) forces the sequential
 //! path through the same API — no threads are spawned at all.
 //!
@@ -38,6 +43,7 @@
 
 use std::cell::Cell;
 use std::panic::resume_unwind;
+use std::sync::OnceLock;
 use std::thread;
 
 thread_local! {
@@ -46,17 +52,15 @@ thread_local! {
 
 /// Resolves the worker count for the current call context.
 pub fn current_threads() -> usize {
+    static PROCESS: OnceLock<usize> = OnceLock::new();
     if let Some(n) = THREAD_OVERRIDE.with(Cell::get) {
         return n.max(1);
     }
-    if let Ok(v) = std::env::var("PSE_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
-    thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+    *PROCESS.get_or_init(|| {
+        let env = std::env::var("PSE_THREADS").ok().and_then(|v| v.trim().parse::<usize>().ok());
+        env.filter(|&n| n >= 1)
+            .unwrap_or_else(|| thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
+    })
 }
 
 /// Runs `f` with the worker count pinned to `n` on this thread

@@ -4,10 +4,14 @@
 //! same time. One commit walks four stages:
 //!
 //! ```text
-//! 1. reconcile           (CPU, no locks — overlaps other commits' IO)
+//! 1. reconcile           (CPU, no locks — overlaps other commits' IO;
+//!                         the writer is registered with the queue, so
+//!                         a commit staged meanwhile waits to share its
+//!                         sync)
 //! 2. stage + enqueue     (brief durability-mutex hold: the frame gets
 //!                         its LSN and the record enters the commit
-//!                         queue, so queue order is log order)
+//!                         queue, so queue order is log order; the
+//!                         writer's registration ends here)
 //! 3. become durable      (group commit: one leader fsyncs the group)
 //! 4. apply               (one commit at a time applies every durable
 //!                         record at the front of the queue, in log
@@ -42,7 +46,9 @@ use std::sync::{Mutex, RwLock};
 use pse_core::{Catalog, Offer, OfferId};
 use pse_store::{IngestStats, ProductStore};
 use pse_synthesis::SpecProvider;
-use pse_wal::{CommitQueue, Durability, DurabilityConfig, RecoveryStats, SnapshotStats, WalRecord};
+use pse_wal::{
+    CommitQueue, Durability, DurabilityConfig, RecoveryStats, SnapshotStats, WalRecord, WriterGuard,
+};
 
 use crate::error::ServeError;
 use crate::metrics;
@@ -63,9 +69,8 @@ pub struct DurableCtx {
 }
 
 impl DurableCtx {
-    /// The underlying durability context (e.g. for
-    /// [`Durability::wants_compaction`] checks). Hold it briefly — a
-    /// long hold stalls every commit at its staging step.
+    /// The underlying durability context. Hold it briefly — a long hold
+    /// stalls every commit at its staging step.
     pub fn durability(&self) -> &Mutex<Durability> {
         &self.durability
     }
@@ -126,30 +131,37 @@ pub fn open_durable(
     Ok((store, ctx, stats))
 }
 
-/// Commit one record: encode it, stage the frame and queue the record
-/// under the durability mutex, then let the queue make it durable and
-/// applied (module docs). The caller registers as a group-commit writer
-/// first, so whatever work it does to build `record` counts it as a
-/// group member already. `offers_in` of the returned stats is whatever
-/// the apply routed; the wrappers overwrite it with the raw request size.
+/// What a durable write hands back: its stats, and whether the log had
+/// outgrown its compaction threshold when the write staged (read under
+/// the durability mutex the staging step holds anyway).
+pub(crate) type Committed = (IngestStats, bool);
+
+/// Commit `writer`'s record: encode it, stage the frame and queue the
+/// record under the durability mutex — which ends the writer's
+/// registration — then let the queue make it durable and applied (module
+/// docs). `offers_in` is the raw request size, which the stats report in
+/// place of the count the apply routed.
 fn commit(
     store: &ShardedStore,
     ctx: &DurableCtx,
     catalog: &Catalog,
+    writer: WriterGuard<'_, WalRecord, IngestStats>,
     record: WalRecord,
-) -> Result<IngestStats, ServeError> {
+    offers_in: usize,
+) -> Result<Committed, ServeError> {
     // Encode outside the durability lock: staging under the lock is the
     // write path's only serialized section, so it must stay at "append
     // the frame", not "serialize the batch".
     let payload = record.payload();
     let _gate = ctx.gate.read().expect("snapshot gate");
-    let lsn = {
+    let (lsn, wants_compaction) = {
         let mut dur = ctx.durability.lock().expect("durability lock");
         let lsn = dur.stage_payload(&payload)?;
-        ctx.queue.enqueue(lsn, record);
-        lsn
+        ctx.queue.enqueue(writer, lsn, record);
+        (lsn, dur.wants_compaction())
     };
-    Ok(ctx.queue.commit(lsn, |batch| apply_batch(store, ctx, catalog, batch))?)
+    let stats = ctx.queue.commit(lsn, |batch| apply_batch(store, ctx, catalog, batch))?;
+    Ok((IngestStats { offers_in, ..stats }, wants_compaction))
 }
 
 /// Ingest a batch durably: reconcile once (outside every lock) and
@@ -161,12 +173,24 @@ pub fn durable_ingest<P: SpecProvider>(
     offers: &[Offer],
     provider: &P,
 ) -> Result<IngestStats, ServeError> {
+    Ok(commit_ingest(store, ctx, catalog, offers, provider)?.0)
+}
+
+/// [`durable_ingest`], also reporting whether the log wants a fold.
+pub(crate) fn commit_ingest<P: SpecProvider>(
+    store: &ShardedStore,
+    ctx: &DurableCtx,
+    catalog: &Catalog,
+    offers: &[Offer],
+    provider: &P,
+) -> Result<Committed, ServeError> {
     let _span = pse_obs::span("store.ingest");
     pse_obs::add(pse_store::metrics::INGEST, offers.len() as u64);
-    let _writer = ctx.queue.writer();
+    // Registered while reconciling: a commit staged meanwhile waits (up
+    // to `group_wait`) to share this one's sync.
+    let writer = ctx.queue.writer();
     let record = WalRecord::Ingest(store.reconcile(offers, provider));
-    let stats = commit(store, ctx, catalog, record)?;
-    Ok(IngestStats { offers_in: offers.len(), ..stats })
+    commit(store, ctx, catalog, writer, record, offers.len())
 }
 
 /// Retract offers durably.
@@ -176,9 +200,18 @@ pub fn durable_retract(
     catalog: &Catalog,
     ids: &[OfferId],
 ) -> Result<IngestStats, ServeError> {
-    let _writer = ctx.queue.writer();
-    let stats = commit(store, ctx, catalog, WalRecord::Retract(ids.to_vec()))?;
-    Ok(IngestStats { offers_in: ids.len(), ..stats })
+    Ok(commit_retract(store, ctx, catalog, ids)?.0)
+}
+
+/// [`durable_retract`], also reporting whether the log wants a fold.
+pub(crate) fn commit_retract(
+    store: &ShardedStore,
+    ctx: &DurableCtx,
+    catalog: &Catalog,
+    ids: &[OfferId],
+) -> Result<Committed, ServeError> {
+    let record = WalRecord::Retract(ids.to_vec());
+    commit(store, ctx, catalog, ctx.queue.writer(), record, ids.len())
 }
 
 /// Fold the WAL into segments: write an incremental snapshot (dirty

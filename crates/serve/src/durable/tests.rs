@@ -51,10 +51,11 @@ fn a_panicking_apply_costs_one_panic_then_errors_and_no_fold() {
     let (dir, catalog, store, ctx) = open("apply");
     // One commit by hand, `commit()`'s steps with an apply that panics.
     let record = WalRecord::Retract(vec![OfferId(7)]);
+    let writer = ctx.queue.writer();
     let lsn = {
         let mut dur = ctx.durability.lock().unwrap();
         let lsn = dur.stage_payload(&record.payload()).unwrap();
-        ctx.queue.enqueue(lsn, record);
+        ctx.queue.enqueue(writer, lsn, record);
         lsn
     };
     let panicked = catch_unwind(AssertUnwindSafe(|| ctx.queue.commit(lsn, |_| panic!("apply"))));

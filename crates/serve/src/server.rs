@@ -28,7 +28,7 @@ use pse_synthesis::runtime::normalize_key;
 use pse_synthesis::FnProvider;
 use pse_wal::DurabilityConfig;
 
-use crate::durable::{durable_ingest, durable_retract, durable_snapshot, open_durable, DurableCtx};
+use crate::durable::{commit_ingest, commit_retract, durable_snapshot, open_durable, DurableCtx};
 use crate::error::ServeError;
 use crate::http::{read_request, write_response, Body, Request};
 use crate::metrics;
@@ -209,11 +209,9 @@ fn compaction_loop(inner: &Inner) {
     }
 }
 
-/// Signal the compaction thread when the WAL has outgrown its threshold.
-fn maybe_compact(inner: &Inner, ctx: &DurableCtx) {
-    if !ctx.durability().lock().expect("durability lock").wants_compaction() {
-        return;
-    }
+/// Signal the compaction thread: a commit found the WAL past its
+/// threshold when it staged.
+fn request_compaction(inner: &Inner) {
     let (flag, cvar) = &inner.compact;
     *flag.lock().expect("compact flag") = true;
     cvar.notify_one();
@@ -788,13 +786,15 @@ fn write(inner: &Inner, op: WriteOp<'_>) -> HandlerResult {
     let stats = match &inner.durability {
         Some(ctx) => {
             let committed = match op {
-                WriteOp::Ingest(offers) => durable_ingest(store, ctx, catalog, offers, &provider),
-                WriteOp::Retract(ids) => durable_retract(store, ctx, catalog, ids),
+                WriteOp::Ingest(offers) => commit_ingest(store, ctx, catalog, offers, &provider),
+                WriteOp::Retract(ids) => commit_retract(store, ctx, catalog, ids),
             };
             // A write we could not make durable is a server-side failure:
             // the record never hit the log, so the store was not mutated.
-            let stats = committed.map_err(|e| ApiError::from_serve(500, &e))?;
-            maybe_compact(inner, ctx);
+            let (stats, wants_compaction) = committed.map_err(|e| ApiError::from_serve(500, &e))?;
+            if wants_compaction {
+                request_compaction(inner);
+            }
             stats
         }
         None => match op {

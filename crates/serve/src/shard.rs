@@ -6,7 +6,8 @@
 //! # Write path: build aside, publish with one swap
 //!
 //! An ingest batch is reconciled once, partitioned by cluster key, and
-//! applied to the touched shards in parallel (`pse-par`). Each shard
+//! applied to the touched shards — in parallel (`pse-par`) when the batch
+//! is large enough to pay for the spawns, else inline. Each shard
 //! task, under that shard's writer lock, applies the store mutation,
 //! takes a fresh version number, and builds the successor
 //! [`ShardSnapshot`] from the previous one — carrying untouched entries
@@ -247,9 +248,10 @@ impl ShardedStore {
 
     /// Ingest a batch: reconcile once (in parallel, order-preserving),
     /// partition the reconciled offers by target shard, apply and build
-    /// successor snapshots on the touched shards concurrently, then
-    /// publish everything with one pointer swap. Takes `&self`; only the
-    /// shards the batch actually hashes to take their writer lock.
+    /// successor snapshots on the touched shards (concurrently for a
+    /// large batch), then publish everything with one pointer swap.
+    /// Takes `&self`; only the shards the batch actually hashes to take
+    /// their writer lock.
     pub fn ingest<P: SpecProvider>(
         &self,
         catalog: &Catalog,
@@ -279,7 +281,8 @@ impl ShardedStore {
 
     /// Apply already-reconciled offers (the second half of
     /// [`ShardedStore::ingest`]): partition by target shard, apply and
-    /// build successor snapshots concurrently, publish with one swap.
+    /// build successor snapshots (concurrently for a large batch),
+    /// publish with one swap.
     /// `stats.offers_in` counts only the offers that routed to a shard;
     /// the offer-level wrapper overwrites it with the raw batch size.
     pub fn ingest_reconciled(
@@ -346,7 +349,7 @@ impl ShardedStore {
             .filter(|(_, batch)| !batch.is_empty())
             .map(|(i, batch)| (i, Mutex::new(Some(batch))))
             .collect();
-        let results: Vec<ShardWrite> = pse_par::par_map(&work, |(i, slot)| {
+        let results: Vec<ShardWrite> = shard_tasks(&work, routes.len(), |(i, slot)| {
             let batch = slot.lock().expect("batch slot").take().unwrap_or_default();
             let mut writer = self.shards[*i].write().expect("shard lock");
             let delta = writer.store.ingest_reconciled_delta(catalog, batch);
@@ -376,7 +379,7 @@ impl ShardedStore {
         ids: &[OfferId],
     ) -> (ShardedWrite, Vec<ShardUpdate>) {
         let idx: Vec<usize> = (0..self.shards.len()).collect();
-        let results: Vec<ShardWrite> = pse_par::par_map(&idx, |&i| {
+        let results: Vec<ShardWrite> = shard_tasks(&idx, ids.len(), |&i| {
             if !self.shards[i].read().expect("shard lock").store.owns_any(ids) {
                 return (IngestStats::default(), None);
             }
@@ -575,6 +578,29 @@ impl ShardedStore {
     pub fn shard_clusters_value(&self, shard: usize) -> serde::Value {
         self.shards[shard].read().expect("shard lock").store.clusters_value()
     }
+}
+
+/// Batches of fewer offers (or retracted ids) than this run their shard
+/// tasks inline on the calling thread. Measured on a 2-CPU host against
+/// a store preloaded like the benchmark's: one scoped spawn + join costs
+/// ~30 µs, about two offers' apply (12–15 µs per offer), and
+/// `ingest_reconciled` at two threads loses to one below ~256 offers (8
+/// offers: 100–113 → 222–240 µs; 128: 1.5–1.7 → 1.7–2.2 ms), breaks even
+/// at 256 and wins from 512 (1,000: 9.9–14.5 → 9.0–11.7 ms). So an
+/// 8-offer commit or a retract of a few ids never spawns, and a
+/// 1,000-offer preload batch still fans out.
+const PAR_APPLY_MIN_BATCH: usize = 256;
+
+/// Run one write's shard tasks, order-preserving: on `pse-par` workers
+/// when its batch of `batch` offers or ids is large enough to pay for
+/// the spawns, else inline on the caller's thread.
+fn shard_tasks<T: Sync, U: Send>(
+    work: &[T],
+    batch: usize,
+    task: impl Fn(&T) -> U + Sync,
+) -> Vec<U> {
+    let min_chunk = if batch < PAR_APPLY_MIN_BATCH { work.len() } else { 1 };
+    pse_par::par_map_chunked(work, min_chunk, task)
 }
 
 fn merge_stats(mut acc: IngestStats, s: IngestStats) -> IngestStats {

@@ -16,12 +16,12 @@
 //! 1. *Am I durable?* Until yes: become the **leader** when the group is
 //!    ready — one `sync_data`, no lock held, covers every frame staged
 //!    when it started — else wait for a sync to finish. A group is ready
-//!    when it is full (`group_size` commits staged and unsynced), when
-//!    every *active writer* has staged (it cannot grow: the
+//!    when no *registered writer* is left to stage (it cannot grow: the
 //!    self-clocking rule that keeps a lone writer at zero added latency;
-//!    see [`CommitQueue::writer`]), or when a waiter's `group_wait`
-//!    expires (counted from entering `commit`; re-armed while a leader
-//!    is mid-sync, so nobody spins).
+//!    see [`CommitQueue::writer`]), when it is full (`group_size` commits
+//!    staged and unsynced), or when a waiter's `group_wait` expires
+//!    (counted from entering `commit`; re-armed while a leader is
+//!    mid-sync, so nobody spins).
 //! 2. *Was I applied?* Another commit's pass deposited my result: take
 //!    it and return.
 //! 3. *Is nobody applying?* Then pop every durable entry off the front
@@ -29,14 +29,17 @@
 //!    held, and deposit one result per owner; else wait for the running
 //!    pass to finish, and ask 2 again.
 //!
-//! Only durable records reach `apply`, in log order, one pass at a time;
-//! the sync of one group overlaps the apply of the one before. Two
+//! A writer is registered from before it builds its record until it
+//! stages it: [`CommitQueue::enqueue`] consumes the [`WriterGuard`], so
+//! a writer that is syncing or applying is no longer one the group waits
+//! for. Only durable records reach `apply`, in log order, one pass at a
+//! time; the sync of one group overlaps the apply of the one before. Two
 //! condition variables carry the wakeups: `synced` (a sync completed or
-//! failed — every commit waiting to become durable re-asks question 1)
-//! and `applied` (a pass completed — every durable commit re-asks 2 and
-//! 3). A completed apply does **not** signal `synced`: a commit still
-//! waiting for company keeps sleeping out its `group_wait`, as it always
-//! has. Changing that is a scheduling-policy change, not a refactor.
+//! failed, or a registered writer left without staging — every commit
+//! waiting to become durable re-asks question 1) and `applied` (a pass
+//! completed — every durable commit re-asks 2 and 3). A completed apply
+//! does not signal `synced`, and need not: the applying writer stopped
+//! counting toward the group when it staged.
 //!
 //! Durability semantics are those of a per-record fsync: `commit`
 //! returning `Ok` means the record and the whole log prefix before it
@@ -58,8 +61,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::fs::File;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::{metrics, WalError};
@@ -104,6 +106,8 @@ struct QueueState<T, R> {
     syncing: bool,
     /// An apply pass is running right now.
     applying: bool,
+    /// Registered writers that have not staged yet ([`CommitQueue::writer`]).
+    writers: usize,
     poison: Option<Poison>,
     /// Staged, not yet applied commits as `(lsn, item)`, in log order:
     /// durable ones at the front, then the unsynced. LSNs are unique
@@ -150,23 +154,28 @@ type Guard<'a, T, R> = MutexGuard<'a, QueueState<T, R>>;
 pub struct CommitQueue<T, R> {
     cfg: GroupCommitConfig,
     state: Mutex<QueueState<T, R>>,
-    /// A sync completed or failed.
+    /// A sync completed or failed, or a writer left without staging.
     synced: Condvar,
     /// An apply pass completed or panicked.
     applied: Condvar,
-    /// Writers currently inside a commit operation (see [`Self::writer`]).
-    writers: AtomicUsize,
 }
 
-/// RAII registration of an active writer ([`CommitQueue::writer`]).
+/// A writer's registration with its queue ([`CommitQueue::writer`]),
+/// ended by [`CommitQueue::enqueue`] or, for a writer that never
+/// stages, by dropping it.
 #[derive(Debug)]
-pub struct WriterGuard<'a> {
-    writers: &'a AtomicUsize,
+pub struct WriterGuard<'a, T, R> {
+    queue: &'a CommitQueue<T, R>,
 }
 
-impl Drop for WriterGuard<'_> {
+impl<T, R> Drop for WriterGuard<'_, T, R> {
+    /// A writer left without staging: a waiting commit may now have no
+    /// one left to wait for, so every waiter re-runs the election.
     fn drop(&mut self) {
-        self.writers.fetch_sub(1, Ordering::Relaxed);
+        // Not `lock()`: a drop must not panic. The count stays valid
+        // whatever a panicking holder left half-done.
+        self.queue.state.lock().unwrap_or_else(PoisonError::into_inner).writers -= 1;
+        self.queue.synced.notify_all();
     }
 }
 
@@ -179,17 +188,12 @@ impl<T, R> CommitQueue<T, R> {
             durable_lsn,
             syncing: false,
             applying: false,
+            writers: 0,
             poison: None,
             queue: VecDeque::new(),
             results: BTreeMap::new(),
         };
-        Self {
-            cfg,
-            state: Mutex::new(state),
-            synced: Condvar::new(),
-            applied: Condvar::new(),
-            writers: AtomicUsize::new(0),
-        }
+        Self { cfg, state: Mutex::new(state), synced: Condvar::new(), applied: Condvar::new() }
     }
 
     fn lock(&self) -> Guard<'_, T, R> {
@@ -210,24 +214,27 @@ impl<T, R> CommitQueue<T, R> {
         s.poison = s.poison.filter(|p| *p == Poison::Apply);
     }
 
-    /// Register the calling thread as an active writer for the lifetime
-    /// of the returned guard (ideally the whole commit operation, from
-    /// before staging until after apply). Leader election compares the
-    /// unsynced count against the active-writer count: once every active
-    /// writer has staged, the group cannot grow, so the leader syncs
-    /// immediately instead of waiting out `group_wait`.
-    pub fn writer(&self) -> WriterGuard<'_> {
-        self.writers.fetch_add(1, Ordering::Relaxed);
-        WriterGuard { writers: &self.writers }
+    /// Register a writer that is about to build a record, until it hands
+    /// the guard to [`Self::enqueue`]. While any registered writer has
+    /// yet to stage, a staged commit waits for it (up to `group_wait`) so
+    /// one sync covers both; once none is left, the group cannot grow
+    /// and its leader syncs at once.
+    pub fn writer(&self) -> WriterGuard<'_, T, R> {
+        self.lock().writers += 1;
+        WriterGuard { queue: self }
     }
 
-    /// Queue a commit whose frame was just staged at `lsn`. Call under
-    /// the same exclusion that ordered the staging write (the caller's
-    /// durability mutex), so LSNs arrive in increasing order and queue
-    /// order is log order. Wakes nobody: the caller enters
-    /// [`Self::commit`] next and runs the leader election itself.
-    pub fn enqueue(&self, lsn: u64, item: T) {
+    /// Queue a commit whose frame was just staged at `lsn`, ending
+    /// `writer`'s registration. Call under the same exclusion that
+    /// ordered the staging write (the caller's durability mutex), so LSNs
+    /// arrive in increasing order and queue order is log order. Wakes
+    /// nobody: the caller enters [`Self::commit`] next and runs the
+    /// leader election itself.
+    pub fn enqueue(&self, writer: WriterGuard<'_, T, R>, lsn: u64, item: T) {
+        debug_assert!(std::ptr::eq(writer.queue, self), "a writer of another queue");
+        std::mem::forget(writer);
         let mut s = self.lock();
+        s.writers -= 1;
         let last = s.queue.back().map_or(s.durable_lsn, |(last, _)| *last);
         debug_assert!(lsn > last, "enqueue calls must follow log order");
         if s.poison.is_none() {
@@ -247,10 +254,10 @@ impl<T, R> CommitQueue<T, R> {
         let mut s = self.lock();
         while s.durable_lsn < lsn {
             s.check(lsn)?;
-            let quorum =
-                self.writers.load(Ordering::Relaxed).max(1).min(self.cfg.group_size.max(1));
             let now = Instant::now();
-            s = if !s.syncing && (s.unsynced() >= quorum || now >= deadline) {
+            let ready =
+                s.writers == 0 || s.unsynced() >= self.cfg.group_size.max(1) || now >= deadline;
+            s = if !s.syncing && ready {
                 self.lead_sync(s)?
             } else {
                 // Past the deadline a leader is mid-sync: re-arm a full
@@ -375,11 +382,18 @@ mod tests {
             Self { dir, wal, queue, applied: Arc::default() }
         }
 
-        /// Stage a frame naming `id` and queue it, as one ordered step.
+        /// Register a writer, stage a frame naming `id` and queue it.
         fn stage(&mut self, id: u64) -> u64 {
+            let queue = Arc::clone(&self.queue);
+            self.stage_as(queue.writer(), id)
+        }
+
+        /// Stage a frame naming `id` and queue it as `writer`'s commit,
+        /// as one ordered step.
+        fn stage_as(&mut self, writer: WriterGuard<'_, u64, u64>, id: u64) -> u64 {
             let record = WalRecord::Retract(vec![OfferId(id)]);
             let lsn = self.wal.stage_payload(&record.payload()).unwrap();
-            self.queue.enqueue(lsn, id);
+            self.queue.enqueue(writer, lsn, id);
             lsn
         }
 
@@ -436,10 +450,8 @@ mod tests {
     #[test]
     fn lone_writer_commits_without_waiting_for_a_full_group() {
         // A huge group and a huge wait: only the self-clocking path
-        // (all active writers staged) can return promptly.
+        // (no registered writer left to stage) can return promptly.
         let mut rig = Rig::new("lone", GroupCommitConfig { group_size: 64, group_wait: NEVER });
-        let queue = Arc::clone(&rig.queue);
-        let _w = queue.writer();
         let started = Instant::now();
         let lsn = rig.stage(1);
         assert_eq!(rig.commit(lsn).unwrap(), 10);
@@ -452,12 +464,12 @@ mod tests {
     fn bounded_wait_syncs_a_partial_group() {
         let cfg = GroupCommitConfig { group_size: 8, group_wait: Duration::from_millis(20) };
         let mut rig = Rig::new("partial", cfg);
-        // Two registered writers but only one ever stages: the quorum
-        // of 2 is unreachable, so only the deadline can release us.
+        // Two registered writers but only one ever stages: the other
+        // stays registered, so only the deadline can release us.
         let queue = Arc::clone(&rig.queue);
-        let (_w1, _w2) = (queue.writer(), queue.writer());
+        let (w1, _w2) = (queue.writer(), queue.writer());
         let started = Instant::now();
-        let lsn = rig.stage(9);
+        let lsn = rig.stage_as(w1, 9);
         rig.commit(lsn).unwrap();
         let waited = started.elapsed();
         assert!(waited >= Duration::from_millis(15), "deadline path should bound the wait");
@@ -473,10 +485,10 @@ mod tests {
             .map(|id| {
                 let (rig, queue) = (Arc::clone(&rig), Arc::clone(&queue));
                 spawn(move || {
-                    let _w = queue.writer();
+                    let writer = queue.writer();
                     let (lsn, apply) = {
                         let mut rig = rig.lock().unwrap();
-                        (rig.stage(id), rig.apply())
+                        (rig.stage_as(writer, id), rig.apply())
                     };
                     assert_eq!(queue.commit(lsn, apply).unwrap(), 10 * id, "own result");
                 })
@@ -519,6 +531,60 @@ mod tests {
         assert_eq!(rig.applied()[0], [1], "N applied alone, N+1 after it");
     }
 
+    /// The missed wake-up: a commit staged while its only co-writer is
+    /// inside `apply` has no registered writer left to wait for, so it
+    /// leads its own sync at once instead of sleeping out `group_wait`.
+    #[test]
+    fn a_commit_staged_while_its_co_writer_applies_leads_its_sync_at_once() {
+        let mut rig = Rig::new("co-apply", GroupCommitConfig { group_size: 8, group_wait: NEVER });
+        let (release, hold) = channel();
+        let a = rig.stage(1);
+        let first = rig.spawn_commit(a, Some(hold));
+        rig.wait_until("A to start applying", |s| s.applying);
+        let b = rig.stage(2);
+        let second = rig.spawn_commit(b, None);
+        rig.wait_until("B to lead its own sync", |s| s.durable_lsn >= b);
+        assert!(rig.queue.lock().applying, "A is still inside apply");
+        release.send(()).unwrap();
+        assert_eq!((first.join().unwrap(), second.join().unwrap()), (10, 20));
+        assert_eq!(rig.applied(), [[1], [2]]);
+    }
+
+    /// A registered writer that leaves without staging (its record was
+    /// never built, or never reached the log) wakes the commit that was
+    /// waiting for it, which then leads instead of timing out.
+    #[test]
+    fn a_writer_leaving_without_staging_wakes_the_waiter() {
+        let mut rig = Rig::new("leave", GroupCommitConfig { group_size: 8, group_wait: NEVER });
+        let queue = Arc::clone(&rig.queue);
+        let quitter = queue.writer();
+        let a = rig.stage(1);
+        let waiter = rig.spawn_commit(a, None);
+        sleep(Duration::from_millis(20));
+        assert!(rig.queue.lock().durable_lsn < a, "A waits while the quitter is registered");
+        let started = Instant::now();
+        drop(quitter);
+        assert_eq!(waiter.join().unwrap(), 10);
+        assert!(started.elapsed() < Duration::from_secs(10), "woken, not timed out");
+    }
+
+    /// Registration still forms groups: two writers registered before
+    /// either stages share one sync, led by whichever stages last.
+    #[test]
+    fn writers_registered_before_either_stages_share_one_sync() {
+        let mut rig = Rig::new("pair", GroupCommitConfig { group_size: 8, group_wait: NEVER });
+        let queue = Arc::clone(&rig.queue);
+        let (wa, wb) = (queue.writer(), queue.writer());
+        let a = rig.stage_as(wa, 1);
+        let first = rig.spawn_commit(a, None);
+        sleep(Duration::from_millis(20));
+        assert!(rig.queue.lock().durable_lsn < a, "A waits for B, who is still registered");
+        let b = rig.stage_as(wb, 2);
+        assert_eq!(rig.commit(b).unwrap(), 20);
+        assert_eq!(first.join().unwrap(), 10);
+        assert_eq!(rig.applied(), [[1, 2]], "one sync made both durable for one pass");
+    }
+
     #[test]
     fn the_batch_cap_hands_the_remainder_to_a_later_pass() {
         let mut rig = Rig::new("cap", GroupCommitConfig::default());
@@ -558,15 +624,15 @@ mod tests {
         // group; whoever leads its sync gets the IO error, and the failed
         // sync — not C's 30 s deadline — must wake the others to theirs.
         let queue = Arc::clone(&rig.queue);
-        let writers = [queue.writer(), queue.writer(), queue.writer()];
+        let (wc, wd, we) = (queue.writer(), queue.writer(), queue.writer());
         let started = Instant::now();
-        let c = rig.stage(3);
+        let c = rig.stage_as(wc, 3);
         let follower = {
             let queue = Arc::clone(&queue);
             spawn(move || queue.commit(c, |_| panic!("uncovered entry applied")))
         };
         sleep(Duration::from_millis(20));
-        let (d, e) = (rig.stage(4), rig.stage(5));
+        let (d, e) = (rig.stage_as(wd, 4), rig.stage_as(we, 5));
         let leader = queue.commit(e, |_| panic!("uncovered entry applied"));
         let errors = [leader, follower.join().unwrap(), rig.commit(d)]
             .map(|failed| failed.unwrap_err().to_string());
@@ -578,7 +644,6 @@ mod tests {
         assert_eq!((first.join().unwrap(), covered.join().unwrap()), (10, 20));
         assert_eq!(rig.applied(), [[1], [2]]);
         // Rotation's half of the contract: reset on a real file re-arms.
-        drop(writers);
         rig.queue.reset(rig.wal.sync_handle().unwrap(), rig.wal.len());
         let f = rig.stage(6);
         assert_eq!(rig.commit(f).unwrap(), 60);
@@ -590,10 +655,9 @@ mod tests {
     #[test]
     fn a_panicking_apply_fails_its_batch_mates_and_every_later_commit() {
         let mut rig = Rig::new("panic", GroupCommitConfig { group_size: 3, group_wait: NEVER });
-        let queue = Arc::clone(&rig.queue);
-        let writers = [queue.writer(), queue.writer(), queue.writer()];
-        // Three commits in one group, so whichever applies has taken the
-        // other two's items when its closure panics.
+        // Three commits staged before any syncs form one group, so
+        // whichever applies has taken the other two's items when its
+        // closure panics.
         let outcomes: Vec<_> = [rig.stage(1), rig.stage(2), rig.stage(3)]
             .map(|lsn| {
                 let queue = Arc::clone(&rig.queue);
@@ -606,7 +670,6 @@ mod tests {
         for mate in outcomes.into_iter().flatten() {
             assert!(mate.unwrap_err().to_string().contains("until a restart"));
         }
-        drop(writers);
         assert!(!rig.queue.lock().applying);
         assert!(rig.queue.check_apply().is_err());
         rig.queue.reset(rig.wal.sync_handle().unwrap(), rig.wal.len());
