@@ -36,11 +36,12 @@
 //! fold captures exactly the applied-and-durable state, the queue is
 //! empty, and the WAL can rotate with nothing staged-but-unsynced.
 //!
-//! Lock order: snapshot gate → durability mutex → queue mutex. An apply
-//! pass starts with neither of the last two held, takes shard locks, then
-//! the durability mutex alone to mark dirty shards.
+//! Lock order: snapshot gate → durability mutex → queue mutex, and
+//! snapshot gate → durability mutex → the store's writer lock. An apply
+//! pass starts with neither mutex held, takes the writer lock for
+//! `ShardedStore::apply`, releases it, then takes the durability mutex
+//! alone to mark dirty shards.
 
-use std::collections::BTreeSet;
 use std::sync::{Mutex, RwLock};
 
 use pse_core::{Catalog, Offer, OfferId};
@@ -76,10 +77,10 @@ impl DurableCtx {
     }
 }
 
-/// One apply pass: every record of `batch` (durable, in log order) goes
-/// through [`ShardedStore::apply_unpublished`], then one publish and one
-/// dirty-shard marking cover the whole batch. The queue never runs two
-/// passes at once.
+/// One apply pass: the whole `batch` (durable, in log order) goes
+/// through [`ShardedStore::apply`] — one publish — and then, with the
+/// writer lock released, one dirty-shard marking. The queue never runs
+/// two passes at once.
 fn apply_batch(
     store: &ShardedStore,
     ctx: &DurableCtx,
@@ -87,20 +88,11 @@ fn apply_batch(
     batch: Vec<WalRecord>,
 ) -> Vec<IngestStats> {
     pse_obs::observe(metrics::APPLY_BATCH, batch.len() as u64);
-    let mut updates = Vec::new();
-    let mut dirty: BTreeSet<usize> = BTreeSet::new();
-    let mut results = Vec::with_capacity(batch.len());
-    for record in batch {
-        let (write, shard_updates) = store.apply_unpublished(catalog, record);
-        dirty.extend(write.dirty_shards);
-        updates.extend(shard_updates);
-        results.push(write.stats);
-    }
-    store.publish(updates);
+    let (stats, dirty) = store.apply(catalog, batch);
     if !dirty.is_empty() {
         ctx.durability.lock().expect("durability lock").mark_dirty(dirty);
     }
-    results
+    stats
 }
 
 /// Open the durable state under `dcfg`, preferring disk over `seed`:

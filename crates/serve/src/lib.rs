@@ -5,16 +5,17 @@
 //!
 //! Three layers:
 //!
-//! * **[`ShardedStore`]** — the cluster map partitioned by FNV-1a hash of
-//!   `(category, key attribute, normalized key value)` into `N` shards.
-//!   Writers are serialized per shard; readers never touch a shard lock
-//!   or a serializer — they load an immutable published [`snapshot`]
-//!   (MVCC) that includes pre-serialized `GET /products/{category}`
-//!   response bodies, invalidated precisely by the dirty-cluster delta
-//!   each ingest/retract reports. All outputs (products, snapshots,
-//!   cached responses) are byte-identical to a single
-//!   [`pse_store::ProductStore`] fed the same stream — see the `shard`
-//!   module docs for why.
+//! * **[`ShardedStore`]** — one [`pse_store::ProductStore`] under one
+//!   writer lock: every ingest/retract, volatile or durable, is one
+//!   atomic `apply` that mutates the store and publishes once. Readers
+//!   never touch that lock or a serializer — they load an immutable
+//!   published [`snapshot`] (MVCC), partitioned into `N` shards by FNV-1a
+//!   hash of `(category, key attribute, normalized key value)`, that
+//!   includes pre-serialized `GET /products/{category}` response bodies,
+//!   invalidated precisely by the dirty-cluster delta each write reports.
+//!   All outputs (products, snapshots, cached responses) are
+//!   byte-identical to the single store fed the same stream, at any
+//!   shard count — see the `shard` module docs.
 //! * **[`snapshot`]** — the immutable read-model types: per-shard
 //!   snapshots with per-product cached JSON, the whole-store snapshot
 //!   with its response cache, and the swap cell readers load it from.

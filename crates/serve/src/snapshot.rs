@@ -1,11 +1,11 @@
 //! Immutable read-model types for the MVCC serving path.
 //!
-//! A [`ShardSnapshot`] is one shard's visible products frozen at a
-//! version: a cluster-key-ordered map of [`ProductEntry`] values, each
+//! A [`ShardSnapshot`] is one shard's visible products frozen at one
+//! publish: a cluster-key-ordered map of [`ProductEntry`] values, each
 //! carrying the product *and* its pre-serialized JSON. Snapshots are
 //! never mutated — an ingest/retract builds a successor by cloning the
 //! map and replacing only the entries its dirty-cluster delta names, so
-//! untouched entries keep their `Arc` identity across versions.
+//! untouched entries keep their `Arc` identity across publishes.
 //!
 //! A [`StoreSnapshot`] is the whole store frozen at one instant: the
 //! per-shard snapshots plus a category → pre-assembled response-body
@@ -53,7 +53,7 @@ impl ProductEntry {
 /// out the same types as a flat map would.
 pub type CategoryClusters = BTreeMap<ClusterKey, Arc<ProductEntry>>;
 
-/// One shard's visible products, frozen at a version.
+/// One shard's visible products, frozen at one publish.
 ///
 /// Two-level layout: category → `Arc` of that category's cluster map.
 /// A successor snapshot clones the outer map (a handful of refcounts)
@@ -63,9 +63,6 @@ pub type CategoryClusters = BTreeMap<ClusterKey, Arc<ProductEntry>>;
 /// paper scale cost more than the fsync it rode behind.
 #[derive(Debug, Default)]
 pub struct ShardSnapshot {
-    /// Strictly increasing across successive snapshots of one shard;
-    /// the publisher never replaces a snapshot with an older version.
-    pub version: u64,
     /// Visible products (fused, at or above `min_cluster_size`),
     /// grouped by category, each category in cluster-key order.
     /// Categories with no visible product are absent.
@@ -73,21 +70,11 @@ pub struct ShardSnapshot {
 }
 
 impl ShardSnapshot {
-    /// Snapshot every visible product of `store` (initial build).
-    pub fn from_store(version: u64, store: &ProductStore) -> Self {
-        let mut categories: BTreeMap<CategoryId, Arc<CategoryClusters>> = BTreeMap::new();
-        for (k, p) in store.products_keyed() {
-            Arc::make_mut(categories.entry(k.0).or_default())
-                .insert(k.clone(), ProductEntry::new(p.clone()));
-        }
-        Self { version, categories }
-    }
-
     /// Build the successor snapshot: carry categories forward by `Arc`
     /// clone, deep-clone only the ones named by `dirty`, and re-resolve
     /// the dirty keys against the store — re-serializing a changed
     /// product, dropping a vanished one.
-    pub fn rebuilt(&self, version: u64, store: &ProductStore, dirty: &[ClusterKey]) -> Self {
+    pub fn rebuilt(&self, store: &ProductStore, dirty: &[ClusterKey]) -> Self {
         let mut categories = self.categories.clone();
         for key in dirty {
             match store.product_for(key) {
@@ -105,7 +92,7 @@ impl ShardSnapshot {
                 }
             }
         }
-        Self { version, categories }
+        Self { categories }
     }
 
     /// This shard's entries for one category, in cluster-key order.
@@ -230,8 +217,8 @@ pub fn category_response(shards: &[Arc<ShardSnapshot>], category: CategoryId) ->
 /// Collect into `out` every category whose entries differ between two
 /// snapshots of the same shard. Carry-forward preserves `Arc` identity
 /// for untouched categories, so one pointer comparison per category
-/// finds exactly the changed, added, and removed ones regardless of
-/// which writer published first — no per-cluster walk.
+/// finds exactly the changed, added, and removed ones — no per-cluster
+/// walk.
 pub fn changed_categories(
     old: &ShardSnapshot,
     new: &ShardSnapshot,
@@ -318,12 +305,12 @@ mod tests {
         )
     }
 
-    fn snap(version: u64, entries: Vec<(ClusterKey, Arc<ProductEntry>)>) -> ShardSnapshot {
+    fn snap(entries: Vec<(ClusterKey, Arc<ProductEntry>)>) -> ShardSnapshot {
         let mut categories: BTreeMap<CategoryId, Arc<CategoryClusters>> = BTreeMap::new();
         for (k, e) in entries {
             Arc::make_mut(categories.entry(k.0).or_default()).insert(k, e);
         }
-        ShardSnapshot { version, categories }
+        ShardSnapshot { categories }
     }
 
     #[test]
@@ -331,8 +318,7 @@ mod tests {
         let (k1, e1) = entry(1, "aaa", "{\"a\":1}");
         let (k2, e2) = entry(1, "bbb", "{\"b\":2}");
         let (k3, e3) = entry(2, "ccc", "{\"c\":3}");
-        let shards =
-            vec![Arc::new(snap(1, vec![(k2, e2), (k3, e3)])), Arc::new(snap(1, vec![(k1, e1)]))];
+        let shards = vec![Arc::new(snap(vec![(k2, e2), (k3, e3)])), Arc::new(snap(vec![(k1, e1)]))];
         assert_eq!(&category_response(&shards, CategoryId(1))[..], b"[{\"a\":1},{\"b\":2}]");
         assert_eq!(&category_response(&shards, CategoryId(2))[..], b"[{\"c\":3}]");
         assert_eq!(&category_response(&shards, CategoryId(9))[..], b"[]");
@@ -344,14 +330,14 @@ mod tests {
         let (k1, e1) = entry(1, "aaa", "{}");
         let (k2, e2) = entry(2, "bbb", "{}");
         let (k3, e3) = entry(3, "ccc", "{}");
-        let old = snap(1, vec![(k1, e1), (k2.clone(), e2)]);
+        let old = snap(vec![(k1, e1), (k2.clone(), e2)]);
         // Successor built the way `rebuilt` does: category 1 carried
         // forward (same Arc), category 2 replaced, category 3 added.
         let (_, e2b) = entry(2, "bbb", "{}");
         let mut categories = old.categories.clone();
         categories.insert(CategoryId(2), Arc::new(CategoryClusters::from([(k2, e2b)])));
         Arc::make_mut(categories.entry(CategoryId(3)).or_default()).insert(k3, e3);
-        let new = ShardSnapshot { version: 2, categories };
+        let new = ShardSnapshot { categories };
         let mut out = BTreeSet::new();
         changed_categories(&old, &new, &mut out);
         assert_eq!(out, BTreeSet::from([CategoryId(2), CategoryId(3)]));

@@ -8,7 +8,7 @@ mod common;
 
 use std::collections::HashMap;
 
-use common::{fixture, Fixture};
+use common::{fixture, spec_provider, Fixture};
 use proptest::prelude::*;
 use pse_core::{Offer, OfferId, Spec};
 use pse_serve::{shard_of, ShardedStore};
@@ -323,4 +323,46 @@ fn concurrent_shard_disjoint_ingest_matches_sequential() {
         "thread interleaving must not affect cluster-disjoint ingests"
     );
     assert_eq!(concurrent.snapshot_json(), sequential.snapshot_json());
+}
+
+/// Two writers whose batches share clusters race on one 4-shard store,
+/// released together by a barrier: every round must land on the state
+/// one of the two serial orders produces. Each writer pins two `pse-par`
+/// workers, so a 300-offer batch fans out inside the write it belongs to.
+#[test]
+fn concurrent_overlapping_ingests_equal_a_serial_order() {
+    let f = fixture();
+    // Fresh ids over the corpus with the same specs: the clusters overlap.
+    let batch = |first: u64| -> Vec<Offer> {
+        let spec_of = |k: u64| f.corpus[k as usize % f.corpus.len()].clone();
+        (0..300).map(|k| Offer { id: OfferId(first + k), ..spec_of(k) }).collect()
+    };
+    let (a, b) = (batch(1_000_000), batch(2_000_000));
+    let serial = |first: &[Offer], second: &[Offer]| {
+        let mut store = ProductStore::new(f.correspondences.clone());
+        store.ingest(&f.world.catalog, first, &spec_provider());
+        store.ingest(&f.world.catalog, second, &spec_provider());
+        store.snapshot_json()
+    };
+    let orders = [serial(&a, &b), serial(&b, &a)];
+    assert_ne!(orders[0], orders[1], "the batches must overlap for their order to matter");
+    for round in 0..20 {
+        let store = ShardedStore::new(f.correspondences.clone(), 4);
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for batch in [&a, &b] {
+                let (store, start) = (&store, &start);
+                scope.spawn(move || {
+                    pse_par::with_threads(2, || {
+                        start.wait();
+                        store.ingest(&f.world.catalog, batch, &spec_provider())
+                    })
+                });
+            }
+        });
+        assert!(
+            orders.contains(&store.snapshot_json()),
+            "round {round}: a state neither serial order produces"
+        );
+    }
 }

@@ -13,7 +13,10 @@
 //!
 //! Ingesting any partition of an offer stream, in any batch sizes, yields
 //! **byte-identical** products to one `RuntimePipeline::process` call over
-//! the concatenation. The guarantee holds by construction:
+//! the concatenation, for streams in which an offer id keeps its cluster
+//! key. (An offer re-ingested under a new key *moves*: it leaves its old
+//! cluster as a retraction would, where the batch pipeline would count it
+//! in both.) The guarantee holds by construction:
 //!
 //! - per-offer reconciliation and key routing are pure functions of the
 //!   offer (shared with the batch path via
@@ -43,6 +46,17 @@ use serde::{Deserialize, Serialize};
 
 /// Snapshot format version; bumped on incompatible layout changes.
 pub const SNAPSHOT_VERSION: u32 = 1;
+
+/// Applies of fewer offers (or retracted ids) than this run on the
+/// calling thread: the re-fusion here and the read-snapshot rebuild in
+/// `pse-serve`. Measured on a 2-CPU host against a store preloaded like
+/// the benchmark's: one scoped spawn + join costs ~30 µs, about two
+/// offers' apply (12–15 µs per offer), and `ingest_reconciled` at two
+/// threads loses to one below ~256 offers (8 offers: 100–113 → 222–240
+/// µs; 128: 1.5–1.7 → 1.7–2.2 ms), breaks even at 256 and wins from 512
+/// (1,000: 9.9–14.5 → 9.0–11.7 ms). So an 8-offer commit or a retract of
+/// a few ids never spawns, and a 1,000-offer preload batch still fans out.
+pub const PAR_APPLY_MIN_BATCH: usize = 256;
 
 /// The store's metric names, each written once.
 pub mod metrics {
@@ -136,9 +150,9 @@ pub struct IngestDelta {
     pub stats: IngestStats,
     /// Every cluster whose visible product may have changed, in key
     /// order: clusters that gained or lost members, including clusters
-    /// that vanished entirely (retraction of the last member). This is a
-    /// superset of `stats.clusters_dirty`, which counts only clusters
-    /// that still exist.
+    /// that vanished entirely (their last member retracted or re-keyed
+    /// away). This is a superset of `stats.clusters_dirty`, which counts
+    /// only clusters that still exist.
     pub dirty: Vec<ClusterKey>,
 }
 
@@ -228,10 +242,8 @@ impl ProductStore {
 
     /// Ingest offers that are already reconciled (the second half of
     /// [`ProductStore::ingest`]): route each to its cluster and re-fuse
-    /// only the touched clusters. This is the entry point sharded fronts
-    /// use — they reconcile a batch once, partition the reconciled offers
-    /// by cluster key, and feed each shard its slice, which yields the
-    /// same cluster contents as ingesting the whole batch into one store.
+    /// only the touched clusters. This is the entry point for logged
+    /// batches: reconciled once, they replay without the `SpecProvider`.
     ///
     /// `offers_in` in the returned stats equals the reconciled count; the
     /// offer-level wrapper overwrites it with the raw batch size.
@@ -254,12 +266,20 @@ impl ProductStore {
         METRICS.seed();
         let offers_in = reconciled.len();
         let mut dirty: BTreeSet<ClusterKey> = BTreeSet::new();
+        let mut vanished: BTreeSet<ClusterKey> = BTreeSet::new();
         let mut offers_routed = 0;
         let mut clusters_formed = 0u64;
         for r in reconciled {
             let Some((attr, value)) = self.keys.route(&r) else { continue };
             let key = (r.category, attr, value);
-            self.offer_index.insert(r.offer, key.clone());
+            // An offer re-ingested under a new key moves: it leaves its
+            // old cluster exactly as a retraction would. Under the same
+            // key it becomes a duplicate member.
+            if let Some(old) = self.offer_index.insert(r.offer, key.clone()) {
+                if old != key {
+                    self.remove_member(old, r.offer, &mut dirty, &mut vanished);
+                }
+            }
             let state = match self.clusters.entry(key.clone()) {
                 std::collections::btree_map::Entry::Vacant(slot) => {
                     clusters_formed += 1;
@@ -273,10 +293,7 @@ impl ProductStore {
             offers_routed += 1;
         }
         pse_obs::add("runtime.clusters_formed", clusters_formed);
-        pse_obs::add(metrics::CLUSTERS_DIRTY, dirty.len() as u64);
-        let refused = self.refuse(catalog, &dirty);
-        let stats = IngestStats { offers_in, offers_routed, clusters_dirty: dirty.len(), refused };
-        IngestDelta { stats, dirty: dirty.into_iter().collect() }
+        self.finish_delta(catalog, dirty, vanished, offers_in, offers_routed)
     }
 
     /// Remove offers by id, re-fusing the affected clusters. Unknown ids
@@ -297,44 +314,65 @@ impl ProductStore {
         let mut removed = 0;
         for id in ids {
             let Some(key) = self.offer_index.remove(id) else { continue };
-            let Some(state) = self.clusters.get_mut(&key) else { continue };
-            state.members.retain(|m| m.offer != *id);
-            removed += 1;
-            // Retraction is a non-append mutation: the incremental fusion
-            // state no longer describes the member list. Drop it; the next
-            // re-fusion rebuilds from the retained members.
-            self.fusion.remove(&key);
-            if state.members.is_empty() {
-                self.clusters.remove(&key);
-                vanished.insert(key);
-            } else {
-                state.dirty = true;
-                dirty.insert(key);
-            }
+            removed += usize::from(self.remove_member(key, *id, &mut dirty, &mut vanished));
         }
         pse_obs::add(metrics::RETRACTED, removed as u64);
+        self.finish_delta(catalog, dirty, vanished, ids.len(), removed)
+    }
+
+    /// Take offer `id` out of cluster `key`: the cluster is marked dirty,
+    /// or vanishes when `id` was its last member. A removal is not an
+    /// append, so the cluster's incremental fusion state no longer
+    /// describes its members: it is dropped, and the next re-fusion
+    /// rebuilds from the retained members. Returns whether the cluster
+    /// existed.
+    fn remove_member(
+        &mut self,
+        key: ClusterKey,
+        id: OfferId,
+        dirty: &mut BTreeSet<ClusterKey>,
+        vanished: &mut BTreeSet<ClusterKey>,
+    ) -> bool {
+        let Some(state) = self.clusters.get_mut(&key) else { return false };
+        state.members.retain(|m| m.offer != id);
+        self.fusion.remove(&key);
+        if state.members.is_empty() {
+            self.clusters.remove(&key);
+            vanished.insert(key);
+        } else {
+            state.dirty = true;
+            dirty.insert(key);
+        }
+        true
+    }
+
+    /// Re-fuse `dirty` and report the delta: `dirty` counts in the stats,
+    /// and the vanished clusters join it in the key list, because their
+    /// disappearance invalidates cached reads just as surely.
+    fn finish_delta(
+        &mut self,
+        catalog: &Catalog,
+        mut dirty: BTreeSet<ClusterKey>,
+        mut vanished: BTreeSet<ClusterKey>,
+        offers_in: usize,
+        offers_routed: usize,
+    ) -> IngestDelta {
         pse_obs::add(metrics::CLUSTERS_DIRTY, dirty.len() as u64);
-        let refused = self.refuse(catalog, &dirty);
-        let stats = IngestStats {
-            offers_in: ids.len(),
-            offers_routed: removed,
-            clusters_dirty: dirty.len(),
-            refused,
-        };
+        let refused = self.refuse(catalog, &dirty, offers_in);
+        let stats = IngestStats { offers_in, offers_routed, clusters_dirty: dirty.len(), refused };
         dirty.append(&mut vanished);
         IngestDelta { stats, dirty: dirty.into_iter().collect() }
     }
 
-    /// Whether any of `ids` is currently held by this store — the cheap
-    /// read-side probe a sharded front uses to skip shards a retraction
-    /// cannot touch.
+    /// Whether any of `ids` is currently held by this store.
     pub fn owns_any(&self, ids: &[OfferId]) -> bool {
         ids.iter().any(|id| self.offer_index.contains_key(id))
     }
 
-    /// Re-fuse the given dirty clusters (in parallel, order-preserving);
+    /// Re-fuse the given dirty clusters (in parallel, order-preserving,
+    /// for a `batch` of at least [`PAR_APPLY_MIN_BATCH`] offers or ids);
     /// clusters below `min_cluster_size` just drop their cached product.
-    fn refuse(&mut self, catalog: &Catalog, dirty: &BTreeSet<ClusterKey>) -> usize {
+    fn refuse(&mut self, catalog: &Catalog, dirty: &BTreeSet<ClusterKey>, batch: usize) -> usize {
         let mut work: Vec<(ClusterKey, Cluster, ClusterFusionCache)> = Vec::new();
         for key in dirty {
             let Some(state) = self.clusters.get_mut(key) else { continue };
@@ -361,8 +399,9 @@ impl ProductStore {
             work.push((key.clone(), cluster, cache));
         }
         let refuse_span = pse_obs::span("store.refuse");
+        let min_chunk = if batch < PAR_APPLY_MIN_BATCH { work.len() } else { 4 };
         let fused: Vec<Option<SynthesizedProduct>> =
-            pse_par::par_map_chunked(&work, 4, |(_, cluster, cache)| {
+            pse_par::par_map_chunked(&work, min_chunk, |(_, cluster, cache)| {
                 fuse_cluster_cached(cluster, &self.config, cache)
             });
         drop(refuse_span);
@@ -410,46 +449,6 @@ impl ProductStore {
     /// Products of one category, in cluster-key order.
     pub fn products_in_category(&self, category: CategoryId) -> Vec<SynthesizedProduct> {
         self.products_keyed().filter(|(k, _)| k.0 == category).map(|(_, p)| p.clone()).collect()
-    }
-
-    /// Split this store into `n` disjoint stores, sending each cluster to
-    /// the store `route(key)` picks (values are taken modulo `n`). Every
-    /// piece keeps the full configuration and correspondence set; cluster
-    /// state moves without re-fusion. Inverse of [`ProductStore::absorb`].
-    pub fn split_by(self, n: usize, route: impl Fn(&ClusterKey) -> usize) -> Vec<ProductStore> {
-        assert!(n > 0, "cannot split into zero stores");
-        let mut pieces: Vec<ProductStore> = (0..n)
-            .map(|_| ProductStore::with_config(self.correspondences.clone(), self.config.clone()))
-            .collect();
-        let mut caches = self.fusion;
-        for (key, state) in self.clusters {
-            let piece = &mut pieces[route(&key) % n];
-            for m in &state.members {
-                piece.offer_index.insert(m.offer, key.clone());
-            }
-            // Fusion state travels with its cluster: it describes the
-            // member list, which moves untouched.
-            if let Some(cache) = caches.remove(&key) {
-                piece.fusion.insert(key.clone(), cache);
-            }
-            piece.clusters.insert(key, state);
-        }
-        pieces
-    }
-
-    /// Move every cluster of `other` into this store. Intended for merging
-    /// disjoint shards back into one store (snapshot export); a cluster key
-    /// present in both stores panics, because merging overlapping member
-    /// lists cannot preserve stream order.
-    pub fn absorb(&mut self, other: ProductStore) {
-        self.fusion.extend(other.fusion);
-        for (key, state) in other.clusters {
-            for m in &state.members {
-                self.offer_index.insert(m.offer, key.clone());
-            }
-            let previous = self.clusters.insert(key, state);
-            assert!(previous.is_none(), "absorb: overlapping cluster key");
-        }
     }
 
     /// Serialize the store to JSON. Restoring the snapshot and snapshotting
@@ -523,18 +522,18 @@ impl ProductStore {
         Self::index_clusters(&self.clusters).map(|_| ())
     }
 
-    /// Export the cluster map as a serde `Value` tree — what a segmented
-    /// binary snapshot persists per shard. The inverse is
-    /// [`ProductStore::from_cluster_parts`].
-    pub fn clusters_value(&self) -> serde::Value {
-        self.clusters.to_value()
+    /// Export the clusters whose key `keep` accepts as a serde `Value`
+    /// tree — what a segmented binary snapshot persists per shard. The
+    /// inverse is [`ProductStore::from_cluster_parts`].
+    pub fn clusters_value_where(&self, keep: impl Fn(&ClusterKey) -> bool) -> serde::Value {
+        self.clusters.iter().filter(|(k, _)| keep(k)).collect::<BTreeMap<_, _>>().to_value()
     }
 
     /// Rebuild a store from disjoint cluster-map parts (one per shard,
-    /// each a [`ProductStore::clusters_value`] tree) plus the config and
-    /// correspondences a snapshot's meta blob carries. Rejects a cluster
-    /// key present in two parts, and the same offer-in-two-clusters
-    /// corruption `restore_json` screens for.
+    /// each a [`ProductStore::clusters_value_where`] tree) plus the
+    /// config and correspondences a snapshot's meta blob carries. Rejects
+    /// a cluster key present in two parts, and the same
+    /// offer-in-two-clusters corruption `restore_json` screens for.
     pub fn from_cluster_parts(
         config: RuntimeConfig,
         correspondences: CorrespondenceSet,
@@ -809,14 +808,13 @@ mod tests {
         let rebuilt = ProductStore::from_cluster_parts(
             store.config().clone(),
             set.clone(),
-            [store.clusters_value()],
+            [store.clusters_value_where(|_| true)],
         )
         .unwrap();
         assert_eq!(rebuilt.snapshot_json(), store.snapshot_json());
         rebuilt.validate_offer_index().unwrap();
-        // Split parts (as per-shard segments would be) rebuild identically.
-        let pieces = store.clone().split_by(3, |key| key.2.len());
-        let parts: Vec<serde::Value> = pieces.iter().map(|p| p.clusters_value()).collect();
+        // Filtered parts (as per-shard segments are) rebuild identically.
+        let parts = (0..3).map(|i| store.clusters_value_where(|key| key.2.len() % 3 == i));
         let merged = ProductStore::from_cluster_parts(store.config().clone(), set, parts).unwrap();
         assert_eq!(merged.snapshot_json(), store.snapshot_json());
     }
@@ -826,7 +824,7 @@ mod tests {
         let (catalog, set, offers) = setup();
         let mut store = ProductStore::new(set.clone());
         store.ingest(&catalog, &offers, &provider());
-        let part = store.clusters_value();
+        let part = store.clusters_value_where(|_| true);
         let err =
             ProductStore::from_cluster_parts(store.config().clone(), set, [part.clone(), part])
                 .unwrap_err();
@@ -835,22 +833,29 @@ mod tests {
     }
 
     #[test]
-    fn split_then_absorb_is_identity() {
+    fn reingest_under_a_new_key_moves_the_offer() {
         let (catalog, set, offers) = setup();
+        let cat = offers[0].category.unwrap();
+        let offer_7 =
+            |mpn: &str| reconcile_batch(&[mk(7, 0, cat, &[("MPN", mpn)])], &set, &provider());
+        let holding = |store: &ProductStore| {
+            let products = store.products();
+            products.into_iter().filter(|p| p.offers.contains(&OfferId(7))).collect::<Vec<_>>()
+        };
         let mut store = ProductStore::new(set.clone());
         store.ingest(&catalog, &offers, &provider());
-        let snap = store.snapshot_json();
-        for n in [1usize, 2, 3, 8] {
-            let pieces = store.clone().split_by(n, |key| key.2.len());
-            assert_eq!(pieces.len(), n);
-            let total: usize = pieces.iter().map(|p| p.offer_count()).sum();
-            assert_eq!(total, store.offer_count());
-            let mut merged = ProductStore::with_config(set.clone(), store.config().clone());
-            for piece in pieces {
-                merged.absorb(piece);
-            }
-            assert_eq!(merged.snapshot_json(), snap, "split into {n} and merged back");
-        }
+        store.ingest_reconciled(&catalog, offer_7("AAA111"));
+        let delta = store.ingest_reconciled_delta(&catalog, offer_7("BBB222"));
+        assert_eq!(holding(&store).len(), 1, "the offer left its old cluster");
+        let keys: Vec<&str> = delta.dirty.iter().map(|k| k.2.as_str()).collect();
+        assert_eq!(keys, ["aaa111", "bbb222"], "the vanished old cluster is listed dirty");
+        let restored = ProductStore::restore_json(&store.snapshot_json()).unwrap();
+        assert_eq!(restored.snapshot_json(), store.snapshot_json());
+        // Under the same key again: a duplicate member, as before.
+        store.ingest_reconciled(&catalog, offer_7("BBB222"));
+        assert_eq!(holding(&store)[0].offers, [OfferId(7), OfferId(7)]);
+        store.retract(&catalog, &[OfferId(7)]);
+        assert!(holding(&store).is_empty(), "a retract leaves no product holding the offer");
     }
 
     #[test]

@@ -112,8 +112,10 @@ fn durable_retract(
 }
 
 fn snapshot(dur: &mut Durability, store: &ProductStore) {
-    dur.write_snapshot(1, store.config(), store.correspondences(), |_| store.clusters_value())
-        .unwrap();
+    dur.write_snapshot(1, store.config(), store.correspondences(), |_| {
+        store.clusters_value_where(|_| true)
+    })
+    .unwrap();
 }
 
 /// Sequential oracle: a plain store fed the same raw offers.
@@ -257,23 +259,17 @@ fn incremental_snapshot_rewrites_only_dirty_shards() {
     let provider = FnProvider(|o: &Offer| o.spec.clone());
     let mut store = ProductStore::new(set.clone());
     store.ingest(&catalog, &offers, &provider);
-    let shards = store.clone().split_by(2, |key| key.2.len() % 2);
-    let full = dur
-        .write_snapshot(2, store.config(), store.correspondences(), |i| shards[i].clusters_value())
-        .unwrap();
+    let shard = |i: usize| store.clusters_value_where(|key| key.2.len() % 2 == i);
+    let full = dur.write_snapshot(2, store.config(), store.correspondences(), shard).unwrap();
     assert_eq!(full.segments_written, 2, "first snapshot writes everything");
     // Nothing dirty: everything is skipped, nothing hits the disk.
-    let noop = dur
-        .write_snapshot(2, store.config(), store.correspondences(), |i| shards[i].clusters_value())
-        .unwrap();
+    let noop = dur.write_snapshot(2, store.config(), store.correspondences(), shard).unwrap();
     assert_eq!((noop.segments_written, noop.segments_skipped), (0, 2));
     assert_eq!(noop.bytes_written, 0);
     // One dirty shard: exactly one segment is rewritten.
     log(&mut dur, &WalRecord::Retract(vec![OfferId(999)])); // no-op op, but logged
     dur.mark_dirty([1]);
-    let incr = dur
-        .write_snapshot(2, store.config(), store.correspondences(), |i| shards[i].clusters_value())
-        .unwrap();
+    let incr = dur.write_snapshot(2, store.config(), store.correspondences(), shard).unwrap();
     assert_eq!((incr.segments_written, incr.segments_skipped), (1, 1));
     // Recovery reads the mixed-generation segment set cleanly.
     drop(dur);

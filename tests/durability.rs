@@ -18,8 +18,10 @@ use product_synthesis::core::{CorrespondenceSet, Offer, OfferId, Spec};
 use product_synthesis::datagen::{World, WorldConfig};
 use product_synthesis::serve::{durable_ingest, durable_retract, open_durable, ShardedStore};
 use product_synthesis::store::ProductStore;
-use product_synthesis::synthesis::runtime::reconcile_batch;
-use product_synthesis::synthesis::{ExtractingProvider, FnProvider, OfflineLearner, SpecProvider};
+use product_synthesis::synthesis::runtime::{reconcile_batch, KeyAttributes};
+use product_synthesis::synthesis::{
+    ExtractingProvider, FnProvider, OfflineLearner, RuntimeConfig, SpecProvider,
+};
 use product_synthesis::wal::{
     read_wal, recover, Durability, DurabilityConfig, GroupCommitConfig, WalRecord, WAL_HEADER_LEN,
 };
@@ -149,7 +151,7 @@ fn apply_ops(
                 // Fold the WAL into segments and rotate the log: every
                 // tail op becomes segment-durable, immune to truncation.
                 dur.write_snapshot(1, store.config(), store.correspondences(), |_| {
-                    store.clusters_value()
+                    store.clusters_value_where(|_| true)
                 })
                 .unwrap();
                 folded.extend(tail.drain(..).map(|(op, _)| op));
@@ -397,5 +399,43 @@ fn lone_durable_ingest_does_not_wait_for_a_full_group() {
     let tail = read_wal(&dcfg.wal_path, 0).unwrap().expect("wal exists");
     assert_eq!(tail.records.len(), 3);
     assert_eq!(tail.torn_bytes, 0);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Two acknowledged ingests of one offer id under different cluster
+/// keys: the offer moves to the second cluster, and reopening the
+/// directory replays the move into a store equal to the live one (the
+/// offer is not left claimed by two clusters).
+#[test]
+fn reingest_under_a_new_key_recovers_to_the_live_store() {
+    let f = fixture();
+    let dir = case_dir("rekey");
+    let p = provider(f);
+    let keys = KeyAttributes::new(&RuntimeConfig::default().key_attributes);
+    let routed: Vec<(OfferId, _)> = reconcile_batch(&f.corpus, &f.correspondences, &p)
+        .into_iter()
+        .filter_map(|r| keys.route(&r).map(|(attr, value)| (r.offer, (r.category, attr, value))))
+        .collect();
+    let (first, first_key) = &routed[0];
+    let (second, _) = routed.iter().find(|(_, key)| key != first_key).expect("two cluster keys");
+    let offer = |id: &OfferId| f.corpus.iter().find(|o| o.id == *id).unwrap().clone();
+    // The second ingest reuses `first`'s id for `second`'s offer and spec.
+    let rekeyed = Offer { id: *first, ..offer(second) };
+    let second_spec = FnProvider(|_: &Offer| f.specs[&second.0].clone());
+
+    let seed = ShardedStore::new(f.correspondences.clone(), 4);
+    let (store, ctx, _) = open_durable(dcfg(&dir), &f.world.catalog, seed).unwrap();
+    durable_ingest(&store, &ctx, &f.world.catalog, &[offer(first)], &p).unwrap();
+    durable_ingest(&store, &ctx, &f.world.catalog, &[rekeyed], &second_spec).unwrap();
+    let holders = store.products().iter().filter(|q| q.offers.contains(first)).count();
+    assert_eq!(holders, 1, "exactly one product holds the re-keyed offer");
+    let live = store.snapshot_json();
+    drop((store, ctx));
+
+    let seed = ShardedStore::new(f.correspondences.clone(), 4);
+    let (reopened, ctx, stats) = open_durable(dcfg(&dir), &f.world.catalog, seed).unwrap();
+    assert_eq!(stats.wal_records_replayed, 2);
+    assert_eq!(reopened.snapshot_json(), live);
+    drop((reopened, ctx));
     std::fs::remove_dir_all(&dir).unwrap();
 }
