@@ -33,8 +33,9 @@
 //!
 //! Text renderings go to stdout; CSV series are written under `--out`
 //! (default `results/`). `--quiet` silences stderr progress chatter and the
-//! stage summary; `--obs` (or `PSE_OBS=1`) turns on observability and
-//! writes `target/OBS_REPORT.json` under the workspace root on exit.
+//! stage summary; `--obs` (or `PSE_OBS=1`) installs an `Obs` on the main
+//! thread for the whole run — `pse-par` workers inherit it — and writes
+//! its report to `target/OBS_REPORT.json` under the workspace root on exit.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -47,6 +48,7 @@ use pse_bench::{
 };
 use pse_datagen::World;
 use pse_eval::correspondence::LabeledCurve;
+use pse_obs::Obs;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -56,9 +58,8 @@ fn main() -> ExitCode {
     };
     let rest = &args[1..];
     let quiet = rest.iter().any(|a| a == "--quiet");
-    if rest.iter().any(|a| a == "--obs") {
-        pse_obs::set_enabled(true);
-    }
+    let obs = if rest.iter().any(|a| a == "--obs") { Some(Obs::new()) } else { Obs::from_env() };
+    let _obs = obs.as_ref().map(Obs::install);
     let scale = match Scale::from_args(rest) {
         Ok(s) => s,
         Err(e) => {
@@ -129,7 +130,9 @@ fn main() -> ExitCode {
         }
         name => run(name, &world),
     };
-    write_obs_report(quiet);
+    if let Some(obs) = &obs {
+        write_obs_report(obs, quiet);
+    }
     if ok {
         ExitCode::SUCCESS
     } else {
@@ -137,14 +140,11 @@ fn main() -> ExitCode {
     }
 }
 
-/// When observability is on, stamp provenance into the report, write
-/// `target/OBS_REPORT.json` under the workspace root (a generated
-/// artefact — never tracked), and print the stage summary.
-fn write_obs_report(quiet: bool) {
-    if !pse_obs::enabled() {
-        return;
-    }
-    let mut report = pse_obs::report();
+/// Stamp provenance into the run's report, write `target/OBS_REPORT.json`
+/// under the workspace root (a generated artefact — never tracked), and
+/// print the stage summary.
+fn write_obs_report(obs: &Obs, quiet: bool) {
+    let mut report = obs.report();
     report.git_commit = pse_bench::git_commit();
     report.threads = pse_par::current_threads() as u64;
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../target");

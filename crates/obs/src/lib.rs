@@ -5,15 +5,17 @@
 //! JSON ([`ObsReport::to_json`]) or a human-readable stage summary
 //! ([`ObsReport::render_summary`]).
 //!
-//! ## The no-op fast path
+//! ## Scope: one [`Obs`] per owner
 //!
-//! Instrumentation is **off by default**. It turns on when the `PSE_OBS`
-//! environment variable is set to anything other than `0`/empty, or
-//! programmatically via [`set_enabled`]. While off, every entry point
-//! reduces to one relaxed atomic load and instrumentation records nothing —
-//! and, by design, recording never influences pipeline outputs either way:
-//! the `determinism_par` integration test compares full pipeline runs with
-//! observability on vs off byte-for-byte.
+//! Everything records into an [`Obs`], a handle on one sink owned by
+//! whoever runs the work (a server, a pipeline run, a test) and installed
+//! on the threads doing it: [`Obs::install`] on the owner's, [`par_call`]
+//! on `pse-par` workers, [`current`] captured by a server for its own.
+//! Two owners in one process never see each other's counters. With none
+//! installed (the default) every entry point is one thread-local read and
+//! records nothing; recording never influences pipeline outputs either
+//! way (`determinism_par` compares runs with and without an `Obs`
+//! byte-for-byte).
 //!
 //! ## Determinism
 //!
@@ -35,10 +37,13 @@
 //! ## Spans
 //!
 //! ```
-//! let _run = pse_obs::span("offline");
+//! let obs = pse_obs::Obs::new();
 //! {
+//!     let _on = obs.install();
+//!     let _run = pse_obs::span("offline");
 //!     let _stage = pse_obs::span("features"); // records "offline.features"
 //! }
+//! assert_eq!(obs.report().span("offline.features").unwrap().count, 1);
 //! ```
 //!
 //! Span paths nest via a thread-local stack. `pse-par` worker threads
@@ -61,21 +66,13 @@ pub use trace::{
     RequestTraceGuard, TraceId, TraceSpan, TraceSummary,
 };
 
-use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Once, OnceLock};
+use std::cell::RefCell;
+use std::marker::PhantomData;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use sink::Sink;
 pub use sink::TIMELINE_RETAINED;
-
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static ENV_INIT: Once = Once::new();
-
-fn global_sink() -> &'static Sink {
-    static SINK: OnceLock<Sink> = OnceLock::new();
-    SINK.get_or_init(Sink::default)
-}
 
 /// Monotonic nanoseconds since the first observability call in this
 /// process (the epoch all span/timeline timestamps share).
@@ -85,52 +82,78 @@ pub(crate) fn now_ns() -> u64 {
     u64::try_from(epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Is instrumentation on? One relaxed atomic load — the compiled-in no-op
-/// fast path every instrumentation site is gated behind.
-///
-/// The first call resolves the `PSE_OBS` environment variable (`0`, empty,
-/// or unset = off; anything else = on); [`set_enabled`] overrides it.
-pub fn enabled() -> bool {
-    ENV_INIT.call_once(|| {
-        let on = std::env::var("PSE_OBS").map(|v| {
-            let v = v.trim();
-            !v.is_empty() && v != "0"
-        });
-        if on == Ok(true) {
-            ENABLED.store(true, Ordering::Relaxed);
-        }
-    });
-    ENABLED.load(Ordering::Relaxed)
+/// A handle on one sink. Clones share it; see the crate docs for who owns
+/// one and how threads inherit it.
+#[derive(Debug, Clone, Default)]
+pub struct Obs(Arc<Sink>);
+
+impl Obs {
+    /// A handle on a fresh, empty sink.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// A fresh handle when the `PSE_OBS` environment variable is set to
+    /// anything but empty or `0`. The only place the variable is read:
+    /// binaries ask for it, the library never does.
+    pub fn from_env() -> Option<Self> {
+        let on = std::env::var("PSE_OBS").is_ok_and(|v| !matches!(v.trim(), "" | "0"));
+        on.then(Self::new)
+    }
+
+    /// Make this handle the calling thread's sink until the returned scope
+    /// drops, which restores whatever was installed before.
+    pub fn install(&self) -> ObsScope {
+        ObsScope { prev: CURRENT.with(|c| c.replace(Some(self.clone()))), _thread: PhantomData }
+    }
+
+    /// Snapshot the sink into a deterministic-ordered [`ObsReport`].
+    pub fn report(&self) -> ObsReport {
+        self.0.snapshot()
+    }
 }
 
-/// Turn instrumentation on or off programmatically (e.g. the `--obs` flag
-/// of the `experiments` binary, or tests toggling both modes in-process).
-pub fn set_enabled(on: bool) {
-    ENV_INIT.call_once(|| {});
-    ENABLED.store(on, Ordering::Relaxed);
+/// The scope of one [`Obs::install`], bound to the thread that made it.
+#[must_use = "the Obs is installed only until the scope drops; bind it to a variable"]
+#[derive(Debug)]
+pub struct ObsScope {
+    prev: Option<Obs>,
+    _thread: PhantomData<*const ()>,
 }
 
-/// Clear every recorded span, counter, histogram and timeline event (the
-/// enabled flag is untouched). Used between measured runs and by tests.
-pub fn reset() {
-    global_sink().clear();
+impl Drop for ObsScope {
+    fn drop(&mut self) {
+        CURRENT.with(|c| *c.borrow_mut() = self.prev.take());
+    }
 }
-
-/// Snapshot the sink into a deterministic-ordered [`ObsReport`].
-pub fn report() -> ObsReport {
-    global_sink().snapshot(enabled())
-}
-
-// ---- spans -----------------------------------------------------------------
 
 thread_local! {
+    /// The installed handle, if any.
+    static CURRENT: RefCell<Option<Obs>> = const { RefCell::new(None) };
     /// Stack of full span paths active on this thread.
     static SPAN_STACK: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
     /// Path prefix inherited from the spawning `pse-par` caller.
     static INHERITED: RefCell<Option<Arc<str>>> = const { RefCell::new(None) };
-    /// Worker index within the current `pse-par` call (0 on the main thread).
-    static WORKER: Cell<u64> = const { Cell::new(0) };
 }
+
+/// The calling thread's installed [`Obs`], if any: what a component that
+/// runs work on threads of its own captures to install there.
+pub fn current() -> Option<Obs> {
+    CURRENT.with(|c| c.borrow().clone())
+}
+
+/// Is an [`Obs`] installed on this thread? One thread-local read — the
+/// off path every instrumentation site is gated behind.
+pub fn enabled() -> bool {
+    CURRENT.with(|c| c.borrow().is_some())
+}
+
+/// Run `f` on the installed sink, if any.
+fn with_sink(f: impl FnOnce(&Sink)) {
+    CURRENT.with(|c| c.borrow().as_ref().map(|obs| f(&obs.0)));
+}
+
+// ---- spans -----------------------------------------------------------------
 
 /// The full hierarchical path active on this thread, if any.
 fn current_path() -> Option<String> {
@@ -140,8 +163,8 @@ fn current_path() -> Option<String> {
 }
 
 /// RAII span guard: measures monotonic wall time from construction to drop
-/// and records it under the hierarchical path. Inactive (and free) when
-/// observability is off.
+/// and records it under the hierarchical path. Inactive (and free) when no
+/// [`Obs`] is installed.
 #[must_use = "a span measures until it is dropped; bind it to a variable"]
 #[derive(Debug)]
 pub struct SpanGuard {
@@ -155,13 +178,11 @@ impl Drop for SpanGuard {
     fn drop(&mut self) {
         if let Some(path) = self.path.take() {
             let dur = now_ns().saturating_sub(self.start_ns);
-            SPAN_STACK.with(|s| {
-                s.borrow_mut().pop();
-            });
+            SPAN_STACK.with(|s| s.borrow_mut().pop());
             if self.traced {
                 trace::span_exit(&path, self.start_ns, dur);
             }
-            global_sink().record_span(path, dur);
+            with_sink(|s| s.record_span(path, dur));
         }
     }
 }
@@ -184,21 +205,13 @@ pub fn span(name: &str) -> SpanGuard {
     SpanGuard { path: Some(path), start_ns: now_ns(), traced }
 }
 
-/// `span!("name")` — sugar for [`span`] that keeps call sites compact.
-#[macro_export]
-macro_rules! span {
-    ($name:expr) => {
-        $crate::span($name)
-    };
-}
-
 // ---- counters & histograms -------------------------------------------------
 
 /// Add `n` to the named counter. Integer sums commute, so totals are
 /// identical at any thread count.
 pub fn add(name: &str, n: u64) {
-    if enabled() && n > 0 {
-        global_sink().add_counter(name, n);
+    if n > 0 {
+        with_sink(|s| s.add_counter(name, n));
     }
 }
 
@@ -208,16 +221,12 @@ pub fn add(name: &str, n: u64) {
 /// the counter when the stage ran. [`add`] skips `n == 0` by design, so a
 /// zero total would otherwise leave no trace.
 pub fn seed(name: &str) {
-    if enabled() {
-        global_sink().seed_counter(name);
-    }
+    with_sink(|s| s.seed_counter(name));
 }
 
 /// Increment the named counter by one.
 pub fn incr(name: &str) {
-    if enabled() {
-        global_sink().add_counter(name, 1);
-    }
+    with_sink(|s| s.add_counter(name, 1));
 }
 
 /// Materialize the named histogram with zero samples (if new) without
@@ -226,60 +235,53 @@ pub fn incr(name: &str) {
 /// reports (and report checkers) always see the histogram when the stage
 /// ran.
 pub fn seed_histogram(name: &str) {
-    if enabled() {
-        global_sink().seed_histogram(name);
-    }
+    with_sink(|s| s.seed_histogram(name));
 }
 
 /// Record one value into the named fixed-bucket histogram.
 pub fn observe(name: &str, value: u64) {
-    if enabled() {
-        global_sink().record_histogram(name, value);
-    }
+    with_sink(|s| s.record_histogram(name, value));
 }
 
 // ---- pse-par timeline integration ------------------------------------------
 
 /// Context captured on the calling thread at the start of a `pse-par`
-/// parallel call; workers use it to attribute their chunk to the caller's
-/// span path and to inherit that path for spans of their own.
+/// parallel call; workers use it to record into the caller's [`Obs`], to
+/// attribute their chunk to the caller's span path and to inherit that
+/// path for spans of their own.
 #[derive(Debug)]
 pub struct ParCall {
+    obs: Obs,
     label: Arc<str>,
     /// The caller's request-trace context, if one was active — workers
     /// install it so their spans land in the same request's span tree.
     trace: Option<trace::TraceCtx>,
 }
 
-/// Capture the current span path as the label for a parallel call about to
-/// fan out. Returns `None` when observability is off, so the executor's
-/// fast path stays a single atomic load.
+/// Capture the installed [`Obs`] and the current span path (the call's
+/// label) for a parallel call about to fan out. Returns `None` when no
+/// `Obs` is installed, so the executor's off path stays one thread-local
+/// read.
 pub fn par_call() -> Option<Arc<ParCall>> {
-    if !enabled() {
-        return None;
-    }
+    let obs = current()?;
     let label: Arc<str> = current_path().unwrap_or_else(|| "par".to_string()).into();
-    Some(Arc::new(ParCall { label, trace: trace::current_ctx() }))
+    Some(Arc::new(ParCall { obs, label, trace: trace::current_ctx() }))
 }
 
 impl ParCall {
     /// Enter one chunk of this parallel call on the current (worker)
-    /// thread: inherits the caller's span path and request trace, tags
-    /// the thread with its worker index, and records a timeline event on
-    /// drop.
+    /// thread: installs the caller's [`Obs`], inherits its span path and
+    /// request trace, and records a timeline event on drop.
     pub fn chunk(&self, worker: usize, chunk: usize, items: usize) -> ChunkGuard {
-        let prev_inherited = INHERITED.with(|i| i.replace(Some(self.label.clone())));
-        let prev_worker = WORKER.with(|w| w.replace(worker as u64));
-        let prev_trace = trace::install(self.trace.as_ref());
         ChunkGuard {
             label: self.label.clone(),
             worker: worker as u64,
             chunk: chunk as u64,
             items: items as u64,
             start_ns: now_ns(),
-            prev_inherited,
-            prev_worker,
-            prev_trace,
+            prev_inherited: INHERITED.with(|i| i.replace(Some(self.label.clone()))),
+            prev_trace: trace::install(self.trace.as_ref()),
+            _obs: self.obs.install(),
         }
     }
 }
@@ -294,25 +296,22 @@ pub struct ChunkGuard {
     items: u64,
     start_ns: u64,
     prev_inherited: Option<Arc<str>>,
-    prev_worker: u64,
     prev_trace: Option<trace::ActiveTrace>,
+    /// Dropped after [`Drop::drop`] ran, so the chunk records first.
+    _obs: ObsScope,
 }
 
 impl Drop for ChunkGuard {
     fn drop(&mut self) {
-        let dur_ns = now_ns().saturating_sub(self.start_ns);
-        global_sink().record_chunk(
-            &self.label,
-            ChunkSummary {
-                worker: self.worker,
-                chunk: self.chunk,
-                items: self.items,
-                start_ns: self.start_ns,
-                dur_ns,
-            },
-        );
+        let ev = ChunkSummary {
+            worker: self.worker,
+            chunk: self.chunk,
+            items: self.items,
+            start_ns: self.start_ns,
+            dur_ns: now_ns().saturating_sub(self.start_ns),
+        };
+        with_sink(|s| s.record_chunk(&self.label, ev));
         INHERITED.with(|i| *i.borrow_mut() = self.prev_inherited.take());
-        WORKER.with(|w| w.set(self.prev_worker));
         trace::restore(self.prev_trace.take());
     }
 }
@@ -320,49 +319,42 @@ impl Drop for ChunkGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
-
-    /// The sink and enabled flag are process-global; unit tests that touch
-    /// them serialize on this lock (and restore the disabled default).
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-    struct ObsSession;
-    impl ObsSession {
-        fn start() -> (std::sync::MutexGuard<'static, ()>, ObsSession) {
-            let guard = TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-            reset();
-            set_enabled(true);
-            (guard, ObsSession)
-        }
-    }
-    impl Drop for ObsSession {
-        fn drop(&mut self) {
-            set_enabled(false);
-            reset();
-        }
-    }
 
     #[test]
     fn disabled_records_nothing() {
-        let guard = TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-        set_enabled(false);
-        reset();
+        let obs = Obs::new();
         {
             let _s = span("ghost");
             add("ghost.counter", 5);
             observe("ghost.hist", 1);
+            assert!(par_call().is_none());
         }
-        let r = report();
-        assert!(!r.enabled);
+        let r = obs.report();
         assert!(r.spans.is_empty());
         assert!(r.counters.is_empty());
         assert!(r.histograms.is_empty());
-        drop(guard);
+    }
+
+    #[test]
+    fn each_obs_records_only_its_own_work() {
+        let (outer, inner) = (Obs::new(), Obs::new());
+        let _on = outer.install();
+        incr("work");
+        {
+            let _nested = inner.install();
+            add("work", 5);
+        }
+        incr("work");
+        let on_other_thread = std::thread::spawn(|| (enabled(), current().is_none()));
+        assert_eq!(on_other_thread.join().unwrap(), (false, true), "a new thread inherits nothing");
+        assert_eq!(outer.report().counter("work"), Some(2), "the nested scope restored outer");
+        assert_eq!(inner.report().counter("work"), Some(5));
     }
 
     #[test]
     fn spans_nest_into_dot_paths() {
-        let (_g, _s) = ObsSession::start();
+        let obs = Obs::new();
+        let _on = obs.install();
         {
             let _outer = span("offline");
             {
@@ -372,7 +364,7 @@ mod tests {
                 let _inner = span("features");
             }
         }
-        let r = report();
+        let r = obs.report();
         let paths: Vec<&str> = r.spans.iter().map(|s| s.path.as_str()).collect();
         assert_eq!(paths, ["offline", "offline.features"]);
         assert_eq!(r.span("offline.features").unwrap().count, 2);
@@ -383,13 +375,15 @@ mod tests {
 
     #[test]
     fn counters_and_histograms_accumulate() {
-        let (_g, _s) = ObsSession::start();
+        let obs = Obs::new();
+        let _on = obs.install();
         add("pairs", 3);
         add("pairs", 4);
         incr("pairs");
         observe("sizes", 2);
         observe("sizes", 70);
-        let r = report();
+        let r = obs.report();
+        assert!(r.enabled);
         assert_eq!(r.counter("pairs"), Some(8));
         let h = &r.histograms[0];
         assert_eq!((h.count, h.sum, h.min, h.max), (2, 72, 2, 70));
@@ -398,38 +392,41 @@ mod tests {
 
     #[test]
     fn add_zero_is_invisible() {
-        let (_g, _s) = ObsSession::start();
+        let obs = Obs::new();
+        let _on = obs.install();
         add("never", 0);
-        assert_eq!(report().counter("never"), None);
+        assert_eq!(obs.report().counter("never"), None);
     }
 
     #[test]
     fn seed_materializes_counter_without_incrementing() {
-        let (_g, _s) = ObsSession::start();
+        let obs = Obs::new();
+        let _on = obs.install();
         seed("maybe.zero");
-        assert_eq!(report().counter("maybe.zero"), Some(0));
+        assert_eq!(obs.report().counter("maybe.zero"), Some(0));
         add("maybe.zero", 2);
         seed("maybe.zero");
-        assert_eq!(report().counter("maybe.zero"), Some(2));
+        assert_eq!(obs.report().counter("maybe.zero"), Some(2));
     }
 
     #[test]
     fn metric_set_seeds_and_misses_exactly_its_declared_names() {
-        let (_g, _s) = ObsSession::start();
+        let obs = Obs::new();
+        let _on = obs.install();
         metric_set! {
             SET {
                 counters { A = "m.a", B = "m.b" }
                 histograms { H = "m.h" }
             }
         }
-        assert_eq!(SET.missing(&report()), [A, B, H]);
+        assert_eq!(SET.missing(&obs.report()), [A, B, H]);
         // A histogram named like a counter does not stand in for it.
         add(A, 3);
         observe(B, 1);
-        assert_eq!(SET.missing(&report()), [B, H]);
+        assert_eq!(SET.missing(&obs.report()), [B, H]);
         // Seeding materializes the rest at zero and leaves values alone.
         SET.seed();
-        let r = report();
+        let r = obs.report();
         assert_eq!(SET.missing(&r), Vec::<&str>::new());
         assert_eq!((r.counter(A), r.counter(B)), (Some(3), Some(0)));
         assert_eq!(r.validate(), Ok(()));
@@ -437,14 +434,15 @@ mod tests {
 
     #[test]
     fn timeline_keeps_exact_calls_and_only_recent_chunks() {
-        let (_g, _s) = ObsSession::start();
+        let obs = Obs::new();
+        let _on = obs.install();
         let call = par_call().unwrap();
         let calls = 3 * TIMELINE_RETAINED as u64;
         for i in 0..calls {
             drop(call.chunk(0, 0, i as usize));
             drop(call.chunk(1, 1, i as usize));
         }
-        let r = report();
+        let r = obs.report();
         let t = &r.timelines[0];
         assert_eq!(t.calls, calls);
         assert_eq!(t.chunks.len(), TIMELINE_RETAINED);
@@ -456,11 +454,13 @@ mod tests {
 
     #[test]
     fn chunk_guard_inherits_path_and_restores() {
-        let (_g, _s) = ObsSession::start();
+        let obs = Obs::new();
         let call = {
+            let _on = obs.install();
             let _stage = span("runtime");
             par_call().expect("enabled")
         };
+        // As on a worker thread: nothing installed until the chunk enters.
         {
             let _c = call.chunk(1, 1, 10);
             // Spans opened inside the chunk nest under the caller's path.
@@ -468,7 +468,8 @@ mod tests {
             assert_eq!(current_path().as_deref(), Some("runtime.reconcile"));
         }
         assert_eq!(current_path(), None, "inherited prefix restored");
-        let r = report();
+        assert!(!enabled(), "the caller's Obs uninstalled");
+        let r = obs.report();
         assert!(r.span("runtime.reconcile").is_some());
         let t = &r.timelines[0];
         assert_eq!(t.label, "runtime");
@@ -479,22 +480,12 @@ mod tests {
 
     #[test]
     fn par_call_without_span_labels_par() {
-        let (_g, _s) = ObsSession::start();
+        let obs = Obs::new();
+        let _on = obs.install();
         let call = par_call().unwrap();
         drop(call.chunk(0, 0, 1));
-        let r = report();
+        let r = obs.report();
         assert_eq!(r.timelines[0].label, "par");
         assert_eq!(r.timelines[0].calls, 1);
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let (_g, _s) = ObsSession::start();
-        add("x", 1);
-        let _sp = span("y");
-        drop(_sp);
-        reset();
-        let r = report();
-        assert!(r.counters.is_empty() && r.spans.is_empty());
     }
 }

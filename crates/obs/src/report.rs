@@ -133,7 +133,8 @@ impl TimelineGroup {
 pub struct ObsReport {
     /// [`SCHEMA_VERSION`] at export time.
     pub schema_version: u32,
-    /// Whether instrumentation was enabled when the snapshot was taken.
+    /// True in an [`Obs`](crate::Obs)'s report; false in the empty report
+    /// a server started without one serves.
     pub enabled: bool,
     /// Git commit hash of the producing build (filled by the exporter).
     pub git_commit: String,

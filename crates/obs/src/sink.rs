@@ -1,5 +1,5 @@
-//! The global event sink: thread-safe aggregation with deterministic
-//! export ordering.
+//! The event sink behind one [`Obs`](crate::Obs): thread-safe aggregation
+//! with deterministic export ordering.
 //!
 //! Spans and histograms aggregate *incrementally* (per-path / per-name
 //! integer merges) and each timeline label keeps an exact call count plus
@@ -39,7 +39,7 @@ struct TimelineAgg {
     recent: VecDeque<ChunkSummary>,
 }
 
-/// The global sink.
+/// One handle's sink.
 #[derive(Debug, Default)]
 pub(crate) struct Sink {
     spans: Mutex<BTreeMap<String, SpanAgg>>,
@@ -115,17 +115,10 @@ impl Sink {
         agg.recent.push_back(ev);
     }
 
-    pub fn clear(&self) {
-        self.spans.lock().expect("span sink poisoned").clear();
-        self.counters.lock().expect("counter sink poisoned").clear();
-        self.histograms.lock().expect("histogram sink poisoned").clear();
-        self.timelines.lock().expect("timeline sink poisoned").clear();
-    }
-
     /// Snapshot into a report with deterministic ordering: spans, counters
     /// and histograms in key order; timelines by label (sorted), retained
     /// chunks within a group in `(start_ns, worker, chunk)` order.
-    pub fn snapshot(&self, enabled: bool) -> ObsReport {
+    pub fn snapshot(&self) -> ObsReport {
         let spans = self
             .spans
             .lock()
@@ -184,7 +177,7 @@ impl Sink {
 
         ObsReport {
             schema_version: SCHEMA_VERSION,
-            enabled,
+            enabled: true,
             git_commit: String::new(),
             threads: 0,
             spans,

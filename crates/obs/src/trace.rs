@@ -15,10 +15,10 @@
 //!   a fixed-capacity ring of recent requests plus an always-keep-slowest
 //!   set (tail sampling), queryable as JSON for the `/debug/*` endpoints.
 //!
-//! Everything here obeys the crate's determinism contract: with
-//! observability off, [`start_request_trace`] returns an inert guard and
-//! no instrumentation site allocates; with it on, recording is a side
-//! channel that never influences what the traced code computes.
+//! Everything here obeys the crate's determinism contract: with no
+//! [`crate::Obs`] installed, [`start_request_trace`] returns an inert
+//! guard and no instrumentation site allocates; with one, recording is a
+//! side channel that never influences what the traced code computes.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -251,7 +251,7 @@ pub struct RequestTraceGuard {
 /// Begin tracing a request on this thread. Every span closed on the
 /// thread (and on `pse-par` workers it fans out to) is recorded until
 /// [`RequestTraceGuard::finish`]. Inert — no allocation, nothing
-/// installed — while observability is off.
+/// installed — while no [`crate::Obs`] is installed.
 ///
 /// `id` is the client-supplied trace identity when the request carried
 /// one; pass `None` for a fresh id (it can still be swapped later via
@@ -379,11 +379,6 @@ impl FlightRecorder {
             ..config
         };
         Self { config, inner: Mutex::new(RecorderInner::default()) }
-    }
-
-    /// The sizing this recorder runs with.
-    pub fn config(&self) -> &RecorderConfig {
-        &self.config
     }
 
     fn lock(&self) -> MutexGuard<'_, RecorderInner> {

@@ -7,11 +7,7 @@
 //! it gives the test the same executor the pipeline runs on.
 
 use proptest::prelude::*;
-use std::sync::Mutex;
-
-/// Global-state lock: the sink and enabled flag are process-wide, and the
-/// test harness runs tests on multiple threads.
-static OBS_LOCK: Mutex<()> = Mutex::new(());
+use pse_obs::Obs;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
@@ -47,34 +43,23 @@ fn fingerprint(r: &pse_obs::ObsReport) -> String {
     out
 }
 
-/// Run `work` under an enabled, clean sink and return the report.
-fn observed<F: FnOnce()>(work: F) -> pse_obs::ObsReport {
-    pse_obs::reset();
-    pse_obs::set_enabled(true);
-    work();
-    let r = pse_obs::report();
-    pse_obs::set_enabled(false);
-    pse_obs::reset();
-    r
-}
-
 proptest! {
     #[test]
     fn counters_sum_exactly_at_any_thread_count(
         values in prop::collection::vec(0u64..1_000, 1..200),
     ) {
-        let _guard = OBS_LOCK.lock().unwrap_or_else(|p| p.into_inner());
         let expected: u64 = values.iter().sum();
         for threads in THREAD_COUNTS {
-            let r = observed(|| {
-                pse_par::with_threads(threads, || {
-                    pse_par::par_map(&values, |&v| {
-                        pse_obs::add("test.values", v);
-                        pse_obs::incr("test.items");
-                        v
-                    })
-                });
+            let obs = Obs::new();
+            let _on = obs.install();
+            pse_par::with_threads(threads, || {
+                pse_par::par_map(&values, |&v| {
+                    pse_obs::add("test.values", v);
+                    pse_obs::incr("test.items");
+                    v
+                })
             });
+            let r = obs.report();
             // `add(_, 0)` records nothing, so the counter is absent when
             // every sampled value is zero.
             prop_assert_eq!(
@@ -92,20 +77,21 @@ proptest! {
     fn event_structure_is_thread_count_invariant(
         values in prop::collection::vec(1u64..500, 2..120),
     ) {
-        let _guard = OBS_LOCK.lock().unwrap_or_else(|p| p.into_inner());
         let workload = |threads: usize| {
-            observed(|| {
-                let _stage = pse_obs::span("test.stage");
-                pse_par::with_threads(threads, || {
-                    pse_par::par_map(&values, |&v| {
-                        // A span per item, opened inside worker threads:
-                        // the path must inherit "test.stage" everywhere.
-                        let _s = pse_obs::span("item");
-                        pse_obs::observe("test.sizes", v);
-                        v * 2
-                    })
-                });
-            })
+            let obs = Obs::new();
+            let _on = obs.install();
+            let stage = pse_obs::span("test.stage");
+            pse_par::with_threads(threads, || {
+                pse_par::par_map(&values, |&v| {
+                    // A span per item, opened inside worker threads:
+                    // the path must inherit "test.stage" everywhere.
+                    let _s = pse_obs::span("item");
+                    pse_obs::observe("test.sizes", v);
+                    v * 2
+                })
+            });
+            drop(stage);
+            obs.report()
         };
         let baseline = fingerprint(&workload(1));
         for threads in &THREAD_COUNTS[1..] {
@@ -123,11 +109,11 @@ proptest! {
         len in 1usize..300,
         threads in 1usize..9,
     ) {
-        let _guard = OBS_LOCK.lock().unwrap_or_else(|p| p.into_inner());
         let items: Vec<u64> = (0..len as u64).collect();
-        let r = observed(|| {
-            pse_par::with_threads(threads, || pse_par::par_map(&items, |&v| v + 1));
-        });
+        let obs = Obs::new();
+        let _on = obs.install();
+        pse_par::with_threads(threads, || pse_par::par_map(&items, |&v| v + 1));
+        let r = obs.report();
         prop_assert_eq!(r.timelines.len(), 1);
         let t = &r.timelines[0];
         // Chunks partition the input: item counts sum to the input length,
@@ -144,17 +130,18 @@ proptest! {
 
 #[test]
 fn nested_par_spans_attribute_to_caller_path() {
-    let _guard = OBS_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let items: Vec<u64> = (0..64).collect();
-    let r = observed(|| {
-        let _run = pse_obs::span("pipeline");
-        pse_par::with_threads(4, || {
-            pse_par::par_map(&items, |&v| {
-                let _s = pse_obs::span("work");
-                v
-            })
-        });
+    let obs = Obs::new();
+    let _on = obs.install();
+    let run = pse_obs::span("pipeline");
+    pse_par::with_threads(4, || {
+        pse_par::par_map(&items, |&v| {
+            let _s = pse_obs::span("work");
+            v
+        })
     });
+    drop(run);
+    let r = obs.report();
     let span = r.span("pipeline.work").expect("worker spans inherit the caller path");
     assert_eq!(span.count, 64);
     assert_eq!(r.timelines[0].label, "pipeline");

@@ -1,31 +1,12 @@
 //! Request tracing and flight recorder under real concurrency.
-//!
-//! Lives in its own integration-test binary because several tests toggle
-//! the process-global observability flag and assert on recorded state;
-//! they serialize on a local lock so cargo's parallel test harness cannot
-//! interleave them.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
 use pse_obs::{
-    start_request_trace, FlightRecorder, RecorderConfig, RequestTrace, TraceId, TraceSpan,
+    start_request_trace, FlightRecorder, Obs, RecorderConfig, RequestTrace, TraceId, TraceSpan,
 };
 use serde::Deserialize;
-
-static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-fn obs_session() -> MutexGuard<'static, ()> {
-    let guard = TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    pse_obs::reset();
-    pse_obs::set_enabled(true);
-    guard
-}
-
-fn end_session() {
-    pse_obs::set_enabled(false);
-    pse_obs::reset();
-}
 
 fn trace(id: u64, total_ns: u64) -> RequestTrace {
     RequestTrace {
@@ -116,7 +97,7 @@ fn recorder_under_concurrent_churn() {
 /// sum to at most the request total.
 #[test]
 fn request_trace_records_nested_spans() {
-    let _g = obs_session();
+    let _on = Obs::new().install();
     let trace = start_request_trace(Some(TraceId(0xabc)));
     assert!(trace.active());
     {
@@ -130,7 +111,6 @@ fn request_trace_records_nested_spans() {
         }
     }
     let done = trace.finish("products", 200).expect("recording");
-    end_session();
 
     assert_eq!(done.id, TraceId(0xabc));
     assert_eq!((done.endpoint.as_str(), done.status), ("products", 200));
@@ -166,7 +146,7 @@ fn request_trace_records_nested_spans() {
 /// depth below the forking span.
 #[test]
 fn par_workers_contribute_to_the_request_trace() {
-    let _g = obs_session();
+    let _on = Obs::new().install();
     let trace = start_request_trace(None);
     let items: Vec<u64> = (0..64).collect();
     let out = {
@@ -180,7 +160,6 @@ fn par_workers_contribute_to_the_request_trace() {
         })
     };
     let done = trace.finish("ingest", 200).expect("recording");
-    end_session();
 
     assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
     let workers: Vec<&TraceSpan> =
@@ -198,24 +177,20 @@ fn par_workers_contribute_to_the_request_trace() {
 /// growing without bound.
 #[test]
 fn span_cap_counts_drops() {
-    let _g = obs_session();
+    let _on = Obs::new().install();
     let trace = start_request_trace(None);
     for _ in 0..(pse_obs::trace::MAX_TRACE_SPANS + 40) {
         let _s = pse_obs::span("tick");
     }
     let done = trace.finish("other", 200).expect("recording");
-    end_session();
     assert_eq!(done.spans.len(), pse_obs::trace::MAX_TRACE_SPANS);
     assert_eq!(done.dropped_spans, 40);
 }
 
-/// Inert guard while observability is off: nothing installed, finish
+/// Inert guard while no `Obs` is installed: no trace installed, finish
 /// yields nothing, spans record nowhere.
 #[test]
 fn trace_guard_is_inert_when_disabled() {
-    let _g = TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    pse_obs::set_enabled(false);
-    pse_obs::reset();
     let trace = start_request_trace(None);
     assert!(!trace.active());
     assert_eq!(trace.id(), None);
@@ -229,7 +204,7 @@ fn trace_guard_is_inert_when_disabled() {
 /// trace starts from scratch.
 #[test]
 fn dropped_guard_uninstalls() {
-    let _g = obs_session();
+    let _on = Obs::new().install();
     {
         let _abandoned = start_request_trace(None);
         let _s = pse_obs::span("before");
@@ -239,7 +214,6 @@ fn dropped_guard_uninstalls() {
         let _s = pse_obs::span("after");
     }
     let done = trace.finish("other", 200).expect("recording");
-    end_session();
     let paths: Vec<&str> = done.spans.iter().map(|s| s.path.as_str()).collect();
     assert_eq!(paths, ["after"], "abandoned trace's spans do not leak into the next");
 }

@@ -33,13 +33,13 @@
 //!
 //! ## Observability
 //!
-//! When `pse-obs` instrumentation is on (`PSE_OBS=1`), every entry point
+//! When the caller has a `pse_obs::Obs` installed, every entry point
 //! records one timeline event per chunk — worker id, chunk index, item
 //! count, start/stop — labelled with the caller's active span path, and
-//! worker threads inherit that path so spans opened inside chunks stay
-//! attributed to the forking stage. While off (the default), the only
-//! cost is one relaxed atomic load per call; recording never changes
-//! results either way.
+//! worker threads inherit that `Obs` and that path, so what chunks record
+//! lands in the caller's sink, attributed to the forking stage. Without
+//! one (the default), the only cost is one thread-local read per call;
+//! recording never changes results either way.
 
 use std::cell::Cell;
 use std::panic::resume_unwind;

@@ -58,13 +58,13 @@ impl From<&[u8]> for Body {
 }
 
 /// One parsed request.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub struct Request {
     /// `GET`, `POST`, … (uppercased by the client, not normalized here).
     pub method: String,
-    /// Path without the query string, percent-decoded per segment? No —
-    /// kept verbatim; cluster keys are normalized alphanumerics, so the
-    /// router only percent-decodes query values.
+    /// Path without the query string, kept verbatim (not percent-decoded):
+    /// cluster keys are normalized alphanumerics, so the router only
+    /// percent-decodes query values.
     pub path: String,
     /// Decoded `key=value` pairs from the query string, in order.
     pub query: Vec<(String, String)>,
@@ -94,10 +94,15 @@ pub fn read_request(stream: &mut impl Read, max_bytes: usize) -> Result<Request,
     // Read until the blank line ending the header block.
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
     let mut chunk = [0u8; 1024];
+    // Where the next search starts: 3 bytes before the bytes just read, so
+    // a terminator split across reads is found and a header trickled in
+    // byte by byte costs linear time, not a rescan per read.
+    let mut scanned = 0;
     let header_end = loop {
-        if let Some(pos) = find_header_end(&buf) {
-            break pos;
+        if let Some(pos) = find_header_end(&buf[scanned..]) {
+            break scanned + pos;
         }
+        scanned = buf.len().saturating_sub(3);
         if buf.len() > max_bytes {
             return Err(ServeError::RequestTooLarge { got: buf.len(), cap: max_bytes });
         }
@@ -352,6 +357,50 @@ mod tests {
             req(b"POST /x HTTP/1.1\r\nContent-Length:   \r\n\r\n"),
             Err(ServeError::BadRequest(_))
         ));
+    }
+
+    /// A client that sends `bytes` in pieces: each `read()` yields the
+    /// bytes up to `next_cut(pos)`, as one segment of a slow sender would.
+    struct Pieces<F> {
+        bytes: Vec<u8>,
+        pos: usize,
+        next_cut: F,
+    }
+
+    impl<F: Fn(usize) -> usize> Read for Pieces<F> {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            let end = (self.next_cut)(self.pos).min(self.bytes.len()).min(self.pos + out.len());
+            let n = end - self.pos;
+            out[..n].copy_from_slice(&self.bytes[self.pos..end]);
+            self.pos = end;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_header_sent_one_byte_per_read_parses_in_linear_time() {
+        let head = b"GET /healthz HTTP/1.1\r\nX-Pad: ";
+        let mut raw = head.to_vec();
+        raw.resize(64 << 10, b'a');
+        raw.extend_from_slice(b"\r\n\r\n");
+        let started = std::time::Instant::now();
+        let mut client = Pieces { bytes: raw, pos: 0, next_cut: |pos| pos + 1 };
+        let r = read_request(&mut client, 1 << 20).unwrap();
+        let elapsed = started.elapsed();
+        assert_eq!(r.header("x-pad").map(str::len), Some((64 << 10) - head.len()));
+        assert!(elapsed < std::time::Duration::from_secs(2), "took {elapsed:?}");
+    }
+
+    #[test]
+    fn a_request_split_at_any_byte_parses_like_the_whole() {
+        let raw = b"POST /ingest?k=v HTTP/1.1\r\nContent-Length: 5\r\nX-A: b\r\n\r\nhello";
+        let whole = req(raw).unwrap();
+        assert_eq!(whole.body, b"hello");
+        for cut in 0..=raw.len() {
+            let next_cut = |pos| if pos < cut { cut } else { usize::MAX };
+            let mut client = Pieces { bytes: raw.to_vec(), pos: 0, next_cut };
+            assert_eq!(read_request(&mut client, 4096).unwrap(), whole, "split at byte {cut}");
+        }
     }
 
     #[test]

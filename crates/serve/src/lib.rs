@@ -26,16 +26,21 @@
 //!   and `POST /shutdown`; per-connection timeouts, a 1 MiB request-size
 //!   cap (413), panic-isolated handlers, and graceful drain.
 //!
-//! When observability is on (`PSE_OBS=1`), every request is traced into
-//! a per-request span tree (parse → route → handler stages, including
-//! spans from `pse-par` workers the handler fans out to), identified by
-//! the `X-Pse-Trace-Id` request header when the caller sends one. A
+//! A server is observed when the thread calling [`start`] has a
+//! [`pse_obs::Obs`] installed: it installs that `Obs` on its acceptor,
+//! worker and compactor threads, and `GET /metrics` reports it (started
+//! without one, it records nothing and serves the empty, disabled
+//! report). An observed server traces every request into a per-request
+//! span tree (parse → route → handler stages, including spans from
+//! `pse-par` workers the handler fans out to), identified by the
+//! `X-Pse-Trace-Id` request header when the caller sends one. A
 //! [`pse_obs::FlightRecorder`] keeps the recent window plus every
 //! request over a slowness threshold, served at `GET /debug/requests`
 //! and `GET /debug/trace/{id}`; per-endpoint RED metrics
 //! (`serve.endpoint.<name>.{requests,errors,us}`) land in `/metrics`.
-//! None of it changes a response byte — the determinism tests pin
-//! tracing on vs off byte-identical on every product endpoint.
+//! None of it changes a response byte — the determinism tests pin an
+//! observed server byte-identical to an unobserved one on every product
+//! endpoint.
 //!
 //! When [`ServerConfig`] sets both `wal_path` and `snapshot_dir`, the
 //! [`durable`] module puts `pse-wal` under the write path: every

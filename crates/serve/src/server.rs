@@ -23,7 +23,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use pse_core::{Catalog, CategoryId, Offer, OfferId};
-use pse_obs::{FlightRecorder, RecorderConfig, TraceId};
+use pse_obs::{FlightRecorder, Obs, ObsReport, RecorderConfig, TraceId};
 use pse_synthesis::runtime::normalize_key;
 use pse_synthesis::FnProvider;
 use pse_wal::DurabilityConfig;
@@ -101,6 +101,9 @@ struct Inner {
     /// Wakes the compaction thread: `true` = a writer saw the WAL cross
     /// the compaction threshold.
     compact: (Mutex<bool>, Condvar),
+    /// What the [`start`] caller had installed; every server thread
+    /// records into it, and `GET /metrics` reports it.
+    obs: Option<Obs>,
 }
 
 /// A running server. Dropping the handle does NOT stop the server; call
@@ -162,25 +165,28 @@ pub fn start(
         recorder: FlightRecorder::new(config.recorder.clone()),
         durability,
         compact: (Mutex::new(false), Condvar::new()),
+        obs: pse_obs::current(),
     });
     let (tx, rx) = mpsc::sync_channel::<TcpStream>(config.queue_depth.max(1));
     let rx = Arc::new(Mutex::new(rx));
     let workers: Vec<JoinHandle<()>> = (0..config.workers.max(1))
         .map(|_| {
             let rx = Arc::clone(&rx);
-            let inner = Arc::clone(&inner);
-            std::thread::spawn(move || worker_loop(&inner, &rx))
+            spawn(&inner, move |inner| worker_loop(inner, &rx))
         })
         .collect();
-    let acceptor = {
-        let inner = Arc::clone(&inner);
-        std::thread::spawn(move || accept_loop(&inner, &listener, &tx))
-    };
-    let compactor = inner.durability.is_some().then(|| {
-        let inner = Arc::clone(&inner);
-        std::thread::spawn(move || compaction_loop(&inner))
-    });
+    let acceptor = spawn(&inner, move |inner| accept_loop(inner, &listener, &tx));
+    let compactor = inner.durability.is_some().then(|| spawn(&inner, compaction_loop));
     Ok(ServerHandle { inner, acceptor, workers, compactor })
+}
+
+/// Spawn a server thread that records into the server's `Obs`.
+fn spawn(inner: &Arc<Inner>, body: impl FnOnce(&Inner) + Send + 'static) -> JoinHandle<()> {
+    let inner = Arc::clone(inner);
+    std::thread::spawn(move || {
+        let _obs = inner.obs.as_ref().map(Obs::install);
+        body(&inner)
+    })
 }
 
 /// Background WAL compaction: wait until a writer signals the threshold
@@ -252,6 +258,7 @@ impl ServerHandle {
             let _ = c.join();
         }
         let inner = Arc::into_inner(self.inner).expect("all server threads joined");
+        let _obs = inner.obs.as_ref().map(Obs::install);
         if let Some(ctx) = &inner.durability {
             // Final fold: every logged record lands in segments, so the
             // next start replays an empty WAL tail.
@@ -610,8 +617,13 @@ fn h_healthz(_inner: &Inner, _request: &Request, _params: &Params) -> HandlerRes
     Ok((200, "text/plain", b"ok\n".to_vec().into()))
 }
 
-fn h_metrics(_inner: &Inner, _request: &Request, _params: &Params) -> HandlerResult {
-    Ok((200, "application/json", pse_obs::report().to_json().into_bytes().into()))
+fn h_metrics(inner: &Inner, _request: &Request, _params: &Params) -> HandlerResult {
+    // A server without an `Obs` recorded nothing: the empty, disabled report.
+    let report = inner.obs.as_ref().map_or_else(
+        || ObsReport { schema_version: pse_obs::SCHEMA_VERSION, ..ObsReport::default() },
+        Obs::report,
+    );
+    Ok((200, "application/json", report.to_json().into_bytes().into()))
 }
 
 fn h_products(inner: &Inner, _request: &Request, params: &Params) -> HandlerResult {

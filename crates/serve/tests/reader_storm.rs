@@ -4,15 +4,13 @@
 //! must byte-equal a fresh serialization of the stable category, and the
 //! `serve.cache.*` counters must reconcile exactly:
 //! `hits + misses == products requests served`.
-//!
-//! This lives in its own integration-test binary because it asserts on
-//! process-global `pse_obs` counters.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use pse_core::{Offer, OfferId, Spec};
 use pse_datagen::{World, WorldConfig};
+use pse_obs::Obs;
 use pse_serve::{http_request, ServerConfig, ShardedStore};
 use pse_synthesis::runtime::{reconcile_batch, KeyAttributes};
 use pse_synthesis::{ExtractingProvider, FnProvider, OfflineLearner, RuntimeConfig, SpecProvider};
@@ -26,8 +24,6 @@ const ABSENT_CATEGORY: u32 = 4_242_424;
 
 #[test]
 fn reader_storm_sees_consistent_bytes_and_counters_reconcile() {
-    pse_obs::set_enabled(true);
-
     let world = World::generate(WorldConfig::tiny());
     let provider = ExtractingProvider::new(|o: &Offer| world.landing_page(o.id));
     let offline =
@@ -75,18 +71,20 @@ fn reader_storm_sees_consistent_bytes_and_counters_reconcile() {
     assert_ne!(expected, "[]", "the stable category must actually serve products");
 
     // Generous queue/workers: this test is about consistency, not 503s.
+    // The server records into `obs` from here on, and so does the writer.
     let config = ServerConfig { workers: 4, queue_depth: 256, ..ServerConfig::default() };
-    let handle = pse_serve::start(store, world.catalog.clone(), config).expect("server starts");
+    let obs = Obs::new();
+    let handle = {
+        let _on = obs.install();
+        pse_serve::start(store, world.catalog.clone(), config).expect("server starts")
+    };
     let addr = handle.addr().to_string();
     let store = handle.store();
-
-    let before = pse_obs::report();
-    let hits_before = before.counter(pse_serve::metrics::CACHE_HIT).unwrap_or(0);
-    let misses_before = before.counter(pse_serve::metrics::CACHE_MISS).unwrap_or(0);
 
     let done = AtomicBool::new(false);
     std::thread::scope(|scope| {
         let writer = scope.spawn(|| {
+            let _on = obs.install();
             let mut cycles = 0u32;
             while !done.load(Ordering::Relaxed) {
                 store.ingest(&world.catalog, &churn_batch, &provider);
@@ -130,11 +128,9 @@ fn reader_storm_sees_consistent_bytes_and_counters_reconcile() {
     });
 
     // Exactly one hit-or-miss per `GET /products/{category}` request.
-    let after = pse_obs::report();
-    let hits =
-        after.counter(pse_serve::metrics::CACHE_HIT).expect("hit counter seeded") - hits_before;
-    let misses =
-        after.counter(pse_serve::metrics::CACHE_MISS).expect("miss counter seeded") - misses_before;
+    let after = obs.report();
+    let hits = after.counter(pse_serve::metrics::CACHE_HIT).expect("hit counter seeded");
+    let misses = after.counter(pse_serve::metrics::CACHE_MISS).expect("miss counter seeded");
     let requests = (READERS * REQUESTS_PER_READER) as u64;
     assert_eq!(
         hits + misses,

@@ -1,38 +1,25 @@
 //! Request tracing over real sockets: the `/debug/*` endpoints, trace-id
-//! adoption from `X-Pse-Trace-Id`, and the tracing half of the
-//! determinism contract (observability on vs off is byte-identical on
-//! product endpoints).
-//!
-//! Lives in its own integration-test binary because every test toggles
-//! the process-global observability flag; they serialize on a local lock
-//! so cargo's parallel harness cannot interleave them.
+//! adoption from `X-Pse-Trace-Id`, the tracing half of the determinism
+//! contract (an observed server answers product endpoints byte-identically
+//! to an unobserved one), and servers in one process observed apart.
 
 mod common;
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::{Mutex, MutexGuard};
 
 use common::{fixture, spec_provider, Fixture};
-use pse_obs::{DebugRequests, RecorderConfig, RequestTrace, TraceId};
-use pse_serve::{http_request, ServerConfig, ShardedStore};
+use pse_obs::{DebugRequests, Obs, ObsReport, RecorderConfig, RequestTrace, TraceId};
+use pse_serve::{http_request, ServerConfig, ServerHandle, ShardedStore};
 use serde::Deserialize;
 
-static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-fn obs_session() -> MutexGuard<'static, ()> {
-    let guard = TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    pse_obs::reset();
-    pse_obs::set_enabled(true);
-    guard
-}
-
-fn end_session() {
-    pse_obs::set_enabled(false);
-    pse_obs::reset();
-}
-
-fn started_server(f: &Fixture, recorder: RecorderConfig) -> (pse_serve::ServerHandle, String) {
+/// A server over the fixture's corpus, observed by `obs` when one is given.
+fn started_server(
+    f: &Fixture,
+    recorder: RecorderConfig,
+    obs: Option<&Obs>,
+) -> (ServerHandle, String) {
+    let _on = obs.map(Obs::install);
     let store = ShardedStore::new(f.correspondences.clone(), 2);
     store.ingest(&f.world.catalog, &f.corpus, &spec_provider());
     let config = ServerConfig { recorder, ..ServerConfig::default() };
@@ -41,33 +28,33 @@ fn started_server(f: &Fixture, recorder: RecorderConfig) -> (pse_serve::ServerHa
     (handle, addr)
 }
 
+fn get(addr: &str, path: &str) -> (u16, String) {
+    http_request(addr, "GET", path, None).unwrap()
+}
+
 /// The acceptance-criterion test: after driving traffic, `/debug/requests`
 /// returns the slowest in-window request with a span tree whose per-stage
 /// (same-depth) durations sum to at most the request total; known ids
 /// resolve via `/debug/trace/{id}`, unknown ids 404, bad ids 400.
 #[test]
 fn debug_endpoints_expose_slowest_span_trees() {
-    let _g = obs_session();
-    let f = fixture();
     // Threshold 0: every request is "slow", so the slow set sees all four
     // and the sortedness/eviction logic is exercised end to end.
     let (handle, addr) = started_server(
-        f,
+        fixture(),
         RecorderConfig { recent_capacity: 16, slow_capacity: 8, slow_threshold_ns: 0 },
+        Some(&Obs::new()),
     );
 
     let p = &handle.store().products()[0];
-    assert_eq!(http_request(&addr, "GET", "/healthz", None).unwrap().0, 200);
-    assert_eq!(
-        http_request(&addr, "GET", &format!("/products/{}", p.category.0), None).unwrap().0,
-        200
-    );
+    assert_eq!(get(&addr, "/healthz").0, 200);
+    assert_eq!(get(&addr, &format!("/products/{}", p.category.0)).0, 200);
     let lookup =
         format!("/product?category={}&attr={}&key={}", p.category.0, p.key_attribute, p.key_value);
-    assert_eq!(http_request(&addr, "GET", &lookup, None).unwrap().0, 200);
-    assert_eq!(http_request(&addr, "GET", "/nope", None).unwrap().0, 404);
+    assert_eq!(get(&addr, &lookup).0, 200);
+    assert_eq!(get(&addr, "/nope").0, 404);
 
-    let (status, body) = http_request(&addr, "GET", "/debug/requests", None).unwrap();
+    let (status, body) = get(&addr, "/debug/requests");
     assert_eq!(status, 200);
     let dbg = DebugRequests::from_value(&serde_json::from_str(&body).expect("valid JSON")).unwrap();
     assert_eq!(dbg.recorded, 4, "one trace per handled request");
@@ -109,8 +96,7 @@ fn debug_endpoints_expose_slowest_span_trees() {
 
     // A recent id resolves to the full trace; unknown 404s; bad hex 400s.
     let id = dbg.recent[0].id;
-    let (status, body) =
-        http_request(&addr, "GET", &format!("/debug/trace/{}", id.to_hex()), None).unwrap();
+    let (status, body) = get(&addr, &format!("/debug/trace/{}", id.to_hex()));
     assert_eq!(status, 200);
     let full = RequestTrace::from_value(&serde_json::from_str(&body).unwrap()).unwrap();
     assert_eq!(full.id, id);
@@ -118,24 +104,22 @@ fn debug_endpoints_expose_slowest_span_trees() {
     let miss = TraceId(!dbg.recent.iter().fold(0, |acc, t| acc | t.id.0));
     let path = format!("/debug/trace/{}", miss.to_hex());
     if dbg.recent.iter().all(|t| t.id != miss) {
-        assert_eq!(http_request(&addr, "GET", &path, None).unwrap().0, 404);
+        assert_eq!(get(&addr, &path).0, 404);
     }
-    assert_eq!(http_request(&addr, "GET", "/debug/trace/not-hex", None).unwrap().0, 400);
-    assert_eq!(http_request(&addr, "GET", "/debug/trace/00112233445566778", None).unwrap().0, 400);
+    assert_eq!(get(&addr, "/debug/trace/not-hex").0, 400);
+    assert_eq!(get(&addr, "/debug/trace/00112233445566778").0, 400);
 
     handle.shutdown().unwrap();
-    end_session();
 }
 
 /// A client-supplied `X-Pse-Trace-Id` (any casing) becomes the request's
 /// identity, resolvable at `/debug/trace/{id}` afterwards.
 #[test]
 fn trace_header_id_is_adopted() {
-    let _g = obs_session();
-    let f = fixture();
     let (handle, addr) = started_server(
-        f,
+        fixture(),
         RecorderConfig { recent_capacity: 16, slow_capacity: 4, slow_threshold_ns: u64::MAX },
+        Some(&Obs::new()),
     );
 
     // `http_request` sends no custom headers, so write the raw bytes.
@@ -146,7 +130,7 @@ fn trace_header_id_is_adopted() {
     assert!(reply.starts_with(b"HTTP/1.1 200"), "healthz served with the header present");
     drop(stream);
 
-    let (status, body) = http_request(&addr, "GET", "/debug/trace/deadbeef00000001", None).unwrap();
+    let (status, body) = get(&addr, "/debug/trace/deadbeef00000001");
     assert_eq!(status, 200, "client-supplied id is the trace identity");
     let full = RequestTrace::from_value(&serde_json::from_str(&body).unwrap()).unwrap();
     assert_eq!(full.id, TraceId(0xdead_beef_0000_0001));
@@ -166,14 +150,13 @@ fn trace_header_id_is_adopted() {
     );
 
     handle.shutdown().unwrap();
-    end_session();
 }
 
 /// The tracing half of the determinism contract, pinned over real
-/// sockets: turning observability (tracing + endpoint histograms + the
-/// flight recorder) on changes no response byte on product endpoints.
-/// The one sanctioned exception is the error envelope's `trace_id`
-/// field, which exists precisely to surface the trace — it is
+/// sockets: an observed server (tracing + endpoint histograms + the
+/// flight recorder) answers product endpoints with the same bytes as an
+/// unobserved one. The one sanctioned exception is the error envelope's
+/// `trace_id` field, which exists precisely to surface the trace — it is
 /// normalized out before comparing.
 fn blank_trace_id(body: &str) -> String {
     match body.find("\"trace_id\":\"") {
@@ -188,12 +171,10 @@ fn blank_trace_id(body: &str) -> String {
 
 #[test]
 fn tracing_does_not_change_product_bytes() {
-    let _g = TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    pse_obs::set_enabled(false);
-    pse_obs::reset();
     let f = fixture();
-    let (handle, addr) = started_server(f, RecorderConfig::default());
-    let p = &handle.store().products()[0];
+    let (plain, plain_addr) = started_server(f, RecorderConfig::default(), None);
+    let (observed, observed_addr) = started_server(f, RecorderConfig::default(), Some(&Obs::new()));
+    let p = &plain.store().products()[0];
     let paths = [
         "/healthz".to_string(),
         format!("/products/{}", p.category.0),
@@ -203,18 +184,45 @@ fn tracing_does_not_change_product_bytes() {
         "/product?category=1".to_string(), // 400
         "/nope".to_string(),               // 404
     ];
-
-    let fetch = |path: &String| {
-        let (status, body) = http_request(&addr, "GET", path, None).unwrap();
-        (status, blank_trace_id(&body))
-    };
-    let off: Vec<(u16, String)> = paths.iter().map(fetch).collect();
-    pse_obs::set_enabled(true);
-    let on: Vec<(u16, String)> = paths.iter().map(fetch).collect();
-    end_session();
-
-    for ((path, off), on) in paths.iter().zip(&off).zip(&on) {
+    for path in &paths {
+        let [off, on] = [&plain_addr, &observed_addr].map(|addr| {
+            let (status, body) = get(addr, path);
+            (status, blank_trace_id(&body))
+        });
         assert_eq!(off, on, "observability changed the response for {path}");
     }
-    handle.shutdown().unwrap();
+    plain.shutdown().unwrap();
+    observed.shutdown().unwrap();
+}
+
+/// Servers in one process are observed apart: each `/metrics` counts only
+/// the requests its own server handled, and a server started without an
+/// `Obs` serves the empty, disabled report.
+#[test]
+fn each_server_reports_only_its_own_obs() {
+    let f = fixture();
+    let (a, b) = (Obs::new(), Obs::new());
+    let (server_a, addr_a) = started_server(f, RecorderConfig::default(), Some(&a));
+    let (server_b, addr_b) = started_server(f, RecorderConfig::default(), Some(&b));
+    let (server_c, addr_c) = started_server(f, RecorderConfig::default(), None);
+    for (addr, healthz) in [(&addr_a, 3), (&addr_b, 1), (&addr_c, 2)] {
+        (0..healthz).for_each(|_| assert_eq!(get(addr, "/healthz").0, 200));
+    }
+    for (addr, healthz) in [(&addr_a, 3), (&addr_b, 1)] {
+        let report = ObsReport::from_json(&get(addr, "/metrics").1).unwrap();
+        // The scrape counts itself at request start, its endpoint trio
+        // only once it is answered.
+        assert_eq!(report.counter(pse_serve::metrics::REQUESTS), Some(healthz + 1), "{addr}");
+        let m = pse_serve::routes().find(|r| r.label == "healthz").unwrap().metrics;
+        let us = report.histograms.iter().find(|h| h.name == m.us).map(|h| h.count);
+        let trio = (report.counter(m.requests), report.counter(m.errors), us);
+        assert_eq!(trio, (Some(healthz), Some(0), Some(healthz)), "{addr}");
+    }
+    let off = ObsReport { schema_version: pse_obs::SCHEMA_VERSION, ..ObsReport::default() };
+    assert_eq!(get(&addr_c, "/metrics"), (200, off.to_json()));
+    for server in [server_a, server_b, server_c] {
+        server.shutdown().unwrap();
+    }
+    assert_eq!(a.report().counter(pse_serve::metrics::REQUESTS), Some(4));
+    assert_eq!(b.report().counter(pse_serve::metrics::REQUESTS), Some(2));
 }

@@ -15,8 +15,12 @@ use product_synthesis::core::Offer;
 use product_synthesis::datagen::{World, WorldConfig};
 use product_synthesis::serve::{self, ServerConfig, ShardedStore};
 use product_synthesis::synthesis::{ExtractingProvider, OfflineLearner};
+use pse_obs::Obs;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    // `PSE_OBS=1` observes the server: `GET /metrics`, `/debug/requests`.
+    let obs = Obs::from_env();
+    let _obs = obs.as_ref().map(Obs::install);
     let dir = std::env::args().nth(1).map(PathBuf::from);
     let world = World::generate(WorldConfig::tiny());
     let provider = ExtractingProvider::new(|o: &Offer| world.landing_page(o.id));

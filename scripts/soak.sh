@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # The equivalence suites over fresh property-test cases: each seed offset
 # 1..N runs sharded_equivalence (pse-serve), tests/incremental_store.rs,
-# tests/durability.rs and the pse-wal CommitQueue tests in release mode
+# tests/durability.rs, the pse-wal CommitQueue tests and the pse-obs sink's
+# thread-count determinism suite (parallel_determinism) in release mode
 # with PROPTEST_SEED=seed and PROPTEST_CASES=CASES (the default run is
 # offset 0 at 128 cases). Stops at the first failing suite and prints the
 # seed that replays it. Not part of `cargo test`: at the defaults it
@@ -17,6 +18,7 @@ suites=(
   "-p product-synthesis --test incremental_store"
   "-p product-synthesis --test durability"
   "-p pse-wal --lib group::"
+  "-p pse-obs --test parallel_determinism"
 )
 
 # Build every suite once up front, so the seeds time only the tests.

@@ -8,6 +8,7 @@
 //! downstream consumers see, and compare the bytes.
 
 use pse_datagen::{World, WorldConfig};
+use pse_obs::Obs;
 use pse_synthesis::{OfflineLearner, RuntimePipeline, SpecProvider};
 
 fn run_pipeline(world: &World) -> (String, String) {
@@ -41,18 +42,17 @@ fn synthesized_products_are_byte_identical_at_any_thread_count() {
 
 #[test]
 fn observability_does_not_change_outputs() {
-    // The PSE_OBS contract: instrumentation records on the side and never
-    // influences a pipeline byte. Same world, obs off vs on, at a thread
-    // count that exercises the par timeline hooks.
+    // The observability contract: instrumentation records on the side and
+    // never influences a pipeline byte. Same world, with no `Obs` vs under
+    // one, at a thread count that exercises the par timeline hooks.
     let world = World::generate(WorldConfig::tiny());
-    pse_obs::set_enabled(false);
     let (products_off, scored_off) = pse_par::with_threads(4, || run_pipeline(&world));
-    pse_obs::set_enabled(true);
-    pse_obs::reset();
-    let (products_on, scored_on) = pse_par::with_threads(4, || run_pipeline(&world));
-    let report = pse_obs::report();
-    pse_obs::set_enabled(false);
-    pse_obs::reset();
+    let obs = Obs::new();
+    let (products_on, scored_on) = {
+        let _on = obs.install();
+        pse_par::with_threads(4, || run_pipeline(&world))
+    };
+    let report = obs.report();
 
     assert_eq!(products_off, products_on, "synthesized products differ with observability on");
     assert_eq!(scored_off, scored_on, "scored candidates differ with observability on");
@@ -64,8 +64,8 @@ fn observability_does_not_change_outputs() {
 
     // The serving layer honors the same contract: request tracing, the
     // per-endpoint latency histograms and the flight recorder all record
-    // on the side — product-endpoint responses are byte-identical with
-    // observability off vs on.
+    // on the side — an observed server answers product endpoints with the
+    // same bytes as an unobserved one over the same store.
     let provider =
         pse_synthesis::ExtractingProvider::new(|o: &pse_core::Offer| world.landing_page(o.id));
     let offline =
@@ -76,12 +76,15 @@ fn observability_does_not_change_outputs() {
         .filter(|o| world.historical.product_of(o.id).is_none())
         .cloned()
         .collect();
-    let store = pse_serve::ShardedStore::new(offline.correspondences, 2);
-    store.ingest(&world.catalog, &unmatched, &provider);
-    let handle = pse_serve::start(store, world.catalog.clone(), pse_serve::ServerConfig::default())
-        .expect("server starts");
-    let addr = handle.addr().to_string();
-    let p = &handle.store().products()[0];
+    let serve = |obs: Option<&Obs>| {
+        let _on = obs.map(Obs::install);
+        let store = pse_serve::ShardedStore::new(offline.correspondences.clone(), 2);
+        store.ingest(&world.catalog, &unmatched, &provider);
+        let config = pse_serve::ServerConfig::default();
+        pse_serve::start(store, world.catalog.clone(), config).expect("server starts")
+    };
+    let (plain, observed) = (serve(None), serve(Some(&obs)));
+    let p = &plain.store().products()[0];
     let paths = [
         "/healthz".to_string(),
         format!("/products/{}", p.category.0),
@@ -89,7 +92,7 @@ fn observability_does_not_change_outputs() {
         "/nope".to_string(),
     ];
     // The error envelope's `trace_id` is the one sanctioned difference
-    // between obs on and off — blank it before comparing.
+    // between an observed server and not — blank it before comparing.
     let blank_trace_id = |body: String| match body.find("\"trace_id\":\"") {
         None => body,
         Some(start) => {
@@ -98,19 +101,16 @@ fn observability_does_not_change_outputs() {
             format!("{}{}", &body[..value_start], &body[value_end..])
         }
     };
-    let fetch = |path: &String| {
-        let (status, body) = pse_serve::http_request(&addr, "GET", path, None).unwrap();
-        (status, blank_trace_id(body))
-    };
-    let responses_off: Vec<(u16, String)> = paths.iter().map(fetch).collect();
-    pse_obs::set_enabled(true);
-    let responses_on: Vec<(u16, String)> = paths.iter().map(fetch).collect();
-    pse_obs::set_enabled(false);
-    pse_obs::reset();
-    for ((path, off), on) in paths.iter().zip(&responses_off).zip(&responses_on) {
+    for path in &paths {
+        let [off, on] = [&plain, &observed].map(|server| {
+            let addr = server.addr().to_string();
+            let (status, body) = pse_serve::http_request(&addr, "GET", path, None).unwrap();
+            (status, blank_trace_id(body))
+        });
         assert_eq!(off, on, "observability changed the serve response for {path}");
     }
-    handle.shutdown().expect("clean shutdown");
+    plain.shutdown().expect("clean shutdown");
+    observed.shutdown().expect("clean shutdown");
 }
 
 #[test]

@@ -1,7 +1,8 @@
-//! The observability contract, phase by phase: batch pipeline → store →
-//! volatile server → durable server → read-only recovery → recovered
-//! server → a chunk flood. After each phase the typed `pse_obs::report()`
-//! must pass `ObsReport::validate` and the declarative contract:
+//! The observability contract, phase by phase: batch pipeline, store,
+//! volatile server, durable server → read-only recovery → recovered
+//! server, a chunk flood. Each phase runs under an `Obs` of its own, so
+//! the phases are independent tests; after each, that `Obs`'s report must
+//! pass `ObsReport::validate` and the declarative contract:
 //!
 //! * every subsystem the phase ran reports everything its `METRICS` const
 //!   declares (the subsystem seeds itself from that const, so traffic
@@ -12,9 +13,7 @@
 //! * the per-endpoint RED ledger balances on every serving phase.
 //!
 //! Each phase states which subsystems it ran; nothing is inferred from
-//! span names. `pse-obs` records into one process-global sink, so this is
-//! the only test in this file — hence in this test binary and process —
-//! and its phases run in sequence.
+//! span names.
 
 // The serve tests' fixture, shared rather than copied a seventh time.
 #[path = "../crates/serve/tests/common/mod.rs"]
@@ -33,7 +32,7 @@ use product_synthesis::synthesis::{
     ExtractingProvider, OfflineLearner, RuntimePipeline, SpecProvider, TitleMatcher,
 };
 use product_synthesis::wal::{recover, DurabilityConfig};
-use pse_obs::{MetricSet, ObsReport, TIMELINE_RETAINED};
+use pse_obs::{MetricSet, Obs, ObsReport, TIMELINE_RETAINED};
 
 /// The gated subsystems a phase can name.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -142,11 +141,12 @@ fn red_ledger_errors(report: &ObsReport) -> Vec<String> {
     errs
 }
 
-/// Run one phase on a clean sink and hold its report to the contract.
+/// Run one phase under a fresh `Obs` and hold its report to the contract.
 fn phase(name: &str, ran: &[Subsystem], work: impl FnOnce()) -> ObsReport {
-    pse_obs::reset();
+    let obs = Obs::new();
+    let _on = obs.install();
     work();
-    let report = pse_obs::report();
+    let report = obs.report();
     assert_eq!(contract_errors(&report, ran), Vec::<String>::new(), "phase {name}");
     report
 }
@@ -178,13 +178,17 @@ fn durable_config(dir: &Path) -> ServerConfig {
     }
 }
 
-#[test]
-fn every_phase_reports_exactly_its_declared_metrics() {
-    pse_obs::set_enabled(true);
-    let f = fixture();
-    let catalog = &f.world.catalog;
-    let (pre, rest) = f.corpus.split_at(f.corpus.len() / 2);
+/// The fixture's corpus in two halves: what a server starts with, and
+/// what `POST /ingest` sends it as one JSON batch.
+fn halves() -> (&'static [Offer], &'static [Offer], String) {
+    let corpus = &fixture().corpus;
+    let (pre, rest) = corpus.split_at(corpus.len() / 2);
+    (pre, rest, serde_json::to_string(&rest.to_vec()).unwrap())
+}
 
+#[test]
+fn batch_pipeline_and_its_thread_count_independent_learning() {
+    let f = fixture();
     // The paper's batch pipeline, every stage, plus the two baselines
     // that seed a metric pair of their own.
     let report = phase("batch", &[Matcher, SoftTfIdf], || {
@@ -240,7 +244,12 @@ fn every_phase_reports_exactly_its_declared_metrics() {
     let (similarity_evals, candidates) = evals[0];
     assert!(candidates < similarity_evals && similarity_evals < 3 * candidates, "{evals:?}");
     assert_eq!(evals, [evals[0]; 3], "similarity evaluations depend on the thread count");
+}
 
+#[test]
+fn persistent_store() {
+    let (f, (pre, rest, _)) = (fixture(), halves());
+    let catalog = &f.world.catalog;
     // The persistent store alone: ingest, snapshot, ingest, retract.
     let report = phase("store", &[Store], || {
         let mut store = ProductStore::new(f.correspondences.clone());
@@ -259,10 +268,14 @@ fn every_phase_reports_exactly_its_declared_metrics() {
     assert!(counter(&report, pse_store::metrics::REFUSED) > 0);
     assert_eq!(counter(&report, pse_store::metrics::SNAPSHOT), 1);
     assert_eq!(counter(&report, pse_store::metrics::RETRACTED), 1);
+}
 
+#[test]
+fn volatile_server() {
+    let (f, (pre, rest, batch)) = (fixture(), halves());
+    let catalog = &f.world.catalog;
     // A volatile server, every route at least once plus the non-routable
     // outcomes, stopped through its own `/shutdown`.
-    let batch = serde_json::to_string(&rest.to_vec()).unwrap();
     let report = phase("volatile server", &[Serve, Query, Store], || {
         let store = ShardedStore::new(f.correspondences.clone(), 4);
         store.ingest(catalog, pre, &spec_provider());
@@ -295,9 +308,15 @@ fn every_phase_reports_exactly_its_declared_metrics() {
     for route in pse_serve::routes() {
         assert_eq!(counter(&report, route.metrics.requests), 1, "{}", route.label);
     }
+}
 
+/// One test, three phases: they share the durable directory.
+#[test]
+fn durable_server_then_read_only_recovery_then_recovered_server() {
+    let (f, (_, _, batch)) = (fixture(), halves());
+    let catalog = &f.world.catalog;
     // A durable server: the same write path with the WAL under it.
-    let dir = std::env::temp_dir().join(format!("pse-obs-contract-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("pse-obs-contract-durable-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let report = phase("durable server", &[Serve, Query, Store, Wal], || {
@@ -333,7 +352,12 @@ fn every_phase_reports_exactly_its_declared_metrics() {
     });
     assert_eq!(report.counter(pse_store::metrics::INGEST).unwrap_or(0), 0);
     std::fs::remove_dir_all(&dir).unwrap();
+}
 
+#[test]
+fn chunk_flood_and_the_contract_catching_each_breach() {
+    let f = fixture();
+    let catalog = &f.world.catalog;
     // A long-running server's sink is bounded: past TIMELINE_RETAINED
     // chunks per label the report — and so the `/metrics` body — stops
     // growing, while the call count stays exact.
@@ -377,7 +401,4 @@ fn every_phase_reports_exactly_its_declared_metrics() {
         requests.unwrap().value += 1;
     });
     assert!(unbalanced.contains("not to serve.requests"), "{unbalanced}");
-
-    pse_obs::set_enabled(false);
-    pse_obs::reset();
 }
