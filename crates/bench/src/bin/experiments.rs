@@ -68,7 +68,6 @@ fn main() -> ExitCode {
         }
     };
     let out_dir = out_dir(rest);
-    let batches = batches(rest);
 
     if !quiet {
         eprintln!(
@@ -91,7 +90,7 @@ fn main() -> ExitCode {
     let run = |name: &str, world: &World| -> bool {
         let t = std::time::Instant::now();
         let _obs = pse_obs::span(&format!("experiments.{name}"));
-        let ok = dispatch(name, world, &out_dir, quiet, batches);
+        let ok = dispatch(name, world, &out_dir, quiet, scale.batches);
         if !quiet {
             eprintln!("# {name} finished in {:.1?}", t.elapsed());
         }
@@ -279,18 +278,6 @@ fn figure(
         eprintln!("# series written to {}", path.display());
     }
     true
-}
-
-fn batches(args: &[String]) -> usize {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--batches" {
-            if let Some(v) = it.next() {
-                return v.parse().unwrap_or(4).max(1);
-            }
-        }
-    }
-    4
 }
 
 fn out_dir(args: &[String]) -> PathBuf {

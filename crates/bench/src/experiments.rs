@@ -13,7 +13,9 @@ use pse_eval::correspondence::{labeled_curve, LabeledCurve};
 use pse_eval::recall::recall_report;
 use pse_eval::report::TextTable;
 use pse_eval::synthesis_eval::{evaluate_synthesis, per_top_level, SynthesisQuality};
-use pse_synthesis::{OfflineConfig, OfflineLearner, OfflineOutcome, Pipeline, SynthesisResult};
+use pse_synthesis::{
+    OfflineConfig, OfflineLearner, OfflineOutcome, RuntimeConfig, RuntimePipeline, SynthesisResult,
+};
 use serde::{Deserialize, Serialize};
 
 use crate::scale::Scale;
@@ -64,12 +66,8 @@ pub fn run_end_to_end(world: &World) -> EndToEnd {
         .filter(|o| world.historical.product_of(o.id).is_none())
         .cloned()
         .collect();
-    let pipeline = Pipeline::builder()
-        .catalog(world.catalog.clone())
-        .correspondences(offline.correspondences.clone())
-        .build()
-        .expect("catalog and correspondences are supplied");
-    let synthesis = pipeline.process(&unmatched, &provider);
+    let pipeline = RuntimePipeline::new(offline.correspondences.clone());
+    let synthesis = pipeline.process(&world.catalog, &unmatched, &provider);
     let quality = evaluate_synthesis(world, &synthesis.products);
     EndToEnd { offline, synthesis, quality, runtime_offers: unmatched.len() }
 }
@@ -333,13 +331,11 @@ pub fn ablation_fusion(world: &World) -> String {
         ("Longest value", FusionStrategy::LongestValue),
         ("First seen", FusionStrategy::FirstSeen),
     ] {
-        let pipeline = Pipeline::builder()
-            .catalog(world.catalog.clone())
-            .correspondences(offline.correspondences.clone())
-            .fusion(strategy)
-            .build()
-            .expect("catalog and correspondences are supplied");
-        let result = pipeline.process(&unmatched, &provider);
+        let pipeline = RuntimePipeline::with_config(
+            offline.correspondences.clone(),
+            RuntimeConfig { fusion: strategy, ..RuntimeConfig::default() },
+        );
+        let result = pipeline.process(&world.catalog, &unmatched, &provider);
         let q = evaluate_synthesis(world, &result.products);
         t.row([
             name.to_string(),
@@ -372,13 +368,11 @@ pub fn ablation_keys(world: &World) -> String {
         ("MPN only", vec!["MPN".to_string()]),
         ("UPC only", vec!["UPC".to_string()]),
     ] {
-        let pipeline = Pipeline::builder()
-            .catalog(world.catalog.clone())
-            .correspondences(offline.correspondences.clone())
-            .key_attributes(keys)
-            .build()
-            .expect("catalog and correspondences are supplied");
-        let result = pipeline.process(&unmatched, &provider);
+        let pipeline = RuntimePipeline::with_config(
+            offline.correspondences.clone(),
+            RuntimeConfig { key_attributes: keys, ..RuntimeConfig::default() },
+        );
+        let result = pipeline.process(&world.catalog, &unmatched, &provider);
         let q = evaluate_synthesis(world, &result.products);
         t.row([
             name.to_string(),
@@ -561,11 +555,7 @@ pub fn run_incremental(world: &World, batches: usize) -> IncrementalRun {
         .cloned()
         .collect();
     let batches = batches.max(1);
-    let pipeline = Pipeline::builder()
-        .catalog(world.catalog.clone())
-        .correspondences(offline.correspondences.clone())
-        .build()
-        .expect("catalog and correspondences are supplied");
+    let pipeline = RuntimePipeline::new(offline.correspondences.clone());
     let mut store = pse_store::ProductStore::new(offline.correspondences.clone());
     let chunk = corpus.len().div_ceil(batches).max(1);
     let mut rows = Vec::new();
@@ -585,7 +575,7 @@ pub fn run_incremental(world: &World, batches: usize) -> IncrementalRun {
         let ingest_ns = t.elapsed().as_nanos() as u64;
         ingested += batch.len();
         let t = std::time::Instant::now();
-        let full = pipeline.process(&corpus[..ingested], &provider);
+        let full = pipeline.process(&world.catalog, &corpus[..ingested], &provider);
         let full_recompute_ns = t.elapsed().as_nanos() as u64;
         rows.push(IncrementalBatchRow {
             batch: i,

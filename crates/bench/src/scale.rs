@@ -51,6 +51,8 @@ pub struct Scale {
     pub seed: u64,
     /// Historical-match error rate (Table 2 robustness knob).
     pub match_error_rate: f64,
+    /// Batches the `incremental` replay splits its corpus into.
+    pub batches: usize,
 }
 
 impl Default for Scale {
@@ -62,12 +64,13 @@ impl Default for Scale {
             products_per_category: 50,
             seed: 0x5EED,
             match_error_rate: 0.08,
+            batches: 4,
         }
     }
 }
 
 impl Scale {
-    /// A small scale for Criterion benches and smoke runs.
+    /// A small scale for smoke runs (`--smoke`).
     pub fn smoke() -> Self {
         Self {
             offers: 4_000,
@@ -82,7 +85,7 @@ impl Scale {
     ///
     /// Recognized keys: `--offers`, `--merchants`, `--seed`,
     /// `--products-per-category`, `--match-error-rate`, `--leaves a,b,c,d`,
-    /// `--smoke`. The binary-level flags `--out DIR`, `--batches N`,
+    /// `--batches`, `--smoke`. The binary-level flags `--out DIR`,
     /// `--quiet` and `--obs` are accepted and ignored here.
     pub fn from_args(args: &[String]) -> Result<Self, ArgsError> {
         let mut scale =
@@ -97,6 +100,7 @@ impl Scale {
                 "--products-per-category" => scale.products_per_category = parse(&take()?)?,
                 "--seed" => scale.seed = parse(&take()?)?,
                 "--match-error-rate" => scale.match_error_rate = parse(&take()?)?,
+                "--batches" => scale.batches = parse(&take()?)?,
                 "--leaves" => {
                     let v = take()?;
                     let parts: Vec<usize> =
@@ -110,7 +114,7 @@ impl Scale {
                     scale.leaves = [parts[0], parts[1], parts[2], parts[3]];
                 }
                 "--smoke" | "--quiet" | "--obs" => {}
-                "--out" | "--batches" => {
+                "--out" => {
                     take()?; // consumed by the binary, not the scale
                 }
                 other if other.starts_with("--") => {
@@ -187,11 +191,23 @@ mod tests {
 
     #[test]
     fn binary_level_flags_accepted() {
-        let s =
-            Scale::from_args(&args(&["--quiet", "--obs", "--out", "results", "--batches", "4"]))
-                .unwrap();
+        let s = Scale::from_args(&args(&["--quiet", "--obs", "--out", "results"])).unwrap();
         assert_eq!(s.offers, Scale::default().offers);
-        assert!(Scale::from_args(&args(&["--batches"])).is_err());
+        assert!(Scale::from_args(&args(&["--out"])).is_err());
+    }
+
+    #[test]
+    fn batches_is_a_validated_value_flag() {
+        assert_eq!(Scale::default().batches, 4);
+        assert_eq!(Scale::from_args(&args(&["--batches", "7"])).unwrap().batches, 7);
+        assert!(matches!(
+            Scale::from_args(&args(&["--batches", "four"])),
+            Err(ArgsError::Invalid { input, .. }) if input == "four"
+        ));
+        assert!(matches!(
+            Scale::from_args(&args(&["--batches"])),
+            Err(ArgsError::MissingValue(flag)) if flag == "--batches"
+        ));
     }
 
     #[test]

@@ -85,18 +85,6 @@ impl WorldConfig {
         }
     }
 
-    /// A paper-scale world: hundreds of categories, ~1k merchants. Use from
-    /// release-mode experiment drivers only.
-    pub fn paper_scale(num_offers: usize) -> Self {
-        Self {
-            leaf_categories_per_top: [96, 184, 60, 60], // ≈ 400 leaves, Computing-heavy
-            products_per_category: 60,
-            num_merchants: 1_000,
-            num_offers,
-            ..Self::default()
-        }
-    }
-
     /// Total number of leaf categories.
     pub fn total_leaves(&self) -> usize {
         self.leaf_categories_per_top.iter().sum()
@@ -173,7 +161,6 @@ mod tests {
     fn defaults_validate() {
         assert!(WorldConfig::default().validate().is_ok());
         assert!(WorldConfig::tiny().validate().is_ok());
-        assert!(WorldConfig::paper_scale(10_000).validate().is_ok());
     }
 
     #[test]

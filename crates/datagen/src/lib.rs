@@ -43,8 +43,6 @@ pub mod world;
 pub use config::{ConfigError, WorldConfig};
 pub use page::render_landing_page;
 pub use queries::{truth_queries, TruthQuery};
-pub use stream::{
-    FlashSale, MerchantChurn, OfferStream, RetractionWave, Scenario, StreamBatch, StreamedOffer,
-};
+pub use stream::{OfferStream, StreamBatch, StreamedOffer};
 pub use truth::GroundTruth;
 pub use world::{World, WorldBase};

@@ -7,7 +7,7 @@
 //! of them: memory is the [`WorldBase`] scaffold plus one batch,
 //! independent of how many offers the stream produces.
 //!
-//! Determinism contract (pinned by proptests in `world.rs`):
+//! Determinism contract (pinned by `tests/stream_determinism.rs`):
 //!
 //! * a drained stream of `config.num_offers` offers equals
 //!   [`World::generate`]'s `offers` byte for byte — `generate` *is* a
@@ -18,14 +18,6 @@
 //!   no setup decision), so million-offer runs reuse small-world
 //!   configs and stay prefix-compatible with them.
 //!
-//! A [`Scenario`] reshapes the load for ingest benchmarks — flash-sale
-//! bursts that concentrate offers on one hot category (shard hot
-//! spots), merchant churn that rotates the active merchant set
-//! (vocabulary cold starts), and retraction waves that revoke a slice
-//! of a just-emitted window (tombstone pressure). All knobs are off by
-//! default, and the default scenario is exactly the materializer's
-//! distribution.
-//!
 //! [`World::generate`]: crate::world::World::generate
 
 use pse_core::{MerchantId, Offer, OfferId, ProductId, Spec};
@@ -33,76 +25,6 @@ use rand::{rngs::StdRng, RngExt};
 
 use crate::value::weighted_index;
 use crate::world::{offer_price, offer_title, slug, WorldBase};
-
-/// Periodic demand spike: every `period` offers, the first `burst` of
-/// them land on a single rotating hot category instead of the skewed
-/// steady-state category distribution.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FlashSale {
-    /// Cycle length in offers.
-    pub period: usize,
-    /// Offers at the start of each cycle that hit the hot category.
-    pub burst: usize,
-}
-
-/// Merchant onboarding/offboarding: the active merchant set is a
-/// rotating window — each `window` offers, it advances by one merchant,
-/// so merchants continually come online and drop offline.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MerchantChurn {
-    /// Offers between advances of the active window.
-    pub window: usize,
-    /// Fraction of all merchants online at any moment.
-    pub online_fraction: f64,
-}
-
-/// Periodic retractions: after every `every` offers, a wave revokes
-/// `fraction` of the window just emitted (evenly strided offer ids —
-/// arithmetic, no RNG, so waves never perturb the offer sequence).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetractionWave {
-    /// Offers between waves.
-    pub every: usize,
-    /// Fraction of each window to retract.
-    pub fraction: f64,
-}
-
-/// Load shape of an [`OfferStream`]. `Scenario::default()` leaves every
-/// knob off and reproduces [`World::generate`]'s distribution exactly.
-///
-/// [`World::generate`]: crate::world::World::generate
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Scenario {
-    /// Flash-sale bursts onto one hot category.
-    pub flash_sale: Option<FlashSale>,
-    /// Merchant onboarding/offboarding churn.
-    pub merchant_churn: Option<MerchantChurn>,
-    /// Periodic retraction waves.
-    pub retraction_wave: Option<RetractionWave>,
-}
-
-impl Scenario {
-    /// Parse a named scenario for CLI use: `steady` (default),
-    /// `flash-sale`, `merchant-churn`, `retraction-waves`, or `mixed`
-    /// (all three). Returns `None` for unknown names.
-    pub fn parse(name: &str) -> Option<Self> {
-        let flash = FlashSale { period: 5_000, burst: 1_500 };
-        let churn = MerchantChurn { window: 2_000, online_fraction: 0.6 };
-        let waves = RetractionWave { every: 50_000, fraction: 0.1 };
-        match name {
-            "steady" => Some(Self::default()),
-            "flash-sale" => Some(Self { flash_sale: Some(flash), ..Self::default() }),
-            "merchant-churn" => Some(Self { merchant_churn: Some(churn), ..Self::default() }),
-            "retraction-waves" => Some(Self { retraction_wave: Some(waves), ..Self::default() }),
-            "mixed" => Some(Self {
-                flash_sale: Some(flash),
-                merchant_churn: Some(churn),
-                retraction_wave: Some(waves),
-            }),
-            _ => None,
-        }
-    }
-}
 
 /// One streamed offer plus the ground truth the materializer would have
 /// recorded for it: the true product, the (possibly erroneous)
@@ -119,15 +41,11 @@ pub struct StreamedOffer {
     pub bullet: bool,
 }
 
-/// One batch from an [`OfferStream`]: new offers, plus the offer ids a
-/// retraction wave revoked while the batch was being emitted (empty
-/// unless the scenario enables waves).
+/// One batch from an [`OfferStream`].
 #[derive(Debug, Clone, Default)]
 pub struct StreamBatch {
     /// Offers in stream order.
     pub offers: Vec<StreamedOffer>,
-    /// Offer ids retracted by waves that completed inside this batch.
-    pub retractions: Vec<OfferId>,
 }
 
 /// A constant-memory iterator over the offers of a [`WorldBase`]. See
@@ -138,30 +56,11 @@ pub struct OfferStream<'a> {
     rng: StdRng,
     next: usize,
     limit: usize,
-    scenario: Scenario,
-    /// Categories with at least one covering merchant — the flash-sale
-    /// hot-category rotation draws from these so a burst can always be
-    /// served.
-    hot_categories: Vec<usize>,
-    churn_pool: Vec<usize>,
 }
 
 impl<'a> OfferStream<'a> {
-    pub(crate) fn new(base: &'a WorldBase, total: usize, scenario: Scenario) -> Self {
-        let hot_categories = if scenario.flash_sale.is_some() {
-            (0..base.categories.len()).filter(|&ci| !base.merchants_of_cat[ci].is_empty()).collect()
-        } else {
-            Vec::new()
-        };
-        Self {
-            base,
-            rng: base.offer_loop_rng(),
-            next: 0,
-            limit: total,
-            scenario,
-            hot_categories,
-            churn_pool: Vec::new(),
-        }
+    pub(crate) fn new(base: &'a WorldBase, total: usize) -> Self {
+        Self { base, rng: base.offer_loop_rng(), next: 0, limit: total }
     }
 
     /// Offers emitted so far (also the id of the next offer).
@@ -179,60 +78,28 @@ impl<'a> OfferStream<'a> {
         self.limit - self.next
     }
 
-    /// Emit up to `max` offers (and any retraction wave completing
-    /// within them), or `None` once the stream is exhausted. The offer
-    /// sequence is invariant under `max`.
+    /// Emit up to `max` offers, or `None` once the stream is exhausted.
+    /// The offer sequence is invariant under `max`.
     pub fn next_batch(&mut self, max: usize) -> Option<StreamBatch> {
         if self.next >= self.limit {
             return None;
         }
-        let start = self.next;
-        let count = max.max(1).min(self.limit - start);
-        let mut offers = Vec::with_capacity(count);
-        for _ in 0..count {
-            offers.push(self.next_offer());
-        }
-        Some(StreamBatch { offers, retractions: self.retractions_between(start, self.next) })
+        let count = max.max(1).min(self.limit - self.next);
+        Some(StreamBatch { offers: (0..count).map(|_| self.next_offer()).collect() })
     }
 
     /// The per-offer draws, in exactly the order the materializer makes
     /// them: category → merchant → product → price → title → feed spec
-    /// → historical match → bullet flag. Scenario overrides substitute
-    /// *which values are drawn from* without adding or removing draws,
-    /// so a scenario stream is as deterministic as a steady one.
+    /// → historical match → bullet flag.
     fn next_offer(&mut self) -> StreamedOffer {
         let base = self.base;
         let oi = self.next;
         self.next += 1;
 
-        let mut ci = weighted_index(&base.cat_weights, &mut self.rng);
-        if let Some(fs) = self.scenario.flash_sale {
-            if fs.period > 0 && oi % fs.period < fs.burst && !self.hot_categories.is_empty() {
-                ci = self.hot_categories[(oi / fs.period) % self.hot_categories.len()];
-            }
-        }
+        let ci = weighted_index(&base.cat_weights, &mut self.rng);
         let info = &base.categories[ci];
         let ms = &base.merchants_of_cat[ci];
-        let pool: &[usize] = match self.scenario.merchant_churn {
-            Some(ch) if ch.window > 0 => {
-                let n = base.merchants.len();
-                let online =
-                    ((n as f64) * ch.online_fraction.clamp(0.0, 1.0)).ceil().max(1.0) as usize;
-                let epoch = oi / ch.window;
-                self.churn_pool.clear();
-                self.churn_pool.extend(ms.iter().copied().filter(|&mi| (mi + epoch) % n < online));
-                // A category whose merchants are all offline still gets
-                // served (offers always have a merchant); the window
-                // just biases who serves it.
-                if self.churn_pool.is_empty() {
-                    ms
-                } else {
-                    &self.churn_pool
-                }
-            }
-            _ => ms,
-        };
-        let mi = pool[self.rng.random_range(0..pool.len())];
+        let mi = ms[self.rng.random_range(0..ms.len())];
         let merchant = MerchantId::from_index(mi);
 
         // Pick a product from the merchant's assortment, with zipf-ish
@@ -297,33 +164,10 @@ impl<'a> OfferStream<'a> {
 
         StreamedOffer { offer, product: pid, historical, bullet }
     }
-
-    /// Retractions from waves whose window boundary falls in
-    /// `(start, end]`: each wave revokes an even stride of the window
-    /// it closes. Pure arithmetic on offer ids — no RNG draws, so waves
-    /// cannot perturb the offer sequence.
-    fn retractions_between(&self, start: usize, end: usize) -> Vec<OfferId> {
-        let Some(wave) = self.scenario.retraction_wave else { return Vec::new() };
-        if wave.every == 0 || wave.fraction <= 0.0 {
-            return Vec::new();
-        }
-        let step = ((1.0 / wave.fraction.min(1.0)).round() as usize).max(1);
-        let mut out = Vec::new();
-        let mut boundary = (start / wave.every + 1) * wave.every;
-        while boundary <= end {
-            let mut i = boundary - wave.every;
-            while i < boundary {
-                out.push(OfferId::from_index(i));
-                i += step;
-            }
-            boundary += wave.every;
-        }
-        out
-    }
 }
 
-/// Per-offer iteration (retraction waves are only surfaced by
-/// [`OfferStream::next_batch`]; `next()` skips them).
+/// Per-offer iteration, the same sequence [`OfferStream::next_batch`]
+/// chunks.
 impl Iterator for OfferStream<'_> {
     type Item = StreamedOffer;
 
@@ -395,57 +239,5 @@ mod tests {
         for so in b.stream(20) {
             assert_eq!(b.page_spec_for(&so.offer, so.product), w.page_spec(so.offer.id));
         }
-    }
-
-    #[test]
-    fn scenarios_are_deterministic_and_serveable() {
-        let scenario = Scenario::parse("mixed").expect("known scenario");
-        let b = base();
-        let a: Vec<StreamedOffer> = b.stream_scenario(200, scenario).collect();
-        let c: Vec<StreamedOffer> = b.stream_scenario(200, scenario).collect();
-        assert_eq!(a, c);
-        for so in &a {
-            let cat = so.offer.category.expect("category set");
-            assert!(b.category_info(cat).is_some(), "scenario offers reference real categories");
-            assert_eq!(b.catalog().product(so.product).category, cat);
-        }
-    }
-
-    #[test]
-    fn flash_sale_concentrates_bursts() {
-        let fs = FlashSale { period: 50, burst: 40 };
-        let scenario = Scenario { flash_sale: Some(fs), ..Scenario::default() };
-        let b = base();
-        let offers: Vec<StreamedOffer> = b.stream_scenario(50, scenario).collect();
-        let burst_cats: std::collections::HashSet<_> =
-            offers[..40].iter().map(|so| so.offer.category).collect();
-        assert_eq!(burst_cats.len(), 1, "every burst offer hits the one hot category");
-    }
-
-    #[test]
-    fn retraction_waves_revoke_prior_offers_only() {
-        let wave = RetractionWave { every: 64, fraction: 0.25 };
-        let scenario = Scenario { retraction_wave: Some(wave), ..Scenario::default() };
-        let b = base();
-        let mut stream = b.stream_scenario(300, scenario);
-        let mut emitted = 0usize;
-        let mut retracted = Vec::new();
-        while let Some(batch) = stream.next_batch(37) {
-            for id in &batch.retractions {
-                assert!(id.index() < emitted + batch.offers.len(), "retractions lag emission");
-            }
-            emitted += batch.offers.len();
-            retracted.extend(batch.retractions);
-        }
-        // 300/64 = 4 complete windows, 64 * 0.25 = 16 ids each.
-        assert_eq!(retracted.len(), 4 * 16);
-        let unique: std::collections::HashSet<_> = retracted.iter().copied().collect();
-        assert_eq!(unique.len(), retracted.len(), "waves never retract an id twice");
-    }
-
-    #[test]
-    fn unknown_scenario_name_rejected() {
-        assert!(Scenario::parse("warp-speed").is_none());
-        assert_eq!(Scenario::parse("steady"), Some(Scenario::default()));
     }
 }

@@ -319,24 +319,12 @@ impl WorldBase {
         self.category_index.get(&id).map(|i| &self.categories[*i])
     }
 
-    /// Stream `total` offers with the default (steady) scenario. The
-    /// first `min(total, config.num_offers)` offers are byte-identical
-    /// to [`World::generate`] on the same config; `total` may exceed
-    /// `config.num_offers` — the stream just keeps walking the RNG.
+    /// Stream `total` offers. The first `min(total, config.num_offers)`
+    /// offers are byte-identical to [`World::generate`] on the same
+    /// config; `total` may exceed `config.num_offers` — the stream just
+    /// keeps walking the RNG.
     pub fn stream(&self, total: usize) -> OfferStream<'_> {
-        self.stream_scenario(total, crate::stream::Scenario::default())
-    }
-
-    /// Stream `total` offers under a load-shape [`Scenario`]
-    /// (flash-sale bursts, merchant churn, retraction waves).
-    ///
-    /// [`Scenario`]: crate::stream::Scenario
-    pub fn stream_scenario(
-        &self,
-        total: usize,
-        scenario: crate::stream::Scenario,
-    ) -> OfferStream<'_> {
-        OfferStream::new(self, total, scenario)
+        OfferStream::new(self, total)
     }
 
     /// The RNG state at the start of the offer loop (cloned per stream).
@@ -392,7 +380,6 @@ impl World {
                 offers.push(so.offer);
             }
         }
-        drop(stream);
         let WorldBase {
             config,
             catalog,

@@ -1,20 +1,19 @@
-//! OfferStream determinism pins (PR 9 tentpole): the streaming
-//! generator is byte-identical to the materialized `World::generate` on
-//! the same config, the offer sequence is invariant under batch size,
-//! and scenario retraction waves only revoke already-emitted ids.
+//! OfferStream determinism pins: the streaming generator is
+//! byte-identical to the materialized `World::generate` on the same
+//! config, and the offer sequence is invariant under batch size.
 
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
-use pse_datagen::{Scenario, StreamedOffer, World, WorldBase, WorldConfig};
+use pse_datagen::{StreamedOffer, World, WorldBase, WorldConfig};
 
 fn tiny_base() -> &'static WorldBase {
     static BASE: OnceLock<WorldBase> = OnceLock::new();
     BASE.get_or_init(|| WorldBase::generate(WorldConfig::tiny()))
 }
 
-fn drain(base: &WorldBase, total: usize, batch: usize, scenario: Scenario) -> Vec<StreamedOffer> {
-    let mut stream = base.stream_scenario(total, scenario);
+fn drain(base: &WorldBase, total: usize, batch: usize) -> Vec<StreamedOffer> {
+    let mut stream = base.stream(total);
     let mut out = Vec::with_capacity(total);
     while let Some(b) = stream.next_batch(batch) {
         out.extend(b.offers);
@@ -29,21 +28,8 @@ proptest! {
     #[test]
     fn batch_size_invariance(batch in 1usize..97, total in 1usize..240) {
         let base = tiny_base();
-        let chunked = drain(base, total, batch, Scenario::default());
-        let whole = drain(base, total, total, Scenario::default());
-        prop_assert_eq!(chunked, whole);
-    }
-
-    /// Batch-size invariance holds under every named scenario too —
-    /// churn epochs and flash-sale bursts key off the offer index, not
-    /// off batch boundaries.
-    #[test]
-    fn scenario_batch_size_invariance(batch in 1usize..97, which in 0usize..4) {
-        let names = ["flash-sale", "merchant-churn", "retraction-waves", "mixed"];
-        let base = tiny_base();
-        let scenario = Scenario::parse(names[which]).expect("known scenario");
-        let chunked = drain(base, 200, batch, scenario);
-        let whole = drain(base, 200, 200, scenario);
+        let chunked = drain(base, total, batch);
+        let whole = drain(base, total, total);
         prop_assert_eq!(chunked, whole);
     }
 
@@ -55,34 +41,13 @@ proptest! {
         let cfg = WorldConfig { seed, ..WorldConfig::tiny() };
         let world = World::generate(cfg.clone());
         let base = WorldBase::generate(cfg);
-        let streamed = drain(&base, world.offers.len(), 64, Scenario::default());
+        let streamed = drain(&base, world.offers.len(), 64);
         prop_assert_eq!(streamed.len(), world.offers.len());
         for (so, offer) in streamed.iter().zip(&world.offers) {
             prop_assert_eq!(&so.offer, offer);
             prop_assert_eq!(so.product, world.truth.product_of(offer.id));
             prop_assert_eq!(so.historical, world.historical.product_of(offer.id));
             prop_assert_eq!(so.bullet, world.truth.is_bullet_page(offer.id));
-        }
-    }
-
-    /// Every retraction id a batch reports was emitted in or before
-    /// that batch, and each id is retracted at most once per stream.
-    #[test]
-    fn retraction_waves_lag_emission(every in 16usize..80, batch in 1usize..50) {
-        let base = tiny_base();
-        let scenario = Scenario {
-            retraction_wave: Some(pse_datagen::RetractionWave { every, fraction: 0.2 }),
-            ..Scenario::default()
-        };
-        let mut stream = base.stream_scenario(300, scenario);
-        let mut emitted = 0usize;
-        let mut seen = std::collections::HashSet::new();
-        while let Some(b) = stream.next_batch(batch) {
-            emitted += b.offers.len();
-            for id in b.retractions {
-                prop_assert!(id.index() < emitted, "retraction {} after {} emitted", id.index(), emitted);
-                prop_assert!(seen.insert(id), "id retracted twice");
-            }
         }
     }
 }

@@ -231,10 +231,8 @@ impl ShardedStore {
             .into_iter()
             .map(|record| {
                 let delta = match record {
-                    WalRecord::Ingest(reconciled) => {
-                        store.ingest_reconciled_delta(catalog, reconciled)
-                    }
-                    WalRecord::Retract(ids) => store.retract_delta(catalog, &ids),
+                    WalRecord::Ingest(reconciled) => store.ingest_reconciled(catalog, reconciled),
+                    WalRecord::Retract(ids) => store.retract(catalog, &ids),
                 };
                 dirty.extend(delta.dirty);
                 delta.stats

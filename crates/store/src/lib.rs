@@ -24,8 +24,12 @@
 //!   so batch boundaries cannot change where an offer lands;
 //! - cluster members are appended in stream order, which equals the order
 //!   `cluster_by_key` would see over the concatenation;
-//! - fusion ([`pse_synthesis::fuse_cluster`]) is a deterministic function
-//!   of the member sequence, re-run whenever a cluster is dirty;
+//! - fusion is a deterministic function of the member sequence, re-run
+//!   whenever a cluster is dirty, and it is the same kernel `process`
+//!   runs: [`pse_synthesis::fuse_cluster`] is a fresh
+//!   [`ClusterFusionCache`] advanced over every member, and the store
+//!   keeps that cache per cluster and advances it over the appended
+//!   members only;
 //! - products are emitted in `BTreeMap` key order — the same
 //!   `(category, key_attribute, key_value)` order the batch pipeline sorts
 //!   its clusters into.
@@ -127,8 +131,8 @@ struct ClusterState {
     dirty: bool,
 }
 
-/// What one [`ProductStore::ingest`] (or [`ProductStore::retract`]) did —
-/// the numbers the incremental experiment reports per batch.
+/// What one ingest or retract did — the numbers the incremental
+/// experiment reports per batch.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct IngestStats {
     /// Offers in the batch.
@@ -235,9 +239,8 @@ impl ProductStore {
         let _span = pse_obs::span("store.ingest");
         pse_obs::add(metrics::INGEST, offers.len() as u64);
         let reconciled = reconcile_batch(offers, &self.correspondences, provider);
-        let mut stats = self.ingest_reconciled(catalog, reconciled);
-        stats.offers_in = offers.len();
-        stats
+        let stats = self.ingest_reconciled(catalog, reconciled).stats;
+        IngestStats { offers_in: offers.len(), ..stats }
     }
 
     /// Ingest offers that are already reconciled (the second half of
@@ -245,20 +248,11 @@ impl ProductStore {
     /// only the touched clusters. This is the entry point for logged
     /// batches: reconciled once, they replay without the `SpecProvider`.
     ///
-    /// `offers_in` in the returned stats equals the reconciled count; the
-    /// offer-level wrapper overwrites it with the raw batch size.
-    pub fn ingest_reconciled(
-        &mut self,
-        catalog: &Catalog,
-        reconciled: Vec<ReconciledOffer>,
-    ) -> IngestStats {
-        self.ingest_reconciled_delta(catalog, reconciled).stats
-    }
-
-    /// [`ProductStore::ingest_reconciled`] with the exact dirty-cluster
-    /// set attached — the invalidation signal the serving layer's
+    /// The delta's stats count `offers_in` as the reconciled count (the
+    /// offer-level wrapper overwrites it with the raw batch size); its
+    /// dirty-cluster list is the invalidation signal the serving layer's
     /// snapshot/response cache consumes.
-    pub fn ingest_reconciled_delta(
+    pub fn ingest_reconciled(
         &mut self,
         catalog: &Catalog,
         reconciled: Vec<ReconciledOffer>,
@@ -297,16 +291,10 @@ impl ProductStore {
     }
 
     /// Remove offers by id, re-fusing the affected clusters. Unknown ids
-    /// are ignored. A cluster whose last member is retracted disappears.
-    pub fn retract(&mut self, catalog: &Catalog, ids: &[OfferId]) -> IngestStats {
-        self.retract_delta(catalog, ids).stats
-    }
-
-    /// [`ProductStore::retract`] with the exact dirty-cluster set
-    /// attached. Unlike `stats.clusters_dirty`, the delta also lists
-    /// clusters that vanished (last member retracted), because their
-    /// disappearance invalidates cached reads just as surely.
-    pub fn retract_delta(&mut self, catalog: &Catalog, ids: &[OfferId]) -> IngestDelta {
+    /// are ignored. A cluster whose last member is retracted disappears;
+    /// unlike `stats.clusters_dirty`, the delta's key list still names it,
+    /// because its disappearance invalidates cached reads just as surely.
+    pub fn retract(&mut self, catalog: &Catalog, ids: &[OfferId]) -> IngestDelta {
         let _span = pse_obs::span("store.retract");
         METRICS.seed();
         let mut dirty: BTreeSet<ClusterKey> = BTreeSet::new();
@@ -564,7 +552,7 @@ mod tests {
         AttributeCorrespondence, AttributeDef, AttributeKind, CategorySchema, MerchantId, Spec,
         Taxonomy,
     };
-    use pse_synthesis::{FnProvider, Pipeline};
+    use pse_synthesis::{FnProvider, RuntimePipeline};
 
     fn setup() -> (Catalog, CorrespondenceSet, Vec<Offer>) {
         let mut tax = Taxonomy::new();
@@ -636,12 +624,7 @@ mod tests {
     #[test]
     fn single_batch_matches_process() {
         let (catalog, set, offers) = setup();
-        let one_shot = Pipeline::builder()
-            .catalog(catalog.clone())
-            .correspondences(set.clone())
-            .build()
-            .unwrap()
-            .process(&offers, &provider());
+        let one_shot = RuntimePipeline::new(set.clone()).process(&catalog, &offers, &provider());
         let mut store = ProductStore::new(set);
         store.ingest(&catalog, &offers, &provider());
         assert_eq!(products_json(&store.products()), products_json(&one_shot.products));
@@ -650,12 +633,7 @@ mod tests {
     #[test]
     fn split_batches_match_process() {
         let (catalog, set, offers) = setup();
-        let one_shot = Pipeline::builder()
-            .catalog(catalog.clone())
-            .correspondences(set.clone())
-            .build()
-            .unwrap()
-            .process(&offers, &provider());
+        let one_shot = RuntimePipeline::new(set.clone()).process(&catalog, &offers, &provider());
         for split in 0..=offers.len() {
             let mut store = ProductStore::new(set.clone());
             store.ingest(&catalog, &offers[..split], &provider());
@@ -707,7 +685,7 @@ mod tests {
         )];
         store.ingest(&catalog, &extra, &provider());
         assert_ne!(products_json(&store.products()), before, "extra offer visible");
-        let stats = store.retract(&catalog, &[OfferId(10)]);
+        let stats = store.retract(&catalog, &[OfferId(10)]).stats;
         assert_eq!(stats.offers_routed, 1);
         assert_eq!(products_json(&store.products()), before, "retraction undoes the ingest");
     }
@@ -845,7 +823,7 @@ mod tests {
         let mut store = ProductStore::new(set.clone());
         store.ingest(&catalog, &offers, &provider());
         store.ingest_reconciled(&catalog, offer_7("AAA111"));
-        let delta = store.ingest_reconciled_delta(&catalog, offer_7("BBB222"));
+        let delta = store.ingest_reconciled(&catalog, offer_7("BBB222"));
         assert_eq!(holding(&store).len(), 1, "the offer left its old cluster");
         let keys: Vec<&str> = delta.dirty.iter().map(|k| k.2.as_str()).collect();
         assert_eq!(keys, ["aaa111", "bbb222"], "the vanished old cluster is listed dirty");
@@ -884,7 +862,7 @@ mod tests {
         let (catalog, set, offers) = setup();
         let mut store = ProductStore::new(set.clone());
         let reconciled = reconcile_batch(&offers, &set, &provider());
-        let delta = store.ingest_reconciled_delta(&catalog, reconciled);
+        let delta = store.ingest_reconciled(&catalog, reconciled);
         assert_eq!(delta.stats.clusters_dirty, 3);
         assert_eq!(delta.dirty.len(), 3, "one key per touched cluster");
         let keys: Vec<ClusterKey> = store.products_keyed().map(|(k, _)| k.clone()).collect();
@@ -893,7 +871,7 @@ mod tests {
         let more =
             vec![mk(10, 0, offers[0].category.unwrap(), &[("MPN", "abc123"), ("RPM", "7200 rpm")])];
         let reconciled = reconcile_batch(&more, &set, &provider());
-        let delta = store.ingest_reconciled_delta(&catalog, reconciled);
+        let delta = store.ingest_reconciled(&catalog, reconciled);
         assert_eq!(delta.dirty.len(), 1);
         assert_eq!(delta.dirty[0].2, "abc123");
     }
@@ -907,7 +885,7 @@ mod tests {
         // cluster, which must still show up in the delta (the cached
         // response for its category is stale) even though the stats count
         // only clusters that survive.
-        let delta = store.retract_delta(&catalog, &[OfferId(2)]);
+        let delta = store.retract(&catalog, &[OfferId(2)]);
         assert_eq!(delta.stats.clusters_dirty, 0);
         assert_eq!(delta.dirty.len(), 1);
         assert_eq!(delta.dirty[0].2, "xyz999");
@@ -930,13 +908,11 @@ mod tests {
     fn min_cluster_size_applies_at_read_time() {
         let (catalog, set, offers) = setup();
         let config = RuntimeConfig { min_cluster_size: 2, ..RuntimeConfig::default() };
-        let one_shot = Pipeline::builder()
-            .catalog(catalog.clone())
-            .correspondences(set.clone())
-            .runtime_config(config.clone())
-            .build()
-            .unwrap()
-            .process(&offers, &provider());
+        let one_shot = RuntimePipeline::with_config(set.clone(), config.clone()).process(
+            &catalog,
+            &offers,
+            &provider(),
+        );
         let mut store = ProductStore::with_config(set, config);
         // One offer at a time: the abc123 cluster only crosses the
         // threshold on the second batch.

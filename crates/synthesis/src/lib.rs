@@ -13,7 +13,12 @@
 //!   landing pages, reconcile them to catalog schema names using the learned
 //!   correspondences, cluster reconciled offers by key attribute (MPN/UPC),
 //!   and fuse each cluster into a single product specification with
-//!   term-level generalized majority voting.
+//!   term-level generalized majority voting. [`RuntimePipeline`] runs the
+//!   whole phase over a batch (`with_config(correspondences, config)`,
+//!   then `process(&catalog, ..)`); its stages are public on their own
+//!   ([`reconcile_batch`], [`fuse_cluster`]) for the incremental
+//!   `pse-store` path, and every fusion — one-shot or incremental — runs
+//!   the one kernel, [`FusionAccumulator`].
 //!
 //! The [`provider`] module decouples the pipeline from where offer
 //! specifications come from (live extraction from rendered pages, cached
@@ -23,26 +28,14 @@
 pub mod category;
 pub mod matching;
 pub mod offline;
-pub mod pipeline;
 pub mod provider;
 pub mod runtime;
 
 pub use matching::{MatcherConfig, TitleMatcher};
 pub use offline::{OfflineConfig, OfflineLearner, OfflineOutcome, OfflineStats, ScoredCandidate};
-pub use pipeline::{Pipeline, PipelineBuildError, PipelineBuilder};
 pub use provider::{ExtractingProvider, FnProvider, SpecProvider};
 pub use runtime::{
     advance_cluster_fusion, fuse_cluster, fuse_cluster_cached, reconcile_batch, Cluster,
     ClusterFusionCache, FusedValue, FusionAccumulator, FusionStrategy, KeyAttributes,
     ReconciledOffer, RuntimeConfig, RuntimePipeline, SynthesisResult, SynthesizedProduct,
 };
-
-/// The types every pipeline consumer imports: `use pse_synthesis::prelude::*;`.
-pub mod prelude {
-    pub use crate::pipeline::{Pipeline, PipelineBuildError, PipelineBuilder};
-    pub use crate::provider::{ExtractingProvider, FnProvider, SpecProvider};
-    pub use crate::runtime::{
-        FusionStrategy, KeyAttributes, ReconciledOffer, RuntimeConfig, RuntimePipeline,
-        SynthesisResult, SynthesizedProduct,
-    };
-}

@@ -7,6 +7,14 @@
 //! vector per value, compute the centroid, and choose the value closest to
 //! the centroid in Euclidean distance. In the example, "Microsoft Windows
 //! Vista" wins because it contains the terms shared by the other values.
+//!
+//! [`FusionAccumulator`] is the one fusion kernel: values are pushed in
+//! member order and [`FusionAccumulator::finish`] reads the fused value
+//! off. A one-shot cluster fusion ([`crate::fuse_cluster`]) and the
+//! store's incremental re-fusion both run it. The Appendix A batch
+//! formulation (tokenize every value, average the vectors, scan for the
+//! nearest) lives on as the reference in `tests/properties.rs`, which
+//! holds the accumulator to it bit for bit.
 
 use std::collections::HashMap;
 
@@ -30,39 +38,6 @@ pub enum FusionStrategy {
     FirstSeen,
 }
 
-/// Fuse with an explicit strategy. See [`fuse_values`] for the default.
-pub fn fuse_values_with<S: AsRef<str>>(
-    values: &[S],
-    strategy: FusionStrategy,
-) -> Option<FusedValue> {
-    match strategy {
-        FusionStrategy::CentroidVote => fuse_values(values),
-        FusionStrategy::MajorityExact => {
-            if values.is_empty() {
-                return None;
-            }
-            let mut counts: HashMap<&str, usize> = HashMap::new();
-            for v in values {
-                *counts.entry(v.as_ref()).or_insert(0) += 1;
-            }
-            let (value, _) = counts.into_iter().max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(a.0)))?;
-            Some(FusedValue { value: value.to_string(), support: values.len(), distance: 0.0 })
-        }
-        FusionStrategy::LongestValue => {
-            let value = values
-                .iter()
-                .map(AsRef::as_ref)
-                .max_by(|a, b| a.len().cmp(&b.len()).then(b.cmp(a)))?;
-            Some(FusedValue { value: value.to_string(), support: values.len(), distance: 0.0 })
-        }
-        FusionStrategy::FirstSeen => values.first().map(|v| FusedValue {
-            value: v.as_ref().to_string(),
-            support: values.len(),
-            distance: 0.0,
-        }),
-    }
-}
-
 /// The outcome of fusing one attribute's values.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FusedValue {
@@ -75,116 +50,26 @@ pub struct FusedValue {
     pub distance: f64,
 }
 
-/// Fuse a multiset of values via term-level generalized majority voting.
+/// Term-level generalized majority voting over a value sequence pushed
+/// one value at a time (in member order); read the fused result off at
+/// any point with [`FusionAccumulator::finish`].
 ///
-/// Returns `None` for an empty input. Ties on distance break toward the
-/// more frequent value, then lexicographically (for determinism).
-pub fn fuse_values<S: AsRef<str>>(values: &[S]) -> Option<FusedValue> {
-    if values.is_empty() {
-        return None;
-    }
-    // Term universe and per-value term vectors (binary, per Appendix A).
-    let mut term_index: HashMap<String, usize> = HashMap::new();
-    let mut vectors: Vec<Vec<usize>> = Vec::with_capacity(values.len());
-    for v in values {
-        let mut dims = Vec::new();
-        for_each_token(v.as_ref(), |t| {
-            // First-seen term ids, exactly like the historical
-            // `term_index.entry(tokens(..))` loop; insert allocates only for
-            // new terms.
-            let idx = match term_index.get(t) {
-                Some(&idx) => idx,
-                None => {
-                    let next = term_index.len();
-                    term_index.insert(t.to_string(), next);
-                    next
-                }
-            };
-            if !dims.contains(&idx) {
-                dims.push(idx);
-            }
-        });
-        vectors.push(dims);
-    }
-    let dim = term_index.len();
-    // Centroid over all value vectors (values appearing k times contribute
-    // k identical vectors, so frequency weights the centroid naturally).
-    let mut centroid = vec![0.0f64; dim];
-    for dims in &vectors {
-        for &d in dims {
-            centroid[d] += 1.0;
-        }
-    }
-    let n = values.len() as f64;
-    for c in &mut centroid {
-        *c /= n;
-    }
-    // Count duplicates for tie-breaking.
-    let mut counts: HashMap<&str, usize> = HashMap::new();
-    for v in values {
-        *counts.entry(v.as_ref()).or_insert(0) += 1;
-    }
-
-    let mut best: Option<(f64, usize, &str)> = None; // (distance, -count, value)
-                                                     // O(1) membership bitmap over the term universe, reused across values
-                                                     // (set before, cleared after each distance computation). The summation
-                                                     // order over `d` is unchanged, so distances are bit-identical to the
-                                                     // former O(|dims|) `contains` probe.
-    let mut member = vec![false; dim];
-    for (v, dims) in values.iter().zip(&vectors) {
-        let v = v.as_ref();
-        for &d in dims {
-            member[d] = true;
-        }
-        let mut dist2 = 0.0;
-        for (d, c) in centroid.iter().enumerate() {
-            let x = if member[d] { 1.0 } else { 0.0 };
-            dist2 += (x - c) * (x - c);
-        }
-        for &d in dims {
-            member[d] = false;
-        }
-        let dist = dist2.sqrt();
-        let count = counts[v];
-        let better = match &best {
-            None => true,
-            Some((bd, bc, bv)) => {
-                dist < bd - 1e-12
-                    || ((dist - bd).abs() <= 1e-12 && (count > *bc || (count == *bc && v < *bv)))
-            }
-        };
-        if better {
-            best = Some((dist, count, v));
-        }
-    }
-    best.map(|(distance, _, value)| FusedValue {
-        value: value.to_string(),
-        support: values.len(),
-        distance,
-    })
-}
-
-/// Streaming form of [`fuse_values_with`]: push values one at a time (in
-/// member order), read the fused result off at any point with
-/// [`FusionAccumulator::finish`].
-///
-/// `finish` returns **bit-identical** output — value, support, and the
-/// f64 `distance` — to a batch `fuse_values_with` call over the full
-/// pushed sequence (pinned by the `incremental_matches_batch` proptest).
+/// `finish` returns exactly — value, support, and the f64 `distance` —
+/// what the Appendix A batch formulation returns over the pushed
+/// sequence (pinned by the `incremental_fusion_matches_batch` proptest).
 /// The accumulator keeps per-term containment counts, the distinct
 /// surfaces with their multiplicities, and the occurrence sequence as
-/// distinct-indices; `finish` recomputes each distinct value's distance
-/// once (`O(distinct × terms)`) and replays the batch path's exact
-/// occurrence-order selection loop (`O(values)` float compares, no
-/// tokenization). A `pse-store` re-fusion after an ingest batch therefore
-/// costs the new members' tokens, not the whole cluster's.
+/// distinct-indices; `finish` computes each distinct value's distance
+/// once (`O(distinct × terms)`) and runs the selection loop in
+/// occurrence order (`O(values)` float compares, no tokenization). A
+/// `pse-store` re-fusion after an ingest batch therefore costs the new
+/// members' tokens, not the whole cluster's.
 #[derive(Debug, Clone, Default)]
 pub struct FusionAccumulator {
-    /// First-seen term ids over the pushed sequence — the same assignment
-    /// order the batch loop produces over the concatenation.
+    /// First-seen term ids over the pushed sequence.
     term_index: HashMap<String, usize>,
     /// Number of pushed values containing term `d` (duplicates of a
-    /// surface each count, exactly like the batch centroid sum).
+    /// surface each count, so frequency weights the centroid).
     counts: Vec<usize>,
     /// Distinct surfaces in first-seen order, with multiplicity and the
     /// deduplicated term dims any one occurrence vectorizes to.
@@ -192,9 +77,9 @@ pub struct FusionAccumulator {
     /// Surface → index into `distinct`.
     by_value: HashMap<String, usize>,
     /// The occurrence sequence, as indices into `distinct`. Kept so the
-    /// selection loop in `finish` visits candidates in the batch path's
-    /// occurrence order — the 1e-12 distance epsilon makes "better than
-    /// the running best" order-sensitive in principle, and bit-identity
+    /// selection loop in `finish` visits candidates in occurrence order —
+    /// the 1e-12 distance epsilon makes "better than the running best"
+    /// order-sensitive in principle, and bit-identity with the reference
     /// is the whole contract.
     seq: Vec<u32>,
 }
@@ -256,7 +141,10 @@ impl FusionAccumulator {
         self.seq.is_empty()
     }
 
-    /// What `fuse_values_with(&pushed_values, strategy)` would return.
+    /// The fused value of everything pushed so far under `strategy`, or
+    /// `None` before the first push. Centroid-vote ties on distance break
+    /// toward the more frequent value, then lexicographically (for
+    /// determinism).
     pub fn finish(&self, strategy: FusionStrategy) -> Option<FusedValue> {
         let support = self.seq.len();
         if support == 0 {
@@ -266,8 +154,8 @@ impl FusionAccumulator {
             FusionStrategy::CentroidVote => self.finish_centroid(),
             // The three ablation baselines order candidates totally
             // (count/length, then reverse-lexicographic), so the unique
-            // maximum over distinct surfaces equals the batch maximum
-            // over occurrences.
+            // maximum over distinct surfaces is the maximum over
+            // occurrences.
             FusionStrategy::MajorityExact => self
                 .distinct
                 .iter()
@@ -291,12 +179,13 @@ impl FusionAccumulator {
         let dim = self.counts.len();
         let n = self.seq.len() as f64;
         // `counts[d]` values are exact in f64 (integers well below 2^53),
-        // so `counts[d] / n` is bit-identical to the batch path's
-        // sum-of-1.0s divided by n.
+        // so `counts[d] / n` is bit-identical to summing one 1.0 per
+        // containing value and dividing by n, as Appendix A states it.
         let centroid: Vec<f64> = self.counts.iter().map(|&c| c as f64 / n).collect();
-        // One distance per distinct surface, with the batch loop's exact
-        // summation order over `d`; duplicate occurrences recompute the
-        // same bits in the batch path, so sharing is lossless.
+        // One distance per distinct surface, summed in term-id order;
+        // duplicate occurrences would recompute the same bits, so sharing
+        // is lossless. The membership bitmap is set before and cleared
+        // after each distance, so it costs O(1) per probe.
         let mut member = vec![false; dim];
         let dists: Vec<f64> = self
             .distinct
@@ -316,7 +205,7 @@ impl FusionAccumulator {
                 dist2.sqrt()
             })
             .collect();
-        // Replay the batch selection in occurrence order.
+        // Select in occurrence order.
         let mut best: Option<(f64, usize, &str)> = None;
         for &i in &self.seq {
             let dv = &self.distinct[i as usize];
@@ -345,12 +234,23 @@ impl FusionAccumulator {
 mod tests {
     use super::*;
 
+    fn fuse(values: &[&str], strategy: FusionStrategy) -> Option<FusedValue> {
+        let mut accum = FusionAccumulator::default();
+        for v in values {
+            accum.push(v);
+        }
+        accum.finish(strategy)
+    }
+
+    fn vote(values: &[&str]) -> FusedValue {
+        fuse(values, FusionStrategy::CentroidVote).expect("non-empty input fuses")
+    }
+
     #[test]
     fn paper_appendix_a_example() {
         // v1 = "Windows Vista", v2 = "Microsoft Windows Vista",
         // v3 = "Microsoft Vista" → centroid (2/3, 2/3, 1), v2 closest.
-        let fused =
-            fuse_values(&["Windows Vista", "Microsoft Windows Vista", "Microsoft Vista"]).unwrap();
+        let fused = vote(&["Windows Vista", "Microsoft Windows Vista", "Microsoft Vista"]);
         assert_eq!(fused.value, "Microsoft Windows Vista");
         assert!((fused.distance - 0.47).abs() < 0.01, "distance {}", fused.distance);
         assert_eq!(fused.support, 3);
@@ -359,62 +259,62 @@ mod tests {
     #[test]
     fn plain_majority_single_token() {
         // Four votes for 1024, one for 2048 (the paper's first example).
-        let fused = fuse_values(&["1024", "1024", "1024", "1024", "2048"]).unwrap();
+        let fused = vote(&["1024", "1024", "1024", "1024", "2048"]);
         assert_eq!(fused.value, "1024");
     }
 
     #[test]
     fn unanimous_values_have_zero_distance() {
-        let fused = fuse_values(&["7200 rpm", "7200 rpm"]).unwrap();
+        let fused = vote(&["7200 rpm", "7200 rpm"]);
         assert_eq!(fused.value, "7200 rpm");
         assert!(fused.distance < 1e-12);
     }
 
     #[test]
     fn single_value_is_returned() {
-        let fused = fuse_values(&["500 GB"]).unwrap();
+        let fused = vote(&["500 GB"]);
         assert_eq!(fused.value, "500 GB");
         assert_eq!(fused.support, 1);
     }
 
     #[test]
     fn empty_input_is_none() {
-        assert!(fuse_values::<&str>(&[]).is_none());
+        assert!(fuse(&[], FusionStrategy::CentroidVote).is_none());
     }
 
     #[test]
     fn equivalent_tokenizations_vote_together() {
         // "500GB" and "500 GB" have identical token vectors, so together
         // they outvote "250 GB".
-        let fused = fuse_values(&["500GB", "500 GB", "250 GB"]).unwrap();
+        let fused = vote(&["500GB", "500 GB", "250 GB"]);
         assert!(fused.value.contains("500"));
     }
 
     #[test]
     fn tie_breaks_are_deterministic() {
-        let a = fuse_values(&["alpha", "beta"]).unwrap();
-        let b = fuse_values(&["beta", "alpha"]).unwrap();
+        let a = vote(&["alpha", "beta"]);
+        let b = vote(&["beta", "alpha"]);
         assert_eq!(a.value, b.value);
         assert_eq!(a.value, "alpha", "lexicographic tie-break");
     }
 
     #[test]
     fn frequency_beats_lexicographic_on_ties() {
-        let fused = fuse_values(&["zeta", "zeta", "alpha"]).unwrap();
+        let fused = vote(&["zeta", "zeta", "alpha"]);
         assert_eq!(fused.value, "zeta");
     }
 
     #[test]
     fn strategies_differ_on_multi_token_values() {
         let values = ["Windows Vista", "Microsoft Windows Vista", "Microsoft Vista"];
-        let centroid = fuse_values_with(&values, FusionStrategy::CentroidVote).unwrap();
+        let centroid = fuse(&values, FusionStrategy::CentroidVote).unwrap();
         assert_eq!(centroid.value, "Microsoft Windows Vista");
         // Exact majority has a 3-way tie; lexicographic pick.
-        let exact = fuse_values_with(&values, FusionStrategy::MajorityExact).unwrap();
+        let exact = fuse(&values, FusionStrategy::MajorityExact).unwrap();
         assert_eq!(exact.value, "Microsoft Vista");
-        let longest = fuse_values_with(&values, FusionStrategy::LongestValue).unwrap();
+        let longest = fuse(&values, FusionStrategy::LongestValue).unwrap();
         assert_eq!(longest.value, "Microsoft Windows Vista");
-        let first = fuse_values_with(&values, FusionStrategy::FirstSeen).unwrap();
+        let first = fuse(&values, FusionStrategy::FirstSeen).unwrap();
         assert_eq!(first.value, "Windows Vista");
     }
 
@@ -426,7 +326,7 @@ mod tests {
             FusionStrategy::LongestValue,
             FusionStrategy::FirstSeen,
         ] {
-            let fused = fuse_values_with(&["500 GB", "500 GB"], strategy).unwrap();
+            let fused = fuse(&["500 GB", "500 GB"], strategy).unwrap();
             assert_eq!(fused.value, "500 GB", "{strategy:?}");
         }
     }
@@ -439,7 +339,7 @@ mod tests {
             FusionStrategy::LongestValue,
             FusionStrategy::FirstSeen,
         ] {
-            assert!(fuse_values_with::<&str>(&[], strategy).is_none());
+            assert!(fuse(&[], strategy).is_none());
         }
     }
 }

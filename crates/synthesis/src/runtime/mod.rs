@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::provider::SpecProvider;
 pub use cluster::{cluster_by_key, normalize_key, Cluster, KeyAttributes};
-pub use fusion::{fuse_values, fuse_values_with, FusedValue, FusionAccumulator, FusionStrategy};
+pub use fusion::{FusedValue, FusionAccumulator, FusionStrategy};
 pub use reconcile::{reconcile, ReconciledOffer};
 
 /// Configuration of the run-time pipeline.
@@ -120,8 +120,9 @@ pub fn reconcile_batch<P: SpecProvider>(
 
 /// Fuse one cluster into a synthesized product, attribute by attribute in
 /// the category's schema order (so the output is catalog-compatible by
-/// construction). Shared by [`RuntimePipeline::process`] and the
-/// incremental `pse-store` re-fusion path.
+/// construction): a fresh [`ClusterFusionCache`] advanced over every
+/// member, then read off with [`fuse_cluster_cached`] — the same kernel
+/// the incremental `pse-store` re-fusion path runs.
 ///
 /// Returns `None` when the catalog does not know the cluster's category
 /// (offer classified against another taxonomy, stale id) — a counted drop,
@@ -131,31 +132,11 @@ pub fn fuse_cluster(
     cluster: &Cluster,
     config: &RuntimeConfig,
 ) -> Option<SynthesizedProduct> {
-    let Some(schema) = catalog.taxonomy().try_schema(cluster.category) else {
-        pse_obs::incr("runtime.drop.unknown_category");
+    let mut cache = ClusterFusionCache::default();
+    if !advance_cluster_fusion(catalog, cluster.category, &cluster.members, config, &mut cache) {
         return None;
-    };
-    let mut spec = Spec::new();
-    for attr in schema.iter() {
-        if !config.include_keys_in_spec && attr.is_key {
-            continue;
-        }
-        // Normalize the schema attribute name once per cluster, not once
-        // per member (members store pre-normalized names).
-        let target = normalize_attribute_name(&attr.name);
-        let values: Vec<&str> =
-            cluster.members.iter().filter_map(|m| m.value_of_normalized(&target)).collect();
-        if let Some(fused) = fuse_values_with(&values, config.fusion) {
-            spec.push(attr.name.clone(), fused.value);
-        }
     }
-    Some(SynthesizedProduct {
-        category: cluster.category,
-        key_attribute: cluster.key_attribute.clone(),
-        key_value: cluster.key_value.clone(),
-        spec,
-        offers: cluster.members.iter().map(|m| m.offer).collect(),
-    })
+    fuse_cluster_cached(cluster, config, &cache)
 }
 
 /// Incrementally maintained fusion state for one cluster: a
@@ -166,10 +147,10 @@ pub fn fuse_cluster(
 /// costs the *new* members' tokens instead of re-tokenizing the whole
 /// cluster — the difference between O(batch) and O(corpus) steady-state
 /// ingest. The cache is valid only while the member list grows by
-/// appending; any other mutation (retraction) must [`ClusterFusionCache::reset`]
-/// it, after which the next [`advance_cluster_fusion`] rebuilds from the
-/// full member list. Never persisted: snapshots carry members only, and a
-/// restored store rebuilds caches lazily on first re-fusion.
+/// appending; after any other mutation (retraction) the store drops it,
+/// and a fresh one advanced over the full member list takes its place.
+/// Never persisted: snapshots carry members only, and a restored store
+/// rebuilds caches lazily on first re-fusion.
 #[derive(Debug, Clone, Default)]
 pub struct ClusterFusionCache {
     /// How many members have been folded in.
@@ -190,13 +171,6 @@ struct AttrAccumulator {
 }
 
 impl ClusterFusionCache {
-    /// Forget everything; the next [`advance_cluster_fusion`] rebuilds
-    /// from scratch. Call after any non-append member mutation.
-    pub fn reset(&mut self) {
-        self.consumed = 0;
-        self.attrs = None;
-    }
-
     /// Members folded in so far.
     pub fn consumed(&self) -> usize {
         self.consumed
@@ -206,7 +180,8 @@ impl ClusterFusionCache {
 /// Fold `members[cache.consumed()..]` into the cache, building the
 /// per-attribute accumulators from the category schema on first use.
 /// Returns `false` — leaving the cache unusable — when the catalog does
-/// not know the category, counting the drop exactly like [`fuse_cluster`].
+/// not know the category, counting one `runtime.drop.unknown_category`
+/// per such call.
 pub fn advance_cluster_fusion(
     catalog: &Catalog,
     category: CategoryId,
@@ -224,6 +199,8 @@ pub fn advance_cluster_fusion(
             if !config.include_keys_in_spec && attr.is_key {
                 continue;
             }
+            // Normalize the schema attribute name once per cluster, not
+            // once per member (members store pre-normalized names).
             attrs.push(AttrAccumulator {
                 name: attr.name.clone(),
                 target: normalize_attribute_name(&attr.name),
@@ -285,12 +262,12 @@ pub struct RuntimePipeline {
 }
 
 impl RuntimePipeline {
-    /// Pipeline with default configuration.
+    /// A runtime pipeline with the default configuration.
     pub fn new(correspondences: pse_core::CorrespondenceSet) -> Self {
         Self::with_config(correspondences, RuntimeConfig::default())
     }
 
-    /// Pipeline with custom configuration.
+    /// A runtime pipeline with a custom configuration.
     pub fn with_config(
         correspondences: pse_core::CorrespondenceSet,
         config: RuntimeConfig,
@@ -523,10 +500,19 @@ mod tests {
         let offers = vec![mk_offer(0, 0, bogus, &[("MPN", "GHOST1")])];
         let pipeline = RuntimePipeline::new(set);
         let provider = FnProvider(|o: &Offer| o.spec.clone());
-        let result = pipeline.process(&catalog, &offers, &provider);
+        let obs = pse_obs::Obs::new();
+        let result = {
+            let _on = obs.install();
+            pipeline.process(&catalog, &offers, &provider)
+        };
         assert!(result.products.is_empty());
         assert_eq!(result.offers_reconciled, 1);
         assert_eq!(result.offers_clustered, 1);
+        assert_eq!(
+            obs.report().counter("runtime.drop.unknown_category"),
+            Some(1),
+            "one unknown-category cluster, one counted drop"
+        );
     }
 
     #[test]

@@ -1,13 +1,26 @@
 //! Property-based tests for the pipeline's core invariants.
 
+use std::collections::HashMap;
+
 use proptest::prelude::*;
 use pse_core::{AttributeCorrespondence, CategoryId, CorrespondenceSet, MerchantId, OfferId, Spec};
-use pse_synthesis::runtime::{cluster_by_key, fuse_values, normalize_key, ReconciledOffer};
+use pse_synthesis::runtime::{cluster_by_key, normalize_key, ReconciledOffer};
+use pse_synthesis::{FusedValue, FusionAccumulator, FusionStrategy};
+use pse_text::tokenize::for_each_token;
+
+/// Fuse through the library's one kernel, the way `fuse_cluster` does.
+fn accumulate<S: AsRef<str>>(values: &[S], strategy: FusionStrategy) -> Option<FusedValue> {
+    let mut accum = FusionAccumulator::default();
+    for v in values {
+        accum.push(v.as_ref());
+    }
+    accum.finish(strategy)
+}
 
 proptest! {
     #[test]
     fn fusion_returns_a_member_value(values in prop::collection::vec(".{0,24}", 1..8)) {
-        let fused = fuse_values(&values).expect("non-empty input fuses");
+        let fused = accumulate(&values, FusionStrategy::CentroidVote).expect("non-empty input fuses");
         prop_assert!(values.contains(&fused.value), "{fused:?} not a member");
         prop_assert_eq!(fused.support, values.len());
         prop_assert!(fused.distance >= 0.0);
@@ -15,16 +28,16 @@ proptest! {
 
     #[test]
     fn fusion_is_order_insensitive_on_value(mut values in prop::collection::vec("[a-z ]{1,12}", 1..6)) {
-        let a = fuse_values(&values).unwrap();
+        let a = accumulate(&values, FusionStrategy::CentroidVote).unwrap();
         values.reverse();
-        let b = fuse_values(&values).unwrap();
+        let b = accumulate(&values, FusionStrategy::CentroidVote).unwrap();
         prop_assert_eq!(a.value, b.value);
     }
 
     #[test]
     fn unanimous_fusion_is_exact(v in ".{1,16}", n in 1usize..6) {
         let values: Vec<&str> = std::iter::repeat_n(v.as_str(), n).collect();
-        let fused = fuse_values(&values).unwrap();
+        let fused = accumulate(&values, FusionStrategy::CentroidVote).unwrap();
         prop_assert_eq!(fused.value, v);
         prop_assert!(fused.distance < 1e-9);
     }
@@ -148,6 +161,131 @@ fn masked_value(mask: u8) -> String {
     }
 }
 
+// The Appendix A reference: the batch formulation of value fusion —
+// tokenize every value, average the binary term vectors, return the value
+// nearest the centroid — written the way the paper states it, with no
+// state carried between values. `FusionAccumulator` is held to it bit for
+// bit below; `scripts/soak.sh` runs this file over fresh cases.
+
+/// Fuse with an explicit strategy. See [`fuse_values`] for the default.
+fn fuse_values_with<S: AsRef<str>>(values: &[S], strategy: FusionStrategy) -> Option<FusedValue> {
+    match strategy {
+        FusionStrategy::CentroidVote => fuse_values(values),
+        FusionStrategy::MajorityExact => {
+            if values.is_empty() {
+                return None;
+            }
+            let mut counts: HashMap<&str, usize> = HashMap::new();
+            for v in values {
+                *counts.entry(v.as_ref()).or_insert(0) += 1;
+            }
+            let (value, _) = counts.into_iter().max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(a.0)))?;
+            Some(FusedValue { value: value.to_string(), support: values.len(), distance: 0.0 })
+        }
+        FusionStrategy::LongestValue => {
+            let value = values
+                .iter()
+                .map(AsRef::as_ref)
+                .max_by(|a, b| a.len().cmp(&b.len()).then(b.cmp(a)))?;
+            Some(FusedValue { value: value.to_string(), support: values.len(), distance: 0.0 })
+        }
+        FusionStrategy::FirstSeen => values.first().map(|v| FusedValue {
+            value: v.as_ref().to_string(),
+            support: values.len(),
+            distance: 0.0,
+        }),
+    }
+}
+
+/// Fuse a multiset of values via term-level generalized majority voting.
+///
+/// Returns `None` for an empty input. Ties on distance break toward the
+/// more frequent value, then lexicographically (for determinism).
+fn fuse_values<S: AsRef<str>>(values: &[S]) -> Option<FusedValue> {
+    if values.is_empty() {
+        return None;
+    }
+    // Term universe and per-value term vectors (binary, per Appendix A).
+    let mut term_index: HashMap<String, usize> = HashMap::new();
+    let mut vectors: Vec<Vec<usize>> = Vec::with_capacity(values.len());
+    for v in values {
+        let mut dims = Vec::new();
+        for_each_token(v.as_ref(), |t| {
+            // First-seen term ids, exactly like the historical
+            // `term_index.entry(tokens(..))` loop; insert allocates only for
+            // new terms.
+            let idx = match term_index.get(t) {
+                Some(&idx) => idx,
+                None => {
+                    let next = term_index.len();
+                    term_index.insert(t.to_string(), next);
+                    next
+                }
+            };
+            if !dims.contains(&idx) {
+                dims.push(idx);
+            }
+        });
+        vectors.push(dims);
+    }
+    let dim = term_index.len();
+    // Centroid over all value vectors (values appearing k times contribute
+    // k identical vectors, so frequency weights the centroid naturally).
+    let mut centroid = vec![0.0f64; dim];
+    for dims in &vectors {
+        for &d in dims {
+            centroid[d] += 1.0;
+        }
+    }
+    let n = values.len() as f64;
+    for c in &mut centroid {
+        *c /= n;
+    }
+    // Count duplicates for tie-breaking.
+    let mut counts: HashMap<&str, usize> = HashMap::new();
+    for v in values {
+        *counts.entry(v.as_ref()).or_insert(0) += 1;
+    }
+
+    let mut best: Option<(f64, usize, &str)> = None; // (distance, -count, value)
+                                                     // O(1) membership bitmap over the term universe, reused across values
+                                                     // (set before, cleared after each distance computation). The summation
+                                                     // order over `d` is unchanged, so distances are bit-identical to the
+                                                     // former O(|dims|) `contains` probe.
+    let mut member = vec![false; dim];
+    for (v, dims) in values.iter().zip(&vectors) {
+        let v = v.as_ref();
+        for &d in dims {
+            member[d] = true;
+        }
+        let mut dist2 = 0.0;
+        for (d, c) in centroid.iter().enumerate() {
+            let x = if member[d] { 1.0 } else { 0.0 };
+            dist2 += (x - c) * (x - c);
+        }
+        for &d in dims {
+            member[d] = false;
+        }
+        let dist = dist2.sqrt();
+        let count = counts[v];
+        let better = match &best {
+            None => true,
+            Some((bd, bc, bv)) => {
+                dist < bd - 1e-12
+                    || ((dist - bd).abs() <= 1e-12 && (count > *bc || (count == *bc && v < *bv)))
+            }
+        };
+        if better {
+            best = Some((dist, count, v));
+        }
+    }
+    best.map(|(distance, _, value)| FusedValue {
+        value: value.to_string(),
+        support: values.len(),
+        distance,
+    })
+}
+
 proptest! {
     // The incremental accumulator is bit-identical to the batch fuser:
     // same value, same support, same f64 distance — for every strategy,
@@ -163,7 +301,7 @@ proptest! {
             pse_synthesis::FusionStrategy::LongestValue,
             pse_synthesis::FusionStrategy::FirstSeen,
         ] {
-            let batch = pse_synthesis::runtime::fuse_values_with(&values, strategy);
+            let batch = fuse_values_with(&values, strategy);
             let mut accum = pse_synthesis::FusionAccumulator::default();
             for v in &values {
                 accum.push(v);

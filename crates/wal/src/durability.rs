@@ -177,13 +177,9 @@ fn replay(
 
 fn apply(store: &mut ProductStore, catalog: &Catalog, record: WalRecord) {
     match record {
-        WalRecord::Ingest(reconciled) => {
-            store.ingest_reconciled(catalog, reconciled);
-        }
-        WalRecord::Retract(ids) => {
-            store.retract(catalog, &ids);
-        }
-    }
+        WalRecord::Ingest(reconciled) => store.ingest_reconciled(catalog, reconciled),
+        WalRecord::Retract(ids) => store.retract(catalog, &ids),
+    };
 }
 
 /// An open durability context: the WAL accepting appends, the last

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # The equivalence suites over fresh property-test cases: each seed offset
 # 1..N runs sharded_equivalence (pse-serve), tests/incremental_store.rs,
-# tests/durability.rs, the pse-wal CommitQueue tests and the pse-obs sink's
-# thread-count determinism suite (parallel_determinism) in release mode
-# with PROPTEST_SEED=seed and PROPTEST_CASES=CASES (the default run is
-# offset 0 at 128 cases). Stops at the first failing suite and prints the
+# tests/durability.rs, the pse-wal CommitQueue tests, the pse-obs sink's
+# thread-count determinism suite (parallel_determinism) and pse-synthesis's
+# properties (the fusion kernel against its Appendix A reference) in
+# release mode with PROPTEST_SEED=seed and PROPTEST_CASES=CASES (the
+# default run is offset 0 at 128 cases). Stops at the first failing suite and prints the
 # seed that replays it. Not part of `cargo test`: at the defaults it
 # takes about 6 minutes on a 2-CPU host.
 #
@@ -19,6 +20,7 @@ suites=(
   "-p product-synthesis --test durability"
   "-p pse-wal --lib group::"
   "-p pse-obs --test parallel_determinism"
+  "-p pse-synthesis --test properties"
 )
 
 # Build every suite once up front, so the seeds time only the tests.
