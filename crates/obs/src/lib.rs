@@ -5,7 +5,7 @@
 //! JSON ([`ObsReport::to_json`]) or a human-readable stage summary
 //! ([`ObsReport::render_summary`]).
 //!
-//! ## Scope: one [`Obs`] per owner
+//! ## Scope: one [`Obs`] per owner, one context per thread
 //!
 //! Everything records into an [`Obs`], a handle on one sink owned by
 //! whoever runs the work (a server, a pipeline run, a test) and installed
@@ -17,6 +17,13 @@
 //! way (`determinism_par` compares runs with and without an `Obs`
 //! byte-for-byte).
 //!
+//! A thread keeps exactly one observability context: the installed
+//! `Obs`, the path of its open spans and the request trace it serves
+//! ([`start_request_trace`]). [`Obs::install`] enters a fresh context (root
+//! path, no trace); a [`ParCall`] carries a copy of the forking thread's
+//! context, which each `pse-par` chunk enters. Both put the previous
+//! context back when their scope drops.
+//!
 //! ## Determinism
 //!
 //! - **Counters** are exact integer sums; addition commutes, so the totals
@@ -26,9 +33,9 @@
 //!   order-independent.
 //! - **Spans** aggregate per hierarchical path into a `BTreeMap`, so export
 //!   order is path order, not arrival order.
-//! - **Timelines** record one event per `pse-par` chunk (worker id, chunk
-//!   index, start/stop) under the caller's label; each label keeps an
-//!   exact call count and its [`TIMELINE_RETAINED`] most recent chunks.
+//! - **Timelines** record one event per `pse-par` chunk (chunk index,
+//!   start/stop) under the caller's label; each label keeps an exact call
+//!   count and its [`TIMELINE_RETAINED`] most recent chunks.
 //!
 //! Recorded *durations* are wall-clock and naturally vary run to run; the
 //! deterministic part is the event structure (paths, counts, counter
@@ -46,9 +53,19 @@
 //! assert_eq!(obs.report().span("offline.features").unwrap().count, 1);
 //! ```
 //!
-//! Span paths nest via a thread-local stack. `pse-par` worker threads
-//! inherit the caller's path at spawn (see [`par_call`]), so spans recorded
-//! inside parallel chunks stay attributed to the stage that forked them.
+//! A span appends its name to the thread's path on entry and cuts it back
+//! on drop, so spans close in the reverse order they opened — which
+//! scoped guards do by construction. Every guard is bound to the thread
+//! that made it:
+//!
+//! ```compile_fail
+//! let guard = pse_obs::span("stage");
+//! std::thread::spawn(move || drop(guard)); // SpanGuard is not Send
+//! ```
+//!
+//! `pse-par` worker threads start from the caller's path (see
+//! [`par_call`]), so spans recorded inside parallel chunks stay attributed
+//! to the stage that forked them.
 
 pub mod hist;
 mod metrics;
@@ -73,6 +90,7 @@ use std::time::Instant;
 
 use sink::Sink;
 pub use sink::TIMELINE_RETAINED;
+use trace::ActiveTrace;
 
 /// Monotonic nanoseconds since the first observability call in this
 /// process (the epoch all span/timeline timestamps share).
@@ -101,10 +119,11 @@ impl Obs {
         on.then(Self::new)
     }
 
-    /// Make this handle the calling thread's sink until the returned scope
-    /// drops, which restores whatever was installed before.
+    /// Make this handle the calling thread's sink, in a fresh context (no
+    /// open span, no request trace), until the returned scope drops, which
+    /// restores whatever context the thread had before.
     pub fn install(&self) -> ObsScope {
-        ObsScope { prev: CURRENT.with(|c| c.replace(Some(self.clone()))), _thread: PhantomData }
+        ObsScope::enter(Ctx { obs: Some(self.clone()), ..Ctx::default() })
     }
 
     /// Snapshot the sink into a deterministic-ordered [`ObsReport`].
@@ -113,54 +132,72 @@ impl Obs {
     }
 }
 
-/// The scope of one [`Obs::install`], bound to the thread that made it.
+/// A thread's observability context: who records, where in the span tree
+/// the thread stands, and which request it serves.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Ctx {
+    /// The installed handle; `None` leaves every entry point inert.
+    obs: Option<Obs>,
+    /// Dotted path of the innermost open span, starting with the forking
+    /// caller's on a `pse-par` worker; empty at the root.
+    path: String,
+    /// Spans open on this thread, plus the forking caller's on a worker.
+    pub(crate) depth: u64,
+    /// The request trace closed spans are appended to, if any.
+    pub(crate) trace: Option<ActiveTrace>,
+}
+
+thread_local! {
+    static CTX: RefCell<Ctx> =
+        const { RefCell::new(Ctx { obs: None, path: String::new(), depth: 0, trace: None }) };
+}
+
+/// Run `f` on the calling thread's context.
+pub(crate) fn with_ctx<R>(f: impl FnOnce(&mut Ctx) -> R) -> R {
+    CTX.with(|c| f(&mut c.borrow_mut()))
+}
+
+/// The scope of one entered context ([`Obs::install`], [`ParCall::chunk`]),
+/// bound to the thread that entered it.
 #[must_use = "the Obs is installed only until the scope drops; bind it to a variable"]
 #[derive(Debug)]
 pub struct ObsScope {
-    prev: Option<Obs>,
+    prev: Ctx,
     _thread: PhantomData<*const ()>,
+}
+
+impl ObsScope {
+    fn enter(ctx: Ctx) -> Self {
+        Self { prev: with_ctx(|c| std::mem::replace(c, ctx)), _thread: PhantomData }
+    }
 }
 
 impl Drop for ObsScope {
     fn drop(&mut self) {
-        CURRENT.with(|c| *c.borrow_mut() = self.prev.take());
+        let prev = std::mem::take(&mut self.prev);
+        // The context being left drops outside the thread-local's borrow.
+        drop(with_ctx(|c| std::mem::replace(c, prev)));
     }
-}
-
-thread_local! {
-    /// The installed handle, if any.
-    static CURRENT: RefCell<Option<Obs>> = const { RefCell::new(None) };
-    /// Stack of full span paths active on this thread.
-    static SPAN_STACK: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
-    /// Path prefix inherited from the spawning `pse-par` caller.
-    static INHERITED: RefCell<Option<Arc<str>>> = const { RefCell::new(None) };
 }
 
 /// The calling thread's installed [`Obs`], if any: what a component that
 /// runs work on threads of its own captures to install there.
 pub fn current() -> Option<Obs> {
-    CURRENT.with(|c| c.borrow().clone())
+    with_ctx(|c| c.obs.clone())
 }
 
 /// Is an [`Obs`] installed on this thread? One thread-local read — the
 /// off path every instrumentation site is gated behind.
 pub fn enabled() -> bool {
-    CURRENT.with(|c| c.borrow().is_some())
+    with_ctx(|c| c.obs.is_some())
 }
 
 /// Run `f` on the installed sink, if any.
 fn with_sink(f: impl FnOnce(&Sink)) {
-    CURRENT.with(|c| c.borrow().as_ref().map(|obs| f(&obs.0)));
+    with_ctx(|c| c.obs.as_ref().map(|obs| f(&obs.0)));
 }
 
 // ---- spans -----------------------------------------------------------------
-
-/// The full hierarchical path active on this thread, if any.
-fn current_path() -> Option<String> {
-    SPAN_STACK
-        .with(|s| s.borrow().last().cloned())
-        .or_else(|| INHERITED.with(|i| i.borrow().as_ref().map(|p| p.to_string())))
-}
 
 /// RAII span guard: measures monotonic wall time from construction to drop
 /// and records it under the hierarchical path. Inactive (and free) when no
@@ -168,41 +205,52 @@ fn current_path() -> Option<String> {
 #[must_use = "a span measures until it is dropped; bind it to a variable"]
 #[derive(Debug)]
 pub struct SpanGuard {
-    path: Option<String>,
+    /// Length of the thread's path before this span entered; `None` when
+    /// inert.
+    parent_len: Option<usize>,
     start_ns: u64,
-    /// A request trace was active at entry; report the exit to it too.
-    traced: bool,
+    _thread: PhantomData<*const ()>,
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if let Some(path) = self.path.take() {
-            let dur = now_ns().saturating_sub(self.start_ns);
-            SPAN_STACK.with(|s| s.borrow_mut().pop());
-            if self.traced {
-                trace::span_exit(&path, self.start_ns, dur);
+        let Some(parent_len) = self.parent_len else { return };
+        let dur = now_ns().saturating_sub(self.start_ns);
+        with_ctx(|c| {
+            if let Some(trace) = &c.trace {
+                trace.record(&c.path, c.depth, self.start_ns, dur);
             }
-            with_sink(|s| s.record_span(path, dur));
-        }
+            if let Some(obs) = &c.obs {
+                obs.0.record_span(&c.path, dur);
+            }
+            // Only a span closed out of order can leave a cut mid-character;
+            // keep the path then rather than panic in drop.
+            if c.path.is_char_boundary(parent_len) {
+                c.path.truncate(parent_len);
+            }
+            c.depth = c.depth.saturating_sub(1);
+        });
     }
 }
 
 /// Enter a span named `name`, nested under the currently active span (or
-/// the inherited `pse-par` caller path). Returns the RAII guard that
+/// the forking `pse-par` caller's path). Returns the RAII guard that
 /// records the timing on drop. When a request trace is active on this
 /// thread ([`start_request_trace`]), the closed span is also appended to
 /// that request's span tree.
 pub fn span(name: &str) -> SpanGuard {
-    if !enabled() {
-        return SpanGuard { path: None, start_ns: 0, traced: false };
-    }
-    let path = match current_path() {
-        Some(parent) => format!("{parent}.{name}"),
-        None => name.to_string(),
-    };
-    SPAN_STACK.with(|s| s.borrow_mut().push(path.clone()));
-    let traced = trace::span_enter();
-    SpanGuard { path: Some(path), start_ns: now_ns(), traced }
+    let parent_len = with_ctx(|c| {
+        c.obs.as_ref()?;
+        let parent_len = c.path.len();
+        if parent_len > 0 {
+            c.path.push('.');
+        }
+        c.path.push_str(name);
+        c.depth += 1;
+        Some(parent_len)
+    });
+    let start_ns = if parent_len.is_some() { now_ns() } else { 0 };
+    SpanGuard { parent_len, start_ns, _thread: PhantomData }
 }
 
 // ---- counters & histograms -------------------------------------------------
@@ -245,43 +293,44 @@ pub fn observe(name: &str, value: u64) {
 
 // ---- pse-par timeline integration ------------------------------------------
 
-/// Context captured on the calling thread at the start of a `pse-par`
-/// parallel call; workers use it to record into the caller's [`Obs`], to
-/// attribute their chunk to the caller's span path and to inherit that
-/// path for spans of their own.
+/// The calling thread's context, captured at the start of a `pse-par`
+/// parallel call: each chunk enters a copy of it, so workers record into
+/// the caller's [`Obs`], nest their spans under the caller's path and
+/// append them to the caller's request trace. The path also labels the
+/// call's timeline.
 #[derive(Debug)]
 pub struct ParCall {
-    obs: Obs,
-    label: Arc<str>,
-    /// The caller's request-trace context, if one was active — workers
-    /// install it so their spans land in the same request's span tree.
-    trace: Option<trace::TraceCtx>,
+    ctx: Ctx,
 }
 
-/// Capture the installed [`Obs`] and the current span path (the call's
-/// label) for a parallel call about to fan out. Returns `None` when no
-/// `Obs` is installed, so the executor's off path stays one thread-local
-/// read.
-pub fn par_call() -> Option<Arc<ParCall>> {
-    let obs = current()?;
-    let label: Arc<str> = current_path().unwrap_or_else(|| "par".to_string()).into();
-    Some(Arc::new(ParCall { obs, label, trace: trace::current_ctx() }))
+/// Capture the calling thread's context for a parallel call about to fan
+/// out. Returns `None` when no `Obs` is installed, so the executor's off
+/// path stays one thread-local read.
+pub fn par_call() -> Option<ParCall> {
+    with_ctx(|c| c.obs.is_some().then(|| ParCall { ctx: c.clone() }))
 }
 
 impl ParCall {
-    /// Enter one chunk of this parallel call on the current (worker)
-    /// thread: installs the caller's [`Obs`], inherits its span path and
-    /// request trace, and records a timeline event on drop.
-    pub fn chunk(&self, worker: usize, chunk: usize, items: usize) -> ChunkGuard {
+    /// Enter chunk `index` (of `items` items) of this parallel call on the
+    /// current thread: the caller's context is this thread's until the
+    /// guard drops, which records a timeline event and restores the
+    /// thread's own.
+    pub fn chunk(&self, index: usize, items: usize) -> ChunkGuard<'_> {
         ChunkGuard {
-            label: self.label.clone(),
-            worker: worker as u64,
-            chunk: chunk as u64,
+            call: self,
+            index: index as u64,
             items: items as u64,
             start_ns: now_ns(),
-            prev_inherited: INHERITED.with(|i| i.replace(Some(self.label.clone()))),
-            prev_trace: trace::install(self.trace.as_ref()),
-            _obs: self.obs.install(),
+            _ctx: ObsScope::enter(self.ctx.clone()),
+        }
+    }
+
+    /// The timeline label: the caller's span path, `par` at the root.
+    fn label(&self) -> &str {
+        if self.ctx.path.is_empty() {
+            "par"
+        } else {
+            &self.ctx.path
         }
     }
 }
@@ -289,30 +338,25 @@ impl ParCall {
 /// RAII guard for one executed chunk; see [`ParCall::chunk`].
 #[must_use = "a chunk guard measures until it is dropped; bind it to a variable"]
 #[derive(Debug)]
-pub struct ChunkGuard {
-    label: Arc<str>,
-    worker: u64,
-    chunk: u64,
+pub struct ChunkGuard<'a> {
+    call: &'a ParCall,
+    index: u64,
     items: u64,
     start_ns: u64,
-    prev_inherited: Option<Arc<str>>,
-    prev_trace: Option<trace::ActiveTrace>,
     /// Dropped after [`Drop::drop`] ran, so the chunk records first.
-    _obs: ObsScope,
+    _ctx: ObsScope,
 }
 
-impl Drop for ChunkGuard {
+impl Drop for ChunkGuard<'_> {
     fn drop(&mut self) {
         let ev = ChunkSummary {
-            worker: self.worker,
-            chunk: self.chunk,
+            worker: self.index,
+            chunk: self.index,
             items: self.items,
             start_ns: self.start_ns,
             dur_ns: now_ns().saturating_sub(self.start_ns),
         };
-        with_sink(|s| s.record_chunk(&self.label, ev));
-        INHERITED.with(|i| *i.borrow_mut() = self.prev_inherited.take());
-        trace::restore(self.prev_trace.take());
+        with_sink(|s| s.record_chunk(self.call.label(), ev));
     }
 }
 
@@ -439,8 +483,8 @@ mod tests {
         let call = par_call().unwrap();
         let calls = 3 * TIMELINE_RETAINED as u64;
         for i in 0..calls {
-            drop(call.chunk(0, 0, i as usize));
-            drop(call.chunk(1, 1, i as usize));
+            drop(call.chunk(0, i as usize));
+            drop(call.chunk(1, i as usize));
         }
         let r = obs.report();
         let t = &r.timelines[0];
@@ -450,6 +494,10 @@ mod tests {
         let oldest = calls - TIMELINE_RETAINED as u64 / 2;
         assert!(t.chunks.iter().all(|c| c.items >= oldest));
         assert_eq!(r.validate(), Ok(()));
+    }
+
+    fn path() -> String {
+        with_ctx(|c| c.path.clone())
     }
 
     #[test]
@@ -462,20 +510,42 @@ mod tests {
         };
         // As on a worker thread: nothing installed until the chunk enters.
         {
-            let _c = call.chunk(1, 1, 10);
+            let _c = call.chunk(1, 10);
             // Spans opened inside the chunk nest under the caller's path.
             let _inner = span("reconcile");
-            assert_eq!(current_path().as_deref(), Some("runtime.reconcile"));
+            assert_eq!(path(), "runtime.reconcile");
         }
-        assert_eq!(current_path(), None, "inherited prefix restored");
+        assert_eq!(path(), "", "the thread's own path restored");
         assert!(!enabled(), "the caller's Obs uninstalled");
         let r = obs.report();
         assert!(r.span("runtime.reconcile").is_some());
         let t = &r.timelines[0];
         assert_eq!(t.label, "runtime");
         assert_eq!(t.chunks.len(), 1);
-        assert_eq!(t.chunks[0].worker, 1);
+        assert_eq!((t.chunks[0].worker, t.chunks[0].chunk), (1, 1));
         assert_eq!(t.chunks[0].items, 10);
+    }
+
+    #[test]
+    fn install_enters_a_fresh_context() {
+        let (outer, inner) = (Obs::new(), Obs::new());
+        let _on = outer.install();
+        let trace = start_request_trace(None);
+        let stage = span("stage");
+        {
+            let _nested = inner.install();
+            assert_eq!(path(), "", "no span is open in the new context");
+            let _s = span("own");
+        }
+        assert_eq!(path(), "stage", "the outer context is back as it was");
+        drop(span("after"));
+        drop(stage);
+        let done = trace.finish("other", 200).expect("recording");
+        let traced: Vec<&str> = done.spans.iter().map(|s| s.path.as_str()).collect();
+        assert_eq!(traced, ["stage.after", "stage"], "the inner context had no trace");
+        let paths = |obs: &Obs| obs.report().spans.into_iter().map(|s| s.path).collect::<Vec<_>>();
+        assert_eq!(paths(&outer), ["stage", "stage.after"]);
+        assert_eq!(paths(&inner), ["own"]);
     }
 
     #[test]
@@ -483,7 +553,7 @@ mod tests {
         let obs = Obs::new();
         let _on = obs.install();
         let call = par_call().unwrap();
-        drop(call.chunk(0, 0, 1));
+        drop(call.chunk(0, 1));
         let r = obs.report();
         assert_eq!(r.timelines[0].label, "par");
         assert_eq!(r.timelines[0].calls, 1);

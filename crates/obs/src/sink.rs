@@ -19,7 +19,7 @@ use crate::report::{
 };
 
 /// Aggregated state of one span path.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug)]
 struct SpanAgg {
     count: u64,
     total_ns: u64,
@@ -49,18 +49,20 @@ pub(crate) struct Sink {
 }
 
 impl Sink {
-    pub fn record_span(&self, path: String, dur_ns: u64) {
+    pub fn record_span(&self, path: &str, dur_ns: u64) {
         let mut spans = self.spans.lock().expect("span sink poisoned");
-        let agg = spans.entry(path).or_insert(SpanAgg {
-            count: 0,
-            total_ns: 0,
-            min_ns: u64::MAX,
-            max_ns: 0,
-        });
-        agg.count += 1;
-        agg.total_ns += dur_ns;
-        agg.min_ns = agg.min_ns.min(dur_ns);
-        agg.max_ns = agg.max_ns.max(dur_ns);
+        match spans.get_mut(path) {
+            Some(agg) => {
+                agg.count += 1;
+                agg.total_ns += dur_ns;
+                agg.min_ns = agg.min_ns.min(dur_ns);
+                agg.max_ns = agg.max_ns.max(dur_ns);
+            }
+            None => {
+                let first = SpanAgg { count: 1, total_ns: dur_ns, min_ns: dur_ns, max_ns: dur_ns };
+                spans.insert(path.to_string(), first);
+            }
+        }
     }
 
     pub fn add_counter(&self, name: &str, n: u64) {
@@ -128,7 +130,7 @@ impl Sink {
                 path: path.clone(),
                 count: a.count,
                 total_ns: a.total_ns,
-                min_ns: if a.count == 0 { 0 } else { a.min_ns },
+                min_ns: a.min_ns,
                 max_ns: a.max_ns,
             })
             .collect();

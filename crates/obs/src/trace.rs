@@ -4,12 +4,12 @@
 //! total, which answers "where does time go on average" but not "why was
 //! *that* request slow". This module adds the per-request view:
 //!
-//! - [`start_request_trace`] installs a thread-local **active trace**.
-//!   While it is installed, every [`crate::span`] that closes on the
-//!   thread also appends one [`TraceSpan`] (path, nesting depth, start
-//!   offset, duration) to the trace's shared buffer — and because the
-//!   buffer travels inside [`crate::ParCall`], spans recorded by `pse-par`
-//!   worker threads land in the same request's tree.
+//! - [`start_request_trace`] makes an **active trace** part of the
+//!   thread's observability context. While it is, every [`crate::span`]
+//!   opened and closed inside it also appends one [`TraceSpan`] (path,
+//!   nesting depth, start offset, duration) to the trace's shared buffer —
+//!   and because [`crate::ParCall`] hands the whole context to `pse-par`
+//!   workers, spans they record land in the same request's tree.
 //! - [`RequestTraceGuard::finish`] assembles the completed
 //!   [`RequestTrace`]; the serve layer hands it to a [`FlightRecorder`] —
 //!   a fixed-capacity ring of recent requests plus an always-keep-slowest
@@ -20,14 +20,14 @@
 //! guard and no instrumentation site allocates; with one, recording is a
 //! side channel that never influences what the traced code computes.
 
-use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use serde::{Deserialize, Serialize, Value};
 
-use crate::{enabled, now_ns};
+use crate::{enabled, now_ns, with_ctx};
 
 /// Spans kept per trace before counting drops instead — bounds the memory
 /// a pathological request (e.g. one span per offer) can pin.
@@ -140,134 +140,89 @@ struct TraceBuf {
     dropped: u64,
 }
 
-/// The thread-local side of an in-flight trace. Installed on the request
-/// thread by [`start_request_trace`] and on `pse-par` worker threads by
-/// `ParCall::chunk`; the buffer is shared, the depth counter is per-thread.
-#[derive(Debug)]
+/// An in-flight trace as a thread's context holds it: installed by
+/// [`start_request_trace`] and copied to `pse-par` workers with the rest of
+/// the context. The buffer is shared; depths count from `base_depth`, the
+/// span depth of the thread that started the trace.
+#[derive(Debug, Clone)]
 pub(crate) struct ActiveTrace {
     start_ns: u64,
-    depth: Cell<u64>,
+    base_depth: u64,
     buf: Arc<Mutex<TraceBuf>>,
 }
 
-thread_local! {
-    static ACTIVE: RefCell<Option<ActiveTrace>> = const { RefCell::new(None) };
+impl ActiveTrace {
+    /// Append a span closing at thread span depth `depth`. A span that was
+    /// already open when the trace started is not part of it.
+    pub(crate) fn record(&self, path: &str, depth: u64, start_ns: u64, dur_ns: u64) {
+        let depth = depth.saturating_sub(self.base_depth);
+        if depth == 0 {
+            return;
+        }
+        let mut buf = trace_buf(&self.buf);
+        if buf.spans.len() >= MAX_TRACE_SPANS {
+            buf.dropped += 1;
+        } else {
+            buf.spans.push(TraceSpan {
+                path: path.to_string(),
+                depth,
+                start_ns: start_ns.saturating_sub(self.start_ns),
+                dur_ns,
+            });
+        }
+    }
 }
 
 fn trace_buf(buf: &Mutex<TraceBuf>) -> MutexGuard<'_, TraceBuf> {
     buf.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-/// Span-entry hook (called by [`crate::span`] while enabled): bumps the
-/// thread's trace depth. Returns whether a trace was active, so the guard
-/// knows to call [`span_exit`] on drop.
-pub(crate) fn span_enter() -> bool {
-    ACTIVE.with(|a| match a.borrow().as_ref() {
-        Some(t) => {
-            t.depth.set(t.depth.get() + 1);
-            true
-        }
-        None => false,
-    })
-}
-
-/// Span-exit hook: appends the closed span to the trace buffer and pops
-/// the thread's trace depth.
-pub(crate) fn span_exit(path: &str, start_ns: u64, dur_ns: u64) {
-    ACTIVE.with(|a| {
-        if let Some(t) = a.borrow().as_ref() {
-            let depth = t.depth.get();
-            t.depth.set(depth.saturating_sub(1));
-            let mut buf = trace_buf(&t.buf);
-            if buf.spans.len() >= MAX_TRACE_SPANS {
-                buf.dropped += 1;
-            } else {
-                buf.spans.push(TraceSpan {
-                    path: path.to_string(),
-                    depth,
-                    start_ns: start_ns.saturating_sub(t.start_ns),
-                    dur_ns,
-                });
-            }
-        }
-    });
-}
-
-/// The trace context a [`crate::ParCall`] carries across the fan-out: the
-/// shared buffer plus the caller's depth, so worker spans nest where the
-/// forking span sat.
-#[derive(Debug, Clone)]
-pub(crate) struct TraceCtx {
-    start_ns: u64,
-    base_depth: u64,
-    buf: Arc<Mutex<TraceBuf>>,
-}
-
-/// Capture the calling thread's trace context, if a trace is active.
-pub(crate) fn current_ctx() -> Option<TraceCtx> {
-    ACTIVE.with(|a| {
-        a.borrow().as_ref().map(|t| TraceCtx {
-            start_ns: t.start_ns,
-            base_depth: t.depth.get(),
-            buf: Arc::clone(&t.buf),
-        })
-    })
-}
-
-/// Install `ctx` as this thread's active trace (chunk entry on a worker),
-/// returning whatever was installed before for [`restore`].
-pub(crate) fn install(ctx: Option<&TraceCtx>) -> Option<ActiveTrace> {
-    let next = ctx.map(|c| ActiveTrace {
-        start_ns: c.start_ns,
-        depth: Cell::new(c.base_depth),
-        buf: Arc::clone(&c.buf),
-    });
-    ACTIVE.with(|a| a.replace(next))
-}
-
-/// Undo a matching [`install`].
-pub(crate) fn restore(prev: Option<ActiveTrace>) {
-    ACTIVE.with(|a| {
-        *a.borrow_mut() = prev;
-    });
+/// Put `prev` back as the thread's trace (a guard's finish or drop).
+fn restore(prev: Option<ActiveTrace>) {
+    drop(with_ctx(|c| std::mem::replace(&mut c.trace, prev)));
 }
 
 // ---- the request guard -----------------------------------------------------
 
 struct GuardInner {
     id: TraceId,
-    start_ns: u64,
-    buf: Arc<Mutex<TraceBuf>>,
+    trace: ActiveTrace,
     prev: Option<ActiveTrace>,
 }
 
 /// RAII handle for one request's trace; see [`start_request_trace`].
-/// Dropping without [`finish`](Self::finish) discards the recording.
+/// Dropping without [`finish`](Self::finish) discards the recording. Bound
+/// to the thread that started it:
+///
+/// ```compile_fail
+/// let trace = pse_obs::start_request_trace(None);
+/// std::thread::spawn(move || drop(trace)); // RequestTraceGuard is not Send
+/// ```
 #[must_use = "a request trace records until finish() or drop"]
 pub struct RequestTraceGuard {
     inner: Option<GuardInner>,
+    _thread: PhantomData<*const ()>,
 }
 
-/// Begin tracing a request on this thread. Every span closed on the
-/// thread (and on `pse-par` workers it fans out to) is recorded until
-/// [`RequestTraceGuard::finish`]. Inert — no allocation, nothing
-/// installed — while no [`crate::Obs`] is installed.
+/// Begin tracing a request on this thread. Every span opened after this
+/// call and closed before [`RequestTraceGuard::finish`] on the thread (and
+/// on `pse-par` workers it fans out to) is recorded. Inert — no
+/// allocation, nothing installed — while no [`crate::Obs`] is installed.
 ///
 /// `id` is the client-supplied trace identity when the request carried
 /// one; pass `None` for a fresh id (it can still be swapped later via
 /// [`RequestTraceGuard::set_id`], e.g. once headers are parsed).
 pub fn start_request_trace(id: Option<TraceId>) -> RequestTraceGuard {
     if !enabled() {
-        return RequestTraceGuard { inner: None };
+        return RequestTraceGuard { inner: None, _thread: PhantomData };
     }
-    let start_ns = now_ns();
     let buf = Arc::new(Mutex::new(TraceBuf::default()));
-    let prev = ACTIVE.with(|a| {
-        a.replace(Some(ActiveTrace { start_ns, depth: Cell::new(0), buf: Arc::clone(&buf) }))
+    let (trace, prev) = with_ctx(|c| {
+        let trace = ActiveTrace { start_ns: now_ns(), base_depth: c.depth, buf };
+        (trace.clone(), c.trace.replace(trace))
     });
-    RequestTraceGuard {
-        inner: Some(GuardInner { id: id.unwrap_or_else(TraceId::fresh), start_ns, buf, prev }),
-    }
+    let id = id.unwrap_or_else(TraceId::fresh);
+    RequestTraceGuard { inner: Some(GuardInner { id, trace, prev }), _thread: PhantomData }
 }
 
 impl RequestTraceGuard {
@@ -293,14 +248,15 @@ impl RequestTraceGuard {
     /// guard was inert (observability off).
     pub fn finish(mut self, endpoint: &str, status: u16) -> Option<RequestTrace> {
         let inner = self.inner.take()?;
-        let total_ns = now_ns().saturating_sub(inner.start_ns);
+        let start_ns = inner.trace.start_ns;
+        let total_ns = now_ns().saturating_sub(start_ns);
         restore(inner.prev);
-        let mut buf = trace_buf(&inner.buf);
+        let mut buf = trace_buf(&inner.trace.buf);
         Some(RequestTrace {
             id: inner.id,
             endpoint: endpoint.to_string(),
             status,
-            start_ns: inner.start_ns,
+            start_ns,
             total_ns,
             dropped_spans: buf.dropped,
             spans: std::mem::take(&mut buf.spans),

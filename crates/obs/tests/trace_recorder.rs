@@ -173,6 +173,39 @@ fn par_workers_contribute_to_the_request_trace() {
     assert!(workers.iter().all(|s| s.start_ns + s.dur_ns <= done.total_ns + 1_000));
 }
 
+/// A fork of a fork: a `pse-par` call made inside a worker chunk hands on
+/// the worker's context, so the inner workers' spans nest under both
+/// forking spans, in the sink and in the same request trace.
+#[test]
+fn nested_par_calls_hand_on_the_whole_context() {
+    let obs = Obs::new();
+    let _on = obs.install();
+    let trace = start_request_trace(None);
+    let items: Vec<u64> = (0..4).collect();
+    {
+        let _req = pse_obs::span("serve.request");
+        pse_par::with_threads(2, || {
+            pse_par::par_map(&items, |&x| {
+                let _outer = pse_obs::span("outer");
+                pse_par::par_map(&items, |&y| {
+                    let _inner = pse_obs::span("inner");
+                    x + y
+                })
+            })
+        });
+    }
+    let done = trace.finish("ingest", 200).expect("recording");
+
+    let inner: Vec<&TraceSpan> =
+        done.spans.iter().filter(|s| s.path == "serve.request.outer.inner").collect();
+    assert_eq!(inner.len(), 16, "every inner span reached the trace");
+    assert!(inner.iter().all(|s| s.depth == 3), "one below the inner fork's span (depth 2)");
+    let report = obs.report();
+    assert_eq!(report.span("serve.request.outer.inner").map(|s| s.count), Some(16));
+    let labels: Vec<&str> = report.timelines.iter().map(|t| t.label.as_str()).collect();
+    assert_eq!(labels, ["serve.request", "serve.request.outer"]);
+}
+
 /// The per-trace span cap: pathological requests count drops instead of
 /// growing without bound.
 #[test]

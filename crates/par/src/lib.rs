@@ -34,11 +34,12 @@
 //! ## Observability
 //!
 //! When the caller has a `pse_obs::Obs` installed, every entry point
-//! records one timeline event per chunk — worker id, chunk index, item
-//! count, start/stop — labelled with the caller's active span path, and
-//! worker threads inherit that `Obs` and that path, so what chunks record
-//! lands in the caller's sink, attributed to the forking stage. Without
-//! one (the default), the only cost is one thread-local read per call;
+//! records one timeline event per chunk — chunk index, item count,
+//! start/stop — labelled with the caller's active span path, and each
+//! chunk runs in a copy of the caller's observability context (its `Obs`,
+//! span path and request trace), so what chunks record lands in the
+//! caller's sink and trace, attributed to the forking stage. Without one
+//! (the default), the only cost is one thread-local read per call;
 //! recording never changes results either way.
 
 use std::cell::Cell;
@@ -125,20 +126,19 @@ where
     let min_chunk = min_chunk.max(1);
     let obs = pse_obs::par_call();
     if threads <= 1 || items.len() <= min_chunk {
-        let _t = obs.as_ref().map(|c| c.chunk(0, 0, items.len()));
+        let _t = obs.as_ref().map(|c| c.chunk(0, items.len()));
         return items.iter().map(f).collect();
     }
     let chunk = items.len().div_ceil(threads).max(min_chunk);
     let mut out = Vec::with_capacity(items.len());
     thread::scope(|s| {
-        let f = &f;
+        let (f, obs) = (&f, obs.as_ref());
         let handles: Vec<_> = items
             .chunks(chunk)
             .enumerate()
             .map(|(ci, slice)| {
-                let obs = obs.clone();
                 s.spawn(move || {
-                    let _t = obs.as_ref().map(|c| c.chunk(ci, ci, slice.len()));
+                    let _t = obs.map(|c| c.chunk(ci, slice.len()));
                     slice.iter().map(f).collect::<Vec<U>>()
                 })
             })

@@ -23,7 +23,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use pse_core::{Catalog, CategoryId, Offer, OfferId};
-use pse_obs::{FlightRecorder, Obs, ObsReport, RecorderConfig, TraceId};
+use pse_obs::{FlightRecorder, Obs, ObsReport, RecorderConfig, RequestTraceGuard, TraceId};
 use pse_synthesis::runtime::normalize_key;
 use pse_synthesis::FnProvider;
 use pse_wal::DurabilityConfig;
@@ -454,7 +454,24 @@ fn record_endpoint(label: &str, status: u16, started: &Instant) {
 
 fn handle_connection(inner: &Inner, stream: &mut TcpStream) {
     let mut trace = pse_obs::start_request_trace(None);
-    let _span = pse_obs::span("serve.request");
+    // The envelope span closes before the trace finishes, so it is part of
+    // the trace.
+    let (endpoint, status) = {
+        let _span = pse_obs::span("serve.request");
+        respond(inner, stream, &mut trace)
+    };
+    if let Some(t) = trace.finish(endpoint, status) {
+        inner.recorder.record(t);
+    }
+}
+
+/// Read, route and answer one request. Returns the endpoint label and the
+/// status written back (0 when the client vanished mid-read).
+fn respond(
+    inner: &Inner,
+    stream: &mut TcpStream,
+    trace: &mut RequestTraceGuard,
+) -> (&'static str, u16) {
     pse_obs::incr(metrics::REQUESTS);
     let started = Instant::now();
     let _ = stream.set_read_timeout(Some(inner.config.read_timeout));
@@ -471,7 +488,7 @@ fn handle_connection(inner: &Inner, stream: &mut TcpStream) {
             if let Some(id) = request.header("x-pse-trace-id").and_then(TraceId::from_hex) {
                 trace.set_id(id);
             }
-            let trace_id = trace_id_hex(&trace);
+            let trace_id = trace_id_hex(trace);
             match ROUTER.find(&request.method, &request.path) {
                 RouteOutcome::Matched(route, params) => {
                     // A panicking handler must cost us a 500, not a worker.
@@ -500,20 +517,17 @@ fn handle_connection(inner: &Inner, stream: &mut TcpStream) {
         }
         Err(e @ ServeError::RequestTooLarge { .. }) => {
             request_incomplete = true;
-            let trace_id = trace_id_hex(&trace);
+            let trace_id = trace_id_hex(trace);
             ("invalid", ApiError::from_serve(413, &e).into_response(&trace_id))
         }
         Err(ServeError::Io(_)) => {
             // Client vanished or timed out; nothing to write to.
             pse_obs::incr(metrics::IO_ERROR);
             record_endpoint("io", 0, &started);
-            if let Some(t) = trace.finish("io", 0) {
-                inner.recorder.record(t);
-            }
-            return;
+            return ("io", 0);
         }
         Err(e) => {
-            let trace_id = trace_id_hex(&trace);
+            let trace_id = trace_id_hex(trace);
             ("invalid", ApiError::from_serve(400, &e).into_response(&trace_id))
         }
     };
@@ -533,9 +547,7 @@ fn handle_connection(inner: &Inner, stream: &mut TcpStream) {
     }
     pse_obs::observe(metrics::REQUEST_US, started.elapsed().as_micros() as u64);
     record_endpoint(endpoint, status, &started);
-    if let Some(t) = trace.finish(endpoint, status) {
-        inner.recorder.record(t);
-    }
+    (endpoint, status)
 }
 
 /// Read and discard whatever the peer already sent (briefly), so closing
@@ -609,7 +621,7 @@ impl ApiError {
 
 /// The request's trace id as the envelope carries it: hex when tracing
 /// is on, empty when off (the envelope shape never changes).
-fn trace_id_hex(trace: &pse_obs::RequestTraceGuard) -> String {
+fn trace_id_hex(trace: &RequestTraceGuard) -> String {
     trace.id().map(TraceId::to_hex).unwrap_or_default()
 }
 

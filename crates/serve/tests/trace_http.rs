@@ -78,6 +78,14 @@ fn debug_endpoints_expose_slowest_span_trees() {
         assert!(t.spans.iter().all(|s| s.path.starts_with("serve.request")));
         assert!(t.spans.iter().any(|s| s.path == "serve.request.parse"));
         assert!(t.spans.iter().any(|s| s.path == "serve.request.write"));
+        // The request's envelope span is part of its own trace: the one
+        // depth-1 span, enclosing every other.
+        let envelope: Vec<_> = t.spans.iter().filter(|s| s.depth == 1).collect();
+        assert_eq!(envelope.len(), 1, "one envelope span in {}", t.endpoint);
+        let envelope = envelope[0];
+        assert_eq!(envelope.path, "serve.request");
+        let (start, end) = (envelope.start_ns, envelope.start_ns + envelope.dur_ns);
+        assert!(t.spans.iter().all(|s| s.start_ns >= start && s.start_ns + s.dur_ns <= end));
         let depths: Vec<u64> = t.spans.iter().map(|s| s.depth).collect();
         for depth in depths {
             let stage_sum: u64 =
