@@ -1,7 +1,8 @@
 //! The durable write path: `pse-wal` glued to [`ShardedStore`].
 //!
 //! Commits are pipelined so the disk and the cores stay busy at the
-//! same time. One commit walks four stages:
+//! same time. One commit walks four stages, and a fifth when its frame
+//! took the log past the compaction threshold:
 //!
 //! ```text
 //! 1. reconcile           (CPU, no locks — overlaps other commits' IO;
@@ -18,6 +19,8 @@
 //!                         order — one snapshot publish and one
 //!                         dirty-marking per pass — and hands each
 //!                         owner its stats)
+//! 5. fold, if due        (the commit whose frame crossed the threshold,
+//!                         after dropping its read guard on the gate)
 //! ```
 //!
 //! Stages 3 and 4 are [`pse_wal::CommitQueue::commit`], one state
@@ -34,7 +37,9 @@
 //! Snapshots take the `gate` write lock, which excludes every in-flight
 //! commit (commits hold it for read from stage through apply), so a
 //! fold captures exactly the applied-and-durable state, the queue is
-//! empty, and the WAL can rotate with nothing staged-but-unsynced.
+//! empty, and the WAL can rotate with nothing staged-but-unsynced. Every
+//! fold runs on the thread that needs it (open, a crossing commit,
+//! shutdown), so it shows in that request's trace as `wal.snapshot`.
 //!
 //! Lock order: snapshot gate → durability mutex → queue mutex, and
 //! snapshot gate → durability mutex → the store's writer lock. An apply
@@ -123,16 +128,12 @@ pub fn open_durable(
     Ok((store, ctx, stats))
 }
 
-/// What a durable write hands back: its stats, and whether the log had
-/// outgrown its compaction threshold when the write staged (read under
-/// the durability mutex the staging step holds anyway).
-pub(crate) type Committed = (IngestStats, bool);
-
 /// Commit `writer`'s record: encode it, stage the frame and queue the
 /// record under the durability mutex — which ends the writer's
-/// registration — then let the queue make it durable and applied (module
-/// docs). `offers_in` is the raw request size, which the stats report in
-/// place of the count the apply routed.
+/// registration — let the queue make it durable and applied, then fold
+/// if the frame crossed the threshold (module docs). `offers_in` is the
+/// raw request size, which the stats report in place of the count the
+/// apply routed.
 fn commit(
     store: &ShardedStore,
     ctx: &DurableCtx,
@@ -140,20 +141,24 @@ fn commit(
     writer: WriterGuard<'_, WalRecord, IngestStats>,
     record: WalRecord,
     offers_in: usize,
-) -> Result<Committed, ServeError> {
+) -> Result<IngestStats, ServeError> {
     // Encode outside the durability lock: staging under the lock is the
     // write path's only serialized section, so it must stay at "append
     // the frame", not "serialize the batch".
     let payload = record.payload();
-    let _gate = ctx.gate.read().expect("snapshot gate");
-    let (lsn, wants_compaction) = {
+    let gate = ctx.gate.read().expect("snapshot gate");
+    let (lsn, crossed) = {
         let mut dur = ctx.durability.lock().expect("durability lock");
         let lsn = dur.stage_payload(&payload)?;
         ctx.queue.enqueue(writer, lsn, record);
         (lsn, dur.wants_compaction())
     };
     let stats = ctx.queue.commit(lsn, |batch| apply_batch(store, ctx, catalog, batch))?;
-    Ok((IngestStats { offers_in, ..stats }, wants_compaction))
+    drop(gate);
+    if crossed {
+        fold_if_due(store, ctx);
+    }
+    Ok(IngestStats { offers_in, ..stats })
 }
 
 /// Ingest a batch durably: reconcile once (outside every lock) and
@@ -165,17 +170,6 @@ pub fn durable_ingest<P: SpecProvider>(
     offers: &[Offer],
     provider: &P,
 ) -> Result<IngestStats, ServeError> {
-    Ok(commit_ingest(store, ctx, catalog, offers, provider)?.0)
-}
-
-/// [`durable_ingest`], also reporting whether the log wants a fold.
-pub(crate) fn commit_ingest<P: SpecProvider>(
-    store: &ShardedStore,
-    ctx: &DurableCtx,
-    catalog: &Catalog,
-    offers: &[Offer],
-    provider: &P,
-) -> Result<Committed, ServeError> {
     let _span = pse_obs::span("store.ingest");
     pse_obs::add(pse_store::metrics::INGEST, offers.len() as u64);
     // Registered while reconciling: a commit staged meanwhile waits (up
@@ -192,18 +186,21 @@ pub fn durable_retract(
     catalog: &Catalog,
     ids: &[OfferId],
 ) -> Result<IngestStats, ServeError> {
-    Ok(commit_retract(store, ctx, catalog, ids)?.0)
-}
-
-/// [`durable_retract`], also reporting whether the log wants a fold.
-pub(crate) fn commit_retract(
-    store: &ShardedStore,
-    ctx: &DurableCtx,
-    catalog: &Catalog,
-    ids: &[OfferId],
-) -> Result<Committed, ServeError> {
     let record = WalRecord::Retract(ids.to_vec());
     commit(store, ctx, catalog, ctx.queue.writer(), record, ids.len())
+}
+
+/// Fold the log if it is still past its threshold. Re-checked under the
+/// gate's write lock and the durability mutex, so two commits that both
+/// crossed fold once. A failed fold is counted, not returned: the commit
+/// is durable and the log keeps every record for the next crossing
+/// commit or shutdown to fold.
+fn fold_if_due(store: &ShardedStore, ctx: &DurableCtx) {
+    let _gate = ctx.gate.write().expect("snapshot gate");
+    let mut dur = ctx.durability.lock().expect("durability lock");
+    if dur.wants_compaction() && fold(store, ctx, &mut dur).is_err() {
+        pse_obs::incr(metrics::FOLD_FAILED);
+    }
 }
 
 /// Fold the WAL into segments: write an incremental snapshot (dirty
@@ -218,8 +215,17 @@ pub fn durable_snapshot(
     ctx: &DurableCtx,
 ) -> Result<SnapshotStats, ServeError> {
     let _gate = ctx.gate.write().expect("snapshot gate");
+    fold(store, ctx, &mut ctx.durability.lock().expect("durability lock"))
+}
+
+/// [`durable_snapshot`]'s body, run with the gate held for write and
+/// `dur` locked.
+fn fold(
+    store: &ShardedStore,
+    ctx: &DurableCtx,
+    dur: &mut Durability,
+) -> Result<SnapshotStats, ServeError> {
     ctx.queue.check_apply()?;
-    let mut dur = ctx.durability.lock().expect("durability lock");
     let gen = dur.wal_gen();
     let folded =
         dur.write_snapshot(store.n_shards(), store.config(), store.correspondences(), |i| {

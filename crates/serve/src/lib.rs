@@ -27,8 +27,8 @@
 //!   cap (413), panic-isolated handlers, and graceful drain.
 //!
 //! A server is observed when the thread calling [`start`] has a
-//! [`pse_obs::Obs`] installed: it installs that `Obs` on its acceptor,
-//! worker and compactor threads, and `GET /metrics` reports it (started
+//! [`pse_obs::Obs`] installed: it installs that `Obs` on its acceptor
+//! and worker threads, and `GET /metrics` reports it (started
 //! without one, it records nothing and serves the empty, disabled
 //! report). An observed server traces every request into a per-request
 //! span tree (parse → route → handler stages, including spans from
@@ -45,11 +45,12 @@
 //! When [`ServerConfig`] sets both `wal_path` and `snapshot_dir`, the
 //! [`durable`] module puts `pse-wal` under the write path: every
 //! ingest/retract is staged into the write-ahead log and fsynced (one
-//! group sync covers concurrent commits) before it is applied, a
-//! background thread folds a grown log into segmented binary snapshots
-//! (only dirty shards are rewritten), and startup recovers segments +
-//! WAL tail — so a SIGKILL at any moment loses nothing that was
-//! acknowledged. Segments + WAL are the only recovery format.
+//! group sync covers concurrent commits) before it is applied, the
+//! write that grows the log past its threshold folds it into segmented
+//! binary snapshots before it answers (only dirty shards are rewritten),
+//! and startup recovers segments + WAL tail — so a SIGKILL at any moment
+//! loses nothing that was acknowledged. Segments + WAL are the only
+//! recovery format.
 //!
 //! The [`client`] module holds the matching minimal blocking client used
 //! by tests and the `http_get` bin.
@@ -90,6 +91,7 @@ pub mod metrics {
                 CACHE_MISS = "serve.cache.miss",
                 CACHE_INVALIDATED = "serve.cache.invalidated",
                 INGEST_OFFERS = "serve.ingest_offers",
+                FOLD_FAILED = "serve.fold_failed",
             }
             histograms {
                 REQUEST_US = "serve.request_us",

@@ -5,7 +5,8 @@
 //! acceptor answers `503 Service Unavailable` directly instead of letting
 //! latency grow without bound. Workers pull connections, parse one
 //! request each (`Connection: close`), and dispatch; a panicking handler
-//! is caught and turned into a 500, never a dead worker.
+//! is caught and turned into a 500, never a dead worker. There is no
+//! other thread: a write that grows the WAL past its threshold folds it.
 //!
 //! Shutdown (via [`ServerHandle::shutdown`] or `POST /shutdown`) stops
 //! the acceptor, lets the workers drain every queued connection and
@@ -18,7 +19,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -28,7 +29,7 @@ use pse_synthesis::runtime::normalize_key;
 use pse_synthesis::FnProvider;
 use pse_wal::DurabilityConfig;
 
-use crate::durable::{commit_ingest, commit_retract, durable_snapshot, open_durable, DurableCtx};
+use crate::durable::{durable_ingest, durable_retract, durable_snapshot, open_durable, DurableCtx};
 use crate::error::ServeError;
 use crate::http::{read_request, write_response, Body, Request};
 use crate::metrics;
@@ -62,8 +63,9 @@ pub struct ServerConfig {
     /// Directory for segmented binary snapshots (manifest + one segment
     /// per shard). See `wal_path`.
     pub snapshot_dir: Option<PathBuf>,
-    /// Fold the WAL into fresh segments (background compaction) once it
-    /// holds more than this many record bytes.
+    /// Fold the WAL into fresh segments once it holds more than this many
+    /// record bytes: the commit whose record crosses it folds before it
+    /// answers.
     pub compaction_threshold_bytes: u64,
     /// Flight-recorder sizing: the rotating recent window and the
     /// always-keep-slowest tail-sampling set behind `GET /debug/requests`.
@@ -98,9 +100,6 @@ struct Inner {
     /// The durable write path when WAL + snapshot dir are configured
     /// (lock order: see the `durable` module docs).
     durability: Option<DurableCtx>,
-    /// Wakes the compaction thread: `true` = a writer saw the WAL cross
-    /// the compaction threshold.
-    compact: (Mutex<bool>, Condvar),
     /// What the [`start`] caller had installed; every server thread
     /// records into it, and `GET /metrics` reports it.
     obs: Option<Obs>,
@@ -112,7 +111,6 @@ pub struct ServerHandle {
     inner: Arc<Inner>,
     acceptor: JoinHandle<()>,
     workers: Vec<JoinHandle<()>>,
-    compactor: Option<JoinHandle<()>>,
 }
 
 /// Start serving `store` (with `catalog` supplying schemas for ingest
@@ -164,7 +162,6 @@ pub fn start(
         addr,
         recorder: FlightRecorder::new(config.recorder.clone()),
         durability,
-        compact: (Mutex::new(false), Condvar::new()),
         obs: pse_obs::current(),
     });
     let (tx, rx) = mpsc::sync_channel::<TcpStream>(config.queue_depth.max(1));
@@ -176,8 +173,7 @@ pub fn start(
         })
         .collect();
     let acceptor = spawn(&inner, move |inner| accept_loop(inner, &listener, &tx));
-    let compactor = inner.durability.is_some().then(|| spawn(&inner, compaction_loop));
-    Ok(ServerHandle { inner, acceptor, workers, compactor })
+    Ok(ServerHandle { inner, acceptor, workers })
 }
 
 /// Spawn a server thread that records into the server's `Obs`.
@@ -187,40 +183,6 @@ fn spawn(inner: &Arc<Inner>, body: impl FnOnce(&Inner) + Send + 'static) -> Join
         let _obs = inner.obs.as_ref().map(Obs::install);
         body(&inner)
     })
-}
-
-/// Background WAL compaction: wait until a writer signals the threshold
-/// was crossed (or shutdown), then fold the log into fresh segments.
-/// Holding the durability mutex across the fold keeps writers out, so
-/// the snapshot captures exactly the logged records. Errors are left for
-/// shutdown's final snapshot to surface — the WAL still has every record.
-fn compaction_loop(inner: &Inner) {
-    let Some(ctx) = &inner.durability else { return };
-    let (flag, cvar) = &inner.compact;
-    loop {
-        let mut pending = flag.lock().expect("compact flag");
-        while !*pending && !inner.stop.load(Ordering::SeqCst) {
-            let (next, _) =
-                cvar.wait_timeout(pending, Duration::from_millis(200)).expect("compact flag");
-            pending = next;
-        }
-        if inner.stop.load(Ordering::SeqCst) {
-            return; // shutdown writes the final snapshot itself
-        }
-        *pending = false;
-        drop(pending);
-        if ctx.durability().lock().expect("durability lock").wants_compaction() {
-            let _ = durable_snapshot(&inner.store, ctx);
-        }
-    }
-}
-
-/// Signal the compaction thread: a commit found the WAL past its
-/// threshold when it staged.
-fn request_compaction(inner: &Inner) {
-    let (flag, cvar) = &inner.compact;
-    *flag.lock().expect("compact flag") = true;
-    cvar.notify_one();
 }
 
 impl ServerHandle {
@@ -246,16 +208,12 @@ impl ServerHandle {
     /// thread, fold the WAL of a durable server, and hand back the store.
     pub fn shutdown(self) -> Result<ShardedStore, ServeError> {
         self.inner.stop.store(true, Ordering::SeqCst);
-        self.inner.compact.1.notify_one();
         // Wake the acceptor if it is blocked in accept(); an error just
         // means it already exited.
         let _ = TcpStream::connect(self.inner.addr);
         let _ = self.acceptor.join();
         for w in self.workers {
             let _ = w.join();
-        }
-        if let Some(c) = self.compactor {
-            let _ = c.join();
         }
         let inner = Arc::into_inner(self.inner).expect("all server threads joined");
         let _obs = inner.obs.as_ref().map(Obs::install);
@@ -800,27 +758,21 @@ enum WriteOp<'a> {
 
 /// Every store mutation the server performs goes through here: the one
 /// place that knows whether the server is durable. With a WAL the write
-/// commits through [`crate::durable`] (and may wake the compactor);
-/// without one it applies straight to the shards. Both arms run the
-/// same reconcile and the same shard apply, so the response is the same
-/// bytes either way (pinned by `durable_server.rs`).
+/// commits (and folds, if due) through [`crate::durable`]; without one
+/// it applies straight to the shards. Both arms run the same reconcile
+/// and the same shard apply, so the response is the same bytes either
+/// way (pinned by `durable_server.rs`).
 fn write(inner: &Inner, op: WriteOp<'_>) -> HandlerResult {
     let (store, catalog) = (&inner.store, &inner.catalog);
     let provider = FnProvider(|o: &Offer| o.spec.clone());
     let stats = match &inner.durability {
-        Some(ctx) => {
-            let committed = match op {
-                WriteOp::Ingest(offers) => commit_ingest(store, ctx, catalog, offers, &provider),
-                WriteOp::Retract(ids) => commit_retract(store, ctx, catalog, ids),
-            };
-            // A write we could not make durable is a server-side failure:
-            // the record never hit the log, so the store was not mutated.
-            let (stats, wants_compaction) = committed.map_err(|e| ApiError::from_serve(500, &e))?;
-            if wants_compaction {
-                request_compaction(inner);
-            }
-            stats
+        // A write we could not make durable is a server-side failure: the
+        // record never hit the log, so the store was not mutated.
+        Some(ctx) => match op {
+            WriteOp::Ingest(offers) => durable_ingest(store, ctx, catalog, offers, &provider),
+            WriteOp::Retract(ids) => durable_retract(store, ctx, catalog, ids),
         }
+        .map_err(|e| ApiError::from_serve(500, &e))?,
         None => match op {
             WriteOp::Ingest(offers) => store.ingest(catalog, offers, &provider),
             WriteOp::Retract(ids) => store.retract(catalog, ids),

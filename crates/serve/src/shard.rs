@@ -52,6 +52,7 @@ use pse_core::{Catalog, CategoryId, CorrespondenceSet, Offer, OfferId};
 use pse_store::{ClusterKey, IngestStats, ProductStore, PAR_APPLY_MIN_BATCH};
 use pse_synthesis::runtime::reconcile_batch;
 use pse_synthesis::{ReconciledOffer, RuntimeConfig, SpecProvider, SynthesizedProduct};
+use pse_wal::codec::{fnv1a_extend, FNV_OFFSET};
 use pse_wal::WalRecord;
 
 use crate::metrics;
@@ -59,35 +60,23 @@ use crate::snapshot::{
     changed_categories, empty_response, ResponseSlot, SearchSlot, SnapshotCell, StoreSnapshot,
 };
 
-/// 64-bit FNV-1a over a byte stream.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
-    bytes.iter().fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
-}
-
 /// Which of `n_shards` shards a cluster key lives in: FNV-1a over
 /// `(category, key attribute, normalized key value)` with `0xff`
 /// separators (no field concatenation can collide across boundaries,
 /// since the hashed strings never contain `0xff` after normalization).
 pub fn shard_of(key: &ClusterKey, n_shards: usize) -> usize {
-    let mut h = fnv1a(FNV_OFFSET, &key.0 .0.to_le_bytes());
-    h = fnv1a(h, &[0xff]);
-    h = fnv1a(h, key.1.as_bytes());
-    h = fnv1a(h, &[0xff]);
-    h = fnv1a(h, key.2.as_bytes());
+    let mut h = fnv1a_extend(FNV_OFFSET, &key.0 .0.to_le_bytes());
+    h = fnv1a_extend(h, &[0xff]);
+    h = fnv1a_extend(h, key.1.as_bytes());
+    h = fnv1a_extend(h, &[0xff]);
+    h = fnv1a_extend(h, key.2.as_bytes());
     (h % n_shards.max(1) as u64) as usize
 }
 
-/// A completed write: its stats plus the indices of the shards whose
-/// cluster state it changed — the incremental-snapshot layer (`pse-wal`)
-/// marks exactly these segments dirty.
+/// A completed write of already-reconciled offers.
 pub struct ShardedWrite {
     /// The write's ingest/retract stats.
     pub stats: IngestStats,
-    /// Shards whose cluster state changed (sorted, deduplicated).
-    pub dirty_shards: Vec<usize>,
 }
 
 /// One answered search: the ranked result plus, index-aligned with
@@ -205,8 +194,8 @@ impl ShardedStore {
         catalog: &Catalog,
         reconciled: Vec<ReconciledOffer>,
     ) -> ShardedWrite {
-        let (stats, dirty_shards) = self.apply(catalog, vec![WalRecord::Ingest(reconciled)]);
-        ShardedWrite { stats: stats[0], dirty_shards }
+        let (stats, _) = self.apply(catalog, vec![WalRecord::Ingest(reconciled)]);
+        ShardedWrite { stats: stats[0] }
     }
 
     /// Remove offers by id, re-fusing affected clusters. Shards holding
@@ -230,10 +219,7 @@ impl ShardedStore {
         let stats: Vec<IngestStats> = records
             .into_iter()
             .map(|record| {
-                let delta = match record {
-                    WalRecord::Ingest(reconciled) => store.ingest_reconciled(catalog, reconciled),
-                    WalRecord::Retract(ids) => store.retract(catalog, &ids),
-                };
+                let delta = record.apply_to(&mut store, catalog);
                 dirty.extend(delta.dirty);
                 delta.stats
             })
@@ -431,5 +417,23 @@ mod tests {
         let ha = (0..64).map(|n| shard_of(&a, n + 1)).collect::<Vec<_>>();
         let hb = (0..64).map(|n| shard_of(&b, n + 1)).collect::<Vec<_>>();
         assert_ne!(ha, hb);
+    }
+
+    /// Segment contents depend on where each key lands, so the router's
+    /// output for fixed keys is part of the on-disk format.
+    #[test]
+    fn shard_of_is_pinned_at_1_2_4_and_8_shards() {
+        let pinned = [
+            ((0, "MPN", "abc123"), [0, 0, 0, 0]),
+            ((3, "UPC", "0123456789012"), [0, 0, 2, 6]),
+            ((17, "Model", "xr 500"), [0, 0, 2, 2]),
+            ((42, "", ""), [0, 1, 1, 5]),
+            ((1, "MPN", "z"), [0, 1, 3, 3]),
+        ];
+        for ((category, attribute, value), want) in pinned {
+            let key = (CategoryId(category), attribute.to_string(), value.to_string());
+            let got = [1, 2, 4, 8].map(|n| shard_of(&key, n));
+            assert_eq!(got, want, "{key:?}");
+        }
     }
 }

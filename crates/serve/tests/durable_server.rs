@@ -1,13 +1,17 @@
-//! The durable server end-to-end (ISSUE 8 tentpole): WAL + segmented
-//! snapshots under the HTTP write path, restart recovery, the background
-//! compaction fold, and byte-equivalence with the WAL-less server.
+//! The durable server end-to-end: WAL + segmented snapshots under the
+//! HTTP write path, restart recovery, the fold a crossing commit runs,
+//! and byte-equivalence with the WAL-less server.
 
 mod common;
 
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 
 use common::fixture;
+use pse_obs::RequestTrace;
 use pse_serve::{http_request, ServerConfig, ShardedStore};
+use serde::Deserialize;
 
 fn tmp(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("pse-durable-srv-{tag}-{}", std::process::id()));
@@ -68,12 +72,18 @@ fn restart_recovers_http_served_state() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// With a tiny compaction threshold every batch crosses it, so the
-/// background thread folds the WAL repeatedly while requests flow; the
-/// folded state must still be exactly the ingested state, and the WAL
-/// must actually have been rotated (stayed small).
+/// The generation stamped in a WAL file's header (bytes 8..16).
+fn wal_gen(path: &Path) -> u64 {
+    let bytes = std::fs::read(path).unwrap();
+    u64::from_le_bytes(bytes[8..16].try_into().unwrap())
+}
+
+/// With a tiny compaction threshold every batch crosses it, so each
+/// `POST /ingest` folds the WAL before it answers: the fold is visible
+/// on disk the moment the first one returns. The folded state must
+/// still be exactly the ingested state.
 #[test]
-fn background_compaction_folds_while_serving() {
+fn a_crossing_commit_folds_before_it_answers() {
     let f = fixture();
     let dir = tmp("compact");
     let config = durable_config(&dir, 256);
@@ -81,10 +91,16 @@ fn background_compaction_folds_while_serving() {
     let store = ShardedStore::new(f.correspondences.clone(), 4);
     let handle = pse_serve::start(store, f.world.catalog.clone(), config.clone()).unwrap();
     let addr = handle.addr().to_string();
-    for batch in f.corpus.chunks(8) {
+    let wal = dir.join("wal.log");
+    let gen_at_start = wal_gen(&wal);
+    for (i, batch) in f.corpus.chunks(8).enumerate() {
         let body = serde_json::to_string(&batch.to_vec()).unwrap();
         let (status, _) = http_request(&addr, "POST", "/ingest", Some(&body)).unwrap();
         assert_eq!(status, 200);
+        if i == 0 {
+            assert!(dir.join("segments").join("manifest.json").exists());
+            assert!(wal_gen(&wal) > gen_at_start, "the first crossing commit rotated the log");
+        }
     }
     // Retract a couple of offers so the log holds both record kinds.
     let ids: Vec<u64> = f.corpus.iter().take(2).map(|o| o.id.0).collect();
@@ -92,14 +108,6 @@ fn background_compaction_folds_while_serving() {
         http_request(&addr, "POST", "/retract", Some(&serde_json::to_string(&ids).unwrap()))
             .unwrap();
     assert_eq!(status, 200);
-    // Give the compactor a beat to run at least once mid-serve.
-    std::thread::sleep(std::time::Duration::from_millis(400));
-    let manifest_before_shutdown =
-        std::fs::read_to_string(dir.join("segments").join("manifest.json")).unwrap();
-    assert!(
-        manifest_before_shutdown.contains("\"snapshot_id\""),
-        "compaction committed a manifest while serving"
-    );
     let first = handle.shutdown().unwrap();
 
     let empty = ShardedStore::new(f.correspondences.clone(), 4);
@@ -108,6 +116,44 @@ fn background_compaction_folds_while_serving() {
     // Clean shutdown folded everything: the log is just its header.
     let wal_len = std::fs::metadata(dir.join("wal.log")).unwrap().len();
     assert_eq!(wal_len, pse_wal::WAL_HEADER_LEN, "shutdown left a fully folded WAL");
+    handle.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The fold is part of the request that ran it: the trace of a
+/// crossing `POST /ingest` holds the `wal.snapshot` span.
+#[test]
+fn a_crossing_commit_traces_its_fold() {
+    let f = fixture();
+    let dir = tmp("trace");
+    let obs = pse_obs::Obs::new();
+    let handle = {
+        let _on = obs.install();
+        let store = ShardedStore::new(f.correspondences.clone(), 4);
+        pse_serve::start(store, f.world.catalog.clone(), durable_config(&dir, 256)).unwrap()
+    };
+    let addr = handle.addr().to_string();
+    let body = serde_json::to_string(&f.corpus[..8].to_vec()).unwrap();
+    let mut stream = TcpStream::connect(&addr).unwrap();
+    let head = format!(
+        "POST /ingest HTTP/1.1\r\nX-Pse-Trace-Id: f01d\r\nContent-Length: {}\r\n\r\n",
+        body.len()
+    );
+    stream.write_all(head.as_bytes()).unwrap();
+    stream.write_all(body.as_bytes()).unwrap();
+    let mut reply = Vec::new();
+    let _ = stream.read_to_end(&mut reply);
+    assert!(reply.starts_with(b"HTTP/1.1 200"), "{}", String::from_utf8_lossy(&reply));
+
+    let (status, trace) = http_request(&addr, "GET", "/debug/trace/f01d", None).unwrap();
+    assert_eq!(status, 200);
+    let trace = RequestTrace::from_value(&serde_json::from_str(&trace).unwrap()).unwrap();
+    assert_eq!(trace.endpoint, "ingest");
+    assert!(
+        trace.spans.iter().any(|s| s.path.ends_with("wal.snapshot")),
+        "{:?}",
+        trace.spans.iter().map(|s| &s.path).collect::<Vec<_>>()
+    );
     handle.shutdown().unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
 }

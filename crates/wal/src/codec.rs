@@ -35,12 +35,22 @@ const TAG_STR: u8 = 6;
 const TAG_ARRAY: u8 = 7;
 const TAG_OBJECT: u8 = 8;
 
-/// 64-bit FNV-1a over a byte slice — the checksum guarding WAL records
-/// and snapshot files (same constants as the shard router's hash).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// The 64-bit FNV-1a offset basis: the hash of no bytes.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continue a 64-bit FNV-1a hash from `hash` over `bytes`. Both hashes
+/// of the durable format are built on it: [`fnv1a`], and the shard
+/// router's hash of a cluster key (`pse_serve::shard_of`), which feeds
+/// its fields in one after another.
+pub fn fnv1a_extend(hash: u64, bytes: &[u8]) -> u64 {
     const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    bytes.iter().fold(FNV_OFFSET, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
+    bytes.iter().fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
+}
+
+/// 64-bit FNV-1a over a byte slice — the checksum guarding WAL records
+/// and snapshot files.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_extend(FNV_OFFSET, bytes)
 }
 
 /// Append the encoding of `v` to `out`.

@@ -53,7 +53,7 @@ use serde::{Deserialize, Serialize, Value};
 
 use crate::group::GroupCommitConfig;
 use crate::segments::{self, Manifest, SegmentEntry, SnapshotMeta};
-use crate::wal::{self, Wal, WalRecord, WAL_HEADER_LEN};
+use crate::wal::{self, Wal, WAL_HEADER_LEN};
 use crate::{codec, metrics, WalError, FORMAT_VERSION, METRICS};
 
 /// Where durable state lives and when to compact it.
@@ -163,7 +163,7 @@ fn replay(
         if generation_matches {
             stats.torn_bytes = tail.torn_bytes;
             for (record, _) in tail.records {
-                apply(&mut store, catalog, record);
+                record.apply_to(&mut store, catalog);
                 stats.wal_records_replayed += 1;
             }
             if stats.wal_records_replayed > 0 {
@@ -173,13 +173,6 @@ fn replay(
         }
     }
     Ok(Replayed { manifest, log, store: found.then_some((store, stats)) })
-}
-
-fn apply(store: &mut ProductStore, catalog: &Catalog, record: WalRecord) {
-    match record {
-        WalRecord::Ingest(reconciled) => store.ingest_reconciled(catalog, reconciled),
-        WalRecord::Retract(ids) => store.retract(catalog, &ids),
-    };
 }
 
 /// An open durability context: the WAL accepting appends, the last
@@ -255,7 +248,7 @@ impl Durability {
         self.manifest.is_none()
     }
 
-    /// Stage one pre-encoded record ([`WalRecord::payload`]) into the
+    /// Stage one pre-encoded record ([`crate::WalRecord::payload`]) into the
     /// log **without** waiting for durability, and return its commit LSN.
     /// The record is durable once a `sync_data` on [`Self::sync_handle`]
     /// covers that LSN; queue it ([`crate::CommitQueue::enqueue`]) under

@@ -29,7 +29,8 @@ use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use pse_core::OfferId;
+use pse_core::{Catalog, OfferId};
+use pse_store::{IngestDelta, ProductStore};
 use pse_synthesis::ReconciledOffer;
 use serde::{Deserialize, Serialize, Value};
 
@@ -68,6 +69,16 @@ impl WalRecord {
             ]),
         };
         codec::encode_to_vec(&value)
+    }
+
+    /// Run this record through `store`: the one place a logged mutation
+    /// meets the store, shared by recovery's replay and the serving
+    /// layer's apply pass. The delta names every cluster it touched.
+    pub fn apply_to(self, store: &mut ProductStore, catalog: &Catalog) -> IngestDelta {
+        match self {
+            Self::Ingest(reconciled) => store.ingest_reconciled(catalog, reconciled),
+            Self::Retract(ids) => store.retract(catalog, &ids),
+        }
     }
 
     /// Decode a payload. Only called on checksum-verified bytes, so a

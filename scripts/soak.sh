@@ -5,9 +5,13 @@
 # thread-count determinism suite (parallel_determinism) and pse-synthesis's
 # properties (the fusion kernel against its Appendix A reference) in
 # release mode with PROPTEST_SEED=seed and PROPTEST_CASES=CASES (the
-# default run is offset 0 at 128 cases). Stops at the first failing suite and prints the
-# seed that replays it. Not part of `cargo test`: at the defaults it
-# takes about 6 minutes on a 2-CPU host.
+# default run is offset 0 at 128 cases). Each seed also repeats the
+# durable write path's tests (pse-serve's durable_server and its
+# `durable::` unit tests: the fold a crossing commit runs, the poisons),
+# which hold no property tests but show a timing flake when run often.
+# Stops at the first failing suite and prints the seed that replays it.
+# Not part of `cargo test`: at the defaults it takes about 6 minutes on
+# a 2-CPU host.
 #
 # Usage: scripts/soak.sh [N=5] [CASES=1280]
 set -euo pipefail
@@ -21,6 +25,8 @@ suites=(
   "-p pse-wal --lib group::"
   "-p pse-obs --test parallel_determinism"
   "-p pse-synthesis --test properties"
+  "-p pse-serve --test durable_server"
+  "-p pse-serve --lib durable::"
 )
 
 # Build every suite once up front, so the seeds time only the tests.
