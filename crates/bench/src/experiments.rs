@@ -523,7 +523,7 @@ pub struct IncrementalBatchRow {
     pub full_recompute_ns: u64,
 }
 
-/// Result of replaying the Table-2 corpus through a [`ProductStore`].
+/// Result of replaying the Table-2 corpus through a [`pse_store::ProductStore`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct IncrementalRun {
     /// Number of batches requested.
@@ -540,7 +540,7 @@ pub struct IncrementalRun {
 }
 
 /// Replay the Table-2 corpus (offers matching no historical product) in
-/// `batches` batches through a [`ProductStore`], timing each incremental
+/// `batches` batches through a [`pse_store::ProductStore`], timing each incremental
 /// ingest against a from-scratch `process` over the same prefix. A
 /// snapshot/restore cycle runs (untimed) before the third batch to
 /// exercise persistence on the honest path.

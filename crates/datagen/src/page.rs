@@ -151,7 +151,7 @@ mod tests {
             style,
             &mut rng(),
         );
-        let extracted = pse_extract_for_test(&html);
+        let extracted = pse_extract::extract_pairs(&html);
         assert_eq!(extracted.get("Brand"), Some("Hitachi"));
         assert_eq!(extracted.get("Hard Disk Size"), Some("500"));
         assert_eq!(extracted.get("RPM"), Some("7200 rpm"));
@@ -161,7 +161,7 @@ mod tests {
     fn bullet_page_yields_no_table_pairs() {
         let style = PageStyle { bullet_specs: true, noise_table: false, banner_row: false };
         let html = render_landing_page("X", "M", 100, &spec(), style, &mut rng());
-        let extracted = pse_extract_for_test(&html);
+        let extracted = pse_extract::extract_pairs(&html);
         assert_eq!(extracted.get("Brand"), None);
     }
 
@@ -169,7 +169,7 @@ mod tests {
     fn noise_table_produces_bogus_pairs() {
         let style = PageStyle { bullet_specs: false, noise_table: true, banner_row: false };
         let html = render_landing_page("X", "M", 100, &spec(), style, &mut rng());
-        let extracted = pse_extract_for_test(&html);
+        let extracted = pse_extract::extract_pairs(&html);
         // Review rows are two-column, so at least one bogus pair appears.
         assert!(extracted.len() > spec().len(), "extracted {:?}", extracted);
     }
@@ -180,32 +180,5 @@ mod tests {
         let html =
             render_landing_page("3.5\" <Drive> & Co", "M", 100, &Spec::new(), style, &mut rng());
         assert!(html.contains("3.5&quot; &lt;Drive&gt; &amp; Co"));
-    }
-
-    /// Local re-implementation of the extraction call to avoid a circular
-    /// dev-dependency on `pse-extract` (which depends on nothing here, but
-    /// keeping datagen's dev-deps minimal keeps build graphs simple).
-    fn pse_extract_for_test(html: &str) -> Spec {
-        pse_html_parse(html)
-    }
-
-    fn pse_html_parse(html: &str) -> Spec {
-        // A tiny inline extractor equivalent to pse-extract's logic.
-        let doc = pse_html::parse(html);
-        let mut out = Spec::new();
-        for table in pse_html::extract_tables(&doc) {
-            for row in &table.rows {
-                if row.len() == 2
-                    && row[0].colspan == 1
-                    && row[1].colspan == 1
-                    && !(row[0].is_header && row[1].is_header)
-                    && !row[0].text.trim().is_empty()
-                    && !row[1].text.trim().is_empty()
-                {
-                    out.push(row[0].text.trim(), row[1].text.trim());
-                }
-            }
-        }
-        out
     }
 }

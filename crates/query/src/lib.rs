@@ -29,7 +29,7 @@
 //!    equivalent to a resolved constraint (so a constraint satisfied
 //!    through [`pse_text::normalize::values_equivalent`] can never be
 //!    missed). This makes the index provably a superset of the naive
-//!    full scan — [`search`] and [`search_scan`] are byte-identical,
+//!    full scan — [`search()`] and [`search_scan`] are byte-identical,
 //!    property-pinned in the crate tests.
 //! 4. **Ranking** — candidates order by (constraints satisfied desc,
 //!    TF-IDF cosine over interned tokens × `1 + ln(offers fused)` desc,

@@ -25,7 +25,7 @@
 //!
 //! Stages 3 and 4 are [`pse_wal::CommitQueue::commit`], one state
 //! machine behind one lock; this module supplies the records and
-//! [`apply_batch`]. Ingest and retract share one routine ([`commit`]);
+//! `apply_batch`. Ingest and retract share one routine (`commit`);
 //! they differ only in the [`WalRecord`] they hand it. Two invariants
 //! hold throughout: a record is fsynced *before* its effects are visible
 //! to readers, and every *published* state equals a sequential replay of

@@ -1,7 +1,7 @@
 //! Serving layer for the product store: the paper's Product Search
 //! Engine answers live queries while merchants stream offers in (PVLDB
 //! 4(7), Fig. 4); this crate puts the incremental [`pse_store`] behind a
-//! concurrent, sharded HTTP front — with zero external dependencies.
+//! concurrent HTTP front — with zero external dependencies.
 //!
 //! Three layers:
 //!
@@ -9,16 +9,18 @@
 //!   writer lock: every ingest/retract, volatile or durable, is one
 //!   atomic `apply` that mutates the store and publishes once. Readers
 //!   never touch that lock or a serializer — they load an immutable
-//!   published [`snapshot`] (MVCC), partitioned into `N` shards by FNV-1a
-//!   hash of `(category, key attribute, normalized key value)`, that
-//!   includes pre-serialized `GET /products/{category}` response bodies,
-//!   invalidated precisely by the dirty-cluster delta each write reports.
+//!   published [`snapshot`] (MVCC): every visible product by category,
+//!   with pre-serialized `GET /products/{category}` response bodies
+//!   invalidated by category, exactly when a write changes one of its
+//!   products. Shards only partition the snapshot segments on disk, by
+//!   FNV-1a hash of `(category, key attribute, normalized key value)`.
 //!   All outputs (products, snapshots, cached responses) are
 //!   byte-identical to the single store fed the same stream, at any
 //!   shard count — see the `shard` module docs.
-//! * **[`snapshot`]** — the immutable read-model types: per-shard
-//!   snapshots with per-product cached JSON, the whole-store snapshot
-//!   with its response cache, and the swap cell readers load it from.
+//! * **[`snapshot`]** — the immutable read-model types: the per-category
+//!   product map with per-product cached JSON, the whole-store snapshot
+//!   with its response and search caches, and the swap cell readers load
+//!   it from.
 //! * **[`server`]** — an HTTP/1.1 server on `std::net::TcpListener` with
 //!   a fixed worker pool and a bounded accept queue (503 on overload),
 //!   serving `GET /products/{category}`, `GET /product?...`,

@@ -606,7 +606,7 @@ fn h_products(inner: &Inner, _request: &Request, params: &Params) -> HandlerResu
         ));
     };
     // The hot path: one snapshot load, one map lookup, shared bytes —
-    // no shard lock, no per-request serialization. Byte-identical to
+    // no lock, no per-request serialization. Byte-identical to
     // `json_200(&inner.store.products_in_category(..))`.
     let _probe = pse_obs::span("cache_probe");
     Ok((200, "application/json", inner.store.products_response(CategoryId(category)).into()))
@@ -759,8 +759,8 @@ enum WriteOp<'a> {
 /// Every store mutation the server performs goes through here: the one
 /// place that knows whether the server is durable. With a WAL the write
 /// commits (and folds, if due) through [`crate::durable`]; without one
-/// it applies straight to the shards. Both arms run the same reconcile
-/// and the same shard apply, so the response is the same bytes either
+/// it applies straight to the store. Both arms run the same reconcile
+/// and the same `ShardedStore::apply`, so the response is the same bytes either
 /// way (pinned by `durable_server.rs`).
 fn write(inner: &Inner, op: WriteOp<'_>) -> HandlerResult {
     let (store, catalog) = (&inner.store, &inner.catalog);

@@ -1,26 +1,23 @@
-//! One writer, sharded reads: a [`ProductStore`] behind one writer lock,
-//! with an MVCC read path partitioned by FNV-1a hash of the cluster key
-//! — readers are served from immutable published snapshots
-//! ([`StoreSnapshot`]).
+//! One writer, one published read model: a [`ProductStore`] behind one
+//! writer lock, with readers served from immutable published snapshots
+//! ([`StoreSnapshot`]). Shards only partition the snapshot segments on
+//! disk: FNV-1a hash of the cluster key ([`shard_of`]).
 //!
 //! # Write path: one routine, publish with one swap
 //!
 //! Every mutation — a volatile ingest or retract, or a durable apply
 //! pass's batch of logged records — goes through `ShardedStore::apply`.
 //! Under the writer lock it runs the records through the store in order,
-//! groups the delta's dirty cluster keys by [`shard_of`], builds the
-//! successor [`ShardSnapshot`](crate::snapshot::ShardSnapshot) of each
-//! touched shard from the published
-//! one — carrying untouched entries forward by `Arc` clone and
+//! rebuilds the published [`Products`](crate::snapshot::Products) for
+//! exactly the categories the delta's dirty cluster keys name —
+//! carrying every other category forward by `Arc` clone and
 //! re-serializing exactly the dirty clusters — replaces the response and
-//! search slots of exactly the categories whose entries changed (pointer
-//! diff), and installs the whole thing with a single pointer swap. Every
-//! write is therefore atomic and serializable, whichever thread issues
-//! it. Re-fusion and the snapshot rebuild fan out to `pse-par` workers
-//! only from [`PAR_APPLY_MIN_BATCH`] offers or ids up.
-//!
-//! Shards keep two jobs: they partition the read model (a commit clones
-//! only the shards it touches) and the snapshot segments on disk
+//! search slots of the categories whose entries changed, and installs
+//! the whole thing with a single pointer swap. Every write is therefore
+//! atomic and serializable, whichever thread issues it. Re-fusion and
+//! the rebuild fan out to `pse-par` workers only from
+//! [`PAR_APPLY_MIN_BATCH`] offers or ids up. The same dirty keys, hashed
+//! by [`shard_of`], name the segments the next fold rewrites
 //! ([`ShardedStore::shard_clusters_value`]).
 //!
 //! # Read path: no locks held, no serializer run
@@ -30,20 +27,19 @@
 //! `products_in_category()`, and `product_for()` see one consistent
 //! point in time, and [`ShardedStore::products_response`] answers the
 //! hot `GET /products/{category}` with pre-serialized shared bytes. A
-//! multi-shard batch becomes visible all at once or not at all (pinned
-//! by `concurrent_reader_never_observes_partial_batch`).
+//! multi-category batch becomes visible all at once or not at all
+//! (pinned by `concurrent_reader_never_observes_partial_batch`).
 //!
 //! # Equivalence to the single store
 //!
 //! Every observable output is byte-identical to one [`ProductStore`] fed
 //! the same stream: the writer *is* one store, so the shard count cannot
-//! change cluster contents or member order; reads merge shard outputs
-//! back into cluster-key order, which is the store's `BTreeMap` order,
-//! and cached response bodies join per-product JSON exactly as the
-//! serializer would. Resharding is [`ShardedStore::from_store`] over
-//! [`ShardedStore::to_store`]. Pinned by proptests in
-//! `tests/sharded_equivalence.rs` over arbitrary ingest/retract
-//! interleavings at 1/2/4/8 shards.
+//! change cluster contents or member order; the read model keeps the
+//! store's cluster-key order, and cached response bodies join
+//! per-product JSON exactly as the serializer would. Resharding is
+//! [`ShardedStore::from_store`] over [`ShardedStore::to_store`]. Pinned
+//! by proptests in `tests/sharded_equivalence.rs` over arbitrary
+//! ingest/retract interleavings at 1/2/4/8 shards.
 
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -56,9 +52,7 @@ use pse_wal::codec::{fnv1a_extend, FNV_OFFSET};
 use pse_wal::WalRecord;
 
 use crate::metrics;
-use crate::snapshot::{
-    changed_categories, empty_response, ResponseSlot, SearchSlot, SnapshotCell, StoreSnapshot,
-};
+use crate::snapshot::{empty_response, ResponseSlot, SearchSlot, SnapshotCell, StoreSnapshot};
 
 /// Which of `n_shards` shards a cluster key lives in: FNV-1a over
 /// `(category, key attribute, normalized key value)` with `0xff`
@@ -89,9 +83,10 @@ pub struct SearchOutcome {
     pub hit_json: Vec<Arc<str>>,
 }
 
-/// A product store with a shard-partitioned read path, safe to share
-/// across server worker threads (`&self` ingest/retract/read). See the
-/// module docs for the snapshot protocol and the equivalence guarantee.
+/// A product store with a lock-free read path and shard-partitioned
+/// snapshot segments, safe to share across server worker threads
+/// (`&self` ingest/retract/read). See the module docs for the snapshot
+/// protocol and the equivalence guarantee.
 pub struct ShardedStore {
     correspondences: CorrespondenceSet,
     config: RuntimeConfig,
@@ -110,21 +105,18 @@ impl ShardedStore {
         Self::from_store(ProductStore::new(correspondences), n_shards)
     }
 
-    /// Wrap an existing single store, its read model split across
+    /// Wrap an existing single store, its snapshot segments split across
     /// `n_shards` shards.
     pub fn from_store(store: ProductStore, n_shards: usize) -> Self {
-        let n = n_shards.max(1);
-        let shards = vec![Arc::default(); n];
         let visible: Vec<ClusterKey> = store.products_keyed().map(|(k, _)| k.clone()).collect();
         let this = Self {
             correspondences: store.correspondences().clone(),
             config: store.config().clone(),
-            n_shards: n,
-            published: SnapshotCell::new(Arc::new(StoreSnapshot { shards, ..Default::default() })),
+            n_shards: n_shards.max(1),
+            published: SnapshotCell::new(Arc::default()),
             writer: Mutex::new(store),
         };
-        let batch = visible.len();
-        this.publish(&this.writer(), this.by_shard(visible), batch);
+        this.publish(&this.writer(), &visible, visible.len());
         this
     }
 
@@ -198,22 +190,23 @@ impl ShardedStore {
         ShardedWrite { stats: stats[0] }
     }
 
-    /// Remove offers by id, re-fusing affected clusters. Shards holding
-    /// none of the ids keep their published snapshot pointer-identical.
+    /// Remove offers by id, re-fusing affected clusters. Categories
+    /// holding none of the ids keep their published entries
+    /// pointer-identical.
     pub fn retract(&self, catalog: &Catalog, ids: &[OfferId]) -> IngestStats {
         self.apply(catalog, vec![WalRecord::Retract(ids.to_vec())]).0[0]
     }
 
     /// The one place a [`WalRecord`] mutates the store: under the writer
     /// lock, run `records` through the store in order, rebuild the
-    /// snapshots of the shards their dirty clusters hash to, and publish
-    /// once. Returns each record's stats and the shards whose cluster
-    /// state changed (sorted).
+    /// categories their dirty clusters belong to, and publish once.
+    /// Returns each record's stats and the shards whose cluster state
+    /// changed.
     pub(crate) fn apply(
         &self,
         catalog: &Catalog,
         records: Vec<WalRecord>,
-    ) -> (Vec<IngestStats>, Vec<usize>) {
+    ) -> (Vec<IngestStats>, BTreeSet<usize>) {
         let mut store = self.writer();
         let mut dirty: BTreeSet<ClusterKey> = BTreeSet::new();
         let stats: Vec<IngestStats> = records
@@ -224,82 +217,51 @@ impl ShardedStore {
                 delta.stats
             })
             .collect();
-        let by_shard = self.by_shard(dirty);
-        let dirty_shards = (0..self.n_shards).filter(|&i| !by_shard[i].is_empty()).collect();
+        let dirty_shards = dirty.iter().map(|key| shard_of(key, self.n_shards)).collect();
+        let dirty: Vec<ClusterKey> = dirty.into_iter().collect();
         let batch = stats.iter().map(|s| s.offers_in).sum();
-        let invalidated = self.publish(&store, by_shard, batch);
+        let invalidated = self.publish(&store, &dirty, batch);
         pse_obs::add(metrics::CACHE_INVALIDATED, invalidated as u64);
         (stats, dirty_shards)
     }
 
-    /// `keys` grouped by shard, index-aligned with the shards.
-    fn by_shard(&self, keys: impl IntoIterator<Item = ClusterKey>) -> Vec<Vec<ClusterKey>> {
-        let mut by_shard = vec![Vec::new(); self.n_shards];
-        for key in keys {
-            by_shard[shard_of(&key, self.n_shards)].push(key);
-        }
-        by_shard
-    }
-
-    /// Rebuild each shard's snapshot from the published one, re-resolving
-    /// its `dirty` keys against `store` (concurrently across shards for a
-    /// `batch` of [`PAR_APPLY_MIN_BATCH`] or more), and swap in the
+    /// Rebuild the published products for the `dirty` keys (sorted),
+    /// re-resolving them against `store` (concurrently across categories
+    /// for a `batch` of [`PAR_APPLY_MIN_BATCH`] or more), and swap in the
     /// successor. Response and search slots are replaced for exactly the
-    /// categories whose entries changed, found by pointer diff; returns
-    /// how many. Called with the writer lock held, so each publish builds
-    /// on the last.
-    fn publish(&self, store: &ProductStore, dirty: Vec<Vec<ClusterKey>>, batch: usize) -> usize {
-        let touched: Vec<(usize, Vec<ClusterKey>)> =
-            dirty.into_iter().enumerate().filter(|(_, keys)| !keys.is_empty()).collect();
+    /// categories whose entries changed; returns how many. Called with
+    /// the writer lock held, so each publish builds on the last.
+    fn publish(&self, store: &ProductStore, dirty: &[ClusterKey], batch: usize) -> usize {
         let current = self.published.load();
-        let min_chunk = if batch < PAR_APPLY_MIN_BATCH { touched.len() } else { 1 };
-        let rebuilt = pse_par::par_map_chunked(&touched, min_chunk, |(i, keys)| {
-            current.shards[*i].rebuilt(store, keys)
-        });
-        let mut shards = current.shards.clone();
-        let mut dirty_categories = BTreeSet::new();
-        for ((i, _), snap) in touched.iter().zip(rebuilt) {
-            changed_categories(&shards[*i], &snap, &mut dirty_categories);
-            shards[*i] = Arc::new(snap);
-        }
-        if dirty_categories.is_empty() {
+        let (products, changed) =
+            current.shards.rebuilt(store, dirty, batch >= PAR_APPLY_MIN_BATCH);
+        if changed.is_empty() {
             return 0;
         }
         let mut responses = current.responses.clone();
         let mut search = current.search.clone();
-        for &category in &dirty_categories {
+        for &category in &changed {
             // A fresh slot: the next reader of the category assembles
             // the body; untouched categories keep their built slots.
             // The search index invalidates in lockstep.
             responses.insert(category, Arc::new(ResponseSlot::default()));
             search.insert(category, Arc::new(SearchSlot::default()));
         }
-        self.published.swap(Arc::new(StoreSnapshot { shards, responses, search }));
-        dirty_categories.len()
+        self.published.swap(Arc::new(StoreSnapshot { shards: products, responses, search }));
+        changed.len()
     }
 
     /// Current products in cluster-key order — the exact sequence the
     /// single store (and `RuntimePipeline::process`) would emit. Reads
-    /// one published snapshot; no locks are held while merging.
+    /// one published snapshot; no locks are held.
     pub fn products(&self) -> Vec<SynthesizedProduct> {
-        let snap = self.published.load();
-        let mut keyed: Vec<(&ClusterKey, &SynthesizedProduct)> =
-            snap.shards.iter().flat_map(|s| s.entries().map(|(k, e)| (k, &e.product))).collect();
-        keyed.sort_by(|a, b| a.0.cmp(b.0));
-        keyed.into_iter().map(|(_, p)| p.clone()).collect()
+        self.published.load().shards.entries().map(|e| e.product.clone()).collect()
     }
 
     /// Products of one category, in cluster-key order, from one
     /// published snapshot.
     pub fn products_in_category(&self, category: CategoryId) -> Vec<SynthesizedProduct> {
-        let snap = self.published.load();
-        let mut keyed: Vec<(&ClusterKey, &SynthesizedProduct)> = snap
-            .shards
-            .iter()
-            .flat_map(|s| s.category_entries(category).map(|(k, e)| (k, &e.product)))
-            .collect();
-        keyed.sort_by(|a, b| a.0.cmp(b.0));
-        keyed.into_iter().map(|(_, p)| p.clone()).collect()
+        self.published.load().shards.category(category).map(|e| e.product.clone()).collect()
     }
 
     /// The `GET /products/{category}` body: an atomic snapshot load
@@ -329,27 +291,21 @@ impl ShardedStore {
 
     /// The product for one cluster key, from one published snapshot.
     pub fn product_for(&self, key: &ClusterKey) -> Option<SynthesizedProduct> {
-        let snap = self.published.load();
-        let shard = &snap.shards[shard_of(key, snap.shards.len())];
-        shard.entry(key).map(|e| e.product.clone())
+        self.published.load().shards.entry(key).map(|e| e.product.clone())
     }
 
     /// The pre-serialized `GET /product?...` body for one cluster key:
     /// the snapshot's cached per-product JSON — no lock, no serializer.
     /// Byte-identical to `serde_json::to_string(&product_for(key))`.
     pub fn product_response(&self, key: &ClusterKey) -> Option<Arc<str>> {
-        let snap = self.published.load();
-        let shard = &snap.shards[shard_of(key, snap.shards.len())];
-        shard.entry(key).map(|e| Arc::clone(&e.json))
+        self.published.load().shards.entry(key).map(|e| Arc::clone(&e.json))
     }
 
     /// Answer a free-text query from one published snapshot: resolve it
     /// into constraints with `pse-query`, retrieve and rank through the
     /// snapshot's per-category indexes (built lazily, cached until the
     /// category's next publish), and attach each hit's cached product
-    /// JSON. No lock, no serializer — and because every index is
-    /// built from the merged entries in cluster-key order, the outcome
-    /// is byte-identical at any shard count.
+    /// JSON. No lock, no serializer.
     pub fn search(&self, query: &str, k: usize) -> SearchOutcome {
         let snap = self.published.load();
         let index: pse_query::SearchIndex = snap
@@ -363,10 +319,10 @@ impl ShardedStore {
             .iter()
             .map(|h| {
                 let key = (h.category, h.key_attribute.clone(), h.key_value.clone());
-                let shard = &snap.shards[shard_of(&key, snap.shards.len())];
                 // Hits come from the same snapshot, so the entry exists;
                 // "null" keeps the response well-formed regardless.
-                shard.entry(&key).map(|e| Arc::clone(&e.json)).unwrap_or_else(|| Arc::from("null"))
+                let entry = snap.shards.entry(&key);
+                entry.map(|e| Arc::clone(&e.json)).unwrap_or_else(|| Arc::from("null"))
             })
             .collect();
         SearchOutcome { result, hit_json }

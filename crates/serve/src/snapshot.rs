@@ -1,28 +1,27 @@
 //! Immutable read-model types for the MVCC serving path.
 //!
-//! A [`ShardSnapshot`] is one shard's visible products frozen at one
-//! publish: a cluster-key-ordered map of [`ProductEntry`] values, each
-//! carrying the product *and* its pre-serialized JSON. Snapshots are
-//! never mutated — an ingest/retract builds a successor by cloning the
-//! map and replacing only the entries its dirty-cluster delta names, so
-//! untouched entries keep their `Arc` identity across publishes.
+//! [`Products`] is every visible product frozen at one publish: a
+//! category → cluster-key-ordered map of [`ProductEntry`] values, each
+//! carrying the product *and* its pre-serialized JSON. It is never
+//! mutated — a write builds a successor by re-resolving exactly the
+//! cluster keys its delta names, so untouched categories keep their
+//! `Arc` identity across publishes, and the rebuild reports which
+//! categories it changed.
 //!
 //! A [`StoreSnapshot`] is the whole store frozen at one instant: the
-//! per-shard snapshots plus a category → pre-assembled response-body
-//! cache. Readers obtain it from a [`SnapshotCell`] with a single
-//! refcount increment and then see a fully consistent state — either all
-//! of a published batch or none of it — which is what closes the torn
-//! cross-shard read the per-shard-lock read path allowed.
+//! products plus per-category response-body and search-index slots.
+//! Readers obtain it from a [`SnapshotCell`] with a single refcount
+//! increment and then see a fully consistent state — either all of a
+//! published batch or none of it.
 //!
-//! Entry `Arc` identity doubles as the invalidation signal: the
-//! publisher diffs the old and new shard snapshots pointer-by-pointer
-//! ([`changed_categories`]) and rebuilds exactly the category bodies
-//! whose entries changed. Because the vendored `serde_json` serializes a
-//! `Vec<T>` as the compact `[` + `,`-joined elements + `]`, joining the
-//! cached per-product JSON strings reproduces
-//! `serde_json::to_string(&products_in_category(c))` byte for byte.
+//! A publish replaces the slots of exactly the categories the rebuild
+//! changed; every other slot carries forward, built or not. Because the
+//! vendored `serde_json` serializes a `Vec<T>` as the compact `[` +
+//! `,`-joined elements + `]`, joining the cached per-product JSON strings
+//! reproduces `serde_json::to_string(&products_in_category(c))` byte for
+//! byte.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock, RwLock};
 
 use pse_core::{CategoryId, CorrespondenceSet};
@@ -47,65 +46,84 @@ impl ProductEntry {
     }
 }
 
-/// One category's visible clusters within a shard, in key order. The
-/// full [`ClusterKey`] stays the map key (the category component is
-/// redundant with the outer level) so point lookups and iterators hand
-/// out the same types as a flat map would.
-pub type CategoryClusters = BTreeMap<ClusterKey, Arc<ProductEntry>>;
+/// One category's visible clusters, in key order. The full
+/// [`ClusterKey`] stays the map key (the category component is redundant
+/// with the outer level), so a point lookup takes a `&ClusterKey`. It
+/// sits behind an `Arc` so that the copy-on-write clone of a category a
+/// commit touches bumps one refcount per cluster instead of copying two
+/// strings (with copied keys, an 8-offer apply on a 2,584-product store
+/// read a p50 of ~170 us against ~128 us with shared ones, 2-CPU host).
+pub type CategoryClusters = BTreeMap<Arc<ClusterKey>, Arc<ProductEntry>>;
 
-/// One shard's visible products, frozen at one publish.
+/// Every visible product, frozen at one publish.
 ///
-/// Two-level layout: category → `Arc` of that category's cluster map.
-/// A successor snapshot clones the outer map (a handful of refcounts)
-/// and deep-clones only the categories its delta touches, so per-commit
-/// publish cost is bounded by category size, not store size — with one
-/// flat map, every commit re-cloned every key in the shard, which at
-/// paper scale cost more than the fsync it rode behind.
-#[derive(Debug, Default)]
-pub struct ShardSnapshot {
+/// Two-level layout: category → `Arc` of that category's cluster map,
+/// the unit every read-side cache is keyed by. A successor clones the
+/// outer map (a handful of refcounts) and deep-clones only the
+/// categories its delta touches, so per-commit publish cost is bounded
+/// by category size, not store size — with one flat map, every commit
+/// re-cloned every key in the store, which at paper scale cost more
+/// than the fsync it rode behind.
+#[derive(Debug, Default, Clone)]
+pub struct Products {
     /// Visible products (fused, at or above `min_cluster_size`),
     /// grouped by category, each category in cluster-key order.
     /// Categories with no visible product are absent.
     pub categories: BTreeMap<CategoryId, Arc<CategoryClusters>>,
 }
 
-impl ShardSnapshot {
-    /// Build the successor snapshot: carry categories forward by `Arc`
-    /// clone, deep-clone only the ones named by `dirty`, and re-resolve
-    /// the dirty keys against the store — re-serializing a changed
-    /// product, dropping a vanished one.
-    pub fn rebuilt(&self, store: &ProductStore, dirty: &[ClusterKey]) -> Self {
-        let mut categories = self.categories.clone();
-        for key in dirty {
-            match store.product_for(key) {
-                Some(p) => {
-                    Arc::make_mut(categories.entry(key.0).or_default())
-                        .insert(key.clone(), ProductEntry::new(p.clone()));
-                }
-                None => {
-                    if let Some(cat) = categories.get_mut(&key.0) {
-                        Arc::make_mut(cat).remove(key);
-                        if cat.is_empty() {
-                            categories.remove(&key.0);
-                        }
-                    }
+impl Products {
+    /// Build the successor: re-resolve the `dirty` keys (sorted, so each
+    /// category's keys are adjacent) against the store — re-serializing
+    /// a changed product, dropping a vanished one — and carry every other
+    /// category forward by `Arc` clone. Categories are rebuilt on
+    /// `pse-par` workers when `parallel`, inline otherwise. Returns the
+    /// successor and the categories whose entries changed: a dirty key
+    /// that was absent and stays absent changes nothing.
+    pub fn rebuilt(
+        &self,
+        store: &ProductStore,
+        dirty: &[ClusterKey],
+        parallel: bool,
+    ) -> (Self, Vec<CategoryId>) {
+        let by_category: Vec<&[ClusterKey]> = dirty.chunk_by(|a, b| a.0 == b.0).collect();
+        let min_chunk = if parallel { 1 } else { by_category.len() };
+        let rebuilt = pse_par::par_map_chunked(&by_category, min_chunk, |keys| {
+            let mut clusters = self.categories.get(&keys[0].0).cloned().unwrap_or_default();
+            let mut changed = false;
+            for key in keys.iter() {
+                if let Some(p) = store.product_for(key) {
+                    Arc::make_mut(&mut clusters)
+                        .insert(Arc::new(key.clone()), ProductEntry::new(p.clone()));
+                    changed = true;
+                } else if clusters.contains_key(key) {
+                    Arc::make_mut(&mut clusters).remove(key);
+                    changed = true;
                 }
             }
+            changed.then_some((keys[0].0, clusters))
+        });
+        let mut next = self.clone();
+        let mut changed = Vec::new();
+        for (category, clusters) in rebuilt.into_iter().flatten() {
+            changed.push(category);
+            if clusters.is_empty() {
+                next.categories.remove(&category);
+            } else {
+                next.categories.insert(category, clusters);
+            }
         }
-        Self { categories }
+        (next, changed)
     }
 
-    /// This shard's entries for one category, in cluster-key order.
-    pub fn category_entries(
-        &self,
-        category: CategoryId,
-    ) -> impl Iterator<Item = (&ClusterKey, &Arc<ProductEntry>)> {
-        self.categories.get(&category).into_iter().flat_map(|m| m.iter())
+    /// One category's entries, in cluster-key order.
+    pub fn category(&self, category: CategoryId) -> impl Iterator<Item = &Arc<ProductEntry>> {
+        self.categories.get(&category).into_iter().flat_map(|m| m.values())
     }
 
-    /// Every entry in the shard, in cluster-key order.
-    pub fn entries(&self) -> impl Iterator<Item = (&ClusterKey, &Arc<ProductEntry>)> {
-        self.categories.values().flat_map(|m| m.iter())
+    /// Every entry, in cluster-key order.
+    pub fn entries(&self) -> impl Iterator<Item = &Arc<ProductEntry>> {
+        self.categories.values().flat_map(|m| m.values())
     }
 
     /// The entry for `key`, if visible.
@@ -115,7 +133,7 @@ impl ShardSnapshot {
 }
 
 /// One category's `GET /products/{category}` response body, assembled
-/// lazily: a publish that touches the category installs an empty slot,
+/// lazily: a publish that changes the category installs an empty slot,
 /// and the first reader pays the assembly (subsequent readers share the
 /// built body). Keeps response assembly — O(category size) of JSON
 /// joining — off the commit path entirely, where it taxed every ingest
@@ -132,19 +150,18 @@ impl ResponseSlot {
     }
 
     /// The body, assembling (and caching) it on first call.
-    pub fn get_or_build(&self, shards: &[Arc<ShardSnapshot>], category: CategoryId) -> Arc<[u8]> {
-        Arc::clone(self.cell.get_or_init(|| category_response(shards, category)))
+    pub fn get_or_build(&self, products: &Products, category: CategoryId) -> Arc<[u8]> {
+        Arc::clone(self.cell.get_or_init(|| category_response(products, category)))
     }
 }
 
 /// One category's `GET /search` index, assembled lazily exactly like
-/// [`ResponseSlot`]: publish installs an empty slot for each dirty
-/// category (untouched categories carry their built index forward by
+/// [`ResponseSlot`]: publish installs an empty slot for each changed
+/// category (every other category carries its built index forward by
 /// `Arc`), and the first search after that pays the build. The index is
-/// built from the merged shard entries in cluster-key order, so it is
-/// identical at any shard count, and it swaps atomically with the store
-/// snapshot it lives in — a search never sees an index newer or older
-/// than the products it ranks.
+/// built from the category's entries in cluster-key order, and it swaps
+/// atomically with the store snapshot it lives in — a search never sees
+/// an index newer or older than the products it ranks.
 #[derive(Debug, Default)]
 pub struct SearchSlot {
     cell: OnceLock<Arc<CategoryIndex>>,
@@ -154,27 +171,26 @@ impl SearchSlot {
     /// The index, building (and caching) it on first call.
     pub fn get_or_build(
         &self,
-        shards: &[Arc<ShardSnapshot>],
+        products: &Products,
         category: CategoryId,
         correspondences: &CorrespondenceSet,
     ) -> Arc<CategoryIndex> {
         Arc::clone(self.cell.get_or_init(|| {
-            let mut entries: Vec<(&ClusterKey, &Arc<ProductEntry>)> =
-                shards.iter().flat_map(|s| s.category_entries(category)).collect();
-            entries.sort_by(|a, b| a.0.cmp(b.0));
             let products: Vec<&SynthesizedProduct> =
-                entries.iter().map(|(_, e)| &e.product).collect();
+                products.category(category).map(|e| &e.product).collect();
             Arc::new(CategoryIndex::build(category, &products, correspondences))
         }))
     }
 }
 
-/// The whole store frozen at one instant: per-shard snapshots plus the
-/// `GET /products/{category}` response-body cache.
+/// The whole store frozen at one instant: its visible products plus the
+/// per-category response-body and search-index caches.
 #[derive(Debug, Default)]
 pub struct StoreSnapshot {
-    /// One snapshot per shard, index-aligned with the shard vector.
-    pub shards: Vec<Arc<ShardSnapshot>>,
+    /// Every visible product. The name is older than the type: it keeps
+    /// the field's name from when the read model was split into shards
+    /// until the next change to the benchmark, which compiles against it.
+    pub shards: Products,
     /// Category → response-body slot (the body is the compact JSON
     /// array of the category's products in cluster-key order).
     /// Categories that never had a visible product are absent; readers
@@ -182,7 +198,7 @@ pub struct StoreSnapshot {
     /// untouched by a publish carry forward already built.
     pub responses: BTreeMap<CategoryId, Arc<ResponseSlot>>,
     /// Category → search-index slot, invalidated in lockstep with
-    /// `responses` (same dirty-category diff, same lazy build).
+    /// `responses` (same changed categories, same lazy build).
     pub search: BTreeMap<CategoryId, Arc<SearchSlot>>,
 }
 
@@ -192,19 +208,14 @@ pub fn empty_response() -> Arc<[u8]> {
     Arc::clone(EMPTY.get_or_init(|| Arc::from(&b"[]"[..])))
 }
 
-/// Assemble one category's response body from the shard snapshots:
-/// merge the (disjoint) per-shard entries into cluster-key order and
-/// join their cached JSON — byte-identical to serializing the product
-/// vector.
-pub fn category_response(shards: &[Arc<ShardSnapshot>], category: CategoryId) -> Arc<[u8]> {
-    let mut entries: Vec<(&ClusterKey, &Arc<ProductEntry>)> =
-        shards.iter().flat_map(|s| s.category_entries(category)).collect();
-    entries.sort_by(|a, b| a.0.cmp(b.0));
-    let mut body = Vec::with_capacity(
-        2 + entries.iter().map(|(_, e)| e.json.len() + 1).sum::<usize>().saturating_sub(1),
-    );
+/// Assemble one category's response body: join its entries' cached
+/// JSON in cluster-key order — byte-identical to serializing the
+/// product vector.
+pub fn category_response(products: &Products, category: CategoryId) -> Arc<[u8]> {
+    let len = products.category(category).map(|e| e.json.len() + 1).sum::<usize>();
+    let mut body = Vec::with_capacity(len + 2);
     body.push(b'[');
-    for (i, (_, e)) in entries.iter().enumerate() {
+    for (i, e) in products.category(category).enumerate() {
         if i > 0 {
             body.push(b',');
         }
@@ -212,50 +223,6 @@ pub fn category_response(shards: &[Arc<ShardSnapshot>], category: CategoryId) ->
     }
     body.push(b']');
     body.into()
-}
-
-/// Collect into `out` every category whose entries differ between two
-/// snapshots of the same shard. Carry-forward preserves `Arc` identity
-/// for untouched categories, so one pointer comparison per category
-/// finds exactly the changed, added, and removed ones — no per-cluster
-/// walk.
-pub fn changed_categories(
-    old: &ShardSnapshot,
-    new: &ShardSnapshot,
-    out: &mut BTreeSet<CategoryId>,
-) {
-    let mut a = old.categories.iter().peekable();
-    let mut b = new.categories.iter().peekable();
-    loop {
-        match (a.peek(), b.peek()) {
-            (Some((ka, ea)), Some((kb, eb))) => match ka.cmp(kb) {
-                std::cmp::Ordering::Less => {
-                    out.insert(**ka);
-                    a.next();
-                }
-                std::cmp::Ordering::Greater => {
-                    out.insert(**kb);
-                    b.next();
-                }
-                std::cmp::Ordering::Equal => {
-                    if !Arc::ptr_eq(ea, eb) {
-                        out.insert(**ka);
-                    }
-                    a.next();
-                    b.next();
-                }
-            },
-            (Some((ka, _)), None) => {
-                out.insert(**ka);
-                a.next();
-            }
-            (None, Some((kb, _))) => {
-                out.insert(**kb);
-                b.next();
-            }
-            (None, None) => break,
-        }
-    }
 }
 
 /// The swap cell readers load the current [`StoreSnapshot`] from.
@@ -305,46 +272,20 @@ mod tests {
         )
     }
 
-    fn snap(entries: Vec<(ClusterKey, Arc<ProductEntry>)>) -> ShardSnapshot {
-        let mut categories: BTreeMap<CategoryId, Arc<CategoryClusters>> = BTreeMap::new();
-        for (k, e) in entries {
-            Arc::make_mut(categories.entry(k.0).or_default()).insert(k, e);
+    #[test]
+    fn category_response_joins_entries_in_key_order() {
+        let mut products = Products::default();
+        for (k, e) in [
+            entry(1, "bbb", "{\"b\":2}"),
+            entry(2, "ccc", "{\"c\":3}"),
+            entry(1, "aaa", "{\"a\":1}"),
+        ] {
+            Arc::make_mut(products.categories.entry(k.0).or_default()).insert(Arc::new(k), e);
         }
-        ShardSnapshot { categories }
-    }
-
-    #[test]
-    fn category_response_merges_shards_in_key_order() {
-        let (k1, e1) = entry(1, "aaa", "{\"a\":1}");
-        let (k2, e2) = entry(1, "bbb", "{\"b\":2}");
-        let (k3, e3) = entry(2, "ccc", "{\"c\":3}");
-        let shards = vec![Arc::new(snap(vec![(k2, e2), (k3, e3)])), Arc::new(snap(vec![(k1, e1)]))];
-        assert_eq!(&category_response(&shards, CategoryId(1))[..], b"[{\"a\":1},{\"b\":2}]");
-        assert_eq!(&category_response(&shards, CategoryId(2))[..], b"[{\"c\":3}]");
-        assert_eq!(&category_response(&shards, CategoryId(9))[..], b"[]");
+        assert_eq!(&category_response(&products, CategoryId(1))[..], b"[{\"a\":1},{\"b\":2}]");
+        assert_eq!(&category_response(&products, CategoryId(2))[..], b"[{\"c\":3}]");
+        assert_eq!(&category_response(&products, CategoryId(9))[..], b"[]");
         assert_eq!(&empty_response()[..], b"[]");
-    }
-
-    #[test]
-    fn changed_categories_walks_pointer_identity() {
-        let (k1, e1) = entry(1, "aaa", "{}");
-        let (k2, e2) = entry(2, "bbb", "{}");
-        let (k3, e3) = entry(3, "ccc", "{}");
-        let old = snap(vec![(k1, e1), (k2.clone(), e2)]);
-        // Successor built the way `rebuilt` does: category 1 carried
-        // forward (same Arc), category 2 replaced, category 3 added.
-        let (_, e2b) = entry(2, "bbb", "{}");
-        let mut categories = old.categories.clone();
-        categories.insert(CategoryId(2), Arc::new(CategoryClusters::from([(k2, e2b)])));
-        Arc::make_mut(categories.entry(CategoryId(3)).or_default()).insert(k3, e3);
-        let new = ShardSnapshot { categories };
-        let mut out = BTreeSet::new();
-        changed_categories(&old, &new, &mut out);
-        assert_eq!(out, BTreeSet::from([CategoryId(2), CategoryId(3)]));
-        // Removal is also a change.
-        let mut out = BTreeSet::new();
-        changed_categories(&new, &old, &mut out);
-        assert_eq!(out, BTreeSet::from([CategoryId(2), CategoryId(3)]));
     }
 
     #[test]

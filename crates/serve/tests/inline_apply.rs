@@ -1,6 +1,6 @@
-//! Where a write's shard tasks run: a durable 8-offer commit applies on
-//! the committing thread — too small a batch to pay for a `pse-par`
-//! spawn — while a preload-sized batch still fans out. Read off the
+//! Where a write's rebuild tasks run: a durable 8-offer commit rebuilds
+//! its categories on the committing thread — too small a batch to pay
+//! for a `pse-par` spawn — while a preload-sized batch still fans out. Read off the
 //! `pse-obs` timeline, where a call that ran inline records exactly one
 //! chunk.
 
@@ -46,13 +46,15 @@ fn a_durable_8_offer_commit_runs_its_shard_tasks_on_the_callers_thread() {
             durable_ingest(&store, &ctx, &f.world.catalog, &f.corpus[..8], &provider).unwrap();
         });
         let after = store.snapshot();
-        let touched = before.shards.iter().zip(&after.shards);
-        let touched = touched.filter(|(b, a)| !Arc::ptr_eq(b, a)).count();
-        assert!(touched >= 2, "the batch must span shards to have tasks to spread");
+        let touched =
+            after.shards.categories.iter().filter(|(c, a)| {
+                before.shards.categories.get(c).is_none_or(|b| !Arc::ptr_eq(b, a))
+            });
+        assert!(touched.count() >= 2, "the batch must span categories to have tasks to spread");
         assert_eq!(small, Vec::<String>::new(), "an 8-offer commit spawned");
 
         // The same store, a 1,000-offer batch (fresh ids over the corpus):
-        // its shard tasks go to the workers.
+        // its rebuild tasks go to the workers.
         let big: Vec<Offer> = (0..1_000)
             .map(|k| Offer { id: OfferId(1_000_000 + k), ..f.corpus[k as usize % 8].clone() })
             .collect();

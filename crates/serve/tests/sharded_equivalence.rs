@@ -6,17 +6,20 @@
 
 mod common;
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 use common::{fixture, spec_provider, Fixture};
 use proptest::prelude::*;
-use pse_core::{Offer, OfferId, Spec};
+use pse_core::{CategoryId, Offer, OfferId, Spec};
+use pse_query::{CategoryIndex, SearchIndex, SearchResult};
 use pse_serve::{shard_of, ShardedStore};
-use pse_store::ProductStore;
+use pse_store::{ClusterKey, ProductStore};
 use pse_synthesis::runtime::{reconcile_batch, KeyAttributes};
-use pse_synthesis::{FnProvider, RuntimeConfig};
+use pse_synthesis::{FnProvider, RuntimeConfig, SynthesizedProduct};
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
+const SEARCH_K: usize = 10;
 
 fn provider(f: &Fixture) -> FnProvider<impl Fn(&Offer) -> Spec + Sync + '_> {
     FnProvider(move |o: &Offer| f.specs[&o.id.0].clone())
@@ -58,22 +61,147 @@ fn steps(f: &Fixture, raw_cuts: Vec<usize>, raw_retracts: Vec<usize>) -> Vec<Ste
     out
 }
 
-fn run_reference(f: &Fixture, steps: &[Step]) -> ProductStore {
-    let mut store = ProductStore::new(f.correspondences.clone());
-    for step in steps {
-        store.ingest(&f.world.catalog, &f.corpus[step.batch.clone()], &provider(f));
-        store.retract(&f.world.catalog, &step.retract);
-    }
-    store
+/// What a server with every cache warm must answer after one step, read
+/// off the reference store at that step: each category's
+/// `/products/{c}` body, each product's `/product` body, and one search
+/// for the first key value the step ingested, ranked over indexes built
+/// fresh from the reference's products.
+struct WarmReads {
+    bodies: Vec<(CategoryId, String)>,
+    products: Vec<(ClusterKey, String)>,
+    search: Option<(String, SearchResult, Vec<String>)>,
 }
 
-fn run_sharded(f: &Fixture, steps: &[Step], n_shards: usize) -> ShardedStore {
-    let store = ShardedStore::new(f.correspondences.clone(), n_shards);
+fn warm_reads(
+    f: &Fixture,
+    reference: &ProductStore,
+    categories: &[CategoryId],
+    query: Option<&str>,
+) -> WarmReads {
+    let bodies = categories
+        .iter()
+        .map(|&c| (c, serde_json::to_string(&reference.products_in_category(c)).unwrap()))
+        .collect();
+    let products = reference
+        .products_keyed()
+        .map(|(k, p)| (k.clone(), serde_json::to_string(p).unwrap()))
+        .collect();
+    let search = query.map(|q| {
+        let mut by_category: BTreeMap<CategoryId, Vec<&SynthesizedProduct>> = BTreeMap::new();
+        for (k, p) in reference.products_keyed() {
+            by_category.entry(k.0).or_default().push(p);
+        }
+        let index: SearchIndex = by_category
+            .iter()
+            .map(|(&c, ps)| (c, Arc::new(CategoryIndex::build(c, ps, &f.correspondences))))
+            .collect();
+        let result = pse_query::search(&index, q, SEARCH_K);
+        let hits = result
+            .hits
+            .iter()
+            .map(|h| {
+                let key = (h.category, h.key_attribute.clone(), h.key_value.clone());
+                serde_json::to_string(reference.product_for(&key).expect("a hit is a product"))
+                    .unwrap()
+            })
+            .collect();
+        (q.to_string(), result, hits)
+    });
+    WarmReads { bodies, products, search }
+}
+
+/// Read everything `want` names from `store` and compare.
+fn check_warm(store: &ShardedStore, want: &WarmReads, step: usize) -> Result<(), TestCaseError> {
+    let n_shards = store.n_shards();
+    for (category, body) in &want.bodies {
+        let got = store.products_response(*category);
+        prop_assert_eq!(
+            std::str::from_utf8(&got).expect("response is UTF-8"),
+            body.as_str(),
+            "body of category {} after step {} at {} shards",
+            category.0,
+            step,
+            n_shards
+        );
+    }
+    for (key, json) in &want.products {
+        let got = store.product_response(key);
+        prop_assert_eq!(
+            got.as_deref(),
+            Some(json.as_str()),
+            "product {:?} after step {} at {} shards",
+            key,
+            step,
+            n_shards
+        );
+    }
+    if let Some((query, result, hits)) = &want.search {
+        let got = store.search(query, SEARCH_K);
+        prop_assert_eq!(
+            &got.result,
+            result,
+            "search {:?} after step {} at {} shards",
+            query,
+            step,
+            n_shards
+        );
+        let got: Vec<&str> = got.hit_json.iter().map(|j| &**j).collect();
+        let want: Vec<&str> = hits.iter().map(String::as_str).collect();
+        prop_assert_eq!(got, want, "hit bodies of {:?} after step {}", query, step);
+    }
+    Ok(())
+}
+
+/// The corpus's offer ids grouped by the cluster they route to.
+fn offers_by_cluster(f: &Fixture) -> BTreeMap<ClusterKey, Vec<OfferId>> {
+    let keys = KeyAttributes::new(&RuntimeConfig::default().key_attributes);
+    let mut clusters: BTreeMap<ClusterKey, Vec<OfferId>> = BTreeMap::new();
+    for r in &reconcile_batch(&f.corpus, &f.correspondences, &provider(f)) {
+        let Some((attr, value)) = keys.route(r) else { continue };
+        clusters.entry((r.category, attr, value)).or_default().push(r.offer);
+    }
+    clusters
+}
+
+/// The reference store after every step, and the warm reads each step
+/// must answer.
+fn run_reference(f: &Fixture, steps: &[Step]) -> (ProductStore, Vec<WarmReads>) {
+    let clusters = offers_by_cluster(f);
+    let key_value: HashMap<OfferId, &str> = clusters
+        .iter()
+        .flat_map(|(k, ids)| ids.iter().map(move |&id| (id, k.2.as_str())))
+        .collect();
+    // Every category a cluster lands in, so an emptied one is read too,
+    // plus one no cluster lands in.
+    let mut categories: Vec<CategoryId> = clusters.keys().map(|k| k.0).collect();
+    categories.push(CategoryId(4_242_424));
+    categories.dedup();
+    let mut store = ProductStore::new(f.correspondences.clone());
+    let mut warm = Vec::new();
     for step in steps {
         store.ingest(&f.world.catalog, &f.corpus[step.batch.clone()], &provider(f));
         store.retract(&f.world.catalog, &step.retract);
+        let query = f.corpus[step.batch.clone()].iter().find_map(|o| key_value.get(&o.id));
+        warm.push(warm_reads(f, &store, &categories, query.copied()));
     }
-    store
+    (store, warm)
+}
+
+/// The sharded store fed the same steps, checked against `warm` after
+/// each one.
+fn run_sharded(
+    f: &Fixture,
+    steps: &[Step],
+    n_shards: usize,
+    warm: &[WarmReads],
+) -> Result<ShardedStore, TestCaseError> {
+    let store = ShardedStore::new(f.correspondences.clone(), n_shards);
+    for (i, (step, want)) in steps.iter().zip(warm).enumerate() {
+        store.ingest(&f.world.catalog, &f.corpus[step.batch.clone()], &provider(f));
+        store.retract(&f.world.catalog, &step.retract);
+        check_warm(&store, want, i)?;
+    }
+    Ok(store)
 }
 
 proptest! {
@@ -84,7 +212,7 @@ proptest! {
     ) {
         let f = fixture();
         let steps = steps(f, raw_cuts, raw_retracts);
-        let reference = run_reference(f, &steps);
+        let (reference, warm) = run_reference(f, &steps);
         let expected_products = products_json(&reference.products());
         let expected_snapshot = reference.snapshot_json();
         // Every category the reference has ever seen, plus one absent.
@@ -92,7 +220,7 @@ proptest! {
         categories.dedup();
         categories.push(4_242_424);
         for n_shards in SHARD_COUNTS {
-            let sharded = run_sharded(f, &steps, n_shards);
+            let sharded = run_sharded(f, &steps, n_shards, &warm)?;
             prop_assert_eq!(
                 &products_json(&sharded.products()),
                 &expected_products,
@@ -233,49 +361,90 @@ fn concurrent_reader_never_observes_partial_batch() {
     });
 }
 
-/// Retract must only take write paths on shards that own at least one of
-/// the ids (ISSUE 6 satellite): untouched shards keep their published
-/// snapshot `Arc` pointer-identical, and a retract of only-unknown ids
-/// leaves the whole published `StoreSnapshot` untouched.
+/// A retract republishes only the categories that own its ids: every
+/// other category keeps its published entries `Arc` pointer-identical,
+/// and a retract of only-unknown ids leaves the whole published
+/// `StoreSnapshot` untouched.
 #[test]
-fn retract_leaves_unowned_shards_pointer_equal() {
+fn retract_leaves_unowned_categories_pointer_equal() {
     const N_SHARDS: usize = 8;
     let f = fixture();
     let store = ShardedStore::new(f.correspondences.clone(), N_SHARDS);
     store.ingest(&f.world.catalog, &f.corpus, &provider(f));
 
-    // Group the ingested offers by owning shard and retract one shard's.
-    let config = RuntimeConfig::default();
-    let keys = KeyAttributes::new(&config.key_attributes);
-    let reconciled = reconcile_batch(&f.corpus, &f.correspondences, &provider(f));
-    let mut by_shard: HashMap<usize, Vec<OfferId>> = HashMap::new();
-    for r in &reconciled {
-        let Some((attr, value)) = keys.route(r) else { continue };
-        by_shard.entry(shard_of(&(r.category, attr, value), N_SHARDS)).or_default().push(r.offer);
-    }
-    assert!(by_shard.len() >= 2, "corpus must populate at least two shards");
-    let (&target, ids) = by_shard.iter().next().expect("a populated shard");
-
+    // Retract one cluster of a category that still holds another, so
+    // the category stays visible.
+    let by_cluster = offers_by_cluster(f);
     let before = store.snapshot();
+    let categories = &before.shards.categories;
+    assert!(categories.len() >= 2, "corpus must populate at least two categories");
+    let (key, ids) = by_cluster
+        .iter()
+        .find(|(k, _)| categories[&k.0].len() >= 2)
+        .expect("a category with two visible clusters");
+    let target = key.0;
+
     let stats = store.retract(&f.world.catalog, ids);
     assert_eq!(stats.offers_routed, ids.len());
     let after = store.snapshot();
-    assert!(!std::sync::Arc::ptr_eq(&before, &after), "the batch must republish");
-    for i in 0..N_SHARDS {
-        let same = std::sync::Arc::ptr_eq(&before.shards[i], &after.shards[i]);
-        if i == target {
-            assert!(!same, "the owning shard must get a new snapshot");
+    assert!(!Arc::ptr_eq(&before, &after), "the batch must republish");
+    assert_eq!(after.shards.categories.len(), categories.len(), "no category vanishes");
+    for (category, entries) in categories {
+        let same = Arc::ptr_eq(entries, &after.shards.categories[category]);
+        if *category == target {
+            assert!(!same, "the owning category must get new entries");
         } else {
-            assert!(same, "shard {i} owns none of the ids; its snapshot must be untouched");
+            assert!(
+                same,
+                "category {category:?} owns none of the ids; its entries must be untouched"
+            );
         }
     }
 
-    // Unknown ids touch no shard at all: not even a new StoreSnapshot.
+    // Unknown ids touch no category at all: not even a new StoreSnapshot.
     let stats = store.retract(&f.world.catalog, &[OfferId(u64::MAX), OfferId(u64::MAX - 1)]);
     assert_eq!(stats.offers_routed, 0);
-    assert!(
-        std::sync::Arc::ptr_eq(&after, &store.snapshot()),
-        "a no-op retract must not republish"
+    assert!(Arc::ptr_eq(&after, &store.snapshot()), "a no-op retract must not republish");
+}
+
+/// A write whose dirty clusters are all invisible before and after it
+/// (here: a singleton below `min_cluster_size`) changes no published
+/// entry, so it republishes nothing and the category's built body
+/// stays cached.
+#[test]
+fn a_write_that_changes_no_visible_product_republishes_nothing() {
+    let f = fixture();
+    let config = RuntimeConfig { min_cluster_size: 2, ..RuntimeConfig::default() };
+    let by_cluster = offers_by_cluster(f);
+    // A cluster with two offers, and another cluster of its category.
+    let (category, pair, other) = by_cluster
+        .iter()
+        .filter(|(_, ids)| ids.len() >= 2)
+        .find_map(|(k, ids)| {
+            let (_, other) = by_cluster.iter().find(|(o, _)| o.0 == k.0 && *o != k)?;
+            Some((k.0, &ids[..2], other[0]))
+        })
+        .expect("a category with a two-offer cluster and another cluster");
+    let offers = |ids: &[OfferId]| -> Vec<Offer> {
+        f.corpus.iter().filter(|o| ids.contains(&o.id)).cloned().collect()
+    };
+
+    let store =
+        ShardedStore::from_store(ProductStore::with_config(f.correspondences.clone(), config), 1);
+    store.ingest(&f.world.catalog, &offers(pair), &provider(f));
+    assert_eq!(store.products_in_category(category).len(), 1, "the pair is visible");
+    store.products_response(category);
+    let before = store.snapshot();
+
+    store.ingest(&f.world.catalog, &offers(&[other]), &provider(f));
+    assert!(Arc::ptr_eq(&before, &store.snapshot()), "an invisible change republished");
+    let obs = pse_obs::Obs::new();
+    let _on = obs.install();
+    store.products_response(category);
+    assert_eq!(
+        obs.report().counter(pse_serve::metrics::CACHE_HIT),
+        Some(1),
+        "the body was dropped"
     );
 }
 

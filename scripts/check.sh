@@ -12,6 +12,9 @@ cargo test -q --workspace
 # it: every `new()` constructor in the workspace API must keep a Default.
 cargo clippy --workspace -- -D warnings -D clippy::new-without-default
 cargo fmt --check
+# Every intra-doc link resolves: a link to a renamed or deleted item
+# fails here, not silently in the rendered docs.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 
 # The repo benchmark is its own [workspace], so nothing above compiles
 # it: build and unit-test it against the crates as they are now, then run

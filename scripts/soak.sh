@@ -10,8 +10,8 @@
 # `durable::` unit tests: the fold a crossing commit runs, the poisons),
 # which hold no property tests but show a timing flake when run often.
 # Stops at the first failing suite and prints the seed that replays it.
-# Not part of `cargo test`: at the defaults it takes about 6 minutes on
-# a 2-CPU host.
+# Not part of `cargo test`: at the defaults it takes about 11 minutes on
+# a 2-CPU host, 70 s a seed of it sharded_equivalence.
 #
 # Usage: scripts/soak.sh [N=5] [CASES=1280]
 set -euo pipefail
