@@ -24,6 +24,7 @@
 //! cosine is the same merge-join sum (see `pse_text::sparse`).
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use pse_core::{Catalog, CategoryId, MerchantId, Offer};
 use pse_synthesis::{ScoredCandidate, SpecProvider};
@@ -78,8 +79,9 @@ pub struct ComaIndex {
 struct GroupIndex {
     merchant: MerchantId,
     category: CategoryId,
-    /// Merchant attribute names (normalized), sorted.
-    merchant_attrs: Vec<String>,
+    /// Merchant attribute names (normalized), sorted; allocated once and
+    /// shared by every candidate scored from the index.
+    merchant_attrs: Vec<Arc<str>>,
     /// Per-group TF-IDF weight vector of each merchant attribute's value
     /// bag, aligned with `merchant_attrs`.
     offer_vecs: Vec<SparseVec>,
@@ -89,8 +91,8 @@ struct GroupIndex {
 
 #[derive(Debug)]
 struct CatalogAttr {
-    /// Surface name from the schema.
-    name: String,
+    /// Surface name from the schema, shared like `merchant_attrs`.
+    name: Arc<str>,
     /// Normalized name.
     norm: String,
     /// `0.5·levenshtein + 0.5·trigram` per merchant attribute, aligned with
@@ -188,10 +190,13 @@ impl ComaIndex {
             }
             let corpus = InternedCorpus::from_doc_freq(doc_freq, num_docs);
 
-            let mut merchant_attrs: Vec<String> = offer_counts.keys().cloned().collect();
+            let mut merchant_attrs: Vec<Arc<str>> =
+                offer_counts.keys().map(|ao| Arc::from(ao.as_str())).collect();
             merchant_attrs.sort();
-            let offer_vecs: Vec<SparseVec> =
-                merchant_attrs.iter().map(|ao| corpus.weight_counts(&offer_counts[ao])).collect();
+            let offer_vecs: Vec<SparseVec> = merchant_attrs
+                .iter()
+                .map(|ao| corpus.weight_counts(&offer_counts[&**ao]))
+                .collect();
 
             let schema = catalog.taxonomy().schema(category);
             let catalog_attrs: Vec<CatalogAttr> = schema
@@ -201,18 +206,18 @@ impl ComaIndex {
                     let per_norm = name_score_cache.entry(norm.clone()).or_default();
                     let name_scores = merchant_attrs
                         .iter()
-                        .map(|ao| match per_norm.get(ao.as_str()) {
+                        .map(|ao| match per_norm.get(&**ao) {
                             Some(&s) => s,
                             None => {
                                 let s = 0.5 * levenshtein_similarity(&norm, ao)
                                     + 0.5 * trigram_dice(&norm, ao);
-                                per_norm.insert(ao.clone(), s);
+                                per_norm.insert(ao.to_string(), s);
                                 s
                             }
                         })
                         .collect();
                     let vec = cats.get(&norm).map(|counts| corpus.weight_counts(counts));
-                    CatalogAttr { name: ap.name.clone(), norm, name_scores, vec }
+                    CatalogAttr { name: Arc::from(ap.name.as_str()), norm, name_scores, vec }
                 })
                 .collect();
 
@@ -271,12 +276,12 @@ impl ComaMatcher {
                         ComaStrategy::Combined => 0.5 * (name_score + instance_score),
                     };
                     candidates.push(ScoredCandidate {
-                        catalog_attribute: ca.name.clone(),
-                        merchant_attribute: ao.clone(),
+                        catalog_attribute: Arc::clone(&ca.name),
+                        merchant_attribute: Arc::clone(ao),
                         merchant: g.merchant,
                         category: g.category,
                         score,
-                        is_name_identity: ca.norm == *ao,
+                        is_name_identity: *ca.norm == **ao,
                     });
                 }
                 // δ selection per merchant attribute.
@@ -344,7 +349,7 @@ mod tests {
         let get = |ap: &str, ao: &str| {
             scored
                 .iter()
-                .find(|c| c.catalog_attribute == ap && c.merchant_attribute == ao)
+                .find(|c| &*c.catalog_attribute == ap && &*c.merchant_attribute == ao)
                 .map(|c| c.score)
                 .unwrap_or(0.0)
         };
@@ -357,7 +362,7 @@ mod tests {
         let get = |ap: &str, ao: &str| {
             scored
                 .iter()
-                .find(|c| c.catalog_attribute == ap && c.merchant_attribute == ao)
+                .find(|c| &*c.catalog_attribute == ap && &*c.merchant_attribute == ao)
                 .map(|c| c.score)
                 .unwrap_or(0.0)
         };
@@ -495,8 +500,8 @@ mod tests {
                         ComaStrategy::Combined => 0.5 * (name_score + instance_score),
                     };
                     candidates.push(ScoredCandidate {
-                        catalog_attribute: ap.name.clone(),
-                        merchant_attribute: ao.clone(),
+                        catalog_attribute: ap.name.as_str().into(),
+                        merchant_attribute: ao.as_str().into(),
                         merchant,
                         category,
                         score,

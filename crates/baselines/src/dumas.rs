@@ -175,13 +175,14 @@ impl DumasMatcher {
             }
             sum.scale(1.0 / dups.len() as f64);
 
-            // Maximum-weight bipartite matching on S_M.
+            // Maximum-weight bipartite matching on S_M: each name is
+            // matched, and so allocated, at most once per group.
             for a in hungarian_max_matching(&sum) {
                 let ap = catalog_attrs[a.row];
                 let ao = &merchant_attrs[a.col];
                 out.push(ScoredCandidate {
-                    catalog_attribute: ap.to_string(),
-                    merchant_attribute: ao.clone(),
+                    catalog_attribute: ap.into(),
+                    merchant_attribute: ao.as_str().into(),
                     merchant,
                     category,
                     score: a.weight,
@@ -251,8 +252,8 @@ impl DumasMatcher {
                 let ap = catalog_attrs[a.row];
                 let ao = &merchant_attrs[a.col];
                 out.push(ScoredCandidate {
-                    catalog_attribute: ap.to_string(),
-                    merchant_attribute: ao.clone(),
+                    catalog_attribute: ap.into(),
+                    merchant_attribute: ao.as_str().into(),
                     merchant,
                     category,
                     score: a.weight,
@@ -316,9 +317,9 @@ mod tests {
         let provider = FnProvider(|o: &Offer| o.spec.clone());
         let scored = DumasMatcher::new().score_candidates(&catalog, &offers, &hist, &provider);
         assert_eq!(scored.len(), 2, "bipartite matching yields one per attr");
-        let find = |ap: &str| scored.iter().find(|c| c.catalog_attribute == ap).unwrap();
-        assert_eq!(find("Brand").merchant_attribute, "manufacturer");
-        assert_eq!(find("Speed").merchant_attribute, "rpm");
+        let find = |ap: &str| scored.iter().find(|c| &*c.catalog_attribute == ap).unwrap();
+        assert_eq!(&*find("Brand").merchant_attribute, "manufacturer");
+        assert_eq!(&*find("Speed").merchant_attribute, "rpm");
         assert!(find("Brand").score > 0.9);
     }
 

@@ -8,6 +8,7 @@
 //! is proposed when `B` is the best-scoring merchant attribute for `A`.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use pse_core::{Catalog, CategoryId, MerchantId, Offer};
 use pse_ml::MultinomialNaiveBayes;
@@ -50,7 +51,7 @@ impl NaiveBayesMatcher {
         }
 
         // Per-category classifiers over catalog content.
-        let mut classifiers: HashMap<CategoryId, (Vec<String>, MultinomialNaiveBayes)> =
+        let mut classifiers: HashMap<CategoryId, (Vec<Arc<str>>, MultinomialNaiveBayes)> =
             HashMap::new();
         let mut out = Vec::new();
         let mut keys: Vec<_> = values.keys().copied().collect();
@@ -66,6 +67,10 @@ impl NaiveBayesMatcher {
             let merchant_attrs = &values[&(merchant, category)];
             let mut sorted_attrs: Vec<&String> = merchant_attrs.keys().collect();
             sorted_attrs.sort();
+            // Each name allocated once per group, shared by its candidates
+            // (catalog attribute names once per category, with the model).
+            let merchant_names: Vec<Arc<str>> =
+                sorted_attrs.iter().map(|ao| Arc::from(ao.as_str())).collect();
 
             // score[A][B] = mean posterior P(A | v) over values v of B.
             let mut scores: Vec<Vec<f64>> = vec![vec![0.0; sorted_attrs.len()]; attr_names.len()];
@@ -95,14 +100,14 @@ impl NaiveBayesMatcher {
                 if s <= 0.0 {
                     continue;
                 }
-                let ao = sorted_attrs[j];
+                let ao = &merchant_names[j];
                 out.push(ScoredCandidate {
-                    catalog_attribute: ap.clone(),
-                    merchant_attribute: ao.clone(),
+                    catalog_attribute: Arc::clone(ap),
+                    merchant_attribute: Arc::clone(ao),
                     merchant,
                     category,
                     score: s,
-                    is_name_identity: normalize_attribute_name(ap) == **ao,
+                    is_name_identity: *normalize_attribute_name(ap) == **ao,
                 });
             }
         }
@@ -115,9 +120,9 @@ impl NaiveBayesMatcher {
 fn train_category_classifier(
     catalog: &Catalog,
     category: CategoryId,
-) -> (Vec<String>, MultinomialNaiveBayes) {
+) -> (Vec<Arc<str>>, MultinomialNaiveBayes) {
     let schema = catalog.taxonomy().schema(category);
-    let attr_names: Vec<String> = schema.attribute_names().map(String::from).collect();
+    let attr_names: Vec<Arc<str>> = schema.attribute_names().map(Arc::from).collect();
     let mut nb = MultinomialNaiveBayes::new(attr_names.len());
     for product in catalog.products_in(category) {
         for (i, ap) in attr_names.iter().enumerate() {
@@ -186,9 +191,9 @@ mod tests {
         let (catalog, offers) = scenario();
         let provider = FnProvider(|o: &Offer| o.spec.clone());
         let scored = NaiveBayesMatcher::new().score_candidates(&catalog, &offers, &provider);
-        let find = |ap: &str| scored.iter().find(|c| c.catalog_attribute == ap).unwrap();
-        assert_eq!(find("Brand").merchant_attribute, "make");
-        assert_eq!(find("Interface").merchant_attribute, "connection");
+        let find = |ap: &str| scored.iter().find(|c| &*c.catalog_attribute == ap).unwrap();
+        assert_eq!(&*find("Brand").merchant_attribute, "make");
+        assert_eq!(&*find("Interface").merchant_attribute, "connection");
         assert!(find("Brand").score > 0.5);
     }
 

@@ -7,6 +7,8 @@
 //! are provided for the measure-choice ablation that validates the
 //! paper's §3.1 selection.
 
+use std::sync::Arc;
+
 use pse_core::{Catalog, HistoricalMatches, Offer};
 use pse_synthesis::offline::bags::FeatureIndex;
 use pse_synthesis::offline::features::Grouping;
@@ -75,14 +77,22 @@ impl SingleFeatureScorer {
                 }
                 SingleFeature::CosineMc => group.map(cosine_counts),
             };
+            // Each name allocated once per group, shared by its candidates.
+            let merchant_names: Vec<Arc<str>> =
+                group.attrs.iter().map(|&ao| Arc::from(ao)).collect();
             let named = catalog.taxonomy().schema(category).iter().flat_map(|ap| {
+                let ap_name: Arc<str> = Arc::from(ap.name.as_str());
                 let ap_norm = ap.normalized_name();
-                group.attrs.iter().map(move |&ao| (ap, ao, ao == ap_norm))
+                merchant_names
+                    .iter()
+                    .map(move |ao| (Arc::clone(&ap_name), Arc::clone(ao), **ao == *ap_norm))
             });
-            for ((ap, ao, is_name_identity), score) in named.zip(scores) {
+            for ((catalog_attribute, merchant_attribute, is_name_identity), score) in
+                named.zip(scores)
+            {
                 out.push(ScoredCandidate {
-                    catalog_attribute: ap.name.clone(),
-                    merchant_attribute: ao.to_string(),
+                    catalog_attribute,
+                    merchant_attribute,
                     merchant,
                     category,
                     score,
@@ -150,7 +160,7 @@ mod tests {
         let get = |ap: &str, ao: &str| {
             scored
                 .iter()
-                .find(|c| c.catalog_attribute == ap && c.merchant_attribute == ao)
+                .find(|c| &*c.catalog_attribute == ap && &*c.merchant_attribute == ao)
                 .unwrap()
                 .score
         };
@@ -170,7 +180,7 @@ mod tests {
             let get = |ap: &str, ao: &str| {
                 scored
                     .iter()
-                    .find(|c| c.catalog_attribute == ap && c.merchant_attribute == ao)
+                    .find(|c| &*c.catalog_attribute == ap && &*c.merchant_attribute == ao)
                     .unwrap()
                     .score
             };
@@ -195,7 +205,7 @@ mod tests {
         let get = |ap: &str, ao: &str| {
             scored
                 .iter()
-                .find(|c| c.catalog_attribute == ap && c.merchant_attribute == ao)
+                .find(|c| &*c.catalog_attribute == ap && &*c.merchant_attribute == ao)
                 .unwrap()
                 .score
         };

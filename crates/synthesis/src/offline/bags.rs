@@ -270,12 +270,19 @@ impl FeatureIndex {
                 slot_of[id as usize] = slot;
             }
         }
-        let mut syms: Vec<Vec<Sym>> = vec![Vec::new(); attrs.len()];
-        for pid in products {
-            for (attr, doc) in self.product_values.get(pid).into_iter().flatten() {
-                if let Some(bag) = syms.get_mut(slot_of[*attr as usize]) {
-                    bag.extend_from_slice(doc.syms());
-                }
+        // Two walks over the set: the first sizes each bag, so the second
+        // fills it without growing.
+        let values = || products.iter().flat_map(|pid| self.product_values.get(pid)).flatten();
+        let mut lens = vec![0; attrs.len()];
+        for (attr, doc) in values() {
+            if let Some(len) = lens.get_mut(slot_of[*attr as usize]) {
+                *len += doc.syms().len();
+            }
+        }
+        let mut syms: Vec<Vec<Sym>> = lens.into_iter().map(Vec::with_capacity).collect();
+        for (attr, doc) in values() {
+            if let Some(bag) = syms.get_mut(slot_of[*attr as usize]) {
+                bag.extend_from_slice(doc.syms());
             }
         }
         syms.into_iter().map(SparseCounts::from_syms).collect()

@@ -251,8 +251,15 @@ impl<'a> FeatureTables<'a> {
         let first = self.groups.partition_point(|&(m, _)| m < merchant);
         let run = self.groups[first..].iter().take_while(|&&(m, _)| m == merchant);
 
+        // One row per candidate: catalog attributes × offer attributes of
+        // each group, sized up front so the rows are laid out in place.
+        let candidates = run.clone().map(|&(_, category)| {
+            let offer_attrs =
+                self.index.offer_mc.get(&(merchant, category)).map_or(0, HashMap::len);
+            self.categories[&category].catalog_attrs.len() * offer_attrs
+        });
         let mut groups: Vec<Group<'_>> = Vec::new();
-        let mut rows: Vec<[f64; NUM_FEATURES]> = Vec::new();
+        let mut rows: Vec<[f64; NUM_FEATURES]> = Vec::with_capacity(candidates.sum());
         // The merchant grouping's product side: each distinct catalog
         // attribute name of the merchant's categories, with every run of
         // rows (first row, group) that holds candidates for it.

@@ -11,6 +11,8 @@
 pub mod bags;
 pub mod features;
 
+use std::sync::Arc;
+
 use pse_core::{
     AttributeCorrespondence, Catalog, CategoryId, CorrespondenceSet, HistoricalMatches, MerchantId,
     Offer,
@@ -21,7 +23,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::provider::SpecProvider;
 use bags::FeatureIndex;
-use features::{FeatureTables, NUM_FEATURES};
+use features::{CatalogAttr, FeatureTables, Group, MerchantFeatures, NUM_FEATURES};
 
 /// Configuration of the offline phase.
 #[derive(Debug, Clone)]
@@ -82,15 +84,23 @@ impl OfflineConfig {
     pub fn with_name_features() -> Self {
         Self { use_name_features: true, ..Self::default() }
     }
+
+    /// Classifier inputs per candidate: the six features, then the two
+    /// name features when they are on.
+    fn input_dim(&self) -> usize {
+        NUM_FEATURES + if self.use_name_features { 2 } else { 0 }
+    }
 }
 
 /// One scored candidate tuple `⟨Ap, Ao, M, C⟩`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct ScoredCandidate {
-    /// Catalog attribute (surface form from the schema).
-    pub catalog_attribute: String,
-    /// Merchant attribute (normalized form).
-    pub merchant_attribute: String,
+    /// Catalog attribute (surface form from the schema). Matchers allocate
+    /// each name once per (merchant, category) group and share it among
+    /// the group's candidates.
+    pub catalog_attribute: Arc<str>,
+    /// Merchant attribute (normalized form), shared the same way.
+    pub merchant_attribute: Arc<str>,
     /// The merchant.
     pub merchant: MerchantId,
     /// The category.
@@ -184,93 +194,77 @@ impl OfflineLearner {
         historical_offers: usize,
     ) -> OfflineOutcome {
         // 1. Enumerate candidates and compute features (see `features`):
-        //    the category tables first, then one task per merchant. A task
-        //    names its candidates and lays their classifier inputs — the six
-        //    features under the mask, then any name features — end to end,
-        //    both in enumeration order; the tasks' outputs are concatenated
-        //    in merchant order, so candidates and row buffer are identical
-        //    at any thread count.
+        //    the category tables first, then one task per merchant, which
+        //    returns the merchant's `RowBlock`: the only copy of its
+        //    candidates' classifier inputs, in enumeration order. Blocks
+        //    are identical at any thread count.
         let features_span = pse_obs::span("offline.features");
         let tables = FeatureTables::new(catalog, index);
-        let dim = NUM_FEATURES + if self.config.use_name_features { 2 } else { 0 };
-        let per_merchant = pse_par::par_map(&tables.merchants(), |&merchant| {
-            let features = tables.merchant(merchant);
-            let mut scored: Vec<ScoredCandidate> = Vec::with_capacity(features.rows.len());
-            let mut rows: Vec<f64> = Vec::with_capacity(features.rows.len() * dim);
-            for (group, ap, ao, f) in features.candidates() {
-                for (i, (&x, &keep)) in f.iter().zip(&self.config.feature_mask).enumerate() {
-                    // Worst-case constants: max divergence / zero overlap.
-                    let masked = if i % 2 == 0 { pse_text::divergence::MAX_JS } else { 0.0 };
-                    rows.push(if keep { x } else { masked });
-                }
-                if self.config.use_name_features {
-                    rows.push(pse_text::strsim::levenshtein_similarity(&ap.normalized, ao));
-                    rows.push(pse_text::strsim::trigram_dice(&ap.normalized, ao));
-                }
-                scored.push(ScoredCandidate {
-                    catalog_attribute: ap.name.to_string(),
-                    merchant_attribute: ao.to_string(),
-                    merchant: group.merchant,
-                    category: group.category,
-                    score: 0.0,
-                    is_name_identity: ao == ap.normalized,
-                });
-            }
-            (scored, rows)
+        let dim = self.config.input_dim();
+        let blocks = pse_par::par_map(&tables.merchants(), |&merchant| {
+            RowBlock::new(tables.merchant(merchant), &self.config)
         });
-        let total: usize = per_merchant.iter().map(|(scored, _)| scored.len()).sum();
-        let mut scored: Vec<ScoredCandidate> = Vec::with_capacity(total);
-        let mut rows: Vec<f64> = Vec::with_capacity(total * dim);
-        for (merchant_scored, merchant_rows) in per_merchant {
-            scored.extend(merchant_scored);
-            rows.extend_from_slice(&merchant_rows);
-        }
         drop(features_span);
-        pse_obs::add("offline.candidates", scored.len() as u64);
+        let candidates = blocks.iter().map(|block| block.rows.len() / dim).sum();
+        pse_obs::add("offline.candidates", candidates as u64);
 
         // 2. Automated training-set construction (Section 3.2): for every
         //    (M, C) where the merchant uses some catalog attribute name
         //    verbatim, that candidate is positive and all ⟨A, B≠A, M, C⟩
         //    candidates for the same catalog attribute are negative. The
         //    candidates of one ⟨M, C, A⟩ are a contiguous run in
-        //    enumeration order: one scan says whether it holds an identity.
+        //    enumeration order, one per merchant attribute of the group.
         let mut train = Dataset::new();
-        let mut run_start = 0;
-        let same_run = |a: &ScoredCandidate, b: &ScoredCandidate| {
-            (a.merchant, a.category, &a.catalog_attribute)
-                == (b.merchant, b.category, &b.catalog_attribute)
-        };
-        for run in scored.chunk_by(same_run) {
-            if run.iter().any(|c| c.is_name_identity) {
-                for (c, row) in run.iter().zip(rows[run_start * dim..].chunks_exact(dim)) {
-                    train.push(row, c.is_name_identity);
+        for block in &blocks {
+            block.for_each_run(dim, |group, _, ap, run| {
+                if group.merchant_attrs.contains(&ap.normalized.as_str()) {
+                    for (&ao, row) in group.merchant_attrs.iter().zip(run.chunks_exact(dim)) {
+                        train.push(row, ao == ap.normalized);
+                    }
                 }
-            }
-            run_start += run.len();
+            });
         }
 
         // 3. Train; degenerate training sets fall back to a heuristic
         //    scorer so the pipeline still functions on tiny inputs.
+        let training_examples = train.len();
         let positives = train.positives();
-        let trainable = !train.is_empty() && positives > 0 && positives < train.len();
+        let trainable = training_examples > 0 && positives > 0 && positives < training_examples;
         let model = {
             let _obs = pse_obs::span("offline.train");
             trainable.then(|| {
                 // One gradient pass per example per epoch.
                 pse_obs::add("offline.train_iterations", self.config.train.epochs as u64);
-                pse_obs::add("offline.training_examples", train.len() as u64);
+                pse_obs::add("offline.training_examples", training_examples as u64);
                 pse_obs::add("offline.training_positives", positives as u64);
                 LogisticRegression::train(&train, &self.config.train)
             })
         };
+        drop(train);
 
-        // 4. Score all candidates.
+        // 4. Name and score every candidate, block by block, each block's
+        //    rows freed once its candidates are scored. A catalog attribute
+        //    name is allocated once per run and shared, like the group's
+        //    merchant attribute names.
         let score_span = pse_obs::span("offline.score");
-        for (c, f) in scored.iter_mut().zip(rows.chunks_exact(dim)) {
-            c.score = match &model {
-                Some(m) => m.predict_proba(f),
-                None => heuristic_score(f),
-            };
+        let mut scored: Vec<ScoredCandidate> = Vec::with_capacity(candidates);
+        for block in blocks {
+            block.for_each_run(dim, |group, merchant_names, ap, run| {
+                let catalog_name: Arc<str> = Arc::from(ap.name);
+                for (merchant_name, f) in merchant_names.iter().zip(run.chunks_exact(dim)) {
+                    scored.push(ScoredCandidate {
+                        catalog_attribute: Arc::clone(&catalog_name),
+                        merchant_attribute: Arc::clone(merchant_name),
+                        merchant: group.merchant,
+                        category: group.category,
+                        score: match &model {
+                            Some(m) => m.predict_proba(f),
+                            None => heuristic_score(f),
+                        },
+                        is_name_identity: **merchant_name == *ap.normalized,
+                    });
+                }
+            });
         }
         drop(score_span);
 
@@ -284,8 +278,8 @@ impl OfflineLearner {
             let accept_identity = self.config.accept_name_identities && c.is_name_identity;
             if accept_identity || c.score >= self.config.decision_threshold {
                 set.insert(AttributeCorrespondence {
-                    catalog_attribute: c.catalog_attribute.clone(),
-                    merchant_attribute: c.merchant_attribute.clone(),
+                    catalog_attribute: c.catalog_attribute.to_string(),
+                    merchant_attribute: c.merchant_attribute.to_string(),
                     merchant: c.merchant,
                     category: c.category,
                     score: if accept_identity { 1.0 } else { c.score },
@@ -298,11 +292,73 @@ impl OfflineLearner {
         let stats = OfflineStats {
             historical_offers,
             candidates: scored.len(),
-            training_examples: train.len(),
+            training_examples,
             training_positives: positives,
             predicted_valid,
         };
         OfflineOutcome { correspondences: set, scored, model, stats }
+    }
+}
+
+/// One merchant's candidates as the learner holds them: its groups, each
+/// with its merchant attribute names allocated once, and the classifier
+/// inputs of its candidates — the six features under the mask, then any
+/// name features — `dim` per candidate in enumeration order.
+struct RowBlock<'t> {
+    groups: Vec<(Group<'t>, Vec<Arc<str>>)>,
+    rows: Vec<f64>,
+}
+
+impl<'t> RowBlock<'t> {
+    /// Mask the merchant's features in place (masked-off features take
+    /// their worst-case constants: max divergence / zero overlap) and add
+    /// any name features.
+    fn new(features: MerchantFeatures<'t>, config: &OfflineConfig) -> Self {
+        let MerchantFeatures { groups, mut rows } = features;
+        for row in &mut rows {
+            for (i, (x, &keep)) in row.iter_mut().zip(&config.feature_mask).enumerate() {
+                if !keep {
+                    *x = if i % 2 == 0 { pse_text::divergence::MAX_JS } else { 0.0 };
+                }
+            }
+        }
+        let rows = if config.use_name_features {
+            let mut named = Vec::with_capacity(rows.len() * config.input_dim());
+            for ((ap, ao), f) in groups.iter().flat_map(Group::candidates).zip(&rows) {
+                named.extend_from_slice(f);
+                named.push(pse_text::strsim::levenshtein_similarity(&ap.normalized, ao));
+                named.push(pse_text::strsim::trigram_dice(&ap.normalized, ao));
+            }
+            named
+        } else {
+            rows.into_flattened()
+        };
+        let groups = groups
+            .into_iter()
+            .map(|group| {
+                let names = group.merchant_attrs.iter().map(|&ao| Arc::from(ao)).collect();
+                (group, names)
+            })
+            .collect();
+        Self { groups, rows }
+    }
+
+    /// `visit(group, its merchant attribute names, Ap, rows)` for every
+    /// ⟨M, C, Ap⟩ run in enumeration order: `rows` holds the run's
+    /// candidates, one per merchant attribute of the group.
+    fn for_each_run(
+        &self,
+        dim: usize,
+        mut visit: impl FnMut(&Group<'t>, &[Arc<str>], &CatalogAttr<'t>, &[f64]),
+    ) {
+        let mut rows = self.rows.as_slice();
+        for (group, merchant_names) in &self.groups {
+            for ap in group.catalog_attrs {
+                let (run, rest) = rows.split_at(group.merchant_attrs.len() * dim);
+                visit(group, merchant_names, ap, run);
+                rows = rest;
+            }
+        }
     }
 }
 
@@ -423,8 +479,8 @@ mod tests {
                 .iter()
                 .find(|c| {
                     c.merchant == MerchantId(1)
-                        && c.catalog_attribute == ap
-                        && c.merchant_attribute == ao
+                        && &*c.catalog_attribute == ap
+                        && &*c.merchant_attribute == ao
                 })
                 .map(|c| c.score)
                 .unwrap()
@@ -497,8 +553,8 @@ mod tests {
                 .iter()
                 .find(|c| {
                     c.merchant == MerchantId(1)
-                        && c.catalog_attribute == ap
-                        && c.merchant_attribute == ao
+                        && &*c.catalog_attribute == ap
+                        && &*c.merchant_attribute == ao
                 })
                 .map(|c| c.score)
                 .unwrap()

@@ -4,7 +4,7 @@
 //! `"MPN:"`, `"  Capacity "`); values likewise (`"500 GB"` vs `"500GB"`).
 //! The pipeline compares names and values through these canonical forms.
 
-use crate::tokenize::tokens;
+use crate::tokenize::{for_each_token, tokens};
 
 /// Canonical form of an attribute name: lowercase tokens joined by a single
 /// space, with trailing separators (`:` etc.) removed by tokenization.
@@ -15,7 +15,7 @@ use crate::tokenize::tokens;
 /// assert_eq!(normalize_attribute_name("MPN"), "mpn");
 /// ```
 pub fn normalize_attribute_name(name: &str) -> String {
-    tokens(name).join(" ")
+    joined_tokens(name)
 }
 
 /// Canonical form of an attribute value: lowercase tokens joined by a single
@@ -26,7 +26,20 @@ pub fn normalize_attribute_name(name: &str) -> String {
 /// assert_eq!(normalize_value("500GB"), normalize_value("500 Gb"));
 /// ```
 pub fn normalize_value(value: &str) -> String {
-    tokens(value).join(" ")
+    joined_tokens(value)
+}
+
+/// `tokens(input).join(" ")`, written into one string as the tokens come
+/// (tokens are never empty) instead of allocating each token first.
+fn joined_tokens(input: &str) -> String {
+    let mut out = String::with_capacity(input.len());
+    for_each_token(input, |token| {
+        if !out.is_empty() {
+            out.push(' ');
+        }
+        out.push_str(token);
+    });
+    out
 }
 
 /// Whether two attribute names are the same after normalization.
@@ -74,6 +87,16 @@ fn contains_subsequence(haystack: &[String], needle: &[String]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Writing the tokens into one string is the join of the tokens,
+        /// on ASCII and non-ASCII input (`İ` lowercases to two chars).
+        #[test]
+        fn joined_tokens_is_the_join_of_the_tokens(input in "[aB3 .:_#éÉİß7]{0,24}") {
+            prop_assert_eq!(joined_tokens(&input), tokens(&input).join(" "));
+        }
+    }
 
     #[test]
     fn attribute_names_normalize() {

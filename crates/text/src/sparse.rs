@@ -35,13 +35,9 @@ impl SparseCounts {
     /// in any order (e.g. the concatenated tokens of many documents).
     pub fn from_syms(mut syms: Vec<Sym>) -> Self {
         syms.sort_unstable();
-        let mut entries: Vec<(Sym, u64)> = Vec::new();
-        for &s in &syms {
-            match entries.last_mut() {
-                Some((last, c)) if *last == s => *c += 1,
-                _ => entries.push((s, 1)),
-            }
-        }
+        let runs = || syms.chunk_by(|a, b| a == b);
+        let mut entries: Vec<(Sym, u64)> = Vec::with_capacity(runs().count());
+        entries.extend(runs().map(|run| (run[0], run.len() as u64)));
         Self { total: syms.len() as u64, entries }
     }
 

@@ -9,7 +9,8 @@
 # tell). Exits non-zero on any `outside` and when the change fails a
 # larger share of its operations. A gain is claimed only when the change
 # wins at least nine tenths of the pairs and the medians differ by more
-# than the parent's q3 - q1.
+# than the parent's q3 - q1, in the better direction: the `gain` column
+# says `yes` or `no` by that rule (it does not change the exit status).
 #
 # Usage: scripts/pairs.sh PARENT_REF WORKLOAD|all [N=10]
 #   PAIRS_DIR (default target/pairs) takes the parent's files, the two
@@ -18,7 +19,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-[ $# -ge 2 ] || { sed -n '2,17p' "$0" >&2; exit 2; }
+[ $# -ge 2 ] || { sed -n '2,18p' "$0" >&2; exit 2; }
 parent_ref="$1" workloads="$2" n="${3:-10}" seed="${PAIRS_SEED:-24301}"
 [ "$n" -ge 2 ] || { echo "pairs.sh: quartiles need at least two pairs" >&2; exit 2; }
 if [ "$workloads" = all ]; then
@@ -80,7 +81,7 @@ for workload in $workloads; do
     }
     END {
       printf "# %s: change vs %s, %d pairs\n", w, ref, n
-      printf "%-24s %14s %14s %14s   %14s %14s %14s  %-12s %s\n", "metric", "parent median", "q1", "q3", "change median", "q1", "q3", "change wins", "verdict"
+      printf "%-24s %14s %14s %14s   %14s %14s %14s  %-12s %-10s %s\n", "metric", "parent median", "q1", "q3", "change median", "q1", "q3", "change wins", "verdict", "gain"
       for (o = 1; o <= metrics; o++) {
         m = order[o]; wins = 0; ties = 0
         for (i = 1; i <= n; i++) {
@@ -93,8 +94,9 @@ for workload in $workloads; do
         worse = better[m] == "lower" ? q[2] - pm : pm - q[2]
         verdict = (p3 - p1 > limit) ? "unresolved" : (worse > limit) ? "outside" : "inside"
         if (verdict == "outside") bad = 1
+        gain = (wins * 10 >= n * 9 && -worse > p3 - p1) ? "yes" : "no"
         score = sprintf("%d/%d%s", wins, n, ties ? sprintf(" (%d ties)", ties) : "")
-        printf "%-24s %14.4f %14.4f %14.4f   %14.4f %14.4f %14.4f  %-12s %s\n", m, pm, p1, p3, q[2], q[1], q[3], score, verdict
+        printf "%-24s %14.4f %14.4f %14.4f   %14.4f %14.4f %14.4f  %-12s %-10s %s\n", m, pm, p1, p3, q[2], q[1], q[3], score, verdict, gain
       }
       pf = ops["parent", "@failed"] / ops["parent", "@attempted"]
       cf = ops["change", "@failed"] / ops["change", "@attempted"]
