@@ -7,7 +7,7 @@
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
-use pse_text::normalize::normalize_attribute_name;
+use pse_text::normalize::{is_normalized_attribute_name, normalize_attribute_name};
 
 use crate::ids::{CategoryId, MerchantId};
 
@@ -60,7 +60,14 @@ impl CorrespondenceSet {
     /// Insert one correspondence; keeps the higher-scoring mapping on
     /// collision.
     pub fn insert(&mut self, c: AttributeCorrespondence) {
-        let key = (c.merchant, c.category, normalize_attribute_name(&c.merchant_attribute));
+        // The learner hands over names it has already normalized; keep
+        // those rather than normalizing a copy.
+        let name = if is_normalized_attribute_name(&c.merchant_attribute) {
+            c.merchant_attribute
+        } else {
+            normalize_attribute_name(&c.merchant_attribute)
+        };
+        let key = (c.merchant, c.category, name);
         match self.map.get_mut(&key) {
             Some(existing) if existing.1 >= c.score => {}
             slot => {
@@ -146,6 +153,19 @@ mod tests {
         assert_eq!(set.translate(MerchantId(0), CategoryId(0), "Hard-Disk Size"), Some("Capacity"));
         assert_eq!(set.translate(MerchantId(0), CategoryId(0), "Color"), None);
         assert_eq!(set.translate(MerchantId(1), CategoryId(0), "rpm"), None);
+    }
+
+    #[test]
+    fn raw_and_normalized_names_key_alike() {
+        let mut set = CorrespondenceSet::new();
+        set.insert(corr("MPN", "Mfr. Part #", 0, 0, 0.7));
+        set.insert(corr("Capacity", "hard disk size", 0, 0, 0.8));
+        let mut keys: Vec<String> = set.iter().map(|c| c.merchant_attribute).collect();
+        keys.sort();
+        assert_eq!(keys, ["hard disk size", "mfr part"]);
+        set.insert(corr("Capacity", "Hard-Disk SIZE:", 0, 0, 0.9));
+        assert_eq!(set.len(), 2, "a raw spelling of a held name is that name");
+        assert_eq!(set.score(MerchantId(0), CategoryId(0), "hard disk size"), Some(0.9));
     }
 
     #[test]

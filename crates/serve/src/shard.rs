@@ -255,13 +255,19 @@ impl ShardedStore {
     /// single store (and `RuntimePipeline::process`) would emit. Reads
     /// one published snapshot; no locks are held.
     pub fn products(&self) -> Vec<SynthesizedProduct> {
-        self.published.load().shards.entries().map(|e| e.product.clone()).collect()
+        self.published
+            .load()
+            .shards
+            .entries()
+            .map(|e| SynthesizedProduct::clone(&e.product))
+            .collect()
     }
 
     /// Products of one category, in cluster-key order, from one
     /// published snapshot.
     pub fn products_in_category(&self, category: CategoryId) -> Vec<SynthesizedProduct> {
-        self.published.load().shards.category(category).map(|e| e.product.clone()).collect()
+        let snap = self.published.load();
+        snap.shards.category(category).map(|e| SynthesizedProduct::clone(&e.product)).collect()
     }
 
     /// The `GET /products/{category}` body: an atomic snapshot load
@@ -291,7 +297,7 @@ impl ShardedStore {
 
     /// The product for one cluster key, from one published snapshot.
     pub fn product_for(&self, key: &ClusterKey) -> Option<SynthesizedProduct> {
-        self.published.load().shards.entry(key).map(|e| e.product.clone())
+        self.published.load().shards.entry(key).map(|e| SynthesizedProduct::clone(&e.product))
     }
 
     /// The pre-serialized `GET /product?...` body for one cluster key:

@@ -2,7 +2,8 @@
 //!
 //! [`Products`] is every visible product frozen at one publish: a
 //! category → cluster-key-ordered map of [`ProductEntry`] values, each
-//! carrying the product *and* its pre-serialized JSON. It is never
+//! carrying the product (the writer store's own `Arc`, not a copy) *and*
+//! its pre-serialized JSON. It is never
 //! mutated — a write builds a successor by re-resolving exactly the
 //! cluster keys its delta names, so untouched categories keep their
 //! `Arc` identity across publishes, and the rebuild reports which
@@ -32,14 +33,14 @@ use pse_synthesis::SynthesizedProduct;
 /// One visible product with its serialization cached.
 #[derive(Debug)]
 pub struct ProductEntry {
-    /// The synthesized product.
-    pub product: SynthesizedProduct,
+    /// The synthesized product: the store's own copy, shared, not cloned.
+    pub product: Arc<SynthesizedProduct>,
     /// `serde_json::to_string(&product)`, serialized once at publish.
     pub json: Arc<str>,
 }
 
 impl ProductEntry {
-    fn new(product: SynthesizedProduct) -> Arc<Self> {
+    fn new(product: Arc<SynthesizedProduct>) -> Arc<Self> {
         let json =
             serde_json::to_string(&product).expect("product serialization is infallible").into();
         Arc::new(Self { product, json })
@@ -94,7 +95,7 @@ impl Products {
             for key in keys.iter() {
                 if let Some(p) = store.product_for(key) {
                     Arc::make_mut(&mut clusters)
-                        .insert(Arc::new(key.clone()), ProductEntry::new(p.clone()));
+                        .insert(Arc::new(key.clone()), ProductEntry::new(Arc::clone(p)));
                     changed = true;
                 } else if clusters.contains_key(key) {
                     Arc::make_mut(&mut clusters).remove(key);
@@ -177,7 +178,7 @@ impl SearchSlot {
     ) -> Arc<CategoryIndex> {
         Arc::clone(self.cell.get_or_init(|| {
             let products: Vec<&SynthesizedProduct> =
-                products.category(category).map(|e| &e.product).collect();
+                products.category(category).map(|e| &*e.product).collect();
             Arc::new(CategoryIndex::build(category, &products, correspondences))
         }))
     }
@@ -268,7 +269,7 @@ mod tests {
         };
         (
             (CategoryId(cat), "MPN".into(), key.into()),
-            Arc::new(ProductEntry { product, json: json.into() }),
+            Arc::new(ProductEntry { product: Arc::new(product), json: json.into() }),
         )
     }
 

@@ -37,13 +37,26 @@
 //! The property is enforced by proptests (`tests/incremental_store.rs` at
 //! the workspace root) at 1 and 4 threads; `experiments incremental`
 //! replays the Table-2 corpus the same way and fails on any divergence.
+//!
+//! # Held state
+//!
+//! Per cluster the store holds its members, its fused product (an `Arc`
+//! that the serving layer's read snapshot shares instead of copying) and
+//! its [`ClusterFusionCache`]. The cache is one compact
+//! [`FusionAccumulator`](pse_synthesis::FusionAccumulator) per fused
+//! attribute (every distinct surface and term stored once in a byte
+//! arena, counts and spans as `u32`) plus an `Arc` of its category's
+//! [`FusionSchema`], which the store resolves once per category, so no
+//! cluster carries schema names of its own.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use pse_core::{Catalog, CategoryId, CorrespondenceSet, Offer, OfferId};
 use pse_synthesis::runtime::{
     advance_cluster_fusion, fuse_cluster_cached, reconcile_batch, Cluster, ClusterFusionCache,
-    KeyAttributes,
+    FusionSchema, KeyAttributes,
 };
 use pse_synthesis::{ReconciledOffer, RuntimeConfig, SpecProvider, SynthesizedProduct};
 use serde::{Deserialize, Serialize};
@@ -124,9 +137,10 @@ pub type ClusterKey = (CategoryId, String, String);
 struct ClusterState {
     /// Members in stream (ingestion) order.
     members: Vec<ReconciledOffer>,
-    /// Cached fusion result; `None` when the cluster is below
-    /// `min_cluster_size` or its category is unknown to the catalog.
-    fused: Option<SynthesizedProduct>,
+    /// Cached fusion result, shared with the read snapshot that
+    /// publishes it; `None` when the cluster is below `min_cluster_size`
+    /// or its category is unknown to the catalog.
+    fused: Option<Arc<SynthesizedProduct>>,
     /// Whether membership changed since the last fusion.
     dirty: bool,
 }
@@ -185,6 +199,9 @@ pub struct ProductStore {
     /// rebuild entries lazily on first re-fusion), dropped for a cluster
     /// whenever its member list mutates non-monotonically (retraction).
     fusion: BTreeMap<ClusterKey, ClusterFusionCache>,
+    /// Each category's fused attribute names, resolved once and shared by
+    /// every cache in `fusion` of that category (not persisted).
+    schemas: BTreeMap<CategoryId, Arc<FusionSchema>>,
 }
 
 impl ProductStore {
@@ -203,6 +220,7 @@ impl ProductStore {
             clusters: BTreeMap::new(),
             offer_index: BTreeMap::new(),
             fusion: BTreeMap::new(),
+            schemas: BTreeMap::new(),
         }
     }
 
@@ -374,7 +392,19 @@ impl ProductStore {
             // after a restore or a retraction), then move both members and
             // cache out so fusion borrows no `&mut self` state; they are
             // put back below.
-            let cache = self.fusion.entry(key.clone()).or_default();
+            let cache = match self.fusion.entry(key.clone()) {
+                Entry::Occupied(slot) => slot.into_mut(),
+                Entry::Vacant(slot) => {
+                    let schema = match self.schemas.entry(key.0) {
+                        Entry::Occupied(known) => Some(Arc::clone(known.get())),
+                        Entry::Vacant(unknown) => {
+                            FusionSchema::resolve(catalog, key.0, &self.config)
+                                .map(|schema| Arc::clone(unknown.insert(schema)))
+                        }
+                    };
+                    slot.insert(schema.map(ClusterFusionCache::new).unwrap_or_default())
+                }
+            };
             advance_cluster_fusion(catalog, key.0, &state.members, &self.config, cache);
             let cache = std::mem::take(cache);
             let members = std::mem::take(&mut state.members);
@@ -402,7 +432,7 @@ impl ProductStore {
         for ((key, cluster, cache), product) in work.into_iter().zip(fused) {
             let state = self.clusters.get_mut(&key).expect("cluster vanished during refuse");
             state.members = cluster.members;
-            state.fused = product;
+            state.fused = product.map(Arc::new);
             state.dirty = false;
             self.fusion.insert(key, cache);
         }
@@ -422,11 +452,12 @@ impl ProductStore {
         self.clusters
             .iter()
             .filter(|(_, s)| s.members.len() >= self.config.min_cluster_size)
-            .filter_map(|(k, s)| s.fused.as_ref().map(|p| (k, p)))
+            .filter_map(|(k, s)| s.fused.as_deref().map(|p| (k, p)))
     }
 
-    /// The product synthesized for one cluster key, if any.
-    pub fn product_for(&self, key: &ClusterKey) -> Option<&SynthesizedProduct> {
+    /// The product synthesized for one cluster key, if any: the store's
+    /// own copy, which a read snapshot shares rather than clones.
+    pub fn product_for(&self, key: &ClusterKey) -> Option<&Arc<SynthesizedProduct>> {
         let state = self.clusters.get(key)?;
         if state.members.len() < self.config.min_cluster_size {
             return None;
@@ -478,6 +509,7 @@ impl ProductStore {
             clusters: snapshot.clusters,
             offer_index,
             fusion: BTreeMap::new(),
+            schemas: BTreeMap::new(),
         })
     }
 
@@ -541,7 +573,15 @@ impl ProductStore {
         }
         let keys = KeyAttributes::new(&config.key_attributes);
         let offer_index = Self::index_clusters(&clusters)?;
-        Ok(Self { correspondences, config, keys, clusters, offer_index, fusion: BTreeMap::new() })
+        Ok(Self {
+            correspondences,
+            config,
+            keys,
+            clusters,
+            offer_index,
+            fusion: BTreeMap::new(),
+            schemas: BTreeMap::new(),
+        })
     }
 }
 

@@ -36,6 +36,6 @@ pub use offline::{OfflineConfig, OfflineLearner, OfflineOutcome, OfflineStats, S
 pub use provider::{ExtractingProvider, FnProvider, SpecProvider};
 pub use runtime::{
     advance_cluster_fusion, fuse_cluster, fuse_cluster_cached, reconcile_batch, Cluster,
-    ClusterFusionCache, FusedValue, FusionAccumulator, FusionStrategy, KeyAttributes,
+    ClusterFusionCache, FusedValue, FusionAccumulator, FusionSchema, FusionStrategy, KeyAttributes,
     ReconciledOffer, RuntimeConfig, RuntimePipeline, SynthesisResult, SynthesizedProduct,
 };

@@ -5,6 +5,8 @@ pub mod cluster;
 pub mod fusion;
 pub mod reconcile;
 
+use std::sync::Arc;
+
 use pse_core::{Catalog, CategoryId, CorrespondenceSet, Offer, OfferId, Spec};
 use pse_text::normalize::normalize_attribute_name;
 use serde::{Deserialize, Serialize};
@@ -139,6 +141,35 @@ pub fn fuse_cluster(
     fuse_cluster_cached(cluster, config, &cache)
 }
 
+/// The attributes one category's fusion emits, in schema order: each
+/// one's schema surface name (the fused spec's key) and the normalized
+/// name members are probed with. Resolved once per category and shared
+/// by `Arc` among its clusters' [`ClusterFusionCache`]s (`pse-store`
+/// keeps one per category), so a held cluster carries no names of its
+/// own.
+#[derive(Debug)]
+pub struct FusionSchema {
+    names: Vec<(String, String)>,
+}
+
+impl FusionSchema {
+    /// `category`'s fused attributes under `config`, or `None` when the
+    /// catalog does not know the category.
+    pub fn resolve(
+        catalog: &Catalog,
+        category: CategoryId,
+        config: &RuntimeConfig,
+    ) -> Option<Arc<Self>> {
+        let schema = catalog.taxonomy().try_schema(category)?;
+        let names = schema
+            .iter()
+            .filter(|attr| config.include_keys_in_spec || !attr.is_key)
+            .map(|attr| (attr.name.clone(), normalize_attribute_name(&attr.name)))
+            .collect();
+        Some(Arc::new(Self { names }))
+    }
+}
+
 /// Incrementally maintained fusion state for one cluster: a
 /// [`FusionAccumulator`] per fused schema attribute, fed members in
 /// stream order.
@@ -155,33 +186,30 @@ pub fn fuse_cluster(
 pub struct ClusterFusionCache {
     /// How many members have been folded in.
     consumed: usize,
-    /// One accumulator per schema attribute that fusion emits, in schema
-    /// order; `None` until the first advance resolves the schema (and
-    /// forever for categories the catalog does not know).
-    attrs: Option<Vec<AttrAccumulator>>,
-}
-
-#[derive(Debug, Clone)]
-struct AttrAccumulator {
-    /// Schema surface name — the fused spec's key.
-    name: String,
-    /// Normalized name members are probed with.
-    target: String,
-    accum: FusionAccumulator,
+    /// The category's fused attributes and one accumulator for each, in
+    /// the same order; `None` until the first advance resolves the
+    /// schema (and forever for categories the catalog does not know).
+    attrs: Option<(Arc<FusionSchema>, Box<[FusionAccumulator]>)>,
 }
 
 impl ClusterFusionCache {
+    /// An empty cache over a category's resolved attributes.
+    pub fn new(schema: Arc<FusionSchema>) -> Self {
+        let accums = schema.names.iter().map(|_| FusionAccumulator::default()).collect();
+        Self { consumed: 0, attrs: Some((schema, accums)) }
+    }
+
     /// Members folded in so far.
     pub fn consumed(&self) -> usize {
         self.consumed
     }
 }
 
-/// Fold `members[cache.consumed()..]` into the cache, building the
-/// per-attribute accumulators from the category schema on first use.
-/// Returns `false` — leaving the cache unusable — when the catalog does
-/// not know the category, counting one `runtime.drop.unknown_category`
-/// per such call.
+/// Fold `members[cache.consumed()..]` into the cache, resolving the
+/// category's [`FusionSchema`] on first use unless the cache was built
+/// over one ([`ClusterFusionCache::new`]). Returns `false` — leaving the
+/// cache unusable — when the catalog does not know the category,
+/// counting one `runtime.drop.unknown_category` per such call.
 pub fn advance_cluster_fusion(
     catalog: &Catalog,
     category: CategoryId,
@@ -190,31 +218,19 @@ pub fn advance_cluster_fusion(
     cache: &mut ClusterFusionCache,
 ) -> bool {
     if cache.attrs.is_none() {
-        let Some(schema) = catalog.taxonomy().try_schema(category) else {
+        let Some(schema) = FusionSchema::resolve(catalog, category, config) else {
             pse_obs::incr("runtime.drop.unknown_category");
             return false;
         };
-        let mut attrs = Vec::new();
-        for attr in schema.iter() {
-            if !config.include_keys_in_spec && attr.is_key {
-                continue;
-            }
-            // Normalize the schema attribute name once per cluster, not
-            // once per member (members store pre-normalized names).
-            attrs.push(AttrAccumulator {
-                name: attr.name.clone(),
-                target: normalize_attribute_name(&attr.name),
-                accum: FusionAccumulator::default(),
-            });
-        }
-        cache.attrs = Some(attrs);
-        cache.consumed = 0;
+        *cache = ClusterFusionCache::new(schema);
     }
-    let attrs = cache.attrs.as_mut().expect("attrs built above");
+    let (schema, accums) = cache.attrs.as_mut().expect("attrs built above");
     for m in &members[cache.consumed..] {
-        for aa in attrs.iter_mut() {
-            if let Some(v) = m.value_of_normalized(&aa.target) {
-                aa.accum.push(v);
+        // Members store pre-normalized names, probed with the schema's
+        // normalized ones.
+        for ((_, target), accum) in schema.names.iter().zip(accums.iter_mut()) {
+            if let Some(v) = m.value_of_normalized(target) {
+                accum.push(v);
             }
         }
     }
@@ -233,16 +249,16 @@ pub fn fuse_cluster_cached(
     config: &RuntimeConfig,
     cache: &ClusterFusionCache,
 ) -> Option<SynthesizedProduct> {
-    let attrs = cache.attrs.as_ref()?;
+    let (schema, accums) = cache.attrs.as_ref()?;
     debug_assert_eq!(
         cache.consumed,
         cluster.members.len(),
         "fusion cache not advanced to the cluster's member list"
     );
     let mut spec = Spec::new();
-    for aa in attrs {
-        if let Some(fused) = aa.accum.finish(config.fusion) {
-            spec.push(aa.name.clone(), fused.value);
+    for ((name, _), accum) in schema.names.iter().zip(accums.iter()) {
+        if let Some(fused) = accum.finish(config.fusion) {
+            spec.push(name.clone(), fused.value);
         }
     }
     Some(SynthesizedProduct {

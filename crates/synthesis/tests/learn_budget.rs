@@ -1,5 +1,5 @@
 //! The offline learner's memory, asserted. A counting global allocator
-//! (this binary's own; std only) watches one `learn_from_index` call over
+//! (`support/`, std only) watches one `learn_from_index` call over
 //! a fixed world's pre-built feature index and checks two budgets:
 //!
 //! * fewer heap allocations (fresh blocks and reallocations) than the
@@ -11,84 +11,20 @@
 //! The budgets are numbers in the test, edited on purpose with a
 //! CHANGES.md line. One test function: the counters are process-wide.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+mod support;
 
 use pse_core::Offer;
 use pse_datagen::{World, WorldConfig};
 use pse_synthesis::offline::bags::FeatureIndex;
 use pse_synthesis::offline::features::NUM_FEATURES;
 use pse_synthesis::{FnProvider, OfflineLearner, ScoredCandidate};
+use support::measure;
 
 /// Peak live bytes above the index, per scored candidate: the candidate
 /// itself, its row of six features, and 24 B for everything else live at
 /// the peak (category tables, group names, the model).
 const PEAK_BYTES_PER_CANDIDATE: usize =
     size_of::<ScoredCandidate>() + size_of::<[f64; NUM_FEATURES]>() + 24;
-
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-struct Counting;
-
-fn grew(bytes: usize) {
-    let live = LIVE.fetch_add(bytes, Relaxed) + bytes;
-    PEAK.fetch_max(live, Relaxed);
-}
-
-// SAFETY: every method forwards its caller's pointer, layout and size to
-// `System` unchanged and returns what `System` returned, so `System`'s
-// contract is exactly the caller's; the counters are statistics only.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc(layout);
-        if !p.is_null() {
-            ALLOCATIONS.fetch_add(1, Relaxed);
-            grew(layout.size());
-        }
-        p
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc_zeroed(layout);
-        if !p.is_null() {
-            ALLOCATIONS.fetch_add(1, Relaxed);
-            grew(layout.size());
-        }
-        p
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let p = System.realloc(ptr, layout, new_size);
-        if !p.is_null() {
-            ALLOCATIONS.fetch_add(1, Relaxed);
-            match new_size.checked_sub(layout.size()) {
-                Some(more) => grew(more),
-                None => _ = LIVE.fetch_sub(layout.size() - new_size, Relaxed),
-            }
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-        LIVE.fetch_sub(layout.size(), Relaxed);
-    }
-}
-
-#[global_allocator]
-static COUNTING: Counting = Counting;
-
-/// Allocations made and peak live bytes above the starting level while
-/// `f` runs, beside its result.
-fn measure<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
-    let start = LIVE.load(Relaxed);
-    PEAK.store(start, Relaxed);
-    let allocations = ALLOCATIONS.load(Relaxed);
-    let out = f();
-    (out, ALLOCATIONS.load(Relaxed) - allocations, PEAK.load(Relaxed) - start)
-}
 
 #[test]
 fn learner_allocates_less_than_once_per_candidate_within_its_peak_budget() {

@@ -18,6 +18,33 @@ pub fn normalize_attribute_name(name: &str) -> String {
     joined_tokens(name)
 }
 
+/// Whether `name` is already its own [`normalize_attribute_name`], so a
+/// caller that owns it can keep it instead of normalizing a copy. ASCII
+/// input is checked without allocating: lowercase letters and digits in
+/// single-space-separated runs, with no letter next to a digit.
+///
+/// ```
+/// use pse_text::normalize::is_normalized_attribute_name;
+/// assert!(is_normalized_attribute_name("hard disk size"));
+/// assert!(!is_normalized_attribute_name("Hard Disk Size"));
+/// assert!(!is_normalized_attribute_name("500gb"));
+/// ```
+pub fn is_normalized_attribute_name(name: &str) -> bool {
+    if !name.is_ascii() {
+        return normalize_attribute_name(name) == name;
+    }
+    let bytes = name.as_bytes();
+    let token_byte = |b: u8| b.is_ascii_lowercase() || b.is_ascii_digit();
+    !name.starts_with(' ')
+        && !name.ends_with(' ')
+        && bytes.iter().all(|&b| b == b' ' || token_byte(b))
+        && bytes.windows(2).all(|w| match (w[0], w[1]) {
+            (b' ', b' ') => false,
+            (b' ', _) | (_, b' ') => true,
+            (x, y) => x.is_ascii_digit() == y.is_ascii_digit(),
+        })
+}
+
 /// Canonical form of an attribute value: lowercase tokens joined by a single
 /// space. Letter/digit splitting makes `"500GB"` and `"500 gb"` equal.
 ///
@@ -95,6 +122,15 @@ mod tests {
         #[test]
         fn joined_tokens_is_the_join_of_the_tokens(input in "[aB3 .:_#éÉİß7]{0,24}") {
             prop_assert_eq!(joined_tokens(&input), tokens(&input).join(" "));
+        }
+
+        #[test]
+        fn is_normalized_means_normalizing_changes_nothing(input in "[ab3 B.:éİ7]{0,12}") {
+            let normalized = normalize_attribute_name(&input);
+            prop_assert_eq!(is_normalized_attribute_name(&input), normalized == input);
+            // Non-ASCII normalization is not idempotent (`İ` lowercases
+            // to `i` and a combining dot, which splits off).
+            prop_assert!(!input.is_ascii() || is_normalized_attribute_name(&normalized));
         }
     }
 
