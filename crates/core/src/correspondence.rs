@@ -169,6 +169,19 @@ mod tests {
     }
 
     #[test]
+    fn a_learned_name_whose_lowercase_adds_a_mark_translates() {
+        // The learner normalizes merchant names into its bags and hands
+        // that form over; `translate` normalizes the raw name once. `İ`
+        // lowercases to `i` + U+0307, so the two agree only if
+        // normalizing the normalized form changes nothing.
+        let learned = normalize_attribute_name("İnch Size:");
+        assert_eq!(learned, "inch size");
+        let set = CorrespondenceSet::from_correspondences([corr("Screen", &learned, 0, 0, 0.9)]);
+        assert_eq!(set.translate(MerchantId(0), CategoryId(0), "İnch Size:"), Some("Screen"));
+        assert_eq!(set.translate(MerchantId(0), CategoryId(0), "İNCH SIZE"), Some("Screen"));
+    }
+
+    #[test]
     fn collision_keeps_higher_score() {
         let mut set = CorrespondenceSet::new();
         set.insert(corr("Speed", "RPM", 0, 0, 0.6));

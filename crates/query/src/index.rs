@@ -156,9 +156,9 @@ impl CategoryIndex {
             attr_names.entry(merchant_surface).or_default().insert(catalog);
         }
         // One document per distinct (attr, value) entry, in id order.
-        // Interned, not looked up: re-tokenizing a normalized value nearly
-        // always finds the tokens pass 1 saw, but a lowercase form can
-        // split differently (`İ` → `i` + combining dot).
+        // Tokenizing is idempotent (`İ` included), so a normalized value
+        // re-tokenizes to exactly the tokens pass 1 saw in its raw form:
+        // interning adds no symbol here, it only hands back their ids.
         let mut value_corpus_builder = InternedCorpusBuilder::new();
         let value_tokens: Vec<Vec<u32>> = distinct_values
             .iter()

@@ -7,20 +7,21 @@
 //!
 //! * **[`ShardedStore`]** — one [`pse_store::ProductStore`] under one
 //!   writer lock: every ingest/retract, volatile or durable, is one
-//!   atomic `apply` that mutates the store and publishes once. Readers
-//!   never touch that lock or a serializer — they load an immutable
-//!   published [`snapshot`] (MVCC): every visible product by category,
-//!   with pre-serialized `GET /products/{category}` response bodies
-//!   invalidated by category, exactly when a write changes one of its
-//!   products. Shards only partition the snapshot segments on disk, by
+//!   atomic `apply` that mutates the store and publishes once. The
+//!   store keeps its visible products, each with its JSON, in one
+//!   per-category map ([`pse_store::Products`]), and a publish freezes it
+//!   by cloning the outer map. Readers never touch the writer lock or a
+//!   serializer — they load an immutable published [`snapshot`] (MVCC):
+//!   every visible product by category, with pre-serialized `GET
+//!   /products/{category}` response bodies invalidated by category,
+//!   exactly when a write changes one of its products. Shards only partition the snapshot segments on disk, by
 //!   FNV-1a hash of `(category, key attribute, normalized key value)`.
 //!   All outputs (products, snapshots, cached responses) are
 //!   byte-identical to the single store fed the same stream, at any
 //!   shard count — see the `shard` module docs.
-//! * **[`snapshot`]** — the immutable read-model types: the per-category
-//!   product map with per-product cached JSON, the whole-store snapshot
-//!   with its response and search caches, and the swap cell readers load
-//!   it from.
+//! * **[`snapshot`]** — the read-side types: the whole-store snapshot
+//!   with its response and search caches, the swap cell readers load it
+//!   from, and a re-export of the store's per-category product map.
 //! * **[`server`]** — an HTTP/1.1 server on `std::net::TcpListener` with
 //!   a fixed worker pool and a bounded accept queue (503 on overload),
 //!   serving `GET /products/{category}`, `GET /product?...`,

@@ -7,18 +7,19 @@
 //!
 //! Every mutation — a volatile ingest or retract, or a durable apply
 //! pass's batch of logged records — goes through `ShardedStore::apply`.
-//! Under the writer lock it runs the records through the store in order,
-//! rebuilds the published [`Products`](crate::snapshot::Products) for
-//! exactly the categories the delta's dirty cluster keys name —
-//! carrying every other category forward by `Arc` clone and
-//! re-serializing exactly the dirty clusters — replaces the response and
-//! search slots of the categories whose entries changed, and installs
-//! the whole thing with a single pointer swap. Every write is therefore
-//! atomic and serializable, whichever thread issues it. Re-fusion and
-//! the rebuild fan out to `pse-par` workers only from
-//! [`PAR_APPLY_MIN_BATCH`] offers or ids up. The same dirty keys, hashed
-//! by [`shard_of`], name the segments the next fold rewrites
-//! ([`ShardedStore::shard_clusters_value`]).
+//! Under the writer lock it runs the records through the store in order.
+//! The store re-fuses the clusters each record touched and updates its
+//! own visible-products map ([`Products`](crate::snapshot::Products)) as
+//! it goes, serializing each re-fused product once; each record's delta
+//! names the categories whose entries changed. The publish then clones
+//! the store's outer map (one refcount per category), replaces the
+//! response and search slots of the changed categories, and installs the
+//! whole thing with a single pointer swap. Every write is therefore
+//! atomic and serializable, whichever thread issues it. Re-fusion fans
+//! out to `pse-par` workers only from
+//! [`PAR_APPLY_MIN_BATCH`](pse_store::PAR_APPLY_MIN_BATCH) offers or ids
+//! up. The delta's dirty cluster keys, hashed by [`shard_of`], name the
+//! segments the next fold rewrites ([`ShardedStore::shard_clusters_value`]).
 //!
 //! # Read path: no locks held, no serializer run
 //!
@@ -45,7 +46,7 @@ use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use pse_core::{Catalog, CategoryId, CorrespondenceSet, Offer, OfferId};
-use pse_store::{ClusterKey, IngestStats, ProductStore, PAR_APPLY_MIN_BATCH};
+use pse_store::{ClusterKey, IngestStats, ProductStore};
 use pse_synthesis::runtime::reconcile_batch;
 use pse_synthesis::{ReconciledOffer, RuntimeConfig, SpecProvider, SynthesizedProduct};
 use pse_wal::codec::{fnv1a_extend, FNV_OFFSET};
@@ -108,7 +109,7 @@ impl ShardedStore {
     /// Wrap an existing single store, its snapshot segments split across
     /// `n_shards` shards.
     pub fn from_store(store: ProductStore, n_shards: usize) -> Self {
-        let visible: Vec<ClusterKey> = store.products_keyed().map(|(k, _)| k.clone()).collect();
+        let visible: BTreeSet<CategoryId> = store.visible().categories.keys().copied().collect();
         let this = Self {
             correspondences: store.correspondences().clone(),
             config: store.config().clone(),
@@ -116,7 +117,7 @@ impl ShardedStore {
             published: SnapshotCell::new(Arc::default()),
             writer: Mutex::new(store),
         };
-        this.publish(&this.writer(), &visible, visible.len());
+        this.publish(&this.writer(), &visible);
         this
     }
 
@@ -198,8 +199,7 @@ impl ShardedStore {
     }
 
     /// The one place a [`WalRecord`] mutates the store: under the writer
-    /// lock, run `records` through the store in order, rebuild the
-    /// categories their dirty clusters belong to, and publish once.
+    /// lock, run `records` through the store in order and publish once.
     /// Returns each record's stats and the shards whose cluster state
     /// changed.
     pub(crate) fn apply(
@@ -208,46 +208,43 @@ impl ShardedStore {
         records: Vec<WalRecord>,
     ) -> (Vec<IngestStats>, BTreeSet<usize>) {
         let mut store = self.writer();
-        let mut dirty: BTreeSet<ClusterKey> = BTreeSet::new();
+        let mut dirty_shards = BTreeSet::new();
+        let mut changed = BTreeSet::new();
         let stats: Vec<IngestStats> = records
             .into_iter()
             .map(|record| {
                 let delta = record.apply_to(&mut store, catalog);
-                dirty.extend(delta.dirty);
+                dirty_shards.extend(delta.dirty.iter().map(|key| shard_of(key, self.n_shards)));
+                changed.extend(delta.changed);
                 delta.stats
             })
             .collect();
-        let dirty_shards = dirty.iter().map(|key| shard_of(key, self.n_shards)).collect();
-        let dirty: Vec<ClusterKey> = dirty.into_iter().collect();
-        let batch = stats.iter().map(|s| s.offers_in).sum();
-        let invalidated = self.publish(&store, &dirty, batch);
+        let invalidated = self.publish(&store, &changed);
         pse_obs::add(metrics::CACHE_INVALIDATED, invalidated as u64);
         (stats, dirty_shards)
     }
 
-    /// Rebuild the published products for the `dirty` keys (sorted),
-    /// re-resolving them against `store` (concurrently across categories
-    /// for a `batch` of [`PAR_APPLY_MIN_BATCH`] or more), and swap in the
-    /// successor. Response and search slots are replaced for exactly the
-    /// categories whose entries changed; returns how many. Called with
-    /// the writer lock held, so each publish builds on the last.
-    fn publish(&self, store: &ProductStore, dirty: &[ClusterKey], batch: usize) -> usize {
-        let current = self.published.load();
-        let (products, changed) =
-            current.shards.rebuilt(store, dirty, batch >= PAR_APPLY_MIN_BATCH);
+    /// Publish `store`'s visible products: clone its outer map, give the
+    /// `changed` categories fresh response and search slots, and swap the
+    /// successor in; returns how many categories changed. Nothing is
+    /// published when none did. Called with the writer lock held, so each
+    /// publish builds on the last.
+    fn publish(&self, store: &ProductStore, changed: &BTreeSet<CategoryId>) -> usize {
         if changed.is_empty() {
             return 0;
         }
+        let current = self.published.load();
         let mut responses = current.responses.clone();
         let mut search = current.search.clone();
-        for &category in &changed {
+        for &category in changed {
             // A fresh slot: the next reader of the category assembles
             // the body; untouched categories keep their built slots.
             // The search index invalidates in lockstep.
             responses.insert(category, Arc::new(ResponseSlot::default()));
             search.insert(category, Arc::new(SearchSlot::default()));
         }
-        self.published.swap(Arc::new(StoreSnapshot { shards: products, responses, search }));
+        let shards = store.visible().clone();
+        self.published.swap(Arc::new(StoreSnapshot { shards, responses, search }));
         changed.len()
     }
 

@@ -1,13 +1,12 @@
-//! Immutable read-model types for the MVCC serving path.
+//! The read side of the MVCC serving path.
 //!
-//! [`Products`] is every visible product frozen at one publish: a
-//! category → cluster-key-ordered map of [`ProductEntry`] values, each
-//! carrying the product (the writer store's own `Arc`, not a copy) *and*
-//! its pre-serialized JSON. It is never
-//! mutated — a write builds a successor by re-resolving exactly the
-//! cluster keys its delta names, so untouched categories keep their
-//! `Arc` identity across publishes, and the rebuild reports which
-//! categories it changed.
+//! The visible products are the writer store's own [`Products`] map
+//! (defined in `pse-store`, re-exported here): category → `Arc` of that
+//! category's cluster-key-ordered [`ProductEntry`] values, each the fused
+//! product and its JSON, serialized once when it was fused. A
+//! [`StoreSnapshot`] freezes it by cloning the outer map, one refcount per
+//! category; the store's next commit copies a category on write only if
+//! it touches it, so a published snapshot never changes under a reader.
 //!
 //! A [`StoreSnapshot`] is the whole store frozen at one instant: the
 //! products plus per-category response-body and search-index slots.
@@ -15,7 +14,7 @@
 //! increment and then see a fully consistent state — either all of a
 //! published batch or none of it.
 //!
-//! A publish replaces the slots of exactly the categories the rebuild
+//! A publish replaces the slots of exactly the categories the commit
 //! changed; every other slot carries forward, built or not. Because the
 //! vendored `serde_json` serializes a `Vec<T>` as the compact `[` +
 //! `,`-joined elements + `]`, joining the cached per-product JSON strings
@@ -27,111 +26,8 @@ use std::sync::{Arc, OnceLock, RwLock};
 
 use pse_core::{CategoryId, CorrespondenceSet};
 use pse_query::CategoryIndex;
-use pse_store::{ClusterKey, ProductStore};
+pub use pse_store::{CategoryClusters, ProductEntry, Products};
 use pse_synthesis::SynthesizedProduct;
-
-/// One visible product with its serialization cached.
-#[derive(Debug)]
-pub struct ProductEntry {
-    /// The synthesized product: the store's own copy, shared, not cloned.
-    pub product: Arc<SynthesizedProduct>,
-    /// `serde_json::to_string(&product)`, serialized once at publish.
-    pub json: Arc<str>,
-}
-
-impl ProductEntry {
-    fn new(product: Arc<SynthesizedProduct>) -> Arc<Self> {
-        let json =
-            serde_json::to_string(&product).expect("product serialization is infallible").into();
-        Arc::new(Self { product, json })
-    }
-}
-
-/// One category's visible clusters, in key order. The full
-/// [`ClusterKey`] stays the map key (the category component is redundant
-/// with the outer level), so a point lookup takes a `&ClusterKey`. It
-/// sits behind an `Arc` so that the copy-on-write clone of a category a
-/// commit touches bumps one refcount per cluster instead of copying two
-/// strings (with copied keys, an 8-offer apply on a 2,584-product store
-/// read a p50 of ~170 us against ~128 us with shared ones, 2-CPU host).
-pub type CategoryClusters = BTreeMap<Arc<ClusterKey>, Arc<ProductEntry>>;
-
-/// Every visible product, frozen at one publish.
-///
-/// Two-level layout: category → `Arc` of that category's cluster map,
-/// the unit every read-side cache is keyed by. A successor clones the
-/// outer map (a handful of refcounts) and deep-clones only the
-/// categories its delta touches, so per-commit publish cost is bounded
-/// by category size, not store size — with one flat map, every commit
-/// re-cloned every key in the store, which at paper scale cost more
-/// than the fsync it rode behind.
-#[derive(Debug, Default, Clone)]
-pub struct Products {
-    /// Visible products (fused, at or above `min_cluster_size`),
-    /// grouped by category, each category in cluster-key order.
-    /// Categories with no visible product are absent.
-    pub categories: BTreeMap<CategoryId, Arc<CategoryClusters>>,
-}
-
-impl Products {
-    /// Build the successor: re-resolve the `dirty` keys (sorted, so each
-    /// category's keys are adjacent) against the store — re-serializing
-    /// a changed product, dropping a vanished one — and carry every other
-    /// category forward by `Arc` clone. Categories are rebuilt on
-    /// `pse-par` workers when `parallel`, inline otherwise. Returns the
-    /// successor and the categories whose entries changed: a dirty key
-    /// that was absent and stays absent changes nothing.
-    pub fn rebuilt(
-        &self,
-        store: &ProductStore,
-        dirty: &[ClusterKey],
-        parallel: bool,
-    ) -> (Self, Vec<CategoryId>) {
-        let by_category: Vec<&[ClusterKey]> = dirty.chunk_by(|a, b| a.0 == b.0).collect();
-        let min_chunk = if parallel { 1 } else { by_category.len() };
-        let rebuilt = pse_par::par_map_chunked(&by_category, min_chunk, |keys| {
-            let mut clusters = self.categories.get(&keys[0].0).cloned().unwrap_or_default();
-            let mut changed = false;
-            for key in keys.iter() {
-                if let Some(p) = store.product_for(key) {
-                    Arc::make_mut(&mut clusters)
-                        .insert(Arc::new(key.clone()), ProductEntry::new(Arc::clone(p)));
-                    changed = true;
-                } else if clusters.contains_key(key) {
-                    Arc::make_mut(&mut clusters).remove(key);
-                    changed = true;
-                }
-            }
-            changed.then_some((keys[0].0, clusters))
-        });
-        let mut next = self.clone();
-        let mut changed = Vec::new();
-        for (category, clusters) in rebuilt.into_iter().flatten() {
-            changed.push(category);
-            if clusters.is_empty() {
-                next.categories.remove(&category);
-            } else {
-                next.categories.insert(category, clusters);
-            }
-        }
-        (next, changed)
-    }
-
-    /// One category's entries, in cluster-key order.
-    pub fn category(&self, category: CategoryId) -> impl Iterator<Item = &Arc<ProductEntry>> {
-        self.categories.get(&category).into_iter().flat_map(|m| m.values())
-    }
-
-    /// Every entry, in cluster-key order.
-    pub fn entries(&self) -> impl Iterator<Item = &Arc<ProductEntry>> {
-        self.categories.values().flat_map(|m| m.values())
-    }
-
-    /// The entry for `key`, if visible.
-    pub fn entry(&self, key: &ClusterKey) -> Option<&Arc<ProductEntry>> {
-        self.categories.get(&key.0)?.get(key)
-    }
-}
 
 /// One category's `GET /products/{category}` response body, assembled
 /// lazily: a publish that changes the category installs an empty slot,
@@ -258,6 +154,7 @@ impl SnapshotCell {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pse_store::ClusterKey;
 
     fn entry(cat: u32, key: &str, json: &str) -> (ClusterKey, Arc<ProductEntry>) {
         let product = SynthesizedProduct {

@@ -40,14 +40,18 @@
 //!
 //! # Held state
 //!
-//! Per cluster the store holds its members, its fused product (an `Arc`
-//! that the serving layer's read snapshot shares instead of copying) and
-//! its [`ClusterFusionCache`]. The cache is one compact
-//! [`FusionAccumulator`](pse_synthesis::FusionAccumulator) per fused
-//! attribute (every distinct surface and term stored once in a byte
-//! arena, counts and spans as `u32`) plus an `Arc` of its category's
-//! [`FusionSchema`], which the store resolves once per category, so no
-//! cluster carries schema names of its own.
+//! Per cluster the store holds its members and its [`ClusterFusionCache`]:
+//! one compact [`FusionAccumulator`](pse_synthesis::FusionAccumulator)
+//! per fused attribute (every distinct surface and term stored once in a
+//! byte arena, counts and spans as `u32`) plus an `Arc` of its category's
+//! [`FusionSchema`], which the store resolves once per category.
+//!
+//! The visible products live in one [`Products`] map, category → `Arc`
+//! of [`ProductEntry`] values (the fused product and its JSON), which
+//! re-fusion updates copy-on-write. A read snapshot (`pse-serve`) clones
+//! its outer map, sharing every category and product with the store. The
+//! persisted record `{members, fused, dirty}` reads `fused` from the map
+//! and writes `dirty: false`.
 
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
@@ -59,14 +63,14 @@ use pse_synthesis::runtime::{
     FusionSchema, KeyAttributes,
 };
 use pse_synthesis::{ReconciledOffer, RuntimeConfig, SpecProvider, SynthesizedProduct};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 /// Snapshot format version; bumped on incompatible layout changes.
 pub const SNAPSHOT_VERSION: u32 = 1;
 
-/// Applies of fewer offers (or retracted ids) than this run on the
-/// calling thread: the re-fusion here and the read-snapshot rebuild in
-/// `pse-serve`. Measured on a 2-CPU host against a store preloaded like
+/// Applies of fewer offers (or retracted ids) than this run their
+/// re-fusion, and the JSON of each re-fused product, on the calling
+/// thread. Measured on a 2-CPU host against a store preloaded like
 /// the benchmark's: one scoped spawn + join costs ~30 µs, about two
 /// offers' apply (12–15 µs per offer), and `ingest_reconciled` at two
 /// threads loses to one below ~256 offers (8 offers: 100–113 → 222–240
@@ -132,17 +136,103 @@ impl std::error::Error for StoreError {}
 /// cluster output order exactly.
 pub type ClusterKey = (CategoryId, String, String);
 
-/// One cluster's persistent state.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// One cluster's in-memory state. Its product, while visible, is the
+/// cluster's entry in the store's [`Products`] map, not a field here.
+#[derive(Debug, Clone, Default)]
 struct ClusterState {
     /// Members in stream (ingestion) order.
     members: Vec<ReconciledOffer>,
-    /// Cached fusion result, shared with the read snapshot that
-    /// publishes it; `None` when the cluster is below `min_cluster_size`
-    /// or its category is unknown to the catalog.
-    fused: Option<Arc<SynthesizedProduct>>,
-    /// Whether membership changed since the last fusion.
-    dirty: bool,
+    /// Incremental fusion state over `members`: never persisted, and
+    /// reset to the unbuilt default by a retraction.
+    fusion: ClusterFusionCache,
+}
+
+/// A persisted cluster record as decoded. The record also carries
+/// `dirty`, always `false` on disk, which decoding ignores.
+#[derive(Deserialize)]
+#[cfg_attr(test, derive(Serialize))]
+struct ClusterRecord {
+    members: Vec<ReconciledOffer>,
+    fused: Option<SynthesizedProduct>,
+}
+
+/// One visible product with its serialization cached.
+#[derive(Debug)]
+pub struct ProductEntry {
+    /// The synthesized product, fused once and shared by every read
+    /// snapshot that holds its category.
+    pub product: Arc<SynthesizedProduct>,
+    /// `serde_json::to_string(&product)`, serialized once when fused.
+    pub json: Arc<str>,
+}
+
+impl ProductEntry {
+    fn new(product: Arc<SynthesizedProduct>) -> Arc<Self> {
+        let json =
+            serde_json::to_string(&product).expect("product serialization is infallible").into();
+        Arc::new(Self { product, json })
+    }
+}
+
+/// One category's visible clusters, in key order. The full
+/// [`ClusterKey`] stays the map key (the category component is redundant
+/// with the outer level), so a point lookup takes a `&ClusterKey`. It
+/// sits behind an `Arc` so that the copy-on-write clone of a category a
+/// commit touches bumps one refcount per cluster instead of copying two
+/// strings (with copied keys, an 8-offer apply on a 2,584-product store
+/// read a p50 of ~170 us against ~128 us with shared ones, 2-CPU host).
+pub type CategoryClusters = BTreeMap<Arc<ClusterKey>, Arc<ProductEntry>>;
+
+/// Every visible product: fused, at or above `min_cluster_size`.
+///
+/// Two-level layout: category → `Arc` of that category's cluster map,
+/// the unit every read-side cache is keyed by. The store updates it in
+/// place as it re-fuses, with `Arc::make_mut` per touched category, so
+/// a category still shared with a published read snapshot is cloned
+/// (one refcount per cluster) and every other category is left alone —
+/// per-commit cost is bounded by category size, not store size.
+#[derive(Debug, Default, Clone)]
+pub struct Products {
+    /// Visible products grouped by category, each category in
+    /// cluster-key order. Categories with no visible product are absent.
+    pub categories: BTreeMap<CategoryId, Arc<CategoryClusters>>,
+}
+
+impl Products {
+    /// One category's entries, in cluster-key order.
+    pub fn category(&self, category: CategoryId) -> impl Iterator<Item = &Arc<ProductEntry>> {
+        self.categories.get(&category).into_iter().flat_map(|m| m.values())
+    }
+
+    /// Every entry, in cluster-key order.
+    pub fn entries(&self) -> impl Iterator<Item = &Arc<ProductEntry>> {
+        self.categories.values().flat_map(|m| m.values())
+    }
+
+    /// The entry for `key`, if visible.
+    pub fn entry(&self, key: &ClusterKey) -> Option<&Arc<ProductEntry>> {
+        self.categories.get(&key.0)?.get(key)
+    }
+
+    /// Make `entry` the product of `key`, or for `None` drop its product
+    /// (and its category with it when that was the last one); returns
+    /// whether the map changed.
+    fn set(&mut self, key: &ClusterKey, entry: Option<Arc<ProductEntry>>) -> bool {
+        if let Some(entry) = entry {
+            let clusters = Arc::make_mut(self.categories.entry(key.0).or_default());
+            clusters.insert(Arc::new(key.clone()), entry);
+            return true;
+        }
+        let Some(clusters) = self.categories.get_mut(&key.0).filter(|c| c.contains_key(key)) else {
+            return false;
+        };
+        let clusters = Arc::make_mut(clusters);
+        clusters.remove(key);
+        if clusters.is_empty() {
+            self.categories.remove(&key.0);
+        }
+        true
+    }
 }
 
 /// What one ingest or retract did — the numbers the incremental
@@ -159,28 +249,34 @@ pub struct IngestStats {
     pub refused: usize,
 }
 
-/// One ingest/retract's outcome with the precise set of clusters it
-/// touched — what an MVCC front (`pse-serve`) needs to rebuild only the
-/// affected entries of an immutable read snapshot.
+/// One ingest/retract's outcome: which clusters it touched (what the
+/// durable layer needs to know which snapshot segments to rewrite) and
+/// which categories' visible products changed (what a read snapshot
+/// needs to know which cached responses to drop).
 #[derive(Debug, Clone, Default)]
 pub struct IngestDelta {
     /// The batch-level numbers ([`IngestStats`] semantics unchanged).
     pub stats: IngestStats,
-    /// Every cluster whose visible product may have changed, in key
-    /// order: clusters that gained or lost members, including clusters
-    /// that vanished entirely (their last member retracted or re-keyed
-    /// away). This is a superset of `stats.clusters_dirty`, which counts
-    /// only clusters that still exist.
+    /// Every cluster that gained or lost members, in key order,
+    /// including clusters that vanished entirely (their last member
+    /// retracted or re-keyed away). This is a superset of
+    /// `stats.clusters_dirty`, which counts only clusters that still exist.
     pub dirty: Vec<ClusterKey>,
+    /// Categories whose entries in [`ProductStore::visible`] changed, in
+    /// ascending order: a dirty cluster that was invisible and stays
+    /// invisible changes none.
+    pub changed: Vec<CategoryId>,
 }
 
 /// The serialized form of a store (see [`ProductStore::snapshot_json`]).
+/// `clusters` is the same `[key, record]` list a segment holds
+/// ([`ProductStore::clusters_value_where`]).
 #[derive(Serialize, Deserialize)]
 struct Snapshot {
     schema_version: u32,
     config: RuntimeConfig,
     correspondences: CorrespondenceSet,
-    clusters: BTreeMap<ClusterKey, ClusterState>,
+    clusters: Value,
 }
 
 /// A persistent product catalog maintained incrementally from offer
@@ -194,13 +290,10 @@ pub struct ProductStore {
     clusters: BTreeMap<ClusterKey, ClusterState>,
     /// Reverse index for `retract`: which cluster holds each offer.
     offer_index: BTreeMap<OfferId, ClusterKey>,
-    /// Per-cluster incremental fusion state. Purely an accelerator: never
-    /// serialized (snapshots stay byte-identical and restored stores
-    /// rebuild entries lazily on first re-fusion), dropped for a cluster
-    /// whenever its member list mutates non-monotonically (retraction).
-    fusion: BTreeMap<ClusterKey, ClusterFusionCache>,
+    /// The visible products, kept in step with `clusters` by `refuse`.
+    visible: Products,
     /// Each category's fused attribute names, resolved once and shared by
-    /// every cache in `fusion` of that category (not persisted).
+    /// every fusion cache of that category (not persisted).
     schemas: BTreeMap<CategoryId, Arc<FusionSchema>>,
 }
 
@@ -219,7 +312,7 @@ impl ProductStore {
             keys,
             clusters: BTreeMap::new(),
             offer_index: BTreeMap::new(),
-            fusion: BTreeMap::new(),
+            visible: Products::default(),
             schemas: BTreeMap::new(),
         }
     }
@@ -300,12 +393,11 @@ impl ProductStore {
                 std::collections::btree_map::Entry::Occupied(slot) => slot.into_mut(),
             };
             state.members.push(r);
-            state.dirty = true;
             dirty.insert(key);
             offers_routed += 1;
         }
         pse_obs::add("runtime.clusters_formed", clusters_formed);
-        self.finish_delta(catalog, dirty, vanished, offers_in, offers_routed)
+        self.refuse(catalog, dirty, vanished, offers_in, offers_routed)
     }
 
     /// Remove offers by id, re-fusing the affected clusters. Unknown ids
@@ -323,15 +415,15 @@ impl ProductStore {
             removed += usize::from(self.remove_member(key, *id, &mut dirty, &mut vanished));
         }
         pse_obs::add(metrics::RETRACTED, removed as u64);
-        self.finish_delta(catalog, dirty, vanished, ids.len(), removed)
+        self.refuse(catalog, dirty, vanished, ids.len(), removed)
     }
 
     /// Take offer `id` out of cluster `key`: the cluster is marked dirty,
     /// or vanishes when `id` was its last member. A removal is not an
     /// append, so the cluster's incremental fusion state no longer
-    /// describes its members: it is dropped, and the next re-fusion
-    /// rebuilds from the retained members. Returns whether the cluster
-    /// existed.
+    /// describes its members: it is reset, and the next re-fusion
+    /// rebuilds it from the retained members. Returns whether the
+    /// cluster existed.
     fn remove_member(
         &mut self,
         key: ClusterKey,
@@ -341,21 +433,29 @@ impl ProductStore {
     ) -> bool {
         let Some(state) = self.clusters.get_mut(&key) else { return false };
         state.members.retain(|m| m.offer != id);
-        self.fusion.remove(&key);
+        state.fusion = ClusterFusionCache::default();
         if state.members.is_empty() {
             self.clusters.remove(&key);
             vanished.insert(key);
         } else {
-            state.dirty = true;
             dirty.insert(key);
         }
         true
     }
 
-    /// Re-fuse `dirty` and report the delta: `dirty` counts in the stats,
-    /// and the vanished clusters join it in the key list, because their
-    /// disappearance invalidates cached reads just as surely.
-    fn finish_delta(
+    /// Whether any of `ids` is currently held by this store.
+    pub fn owns_any(&self, ids: &[OfferId]) -> bool {
+        ids.iter().any(|id| self.offer_index.contains_key(id))
+    }
+
+    /// Bring the visible products of `dirty` and `vanished` up to date
+    /// and report the delta: re-fuse each cluster at or above
+    /// `min_cluster_size`, serializing its product in the same task (in
+    /// parallel, order-preserving, for a batch of at least
+    /// [`PAR_APPLY_MIN_BATCH`] offers or ids), and drop the product of
+    /// every key whose cluster is below the minimum or gone. `dirty`
+    /// counts in the stats; the vanished clusters join it in the key list.
+    fn refuse(
         &mut self,
         catalog: &Catalog,
         mut dirty: BTreeSet<ClusterKey>,
@@ -364,79 +464,74 @@ impl ProductStore {
         offers_routed: usize,
     ) -> IngestDelta {
         pse_obs::add(metrics::CLUSTERS_DIRTY, dirty.len() as u64);
-        let refused = self.refuse(catalog, &dirty, offers_in);
-        let stats = IngestStats { offers_in, offers_routed, clusters_dirty: dirty.len(), refused };
+        let clusters_dirty = dirty.len();
         dirty.append(&mut vanished);
-        IngestDelta { stats, dirty: dirty.into_iter().collect() }
-    }
-
-    /// Whether any of `ids` is currently held by this store.
-    pub fn owns_any(&self, ids: &[OfferId]) -> bool {
-        ids.iter().any(|id| self.offer_index.contains_key(id))
-    }
-
-    /// Re-fuse the given dirty clusters (in parallel, order-preserving,
-    /// for a `batch` of at least [`PAR_APPLY_MIN_BATCH`] offers or ids);
-    /// clusters below `min_cluster_size` just drop their cached product.
-    fn refuse(&mut self, catalog: &Catalog, dirty: &BTreeSet<ClusterKey>, batch: usize) -> usize {
-        let mut work: Vec<(ClusterKey, Cluster, ClusterFusionCache)> = Vec::new();
-        for key in dirty {
-            let Some(state) = self.clusters.get_mut(key) else { continue };
-            if state.members.len() < self.config.min_cluster_size {
-                state.fused = None;
-                state.dirty = false;
-                continue;
-            }
-            // Fold the members appended since the last re-fusion into the
-            // cluster's incremental fusion state (building it from scratch
-            // after a restore or a retraction), then move both members and
-            // cache out so fusion borrows no `&mut self` state; they are
-            // put back below.
-            let cache = match self.fusion.entry(key.clone()) {
-                Entry::Occupied(slot) => slot.into_mut(),
-                Entry::Vacant(slot) => {
-                    let schema = match self.schemas.entry(key.0) {
-                        Entry::Occupied(known) => Some(Arc::clone(known.get())),
-                        Entry::Vacant(unknown) => {
-                            FusionSchema::resolve(catalog, key.0, &self.config)
-                                .map(|schema| Arc::clone(unknown.insert(schema)))
-                        }
-                    };
-                    slot.insert(schema.map(ClusterFusionCache::new).unwrap_or_default())
+        let mut changed = BTreeSet::new();
+        let mut work: Vec<(&ClusterKey, Cluster, ClusterFusionCache)> = Vec::new();
+        for key in &dirty {
+            let state = match self.clusters.get_mut(key) {
+                Some(state) if state.members.len() >= self.config.min_cluster_size => state,
+                _ => {
+                    if self.visible.set(key, None) {
+                        changed.insert(key.0);
+                    }
+                    continue;
                 }
             };
-            advance_cluster_fusion(catalog, key.0, &state.members, &self.config, cache);
-            let cache = std::mem::take(cache);
-            let members = std::mem::take(&mut state.members);
+            // Fold the members appended since the last re-fusion into the
+            // cluster's fusion state (building it first after a restore or
+            // a retraction), then move both members and cache out so
+            // fusion borrows no `&mut self` state; they are put back below.
+            if state.fusion.consumed() == 0 {
+                let schema = match self.schemas.entry(key.0) {
+                    Entry::Occupied(known) => Some(Arc::clone(known.get())),
+                    Entry::Vacant(unknown) => FusionSchema::resolve(catalog, key.0, &self.config)
+                        .map(|schema| Arc::clone(unknown.insert(schema))),
+                };
+                state.fusion = schema.map(ClusterFusionCache::new).unwrap_or_default();
+            }
+            advance_cluster_fusion(catalog, key.0, &state.members, &self.config, &mut state.fusion);
             let cluster = Cluster {
                 category: key.0,
                 key_attribute: key.1.clone(),
                 key_value: key.2.clone(),
-                members,
+                members: std::mem::take(&mut state.members),
             };
-            work.push((key.clone(), cluster, cache));
+            work.push((key, cluster, std::mem::take(&mut state.fusion)));
         }
         let refuse_span = pse_obs::span("store.refuse");
-        let min_chunk = if batch < PAR_APPLY_MIN_BATCH { work.len() } else { 4 };
-        let fused: Vec<Option<SynthesizedProduct>> =
+        // Each task fuses and serializes one product, so a large batch
+        // spreads even a handful of clusters.
+        let min_chunk = if offers_in < PAR_APPLY_MIN_BATCH { work.len() } else { 1 };
+        let fused: Vec<Option<Arc<ProductEntry>>> =
             pse_par::par_map_chunked(&work, min_chunk, |(_, cluster, cache)| {
-                fuse_cluster_cached(cluster, &self.config, cache)
+                let product = fuse_cluster_cached(cluster, &self.config, cache)?;
+                Some(ProductEntry::new(Arc::new(product)))
             });
         drop(refuse_span);
         let refused = work.len();
         pse_obs::add(metrics::REFUSED, refused as u64);
         pse_obs::add(
             "runtime.values_fused",
-            fused.iter().flatten().map(|p| p.spec.len() as u64).sum::<u64>(),
+            fused.iter().flatten().map(|e| e.product.spec.len() as u64).sum::<u64>(),
         );
-        for ((key, cluster, cache), product) in work.into_iter().zip(fused) {
-            let state = self.clusters.get_mut(&key).expect("cluster vanished during refuse");
+        for ((key, cluster, cache), entry) in work.into_iter().zip(fused) {
+            let state = self.clusters.get_mut(key).expect("cluster vanished during refuse");
             state.members = cluster.members;
-            state.fused = product.map(Arc::new);
-            state.dirty = false;
-            self.fusion.insert(key, cache);
+            state.fusion = cache;
+            if self.visible.set(key, entry) {
+                changed.insert(key.0);
+            }
         }
-        refused
+        let stats = IngestStats { offers_in, offers_routed, clusters_dirty, refused };
+        let changed = changed.into_iter().collect();
+        IngestDelta { stats, dirty: dirty.into_iter().collect(), changed }
+    }
+
+    /// The visible products, by category: the map a read snapshot
+    /// publishes by cloning it.
+    pub fn visible(&self) -> &Products {
+        &self.visible
     }
 
     /// Current products, in the exact order `RuntimePipeline::process`
@@ -447,27 +542,21 @@ impl ProductStore {
 
     /// Current products with their cluster keys, in key order. The
     /// borrowing primitive behind [`ProductStore::products`] and the
-    /// per-category / per-key lookups.
+    /// per-category lookups.
     pub fn products_keyed(&self) -> impl Iterator<Item = (&ClusterKey, &SynthesizedProduct)> {
-        self.clusters
-            .iter()
-            .filter(|(_, s)| s.members.len() >= self.config.min_cluster_size)
-            .filter_map(|(k, s)| s.fused.as_deref().map(|p| (k, p)))
+        let clusters = self.visible.categories.values().flat_map(|m| m.iter());
+        clusters.map(|(k, e)| (&**k, &*e.product))
     }
 
-    /// The product synthesized for one cluster key, if any: the store's
-    /// own copy, which a read snapshot shares rather than clones.
+    /// The product synthesized for one cluster key, if visible: the
+    /// store's own copy, which a read snapshot shares rather than clones.
     pub fn product_for(&self, key: &ClusterKey) -> Option<&Arc<SynthesizedProduct>> {
-        let state = self.clusters.get(key)?;
-        if state.members.len() < self.config.min_cluster_size {
-            return None;
-        }
-        state.fused.as_ref()
+        self.visible.entry(key).map(|e| &e.product)
     }
 
     /// Products of one category, in cluster-key order.
     pub fn products_in_category(&self, category: CategoryId) -> Vec<SynthesizedProduct> {
-        self.products_keyed().filter(|(k, _)| k.0 == category).map(|(_, p)| p.clone()).collect()
+        self.visible.category(category).map(|e| SynthesizedProduct::clone(&e.product)).collect()
     }
 
     /// Serialize the store to JSON. Restoring the snapshot and snapshotting
@@ -481,7 +570,7 @@ impl ProductStore {
             schema_version: SNAPSHOT_VERSION,
             config: self.config.clone(),
             correspondences: self.correspondences.clone(),
-            clusters: self.clusters.clone(),
+            clusters: self.clusters_value_where(|_| true),
         };
         serde_json::to_string_pretty(&snapshot).expect("snapshot serialization is infallible")
     }
@@ -500,17 +589,7 @@ impl ProductStore {
                 expected: SNAPSHOT_VERSION,
             });
         }
-        let keys = KeyAttributes::new(&snapshot.config.key_attributes);
-        let offer_index = Self::index_clusters(&snapshot.clusters)?;
-        Ok(Self {
-            correspondences: snapshot.correspondences,
-            config: snapshot.config,
-            keys,
-            clusters: snapshot.clusters,
-            offer_index,
-            fusion: BTreeMap::new(),
-            schemas: BTreeMap::new(),
-        })
+        Self::from_cluster_parts(snapshot.config, snapshot.correspondences, [snapshot.clusters])
     }
 
     /// Build the offer → cluster reverse index, rejecting any offer that
@@ -543,27 +622,51 @@ impl ProductStore {
     }
 
     /// Export the clusters whose key `keep` accepts as a serde `Value`
-    /// tree — what a segmented binary snapshot persists per shard. The
-    /// inverse is [`ProductStore::from_cluster_parts`].
-    pub fn clusters_value_where(&self, keep: impl Fn(&ClusterKey) -> bool) -> serde::Value {
-        self.clusters.iter().filter(|(k, _)| keep(k)).collect::<BTreeMap<_, _>>().to_value()
+    /// tree — what a segmented binary snapshot persists per shard: the
+    /// `[key, {members, fused, dirty}]` pairs a `BTreeMap` of cluster
+    /// records serializes to, with `fused` read from the visible map and
+    /// `dirty` always `false`. The inverse is
+    /// [`ProductStore::from_cluster_parts`].
+    pub fn clusters_value_where(&self, keep: impl Fn(&ClusterKey) -> bool) -> Value {
+        let record = |key: &ClusterKey, state: &ClusterState| {
+            let fused = self.visible.entry(key).map(|e| &*e.product);
+            Value::Object(vec![
+                ("members".to_string(), state.members.to_value()),
+                ("fused".to_string(), fused.to_value()),
+                ("dirty".to_string(), Value::Bool(false)),
+            ])
+        };
+        let clusters = self.clusters.iter().filter(|(k, _)| keep(k));
+        Value::Array(
+            clusters.map(|(k, s)| Value::Array(vec![k.to_value(), record(k, s)])).collect(),
+        )
     }
 
     /// Rebuild a store from disjoint cluster-map parts (one per shard,
     /// each a [`ProductStore::clusters_value_where`] tree) plus the
     /// config and correspondences a snapshot's meta blob carries. Rejects
     /// a cluster key present in two parts, and the same
-    /// offer-in-two-clusters corruption `restore_json` screens for.
+    /// offer-in-two-clusters corruption `restore_json` screens for. Each
+    /// record's `fused` becomes its cluster's visible product, serialized
+    /// here, on `pse-par` workers for a store of [`PAR_APPLY_MIN_BATCH`]
+    /// products or more.
     pub fn from_cluster_parts(
         config: RuntimeConfig,
         correspondences: CorrespondenceSet,
-        parts: impl IntoIterator<Item = serde::Value>,
+        parts: impl IntoIterator<Item = Value>,
     ) -> Result<Self, StoreError> {
         let mut clusters: BTreeMap<ClusterKey, ClusterState> = BTreeMap::new();
+        let mut fused: Vec<(ClusterKey, Arc<SynthesizedProduct>)> = Vec::new();
         for part in parts {
-            let map: BTreeMap<ClusterKey, ClusterState> =
-                serde::Deserialize::from_value(&part).map_err(|e| StoreError::Json(e.0))?;
-            for (key, state) in map {
+            let map: BTreeMap<ClusterKey, ClusterRecord> =
+                Deserialize::from_value(&part).map_err(|e| StoreError::Json(e.0))?;
+            for (key, record) in map {
+                if let Some(p) =
+                    record.fused.filter(|_| record.members.len() >= config.min_cluster_size)
+                {
+                    fused.push((key.clone(), Arc::new(p)));
+                }
+                let state = ClusterState { members: record.members, ..ClusterState::default() };
                 if clusters.insert(key.clone(), state).is_some() {
                     return Err(StoreError::CorruptSnapshot(format!(
                         "cluster {key:?} appears in two segments"
@@ -571,17 +674,15 @@ impl ProductStore {
                 }
             }
         }
-        let keys = KeyAttributes::new(&config.key_attributes);
         let offer_index = Self::index_clusters(&clusters)?;
-        Ok(Self {
-            correspondences,
-            config,
-            keys,
-            clusters,
-            offer_index,
-            fusion: BTreeMap::new(),
-            schemas: BTreeMap::new(),
-        })
+        let entries = pse_par::par_map_chunked(&fused, PAR_APPLY_MIN_BATCH, |(_, p)| {
+            ProductEntry::new(Arc::clone(p))
+        });
+        let mut visible = Products::default();
+        for ((key, _), entry) in fused.iter().zip(entries) {
+            visible.set(key, Some(entry));
+        }
+        Ok(Self { clusters, offer_index, visible, ..Self::with_config(correspondences, config) })
     }
 }
 
@@ -784,19 +885,31 @@ mod tests {
         assert!(err.to_string().contains("snapshot parse error"));
     }
 
+    /// `json` with its decoded cluster records passed through `edit`.
+    fn edit_clusters(
+        json: &str,
+        edit: impl FnOnce(&mut BTreeMap<ClusterKey, ClusterRecord>),
+    ) -> String {
+        let mut snap: Snapshot = serde_json::from_str(json).unwrap();
+        let mut clusters = Deserialize::from_value(&snap.clusters).unwrap();
+        edit(&mut clusters);
+        snap.clusters = clusters.to_value();
+        serde_json::to_string_pretty(&snap).unwrap()
+    }
+
     #[test]
     fn duplicate_offer_across_clusters_is_corrupt() {
         let (catalog, set, offers) = setup();
         let mut store = ProductStore::new(set);
         store.ingest(&catalog, &offers, &provider());
-        let mut snap: Snapshot = serde_json::from_str(&store.snapshot_json()).unwrap();
-        let keys: Vec<ClusterKey> = snap.clusters.keys().cloned().collect();
-        assert!(keys.len() >= 2);
-        // Corruption: the first cluster's first member also claimed by
-        // the second cluster.
-        let stray = snap.clusters[&keys[0]].members[0].clone();
-        snap.clusters.get_mut(&keys[1]).unwrap().members.push(stray);
-        let json = serde_json::to_string_pretty(&snap).unwrap();
+        let json = edit_clusters(&store.snapshot_json(), |clusters| {
+            let keys: Vec<ClusterKey> = clusters.keys().cloned().collect();
+            assert!(keys.len() >= 2);
+            // Corruption: the first cluster's first member also claimed by
+            // the second cluster.
+            let stray = clusters[&keys[0]].members[0].clone();
+            clusters.get_mut(&keys[1]).unwrap().members.push(stray);
+        });
         let err = ProductStore::restore_json(&json).unwrap_err();
         assert!(matches!(err, StoreError::CorruptSnapshot(_)), "got {err:?}");
         assert!(err.to_string().contains("claimed by two clusters"));
@@ -807,11 +920,11 @@ mod tests {
         let (catalog, set, offers) = setup();
         let mut store = ProductStore::new(set);
         store.ingest(&catalog, &offers, &provider());
-        let mut snap: Snapshot = serde_json::from_str(&store.snapshot_json()).unwrap();
-        let key = snap.clusters.keys().next().unwrap().clone();
-        let dup = snap.clusters[&key].members[0].clone();
-        snap.clusters.get_mut(&key).unwrap().members.push(dup);
-        let json = serde_json::to_string_pretty(&snap).unwrap();
+        let json = edit_clusters(&store.snapshot_json(), |clusters| {
+            let key = clusters.keys().next().unwrap().clone();
+            let dup = clusters[&key].members[0].clone();
+            clusters.get_mut(&key).unwrap().members.push(dup);
+        });
         assert!(
             ProductStore::restore_json(&json).is_ok(),
             "same-cluster duplicate is not corruption"

@@ -128,9 +128,9 @@ mod tests {
         fn is_normalized_means_normalizing_changes_nothing(input in "[ab3 B.:éİ7]{0,12}") {
             let normalized = normalize_attribute_name(&input);
             prop_assert_eq!(is_normalized_attribute_name(&input), normalized == input);
-            // Non-ASCII normalization is not idempotent (`İ` lowercases
-            // to `i` and a combining dot, which splits off).
-            prop_assert!(!input.is_ascii() || is_normalized_attribute_name(&normalized));
+            // Idempotent on every input, `İ` (which lowercases to `i`
+            // and a combining dot) included.
+            prop_assert!(is_normalized_attribute_name(&normalized));
         }
     }
 

@@ -7,6 +7,11 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release --workspace
+# The workspace tests include the persisted-format contract,
+# `cargo test -p product-synthesis --test format_golden` (digests of
+# `snapshot_json`, each shard's segment bytes and a WAL record payload):
+# any change to persistence, or to how the store holds its clusters,
+# must pass it with that test file unedited.
 cargo test -q --workspace
 # new_without_default stays named even though -D warnings already covers
 # it: every `new()` constructor in the workspace API must keep a Default.
