@@ -14,8 +14,9 @@
 //!   serializer — they load an immutable published [`snapshot`] (MVCC):
 //!   every visible product by category, with pre-serialized `GET
 //!   /products/{category}` response bodies invalidated by category,
-//!   exactly when a write changes one of its products. Shards only partition the snapshot segments on disk, by
-//!   FNV-1a hash of `(category, key attribute, normalized key value)`.
+//!   exactly when a write changes one of its products. Shards only
+//!   partition the snapshot segments on disk, by FNV-1a hash of
+//!   `(category, key attribute, normalized key value)`.
 //!   All outputs (products, snapshots, cached responses) are
 //!   byte-identical to the single store fed the same stream, at any
 //!   shard count — see the `shard` module docs.

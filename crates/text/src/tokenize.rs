@@ -16,9 +16,8 @@
 ///
 /// ASCII input takes a byte-level fast path (`is_ascii_alphanumeric` /
 /// `to_ascii_lowercase`); any non-ASCII byte falls back to the full Unicode
-/// path (`char::is_alphanumeric`, the alphanumeric chars of the
-/// `char::to_lowercase` iterator, so tokenizing a token again yields it
-/// unchanged). Both
+/// path (`char::is_alphanumeric`, and the alphanumeric chars of the
+/// `char::to_lowercase` iterator, so a token tokenizes to itself). Both
 /// paths produce identical tokens for ASCII text, since the ASCII subsets of
 /// the Unicode predicates coincide with their `ascii` counterparts.
 pub fn for_each_token<F: FnMut(&str)>(input: &str, mut f: F) {
@@ -115,10 +114,9 @@ mod tests {
                     out.push(std::mem::take(&mut cur));
                 }
                 cur_is_digit = is_digit;
-                // A lowercase mapping can add a combining mark (`İ` →
-                // `i` + U+0307); it is not alphanumeric, so keeping it
-                // would make the token split on a second pass.
-                cur.extend(ch.to_lowercase().filter(|lc| lc.is_alphanumeric()));
+                for lc in ch.to_lowercase() {
+                    cur.push(lc);
+                }
             } else if !cur.is_empty() {
                 out.push(std::mem::take(&mut cur));
             }
