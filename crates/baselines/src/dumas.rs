@@ -25,18 +25,13 @@ use pse_text::normalize::normalize_attribute_name;
 use pse_text::tfidf::{InternedCorpusBuilder, TfIdfCorpus};
 use pse_text::{BagOfWords, InternedSoftTfIdf, InternerBuilder, JwMemo, SoftTfIdf};
 
-/// The DUMAS matcher.
-#[derive(Debug, Clone)]
-pub struct DumasMatcher {
-    /// Inner-similarity threshold θ of SoftTFIDF (0.9 in the original work).
-    pub theta: f64,
-}
+/// Inner-similarity threshold θ of SoftTFIDF (0.9 in the original work).
+pub const THETA: f64 = 0.9;
 
-impl Default for DumasMatcher {
-    fn default() -> Self {
-        Self { theta: 0.9 }
-    }
-}
+/// The DUMAS matcher. It has no fields; braced rather than a unit struct
+/// so `DumasMatcher::default()` stays a lint-clean way to build one.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct DumasMatcher {}
 
 /// One known duplicate: a matched product and the offer's normalized spec.
 struct Dup {
@@ -74,9 +69,9 @@ fn group_duplicates<P: SpecProvider>(
 }
 
 impl DumasMatcher {
-    /// A matcher with the standard θ = 0.9.
+    /// The matcher, at [`THETA`].
     pub fn new() -> Self {
-        Self::default()
+        Self {}
     }
 
     /// Produce scored candidate correspondences from the same historical
@@ -136,7 +131,7 @@ impl DumasMatcher {
             }
             let interner = builder.finalize();
             let corpus = corpus_builder.finalize(&interner);
-            let soft = InternedSoftTfIdf::new(&interner, &corpus, self.theta);
+            let soft = InternedSoftTfIdf::new(&interner, &corpus, THETA);
             // Pre-weight each distinct value once (the reference recomputed
             // the TF-IDF vector of both cell values for every cell).
             let docs: HashMap<&str, pse_text::SoftDoc> =
@@ -227,7 +222,7 @@ impl DumasMatcher {
                     corpus.add_document(&BagOfWords::from_values([pair.value.as_str()]));
                 }
             }
-            let soft = SoftTfIdf::with_theta(corpus, self.theta);
+            let soft = SoftTfIdf::with_theta(corpus, THETA);
 
             // Average the per-duplicate similarity matrices.
             let mut sum = Matrix::zeros(catalog_attrs.len(), merchant_attrs.len());

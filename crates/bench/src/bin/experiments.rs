@@ -33,9 +33,9 @@
 //!
 //! Text renderings go to stdout; CSV series are written under `--out`
 //! (default `results/`). `--quiet` silences stderr progress chatter and the
-//! stage summary; `--obs` (or `PSE_OBS=1`) installs an `Obs` on the main
-//! thread for the whole run — `pse-par` workers inherit it — and writes
-//! its report to `target/OBS_REPORT.json` under the workspace root on exit.
+//! stage summary; `--obs` installs an `Obs` on the main thread for the
+//! whole run — `pse-par` workers inherit it — and writes its report to
+//! `target/OBS_REPORT.json` under the workspace root on exit.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -58,7 +58,7 @@ fn main() -> ExitCode {
     };
     let rest = &args[1..];
     let quiet = rest.iter().any(|a| a == "--quiet");
-    let obs = if rest.iter().any(|a| a == "--obs") { Some(Obs::new()) } else { Obs::from_env() };
+    let obs = rest.iter().any(|a| a == "--obs").then(Obs::new);
     let _obs = obs.as_ref().map(Obs::install);
     let scale = match Scale::from_args(rest) {
         Ok(s) => s,

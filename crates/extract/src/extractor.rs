@@ -3,42 +3,24 @@
 use pse_core::Spec;
 use pse_html::{extract_tables, parse, Table};
 
-/// Tunables for the extractor. The defaults mirror the paper's "simple
-/// extractor" plus minimal sanity limits so a page-wide layout table does
-/// not flood the pipeline with kilobyte-long "values".
-#[derive(Debug, Clone)]
-pub struct ExtractionConfig {
-    /// Maximum character length of an attribute *name* cell; longer first
-    /// cells are treated as prose, not attribute names.
-    pub max_name_len: usize,
-    /// Maximum character length of a value cell.
-    pub max_value_len: usize,
-    /// Skip rows whose cells are `<th>` headers spanning the table
-    /// ("Specifications" banners).
-    pub skip_header_only_rows: bool,
-}
+/// Longest attribute *name* cell, in characters; longer first cells are
+/// prose, not attribute names. With [`MAX_VALUE_CHARS`], the sanity limits
+/// that keep a page-wide layout table from flooding the pipeline with
+/// kilobyte-long "values".
+pub const MAX_NAME_CHARS: usize = 80;
 
-impl Default for ExtractionConfig {
-    fn default() -> Self {
-        Self { max_name_len: 80, max_value_len: 400, skip_header_only_rows: true }
-    }
-}
+/// Longest value cell, in characters.
+pub const MAX_VALUE_CHARS: usize = 400;
 
-/// A reusable extractor.
-#[derive(Debug, Clone, Default)]
-pub struct PageExtractor {
-    config: ExtractionConfig,
-}
+/// The paper's "simple extractor". Rows whose two cells are both `<th>`
+/// headers ("Specifications" banners) are skipped.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PageExtractor;
 
 impl PageExtractor {
-    /// Extractor with default configuration.
+    /// The extractor.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Extractor with custom configuration.
-    pub fn with_config(config: ExtractionConfig) -> Self {
-        Self { config }
+        Self
     }
 
     /// Extract attribute–value pairs from a landing page.
@@ -69,7 +51,7 @@ impl PageExtractor {
             if name_cell.colspan != 1 || value_cell.colspan != 1 {
                 continue;
             }
-            if self.config.skip_header_only_rows && name_cell.is_header && value_cell.is_header {
+            if name_cell.is_header && value_cell.is_header {
                 continue;
             }
             let name = name_cell.text.trim().trim_end_matches(':').trim();
@@ -77,9 +59,7 @@ impl PageExtractor {
             if name.is_empty() || value.is_empty() {
                 continue;
             }
-            if exceeds_chars(name, self.config.max_name_len)
-                || exceeds_chars(value, self.config.max_value_len)
-            {
+            if exceeds_chars(name, MAX_NAME_CHARS) || exceeds_chars(value, MAX_VALUE_CHARS) {
                 continue;
             }
             spec.push(name, value);
@@ -95,7 +75,7 @@ fn exceeds_chars(s: &str, max: usize) -> bool {
     s.len() > max && s.chars().count() > max
 }
 
-/// One-shot convenience: extract pairs with the default configuration.
+/// One-shot convenience: [`PageExtractor::extract`].
 pub fn extract_pairs(html: &str) -> Spec {
     PageExtractor::new().extract(html)
 }
@@ -189,24 +169,23 @@ mod tests {
 
     #[test]
     fn length_limits_count_chars_not_bytes() {
-        // "é" is 2 bytes in UTF-8: a 60-char accented name is 61+ bytes and
-        // used to be rejected against max_name_len=80 only for ASCII-length
-        // reasons when pushed past the byte limit. Pin char semantics: a
-        // name of exactly max_name_len chars passes even when its byte
-        // length exceeds max_name_len.
-        let config = ExtractionConfig { max_name_len: 20, max_value_len: 20, ..Default::default() };
-        let extractor = PageExtractor::with_config(config);
-        let name = "é".repeat(20); // 20 chars, 40 bytes
-        let value = "écran très présent…"; // 19 chars, > 20 bytes
+        // "é" is 2 bytes in UTF-8. Pin char semantics: a cell of exactly
+        // the limit in chars passes even though its byte length is twice
+        // the limit.
+        let name = "é".repeat(MAX_NAME_CHARS);
+        let value = "é".repeat(MAX_VALUE_CHARS);
         let html = format!("<table><tr><td>{name}</td><td>{value}</td></tr></table>");
-        let spec = extractor.extract(&html);
+        let spec = extract_pairs(&html);
         assert_eq!(spec.len(), 1, "multi-byte cells within the char limit must survive");
-        assert_eq!(spec.get(&name), Some(value));
+        assert_eq!(spec.get(&name), Some(value.as_str()));
 
-        // One char over the limit is still rejected.
-        let over = "é".repeat(21);
+        // One char over either limit is still rejected.
+        let over = "é".repeat(MAX_NAME_CHARS + 1);
         let html = format!("<table><tr><td>{over}</td><td>ok</td></tr></table>");
-        assert!(extractor.extract(&html).is_empty());
+        assert!(extract_pairs(&html).is_empty());
+        let over = "é".repeat(MAX_VALUE_CHARS + 1);
+        let html = format!("<table><tr><td>Name</td><td>{over}</td></tr></table>");
+        assert!(extract_pairs(&html).is_empty());
     }
 
     #[test]

@@ -13,4 +13,4 @@
 
 pub mod extractor;
 
-pub use extractor::{extract_pairs, ExtractionConfig, PageExtractor};
+pub use extractor::{extract_pairs, PageExtractor};

@@ -75,7 +75,7 @@ pub mod trace;
 
 pub use metrics::MetricSet;
 pub use report::{
-    BucketEntry, ChunkSummary, CounterEntry, HistogramSummary, ObsReport, ReportError, SpanSummary,
+    BucketEntry, ChunkSummary, CounterEntry, HistogramSummary, ObsReport, SpanSummary,
     TimelineGroup, SCHEMA_VERSION,
 };
 pub use trace::{
@@ -109,14 +109,6 @@ impl Obs {
     /// A handle on a fresh, empty sink.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// A fresh handle when the `PSE_OBS` environment variable is set to
-    /// anything but empty or `0`. The only place the variable is read:
-    /// binaries ask for it, the library never does.
-    pub fn from_env() -> Option<Self> {
-        let on = std::env::var("PSE_OBS").is_ok_and(|v| !matches!(v.trim(), "" | "0"));
-        on.then(Self::new)
     }
 
     /// Make this handle the calling thread's sink, in a fresh context (no

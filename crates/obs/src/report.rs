@@ -150,94 +150,6 @@ pub struct ObsReport {
     pub timelines: Vec<TimelineGroup>,
 }
 
-/// An internal inconsistency found by [`ObsReport::validate`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ReportError {
-    /// A span aggregate with a zero call count.
-    SpanZeroCount {
-        /// Span path.
-        path: String,
-    },
-    /// A span whose min/max/total timings are mutually inconsistent.
-    SpanTimings {
-        /// Span path.
-        path: String,
-        /// Minimum recorded duration.
-        min_ns: u64,
-        /// Maximum recorded duration.
-        max_ns: u64,
-        /// Total recorded duration.
-        total_ns: u64,
-    },
-    /// Histogram bucket counts do not sum to the histogram count.
-    HistogramBucketSum {
-        /// Histogram name.
-        name: String,
-        /// Sum over the buckets.
-        bucket_total: u64,
-        /// The histogram's own count.
-        count: u64,
-    },
-    /// A non-empty histogram whose min exceeds its max.
-    HistogramMinMax {
-        /// Histogram name.
-        name: String,
-        /// Recorded minimum.
-        min: u64,
-        /// Recorded maximum.
-        max: u64,
-    },
-    /// A bucket boundary not in [`BUCKET_BOUNDS`].
-    HistogramUnknownBoundary {
-        /// Histogram name.
-        name: String,
-        /// The offending boundary.
-        boundary: u64,
-    },
-    /// A non-empty histogram whose sum is below its largest sample.
-    HistogramSumBelowMax {
-        /// Histogram name.
-        name: String,
-        /// Recorded sum.
-        sum: u64,
-        /// Recorded maximum.
-        max: u64,
-    },
-    /// A timeline group with no calls or no chunks (a label only exists
-    /// once a chunk was recorded under it).
-    TimelineEmpty {
-        /// Timeline label.
-        label: String,
-    },
-}
-
-impl std::fmt::Display for ReportError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::SpanZeroCount { path } => write!(f, "span {path}: zero count"),
-            Self::SpanTimings { path, min_ns, max_ns, total_ns } => write!(
-                f,
-                "span {path}: inconsistent timings min={min_ns} max={max_ns} total={total_ns}"
-            ),
-            Self::HistogramBucketSum { name, bucket_total, count } => {
-                write!(f, "histogram {name}: buckets sum to {bucket_total}, count is {count}")
-            }
-            Self::HistogramMinMax { name, min, max } => {
-                write!(f, "histogram {name}: min {min} > max {max}")
-            }
-            Self::HistogramUnknownBoundary { name, boundary } => {
-                write!(f, "histogram {name}: unknown boundary {boundary}")
-            }
-            Self::HistogramSumBelowMax { name, sum, max } => {
-                write!(f, "histogram {name}: sum {sum} < max {max}")
-            }
-            Self::TimelineEmpty { label } => write!(f, "timeline {label}: no calls or no chunks"),
-        }
-    }
-}
-
-impl std::error::Error for ReportError {}
-
 impl ObsReport {
     /// Serialize as pretty-printed JSON (the `OBS_REPORT.json` format).
     pub fn to_json(&self) -> String {
@@ -264,56 +176,43 @@ impl ObsReport {
     /// histograms, `min <= max <= total` on spans, and no empty timeline
     /// group. (`u64` fields cannot encode NaN or negatives, and
     /// [`ObsReport::from_json`] refuses floats, negatives and `null` in
-    /// their place.)
-    pub fn validate(&self) -> Result<(), ReportError> {
+    /// their place.) The error describes the first inconsistency found.
+    pub fn validate(&self) -> Result<(), String> {
         for s in &self.spans {
+            let path = &s.path;
             if s.count == 0 {
-                return Err(ReportError::SpanZeroCount { path: s.path.clone() });
+                return Err(format!("span {path}: zero count"));
             }
-            if s.min_ns > s.max_ns || s.max_ns > s.total_ns {
-                return Err(ReportError::SpanTimings {
-                    path: s.path.clone(),
-                    min_ns: s.min_ns,
-                    max_ns: s.max_ns,
-                    total_ns: s.total_ns,
-                });
+            let (min, max, total) = (s.min_ns, s.max_ns, s.total_ns);
+            if min > max || max > total {
+                return Err(format!(
+                    "span {path}: inconsistent timings min={min} max={max} total={total}"
+                ));
             }
         }
         for h in &self.histograms {
+            let (name, count, min, max, sum) = (&h.name, h.count, h.min, h.max, h.sum);
             let bucket_total: u64 = h.buckets.iter().map(|b| b.count).sum();
-            if bucket_total != h.count {
-                return Err(ReportError::HistogramBucketSum {
-                    name: h.name.clone(),
-                    bucket_total,
-                    count: h.count,
-                });
+            if bucket_total != count {
+                return Err(format!(
+                    "histogram {name}: buckets sum to {bucket_total}, count is {count}"
+                ));
             }
-            if h.count > 0 && h.min > h.max {
-                return Err(ReportError::HistogramMinMax {
-                    name: h.name.clone(),
-                    min: h.min,
-                    max: h.max,
-                });
+            if count > 0 && min > max {
+                return Err(format!("histogram {name}: min {min} > max {max}"));
             }
-            if h.count > 0 && h.sum < h.max {
-                return Err(ReportError::HistogramSumBelowMax {
-                    name: h.name.clone(),
-                    sum: h.sum,
-                    max: h.max,
-                });
+            if count > 0 && sum < max {
+                return Err(format!("histogram {name}: sum {sum} < max {max}"));
             }
             for b in &h.buckets {
                 if b.le != 0 && !BUCKET_BOUNDS.contains(&b.le) {
-                    return Err(ReportError::HistogramUnknownBoundary {
-                        name: h.name.clone(),
-                        boundary: b.le,
-                    });
+                    return Err(format!("histogram {name}: unknown boundary {}", b.le));
                 }
             }
         }
         for t in &self.timelines {
             if t.calls == 0 || t.chunks.is_empty() {
-                return Err(ReportError::TimelineEmpty { label: t.label.clone() });
+                return Err(format!("timeline {}: no calls or no chunks", t.label));
             }
         }
         Ok(())
@@ -466,13 +365,13 @@ mod tests {
     fn validate_rejects_sum_below_max_and_empty_timelines() {
         let mut r = sample();
         r.histograms[0].sum = 4; // max is 5
-        assert!(matches!(r.validate(), Err(ReportError::HistogramSumBelowMax { .. })));
+        assert!(r.validate().is_err_and(|e| e.contains("sum 4 < max 5")));
         let mut r = sample();
         r.timelines[0].calls = 0;
-        assert!(matches!(r.validate(), Err(ReportError::TimelineEmpty { .. })));
+        assert!(r.validate().is_err_and(|e| e.contains("no calls or no chunks")));
         let mut r = sample();
         r.timelines[0].chunks.clear();
-        assert!(matches!(r.validate(), Err(ReportError::TimelineEmpty { .. })));
+        assert!(r.validate().is_err_and(|e| e.contains("no calls or no chunks")));
     }
 
     /// A NaN duration serializes as `null`; neither it nor a negative or

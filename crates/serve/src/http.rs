@@ -18,9 +18,6 @@ pub enum Body {
     Owned(Vec<u8>),
     /// A shared cache buffer (`Arc` clone, no copy).
     Shared(Arc<[u8]>),
-    /// A shared cached JSON string (`Arc` clone, no copy) — the
-    /// snapshot's per-product serialization.
-    SharedStr(Arc<str>),
 }
 
 impl AsRef<[u8]> for Body {
@@ -28,7 +25,6 @@ impl AsRef<[u8]> for Body {
         match self {
             Self::Owned(v) => v,
             Self::Shared(b) => b,
-            Self::SharedStr(s) => s.as_bytes(),
         }
     }
 }
@@ -45,9 +41,11 @@ impl From<Arc<[u8]>> for Body {
     }
 }
 
+/// The snapshot's cached per-product JSON: the same allocation, viewed
+/// as bytes (no copy).
 impl From<Arc<str>> for Body {
     fn from(s: Arc<str>) -> Self {
-        Self::SharedStr(s)
+        Self::Shared(Arc::from(s))
     }
 }
 
@@ -76,7 +74,8 @@ pub struct Request {
 }
 
 impl Request {
-    /// First query value for `name`, if present.
+    /// First query value for `name`, if present (duplicate keys keep wire
+    /// order) — the one query accessor every handler shares.
     pub fn query_param(&self, name: &str) -> Option<&str> {
         self.query.iter().find(|(k, _)| k == name).map(|(_, v)| v.as_str())
     }
@@ -301,6 +300,24 @@ mod tests {
         assert_eq!(r.header("X-PSE-TRACE-ID"), Some("00ff"));
         assert_eq!(r.header("host"), Some("x"));
         assert_eq!(r.header("absent"), None);
+    }
+
+    #[test]
+    fn query_accessor_reads_first_of_duplicates() {
+        let request = Request {
+            method: "GET".into(),
+            path: "/search".into(),
+            query: vec![
+                ("q".into(), "canon 12mp".into()),
+                ("q".into(), "second".into()),
+                ("empty".into(), String::new()),
+            ],
+            headers: Vec::new(),
+            body: Vec::new(),
+        };
+        assert_eq!(request.query_param("q"), Some("canon 12mp"));
+        assert_eq!(request.query_param("empty"), Some(""));
+        assert_eq!(request.query_param("absent"), None);
     }
 
     #[test]

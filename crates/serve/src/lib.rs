@@ -111,6 +111,6 @@ pub use client::{http_request, http_request_timeout};
 pub use durable::{durable_ingest, durable_retract, durable_snapshot, open_durable, DurableCtx};
 pub use error::{store_error_code, ServeError};
 pub use http::Body;
-pub use router::{Method, Params, Query, Route, RouteOutcome, Router, Seg};
+pub use router::{Method, Params, Route, RouteOutcome, Router, Seg};
 pub use server::{endpoint_metrics, routes, start, ServerConfig, ServerHandle};
 pub use shard::{shard_of, SearchOutcome, ShardedStore, ShardedWrite};

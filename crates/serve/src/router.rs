@@ -19,8 +19,6 @@
 //!   `GET /products/` and `GET /debug/trace/` are clean 404s instead of
 //!   falling through into handlers with an empty capture.
 
-use crate::http::Request;
-
 /// The request methods the server routes. Anything else is 405.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Method {
@@ -170,25 +168,6 @@ fn match_pattern<'p>(pattern: &'static [Seg], segments: &[&'p str]) -> Option<Pa
     Some(Params { pairs })
 }
 
-/// Typed accessor over a request's already-percent-decoded query pairs
-/// — the one query parser every handler shares.
-#[derive(Debug, Clone, Copy)]
-pub struct Query<'a> {
-    pairs: &'a [(String, String)],
-}
-
-impl<'a> Query<'a> {
-    /// The query view of one request.
-    pub fn of(request: &'a Request) -> Self {
-        Self { pairs: &request.query }
-    }
-
-    /// First value for `name` (duplicate keys keep wire order).
-    pub fn get(&self, name: &str) -> Option<&'a str> {
-        self.pairs.iter().find(|(k, _)| k == name).map(|(_, v)| v.as_str())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,24 +241,5 @@ mod tests {
         assert_eq!(outcome("GET", "healthz"), Err(404), "missing leading slash");
         assert_eq!(outcome("GET", "/"), Err(404));
         assert_eq!(outcome("GET", "//"), Err(404));
-    }
-
-    #[test]
-    fn query_accessor_reads_first_of_duplicates() {
-        let request = Request {
-            method: "GET".into(),
-            path: "/search".into(),
-            query: vec![
-                ("q".into(), "canon 12mp".into()),
-                ("q".into(), "second".into()),
-                ("empty".into(), String::new()),
-            ],
-            headers: Vec::new(),
-            body: Vec::new(),
-        };
-        let q = Query::of(&request);
-        assert_eq!(q.get("q"), Some("canon 12mp"));
-        assert_eq!(q.get("empty"), Some(""));
-        assert_eq!(q.get("absent"), None);
     }
 }

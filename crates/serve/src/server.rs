@@ -33,7 +33,7 @@ use crate::durable::{durable_ingest, durable_retract, durable_snapshot, open_dur
 use crate::error::ServeError;
 use crate::http::{read_request, write_response, Body, Request};
 use crate::metrics;
-use crate::router::{EndpointMetrics, Method, Params, Query, Route, RouteOutcome, Router, Seg};
+use crate::router::{EndpointMetrics, Method, Params, Route, RouteOutcome, Router, Seg};
 use crate::shard::ShardedStore;
 
 /// Server knobs. `addr` of `"127.0.0.1:0"` binds an ephemeral port —
@@ -613,9 +613,8 @@ fn h_products(inner: &Inner, _request: &Request, params: &Params) -> HandlerResu
 }
 
 fn h_product(inner: &Inner, request: &Request, _params: &Params) -> HandlerResult {
-    let query = Query::of(request);
     let (Some(category), Some(attr), Some(key)) =
-        (query.get("category"), query.get("attr"), query.get("key"))
+        (request.query_param("category"), request.query_param("attr"), request.query_param("key"))
     else {
         return Err(ApiError::new(
             400,
@@ -656,11 +655,10 @@ const SEARCH_K_DEFAULT: usize = 10;
 const SEARCH_K_MAX: usize = 100;
 
 fn h_search(inner: &Inner, request: &Request, _params: &Params) -> HandlerResult {
-    let query = Query::of(request);
-    let Some(q) = query.get("q") else {
+    let Some(q) = request.query_param("q") else {
         return Err(ApiError::new(400, "bad_request", "need q=<free-text query>"));
     };
-    let k = match query.get("k") {
+    let k = match request.query_param("k") {
         None => SEARCH_K_DEFAULT,
         Some(raw) => match raw.parse::<usize>() {
             Ok(k) if (1..=SEARCH_K_MAX).contains(&k) => k,

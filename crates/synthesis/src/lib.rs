@@ -31,7 +31,7 @@ pub mod offline;
 pub mod provider;
 pub mod runtime;
 
-pub use matching::{MatcherConfig, TitleMatcher};
+pub use matching::TitleMatcher;
 pub use offline::{OfflineConfig, OfflineLearner, OfflineOutcome, OfflineStats, ScoredCandidate};
 pub use provider::{ExtractingProvider, FnProvider, SpecProvider};
 pub use runtime::{

@@ -51,28 +51,16 @@ pub mod metrics {
 }
 pub use metrics::METRICS;
 
-/// Configuration of the bootstrap matcher.
-#[derive(Debug, Clone)]
-pub struct MatcherConfig {
-    /// Identifier attributes checked for exact matches, in priority order.
-    pub identifier_attributes: Vec<String>,
-    /// Minimum cosine similarity for a title match to be accepted.
-    pub min_similarity: f64,
-    /// Minimum margin between the best and second-best product similarity;
-    /// ambiguous offers stay unmatched (precision over recall, since
-    /// downstream learning conditions on these matches).
-    pub min_margin: f64,
-}
+/// Identifier attributes checked for exact matches, in priority order.
+pub const IDENTIFIER_ATTRIBUTES: [&str; 2] = ["UPC", "MPN"];
 
-impl Default for MatcherConfig {
-    fn default() -> Self {
-        Self {
-            identifier_attributes: vec!["UPC".to_string(), "MPN".to_string()],
-            min_similarity: 0.4,
-            min_margin: 0.05,
-        }
-    }
-}
+/// Minimum cosine similarity for a title match to be accepted.
+pub const MIN_SIMILARITY: f64 = 0.4;
+
+/// Minimum margin between the best and second-best product similarity;
+/// ambiguous offers stay unmatched (precision over recall, since
+/// downstream learning conditions on these matches).
+pub const MIN_MARGIN: f64 = 0.05;
 
 /// How a match was established.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,7 +87,6 @@ pub struct ProposedMatch {
 /// An offer-to-product matcher over one catalog.
 pub struct TitleMatcher<'a> {
     catalog: &'a Catalog,
-    config: MatcherConfig,
     /// Per-category interned corpus, product vectors and posting lists.
     per_category: HashMap<CategoryId, CategoryIndex>,
     /// identifier value (normalized) → product, per category.
@@ -127,11 +114,6 @@ struct CategoryBuild {
 impl<'a> TitleMatcher<'a> {
     /// Build the matcher's indexes from the catalog.
     pub fn new(catalog: &'a Catalog) -> Self {
-        Self::with_config(catalog, MatcherConfig::default())
-    }
-
-    /// Build with custom configuration.
-    pub fn with_config(catalog: &'a Catalog, config: MatcherConfig) -> Self {
         let mut identifiers = HashMap::new();
         let mut builds: HashMap<CategoryId, CategoryBuild> = HashMap::new();
         for product in catalog.products() {
@@ -142,7 +124,7 @@ impl<'a> TitleMatcher<'a> {
             }
             b.corpus.add_document(raw.iter().copied());
             b.products.push((product.id, raw));
-            for id_attr in &config.identifier_attributes {
+            for id_attr in IDENTIFIER_ATTRIBUTES {
                 if let Some(v) = product.spec.get(id_attr) {
                     identifiers.insert((product.category, normalize_value(v)), product.id);
                 }
@@ -168,7 +150,7 @@ impl<'a> TitleMatcher<'a> {
             }
             per_category.insert(category, CategoryIndex { interner, corpus, products, postings });
         }
-        Self { catalog, config, per_category, identifiers }
+        Self { catalog, per_category, identifiers }
     }
 
     /// Try to match one offer. `spec` is the offer's (extracted)
@@ -183,9 +165,8 @@ impl<'a> TitleMatcher<'a> {
     /// shared-token products in ascending token order — the exact summation
     /// sequence of the sparse merge-join — and candidates are visited in
     /// product order, so best/second bookkeeping is unchanged. When *no*
-    /// product shares a token, every similarity is `0.0`; that can only be
-    /// accepted when `min_similarity <= 0.0`, in which case we fall back to
-    /// the exhaustive scan.
+    /// product shares a token, every similarity is `0.0`, below
+    /// [`MIN_SIMILARITY`], and the offer stays unmatched.
     pub fn match_offer(&self, offer: &Offer, spec: &Spec) -> Option<ProposedMatch> {
         let category = offer.category?;
         if let Some(m) = self.identifier_match(category, offer, spec) {
@@ -213,12 +194,7 @@ impl<'a> TitleMatcher<'a> {
         pse_obs::observe(metrics::CANDIDATES_PER_OFFER, touched.len() as u64);
 
         if touched.is_empty() {
-            if self.config.min_similarity > 0.0 {
-                return None;
-            }
-            // Degenerate configuration: a 0.0 similarity could be accepted,
-            // so the skipped products matter. Reproduce the full scan.
-            return self.scan_products(index, offer, &query);
+            return None;
         }
         let mut best: Option<(ProductId, f64)> = None;
         let mut second = 0.0f64;
@@ -257,7 +233,7 @@ impl<'a> TitleMatcher<'a> {
         offer: &Offer,
         spec: &Spec,
     ) -> Option<ProposedMatch> {
-        for id_attr in &self.config.identifier_attributes {
+        for id_attr in IDENTIFIER_ATTRIBUTES {
             for v in spec.get_all(id_attr) {
                 if let Some(&product) = self.identifiers.get(&(category, normalize_value(v))) {
                     return Some(ProposedMatch {
@@ -321,8 +297,7 @@ impl<'a> TitleMatcher<'a> {
         second: f64,
     ) -> Option<ProposedMatch> {
         let (product, similarity) = best?;
-        if similarity >= self.config.min_similarity && similarity - second >= self.config.min_margin
-        {
+        if similarity >= MIN_SIMILARITY && similarity - second >= MIN_MARGIN {
             Some(ProposedMatch { offer: offer.id, product, similarity, kind: MatchKind::Title })
         } else {
             None
@@ -494,22 +469,5 @@ mod tests {
                 _ => panic!("blocked={blocked:?} naive={naive:?} for title={title}"),
             }
         }
-    }
-
-    /// With `min_similarity <= 0`, an offer sharing no token still matches
-    /// through the exhaustive fallback, exactly like the reference.
-    #[test]
-    fn zero_threshold_falls_back_to_full_scan() {
-        let (catalog, _) = setup();
-        let config = MatcherConfig { min_similarity: 0.0, min_margin: 0.0, ..Default::default() };
-        let matcher = TitleMatcher::with_config(&catalog, config);
-        let cat = catalog.products().next().unwrap().category;
-        let o = offer("zero overlap whatsoever", cat, Spec::new());
-        let blocked = matcher.match_offer(&o, &Spec::new());
-        let naive = matcher.match_offer_naive(&o, &Spec::new());
-        let (b, n) = (blocked.unwrap(), naive.unwrap());
-        assert_eq!(b.product, n.product);
-        assert_eq!(b.similarity.to_bits(), n.similarity.to_bits());
-        assert_eq!(b.similarity, 0.0);
     }
 }

@@ -25,19 +25,19 @@ use crate::provider::SpecProvider;
 use bags::FeatureIndex;
 use features::{CatalogAttr, FeatureTables, Group, MerchantFeatures, NUM_FEATURES};
 
-/// Configuration of the offline phase.
+/// Probability threshold at or above which a candidate is predicted valid.
+pub const DECISION_THRESHOLD: f64 = 0.5;
+
+/// Configuration of the offline phase. Name-identity candidates are always
+/// accepted as correspondences (score 1.0), per the paper's first
+/// training-set assumption.
 #[derive(Debug, Clone)]
 pub struct OfflineConfig {
     /// Classifier training hyperparameters.
     pub train: TrainConfig,
-    /// Probability threshold above which a candidate is predicted valid.
-    pub decision_threshold: f64,
     /// Use historical matches to condition the bags (the paper's approach);
     /// `false` reproduces the "No matching" baseline of Figure 7.
     pub match_conditioning: bool,
-    /// Force-accept name-identity candidates as correspondences (score 1.0),
-    /// per the paper's first training-set assumption.
-    pub accept_name_identities: bool,
     /// Which of the six features (Table 1 order: JS-MC, Jaccard-MC, JS-C,
     /// Jaccard-C, JS-M, Jaccard-M) the classifier may use. Masked-off
     /// features are replaced by their worst-case constants, so the
@@ -56,9 +56,7 @@ impl Default for OfflineConfig {
     fn default() -> Self {
         Self {
             train: TrainConfig::default(),
-            decision_threshold: 0.5,
             match_conditioning: true,
-            accept_name_identities: true,
             feature_mask: [true; features::NUM_FEATURES],
             use_name_features: false,
         }
@@ -125,7 +123,7 @@ pub struct OfflineStats {
     pub training_examples: usize,
     /// Positive training examples (name identities).
     pub training_positives: usize,
-    /// Candidates predicted valid at the decision threshold.
+    /// Candidates predicted valid at [`DECISION_THRESHOLD`].
     pub predicted_valid: usize,
 }
 
@@ -272,17 +270,15 @@ impl OfflineLearner {
         let mut set = CorrespondenceSet::new();
         let mut predicted_valid = 0usize;
         for c in &scored {
-            if c.score >= self.config.decision_threshold {
-                predicted_valid += 1;
-            }
-            let accept_identity = self.config.accept_name_identities && c.is_name_identity;
-            if accept_identity || c.score >= self.config.decision_threshold {
+            let predicted = c.score >= DECISION_THRESHOLD;
+            predicted_valid += usize::from(predicted);
+            if c.is_name_identity || predicted {
                 set.insert(AttributeCorrespondence {
                     catalog_attribute: c.catalog_attribute.to_string(),
                     merchant_attribute: c.merchant_attribute.to_string(),
                     merchant: c.merchant,
                     category: c.category,
-                    score: if accept_identity { 1.0 } else { c.score },
+                    score: if c.is_name_identity { 1.0 } else { c.score },
                 });
             }
         }

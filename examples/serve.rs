@@ -18,9 +18,9 @@ use product_synthesis::synthesis::{ExtractingProvider, OfflineLearner};
 use pse_obs::Obs;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // `PSE_OBS=1` observes the server: `GET /metrics`, `/debug/requests`.
-    let obs = Obs::from_env();
-    let _obs = obs.as_ref().map(Obs::install);
+    // Observed, so `GET /metrics` and `/debug/requests` have something to show.
+    let obs = Obs::new();
+    let _obs = obs.install();
     let dir = std::env::args().nth(1).map(PathBuf::from);
     let world = World::generate(WorldConfig::tiny());
     let provider = ExtractingProvider::new(|o: &Offer| world.landing_page(o.id));

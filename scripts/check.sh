@@ -15,7 +15,8 @@ cargo build --release --workspace
 cargo test -q --workspace
 # new_without_default stays named even though -D warnings already covers
 # it: every `new()` constructor in the workspace API must keep a Default.
-cargo clippy --workspace -- -D warnings -D clippy::new-without-default
+# --all-targets lints tests, examples and the `experiments` bin too.
+cargo clippy --workspace --all-targets -- -D warnings -D clippy::new-without-default
 cargo fmt --check
 # Every intra-doc link resolves: a link to a renamed or deleted item
 # fails here, not silently in the rendered docs.
